@@ -86,15 +86,17 @@ def _greedy(net: nn.ParamSet, x: Array) -> tuple[int, Array]:
     return int(np.argmax(q)), q
 
 
-def _surrogate_grad(net: nn.ParamSet, x: Array, a_star: int) -> Array:
-    """Input gradient of J = -log softmax(Q)[a_star] = logsumexp(Q) - Q[a*]."""
-    q = nn.forward(net, x)[-1]
+def _surrogate_grad(net: nn.ParamSet, x: Array) -> tuple[int, Array]:
+    """Greedy action a* at x and the input gradient of
+    J = -log softmax(Q)[a*] = logsumexp(Q) - Q[a*], from one forward pass."""
+    tape: list = []
+    q = nn.forward(net, x, tape)[-1]
+    a_star = int(np.argmax(q))
     z = q - q.max()
     soft = np.exp(z) / np.exp(z).sum()
     gout = soft.copy()
     gout[a_star] -= 1.0
-    gin, _ = nn.backprop(net, x, gout)
-    return gin
+    return a_star, nn.backprop(net, x, gout, "input", tape)
 
 
 def fgm(net: nn.ParamSet, obs: Array, spec: AttackSpec) -> AttackResult:
@@ -102,8 +104,7 @@ def fgm(net: nn.ParamSet, obs: Array, spec: AttackSpec) -> AttackResult:
     zero radius) returns the input unchanged."""
     obs = np.asarray(obs, dtype=np.float64)
     x = obs / OBS_SCALE
-    a_star, _ = _greedy(net, x)
-    g = _surrogate_grad(net, x, a_star)
+    a_star, g = _surrogate_grad(net, x)
     if spec.p == 2.0:
         gn = norm_of(g, 2.0)
         delta = np.zeros_like(x) if gn == 0.0 else spec.epsilon * g / gn
@@ -119,8 +120,10 @@ def fgm(net: nn.ParamSet, obs: Array, spec: AttackSpec) -> AttackResult:
 def _margin_and_grad(net: nn.ParamSet, x: Array,
                      a_star: int) -> tuple[float, bool, Array]:
     """Hinge margin of the original greedy action, whether the greedy action
-    has strictly flipped, and the margin's input gradient."""
-    q = nn.forward(net, x)[-1]
+    has strictly flipped, and the margin's input gradient (one forward
+    pass; no backward pass once the margin is closed)."""
+    tape: list = []
+    q = nn.forward(net, x, tape)[-1]
     flipped = int(np.argmax(q)) != a_star
     others = q.copy()
     others[a_star] = -np.inf
@@ -131,8 +134,7 @@ def _margin_and_grad(net: nn.ParamSet, x: Array,
     gout = np.zeros_like(q)
     gout[a_star] = 1.0
     gout[runner] = -1.0
-    gin, _ = nn.backprop(net, x, gout)
-    return margin, flipped, gin
+    return margin, flipped, nn.backprop(net, x, gout, "input", tape)
 
 
 def _restart_point(x: Array, spec: AttackSpec, k: int) -> Array:
@@ -166,8 +168,7 @@ def _cw_inner(net: nn.ParamSet, x: Array, a_star: int, c_pen: float,
         grad = dist_grad + c_pen * margin_grad
         x_adv = x + _project((x_adv - step * grad) - x, spec.p, spec.epsilon)
         x_adv = np.clip(x_adv, 0.0, 1.0)
-    _, flipped, _ = _margin_and_grad(net, x_adv, a_star)
-    if flipped:
+    if _greedy(net, x_adv)[0] != a_star:
         d = norm_of(x_adv - x, spec.p)
         if d < best_dist:
             best, best_dist = x_adv.copy(), d

@@ -15,6 +15,7 @@ Rewards:
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -79,6 +80,18 @@ def make_spec(env_id: str, size: int = 8, seed: int = 0,
                        score_min=-float(POINTS_TO_WIN),
                        score_max=float(POINTS_TO_WIN), seed=seed)
     raise ValueError(f"unknown environment id {env_id!r}")
+
+
+def episode_return(rewards: list[float]) -> float:
+    """Correctly rounded sum of one episode's rewards.
+
+    A running float sum drifts: 200 steps of -0.01 add up to
+    -2.0000000000000013, below PixelGrid's fixed minimum -0.01 * cap.
+    Every episode score (evaluation, training curve, probes, the oracle)
+    goes through here so that they agree bit for bit and stay within the
+    score bounds.
+    """
+    return math.fsum(rewards)
 
 
 @dataclass
@@ -238,7 +251,8 @@ def oracle_return(spec: EnvSpec, episode_seed: int) -> float:
     """Optimal undiscounted episode return for the seeded start.
 
     The start cell depends on the episode seed, so the optimum is per-episode:
-    a shortest path of d moves earns 1 - 0.01*(d - 1).
+    a shortest path of d moves earns d - 1 step costs of -0.01 and the goal's
+    +1, summed by episode_return as every episode score is.
     """
     if spec.env_id != "pixelgrid":
         raise ValueError("oracle_return is defined for pixelgrid only")
@@ -247,7 +261,7 @@ def oracle_return(spec: EnvSpec, episode_seed: int) -> float:
     d = shortest_path_steps(walls, start, goal)
     if d < 0:
         raise RuntimeError("start cannot reach goal (layout bug)")
-    return 1.0 - 0.01 * (d - 1)
+    return episode_return([-0.01] * (d - 1) + [1.0])
 
 
 # ---------------------------------------------------------------------------

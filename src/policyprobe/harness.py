@@ -26,8 +26,8 @@ import numpy as np
 
 from . import attack as attack_mod
 from . import nn, perceptual, perturb
-from .envs import EnvSpec, make_env
-from .qlearning import episode_return, greedy_action
+from .envs import EnvSpec, episode_return, make_env
+from .qlearning import greedy_action
 
 Array = np.ndarray
 
@@ -143,10 +143,11 @@ def probe_episode(params: nn.ParamSet, spec: EnvSpec, direction: Direction,
                   episode_seed: int,
                   fnet: perceptual.FeatureNet | None = None,
                   keep_trace: bool = True,
-                  ) -> tuple[float, float, list[StepTrace]]:
+                  ) -> tuple[float, float, int, list[StepTrace]]:
     """One rollout with the policy viewing perturbed observations.
 
-    Returns (total reward, mean per-step similarity, per-step trace).
+    Returns (total reward, mean per-step similarity, env steps taken,
+    per-step trace).
     """
     if fnet is None:
         fnet = perceptual.load_reference_featurenet()
@@ -185,7 +186,7 @@ def probe_episode(params: nn.ParamSet, spec: EnvSpec, direction: Direction,
         obs = step.observation
         terminal = step.terminal
     return (episode_return(rewards), sim_sum / steps if steps else 0.0,
-            trace)
+            steps, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +244,9 @@ def probe(params: nn.ParamSet, spec: EnvSpec, direction: Direction,
         raise ValueError("clean_scores length must match run count")
     records = []
     for seed in seeds:
-        score, sim, _ = probe_episode(params, spec, direction, seed, fnet,
-                                      keep_trace=False)
-        records.append(RunRecord(seed, score, sim, 0))
+        score, sim, steps, _ = probe_episode(params, spec, direction, seed,
+                                             fnet, keep_trace=False)
+        records.append(RunRecord(seed, score, sim, steps))
     return aggregate(direction, spec, records, float(np.mean(clean_scores)),
                      checkpoint_id, fnet.version)
 
@@ -255,8 +256,8 @@ def clean_baseline(params: nn.ParamSet, spec: EnvSpec, runs: int) -> Array:
     identity = perturb.PerturbationSpec(family="identity")
     scores = []
     for seed in range(runs):
-        score, _, _ = probe_episode(params, spec, identity, seed,
-                                    _NULL_FNET, keep_trace=False)
+        score, _, _, _ = probe_episode(params, spec, identity, seed,
+                                       _NULL_FNET, keep_trace=False)
         scores.append(score)
     return np.array(scores)
 

@@ -9,7 +9,21 @@ leading batch axis; the single-sample wrappers are the public surface.
 Conventions:
   - conv inputs/outputs are (H, W, C), kernels are (kh, kw, cin, cout)
   - dense weights are (out, in); a dense layer flattens its input row-major
-  - gradients come back as a ParamSet of the same shape as the parameters
+  - parameter gradients come back as a ParamSet of the same shape as the
+    parameters
+
+Each backward pass computes one product, the one its caller consumes:
+  - `backprop` / `backprop_batch` with wrt="params" return the parameter
+    gradients (a ParamSet summed over the batch) and never form the
+    gradient with respect to the input below the first layer; training
+    uses this
+  - with wrt="input" they return the input gradient (shaped like the input)
+    and form no parameter gradient; attacks use this
+  - `ibp_backprop_batch` returns parameter gradients only
+Every backward pass reads its activations from the `tape` list that the
+matching forward pass (`forward` / `forward_batch` / `ibp_forward_batch`)
+filled, so each gradient costs one forward pass, and a caller can inspect
+the outputs before it chooses the output gradient.
 """
 
 from __future__ import annotations
@@ -235,76 +249,125 @@ def _forward_tape(net: ParamSet, x: Array) -> tuple[list[Array], list[dict]]:
     for i, lay in enumerate(net.layers):
         _check_layer_input(i, lay, cur)
         if isinstance(lay, ConvLayer):
-            entry = {"input": cur}
+            entry = {"input": cur, "in_shape": cur.shape}
             pre = conv2d_forward(cur, lay.kernel, lay.bias, lay.stride, lay.padding)
         else:
             flat = cur.reshape(cur.shape[0], -1)
             entry = {"input": flat, "in_shape": cur.shape}
             pre = flat @ lay.weight.T + lay.bias
         entry["mask"] = _act_mask(pre, lay.activation)
+        entry["out_shape"] = pre.shape
         cur = _act(pre, lay.activation)
         outs.append(cur)
         tape.append(entry)
     return outs, tape
 
 
-def forward_batch(net: ParamSet, x: Array) -> list[Array]:
-    outs, _ = _forward_tape(net, np.asarray(x, dtype=np.float64))
+def forward_batch(net: ParamSet, x: Array, tape: list | None = None) -> list[Array]:
+    """Run a batch through the net; one post-activation array per layer.
+
+    A `tape` list receives what a backward pass over this forward needs
+    (see backprop_batch).
+    """
+    outs, entries = _forward_tape(net, np.asarray(x, dtype=np.float64))
+    if tape is not None:
+        tape[:] = entries
     return outs
 
 
-def forward(net: ParamSet, x: Array) -> list[Array]:
+def forward(net: ParamSet, x: Array, tape: list | None = None) -> list[Array]:
     """Run a single input through the net.
 
     Returns one post-activation array per layer; the last entry is the
     network output.
     """
-    outs = forward_batch(net, np.asarray(x, dtype=np.float64)[None])
+    outs = forward_batch(net, np.asarray(x, dtype=np.float64)[None], tape)
     squeezed = [o[0] for o in outs]
     require_finite(squeezed[-1], "network output")
     return squeezed
 
 
-def _backward_tape(net: ParamSet, tape: list[dict], gout: Array) -> tuple[Array, ParamSet]:
+def _input_step(lay: Layer, entry: dict, g: Array) -> Array:
+    """Carry a masked pre-activation gradient to the layer's input."""
+    if isinstance(lay, ConvLayer):
+        xin = entry["input"]
+        return conv2d_input_grad(g, lay.kernel, lay.stride, lay.padding,
+                                 xin.shape[1], xin.shape[2])
+    return (g @ lay.weight).reshape(entry["in_shape"])
+
+
+def _param_grads(net: ParamSet, tape: list[dict], g: Array) -> ParamSet:
+    """Reverse walk for parameter gradients; it ends with layer 0's kernel
+    and bias, so the input gradient below layer 0 is never formed."""
     grads = net.zeros_like()
-    g = np.asarray(gout, dtype=np.float64)
+    for i in range(len(net.layers) - 1, -1, -1):
+        lay, entry, glay = net.layers[i], tape[i], grads.layers[i]
+        if entry["mask"] is not None:
+            g = g * entry["mask"]
+        xin = entry["input"]
+        if isinstance(lay, ConvLayer):
+            glay.kernel += conv2d_kernel_grad(xin, g, lay.kernel.shape,
+                                              lay.stride, lay.padding)
+            glay.bias += g.sum(axis=(0, 1, 2))
+        else:
+            glay.weight += g.T @ xin
+            glay.bias += g.sum(axis=0)
+        if i > 0:
+            g = _input_step(lay, entry, g)
+    return grads
+
+
+def _input_grad(net: ParamSet, tape: list[dict], g: Array) -> Array:
+    """Reverse walk for the input gradient; no parameter product is formed."""
     for i in range(len(net.layers) - 1, -1, -1):
         lay, entry = net.layers[i], tape[i]
         if entry["mask"] is not None:
             g = g * entry["mask"]
-        glay = grads.layers[i]
-        if isinstance(lay, ConvLayer):
-            xin = entry["input"]
-            glay.kernel += conv2d_kernel_grad(xin, g, lay.kernel.shape,
-                                              lay.stride, lay.padding)
-            glay.bias += g.sum(axis=(0, 1, 2))
-            g = conv2d_input_grad(g, lay.kernel, lay.stride, lay.padding,
-                                  xin.shape[1], xin.shape[2])
-        else:
-            xin = entry["input"]
-            glay.weight += g.T @ xin
-            glay.bias += g.sum(axis=0)
-            g = (g @ lay.weight).reshape(entry["in_shape"])
-    return g, grads
+        g = _input_step(lay, entry, g)
+    return g
 
 
-def backprop_batch(net: ParamSet, x: Array, gout: Array) -> tuple[Array, ParamSet]:
-    x = np.asarray(x, dtype=np.float64)
-    outs, tape = _forward_tape(net, x)
-    if np.shape(gout) != outs[-1].shape:
+_BACKWARD = {"params": _param_grads, "input": _input_grad}
+
+
+def _check_tape(tape: list[dict], x_shape: tuple, *gout_shapes: tuple) -> None:
+    """A backward pass reads its activations from the tape alone, so the
+    tape must come from a forward pass over inputs of x's shape."""
+    if not tape:
+        raise ValueError("empty tape: run the forward pass with a tape first")
+    if tape[0]["in_shape"] != x_shape:
         raise ShapeMismatchError(
-            f"output grad shape {np.shape(gout)} != output shape {outs[-1].shape}")
-    return _backward_tape(net, tape, gout)
+            f"tape was recorded for input {tape[0]['in_shape']}, not {x_shape}")
+    for shape in gout_shapes:
+        if shape != tape[-1]["out_shape"]:
+            raise ShapeMismatchError(
+                f"output grad shape {shape} != output shape {tape[-1]['out_shape']}")
 
 
-def backprop(net: ParamSet, x: Array, output_grad: Array) -> tuple[Array, ParamSet]:
-    """Exact reverse-mode gradients of <output, output_grad> for one input.
+def backprop_batch(net: ParamSet, x: Array, gout: Array, wrt: str,
+                   tape: list) -> Array | ParamSet:
+    """Exact reverse-mode gradient of <output, gout> for a batch of inputs.
 
-    Returns (input_grad, parameter_grads).
+    wrt="params" returns the parameter gradients summed over the batch;
+    wrt="input" returns the input gradient, shaped like x. `tape` is the
+    list forward_batch filled when it ran this same x; the backward pass
+    reads the activations from it instead of running the forward again.
     """
-    gin, grads = backprop_batch(net, np.asarray(x, dtype=np.float64)[None],
-                                np.asarray(output_grad, dtype=np.float64)[None])
-    return gin[0], grads
+    if wrt not in _BACKWARD:
+        raise ValueError(f"wrt must be one of {tuple(_BACKWARD)}, got {wrt!r}")
+    _check_tape(tape, np.shape(x), np.shape(gout))
+    return _BACKWARD[wrt](net, tape, np.asarray(gout, dtype=np.float64))
+
+
+def backprop(net: ParamSet, x: Array, output_grad: Array, wrt: str,
+             tape: list) -> Array | ParamSet:
+    """Exact reverse-mode gradient of <output, output_grad> for one input:
+    the parameter gradients (wrt="params") or the input gradient
+    (wrt="input"). `tape` as for backprop_batch, filled by forward on x."""
+    got = backprop_batch(net, np.asarray(x, dtype=np.float64)[None],
+                         np.asarray(output_grad, dtype=np.float64)[None],
+                         wrt, tape)
+    return got[0] if wrt == "input" else got
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +397,7 @@ def _ibp_tape(net: ParamSet, lo: Array, hi: Array) -> tuple[Array, Array, list[d
         _check_layer_input(i, lay, lo)
         mu, rad = (lo + hi) / 2.0, (hi - lo) / 2.0
         if isinstance(lay, ConvLayer):
-            entry = {"mu": mu, "rad": rad}
+            entry = {"mu": mu, "rad": rad, "in_shape": lo.shape}
             pmu = conv2d_forward(mu, lay.kernel, lay.bias, lay.stride, lay.padding)
             prad = conv2d_forward(rad, np.abs(lay.kernel), None, lay.stride, lay.padding)
         else:
@@ -346,14 +409,20 @@ def _ibp_tape(net: ParamSet, lo: Array, hi: Array) -> tuple[Array, Array, list[d
         pl, pu = pmu - prad, pmu + prad
         entry["mask_l"] = _act_mask(pl, lay.activation)
         entry["mask_u"] = _act_mask(pu, lay.activation)
+        entry["out_shape"] = pl.shape
         lo, hi = _act(pl, lay.activation), _act(pu, lay.activation)
         tape.append(entry)
     return lo, hi, tape
 
 
-def ibp_forward_batch(net: ParamSet, lo: Array, hi: Array) -> tuple[Array, Array]:
-    out_lo, out_hi, _ = _ibp_tape(net, np.asarray(lo, dtype=np.float64),
-                                  np.asarray(hi, dtype=np.float64))
+def ibp_forward_batch(net: ParamSet, lo: Array, hi: Array,
+                      tape: list | None = None) -> tuple[Array, Array]:
+    """Output bounds for a batch of input boxes. A `tape` list receives what
+    ibp_backprop_batch needs (see there)."""
+    out_lo, out_hi, entries = _ibp_tape(net, np.asarray(lo, dtype=np.float64),
+                                        np.asarray(hi, dtype=np.float64))
+    if tape is not None:
+        tape[:] = entries
     return out_lo, out_hi
 
 
@@ -364,14 +433,15 @@ def ibp_forward(net: ParamSet, box: Interval) -> Interval:
 
 
 def ibp_backprop_batch(net: ParamSet, lo: Array, hi: Array,
-                       glo: Array, ghi: Array) -> ParamSet:
+                       glo: Array, ghi: Array, tape: list) -> ParamSet:
     """Parameter gradients of <lower, glo> + <upper, ghi> for the IBP pass.
 
     The bounds are piecewise-linear in the parameters; at |W| the subgradient
-    sign(W) is used.
+    sign(W) is used. The walk ends with layer 0's parameter gradients: the
+    input box itself takes no gradient. `tape` is the list ibp_forward_batch
+    filled when it ran these same bounds.
     """
-    _, _, tape = _ibp_tape(net, np.asarray(lo, dtype=np.float64),
-                           np.asarray(hi, dtype=np.float64))
+    _check_tape(tape, np.shape(lo), np.shape(glo), np.shape(ghi))
     grads = net.zeros_like()
     gl, gu = np.asarray(glo, dtype=np.float64), np.asarray(ghi, dtype=np.float64)
     for i in range(len(net.layers) - 1, -1, -1):
@@ -388,6 +458,8 @@ def ibp_backprop_batch(net: ParamSet, lo: Array, hi: Array,
             glay.kernel += np.sign(lay.kernel) * conv2d_kernel_grad(
                 rad, grad_r, lay.kernel.shape, lay.stride, lay.padding)
             glay.bias += gmu.sum(axis=(0, 1, 2))
+            if i == 0:
+                break
             dmu = conv2d_input_grad(gmu, lay.kernel, lay.stride, lay.padding,
                                     mu.shape[1], mu.shape[2])
             drad = conv2d_input_grad(grad_r, np.abs(lay.kernel), lay.stride,
@@ -396,6 +468,8 @@ def ibp_backprop_batch(net: ParamSet, lo: Array, hi: Array,
             mu, rad = entry["mu"], entry["rad"]
             glay.weight += gmu.T @ mu + np.sign(lay.weight) * (grad_r.T @ rad)
             glay.bias += gmu.sum(axis=0)
+            if i == 0:
+                break
             dmu = (gmu @ lay.weight).reshape(entry["in_shape"])
             drad = (grad_r @ np.abs(lay.weight)).reshape(entry["in_shape"])
         gl, gu = (dmu - drad) / 2.0, (dmu + drad) / 2.0
@@ -498,13 +572,6 @@ class Optimizer:
             v += (1.0 - cfg.beta2) * g * g
             p -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
         return params
-
-
-def optimizer_step(params: ParamSet, grads: ParamSet,
-                   config: OptimizerConfig) -> ParamSet:
-    """One-shot update (fresh state): the plain rule, or the first
-    adaptive-moment step."""
-    return Optimizer(config).step(params, grads)
 
 
 # ---------------------------------------------------------------------------

@@ -21,13 +21,12 @@ replay follows P(i) ~ p_i^alpha_pr with importance weights
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import nn
-from .envs import EnvSpec, make_env
+from .envs import EnvSpec, episode_return, make_env
 
 Array = np.ndarray
 
@@ -85,18 +84,6 @@ class TrainConfig:
             raise ValueError("sa_hinge_cap must be > 0")
         if self.lr <= 0 or self.total_steps < 0 or self.batch_size < 1:
             raise ValueError("bad optimizer/loop settings")
-
-
-@dataclass
-class LossBreakdown:
-    td: float
-    regularizer: float = 0.0
-    adversarial: float = 0.0
-    adv_weight: float = 0.5
-
-    @property
-    def total(self) -> float:
-        return self.td + self.regularizer + self.adv_weight * self.adversarial
 
 
 @dataclass
@@ -182,17 +169,6 @@ def greedy_action(net: nn.ParamSet, obs: Array) -> int:
     return int(np.argmax(q_values(net, obs)))
 
 
-def episode_return(rewards: list[float]) -> float:
-    """Correctly rounded sum of one episode's rewards.
-
-    A running float sum drifts: 200 steps of -0.01 add up to
-    -2.0000000000000013, below PixelGrid's fixed minimum -0.01 * cap.
-    Every episode score (evaluation, training curve, probes) goes through
-    here so that they agree bit for bit and stay within the score bounds.
-    """
-    return math.fsum(rewards)
-
-
 def input_box(x: Array, eps_rob: float) -> tuple[Array, Array]:
     """The eps ball around a [0, 1]-scaled input, clamped to pixel range."""
     return np.clip(x - eps_rob, 0.0, 1.0), np.clip(x + eps_rob, 0.0, 1.0)
@@ -237,20 +213,6 @@ def _dqn_targets(online: nn.ParamSet, target: nn.ParamSet,
     return r + gamma * np.where(term, 0.0, boot)
 
 
-def td_loss(online: nn.ParamSet, target: nn.ParamSet, batch: list[Transition],
-            gamma: float = 0.99, weights: Array | None = None) -> LossBreakdown:
-    """Importance-weighted mean Huber loss of the Double-DQN residuals."""
-    if not batch:
-        raise ValueError("empty batch")
-    s, a, r, s_next, term = _batch_arrays(batch)
-    if weights is None:
-        weights = np.ones(len(batch))
-    y = _dqn_targets(online, target, r, s_next, term, gamma)
-    q = nn.forward_batch(online, s)[-1][np.arange(len(batch)), a]
-    td = float(np.mean(weights * _huber(y - q)))
-    return LossBreakdown(td=td)
-
-
 def sa_regularizer(net: nn.ParamSet, obs: Array, eps_rob: float,
                    c: float) -> float:
     """Hinge action-consistency penalty from interval bounds over the ball.
@@ -289,14 +251,15 @@ def _td_grads(online: nn.ParamSet, target: nn.ParamSet, batch, gamma,
               weights) -> tuple[float, Array, nn.ParamSet]:
     s, a, r, s_next, term = _batch_arrays(batch)
     y = _dqn_targets(online, target, r, s_next, term, gamma)
-    q_all = nn.forward_batch(online, s)[-1]
+    tape: list = []
+    q_all = nn.forward_batch(online, s, tape)[-1]
     rows = np.arange(len(batch))
     delta = y - q_all[rows, a]
     td_value = float(np.mean(weights * _huber(delta)))
     gout = np.zeros_like(q_all)
     gout[rows, a] = weights * (-np.clip(delta, -HUBER_THRESHOLD,
                                         HUBER_THRESHOLD)) / len(batch)
-    _, grads = nn.backprop_batch(online, s, gout)
+    grads = nn.backprop_batch(online, s, gout, "params", tape)
     return td_value, delta, grads
 
 
@@ -305,7 +268,8 @@ def _sa_grads(net: nn.ParamSet, batch, eps_rob, c) -> tuple[float, nn.ParamSet]:
     q = nn.forward_batch(net, s)[-1]
     a_star = np.argmax(q, axis=1)
     lo, hi = input_box(s, eps_rob)
-    blo, bhi = nn.ibp_forward_batch(net, lo, hi)
+    bound_tape: list = []
+    blo, bhi = nn.ibp_forward_batch(net, lo, hi, bound_tape)
     rows = np.arange(len(batch))
     upper_others = bhi.copy()
     upper_others[rows, a_star] = -np.inf
@@ -318,15 +282,17 @@ def _sa_grads(net: nn.ParamSet, batch, eps_rob, c) -> tuple[float, nn.ParamSet]:
     scale = 1.0 / len(batch)
     glo[rows[active], a_star[active]] = -scale
     ghi[rows[active], worst[active]] = scale
-    grads = nn.ibp_backprop_batch(net, lo, hi, glo, ghi)
+    grads = nn.ibp_backprop_batch(net, lo, hi, glo, ghi, bound_tape)
     return value, grads
 
 
 def _radial_grads(net: nn.ParamSet, batch, eps_rob) -> tuple[float, nn.ParamSet]:
     s, a, _, _, _ = _batch_arrays(batch)
-    q = nn.forward_batch(net, s)[-1]
+    tape: list = []
+    q = nn.forward_batch(net, s, tape)[-1]
     lo, hi = input_box(s, eps_rob)
-    blo, bhi = nn.ibp_forward_batch(net, lo, hi)
+    bound_tape: list = []
+    blo, bhi = nn.ibp_forward_batch(net, lo, hi, bound_tape)
     rows = np.arange(len(batch))
     qdiff_raw = q - q[rows, a][:, None]
     qdiff = np.maximum(0.0, qdiff_raw)
@@ -344,8 +310,8 @@ def _radial_grads(net: nn.ParamSet, batch, eps_rob) -> tuple[float, nn.ParamSet]
     dterm_dqdiff = scale * (ov + 0.5 * qdiff * ov_on)
     gq = dterm_dqdiff * qd_on
     np.add.at(gq, (rows, a), -(dterm_dqdiff * qd_on).sum(axis=1))
-    _, grads_q = nn.backprop_batch(net, s, gq)
-    grads_b = nn.ibp_backprop_batch(net, lo, hi, glo, ghi)
+    grads_q = nn.backprop_batch(net, s, gq, "params", tape)
+    grads_b = nn.ibp_backprop_batch(net, lo, hi, glo, ghi, bound_tape)
     for (_, _, g1), (_, _, g2) in zip(grads_q.arrays(), grads_b.arrays()):
         g1 += g2
     return value, grads_q

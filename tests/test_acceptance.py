@@ -111,7 +111,10 @@ def test_c02_backprop_matches_central_differences():
         def loss(net_v, x_v):
             return float((nn.forward(net_v, x_v)[-1] * gout).sum())
 
-        gin, grads = nn.backprop(net, x, gout)
+        tape = []
+        nn.forward(net, x, tape)
+        grads = nn.backprop(net, x, gout, "params", tape)
+        gin = nn.backprop(net, x, gout, "input", tape)
         for (_, name, arr), (_, _, garr) in zip(net.arrays(), grads.arrays()):
             flat, gflat = arr.reshape(-1), garr.reshape(-1)
             for k in range(flat.size):

@@ -9,6 +9,7 @@ import pytest
 
 from policyprobe import attack as atk
 from policyprobe import nn
+from policyprobe.envs import make_env
 
 from test_nn import dense_net
 
@@ -241,3 +242,37 @@ def test_run_attack_dispatch():
     ca = atk.run_attack(net, LINEAR_OBS, atk.AttackSpec(method="cw",
                                                         epsilon=0.5, p=2.0))
     assert ca.success
+
+
+def test_attacks_form_no_parameter_gradient(vanilla_checkpoint,
+                                            monkeypatch):
+    """Attacks consume the observation gradient only: no kernel gradient
+    and no parameter-gradient container, while the input gradient still
+    reaches the observation."""
+    ck, _ = vanilla_checkpoint
+    obs = make_env(ck.env_spec).reset(0).astype(np.float64)
+    calls = {"kernel": 0, "zeros": 0, "obs_input": 0}
+    kernel_grad, zeros_like = nn.conv2d_kernel_grad, nn.ParamSet.zeros_like
+    input_grad = nn.conv2d_input_grad
+
+    def count_kernel(*args):
+        calls["kernel"] += 1
+        return kernel_grad(*args)
+
+    def count_zeros(self):
+        calls["zeros"] += 1
+        return zeros_like(self)
+
+    def count_input(gout, kernel, stride, pad, in_h, in_w):
+        if (in_h, in_w) == obs.shape[:2]:
+            calls["obs_input"] += 1
+        return input_grad(gout, kernel, stride, pad, in_h, in_w)
+
+    monkeypatch.setattr(nn, "conv2d_kernel_grad", count_kernel)
+    monkeypatch.setattr(nn.ParamSet, "zeros_like", count_zeros)
+    monkeypatch.setattr(nn, "conv2d_input_grad", count_input)
+    atk.fgm(ck.params, obs, atk.AttackSpec(method="fgm", epsilon=2 / 255))
+    atk.cw_minimal(ck.params, obs, atk.AttackSpec(
+        method="cw", epsilon=2 / 255, cw_iterations=20, cw_binary_steps=2))
+    assert calls["kernel"] == 0 and calls["zeros"] == 0
+    assert calls["obs_input"] >= 2

@@ -9,7 +9,7 @@ import pytest
 
 from policyprobe import attack, harness as hz
 from policyprobe import perturb, qlearning as ql
-from policyprobe.envs import make_spec
+from policyprobe.envs import make_env, make_spec
 
 
 IDENTITY = perturb.PerturbationSpec(family="identity")
@@ -75,11 +75,11 @@ def test_identity_probe_episode_matches_clean_rollout(vanilla_checkpoint,
                                                       fnet):
     ck, _ = vanilla_checkpoint
     spec = ck.env_spec
-    total, mean_sim, trace = hz.probe_episode(ck.params, spec, IDENTITY, 0,
-                                              fnet)
+    total, mean_sim, steps, trace = hz.probe_episode(ck.params, spec,
+                                                     IDENTITY, 0, fnet)
     assert mean_sim == 0.0
     assert all(t.similarity == 0.0 for t in trace)
-    assert len(trace) >= 1
+    assert len(trace) == steps >= 1
     assert trace[0].base_obs.dtype == np.uint8
     clean = ql.evaluate(ck.params, spec, [0])[0]
     assert total == clean
@@ -90,6 +90,24 @@ def test_clean_baseline_equals_greedy_evaluation(vanilla_checkpoint):
     base = hz.clean_baseline(ck.params, ck.env_spec, 5)
     ref = ql.evaluate(ck.params, ck.env_spec, list(range(5)))
     assert np.array_equal(base, ref)
+
+
+def test_probe_records_each_runs_episode_length(vanilla_checkpoint, fnet):
+    """Each run's length is the env steps of the same greedy rollout."""
+    ck, _ = vanilla_checkpoint
+    spec = ck.env_spec
+    direction = perturb.PerturbationSpec(family="brightness_contrast",
+                                         beta=15.0)
+    report = hz.probe(ck.params, spec, direction, runs=3, fnet=fnet)
+    env = make_env(spec)
+    for run in report.runs:
+        obs, steps, terminal = env.reset(run.episode_seed), 0, False
+        while not terminal:
+            step = env.step(ql.greedy_action(ck.params,
+                                             perturb.apply(direction, obs)))
+            obs, terminal = step.observation, step.terminal
+            steps += 1
+        assert run.episode_length == steps
 
 
 def test_identity_probe_report_is_exactly_neutral(vanilla_checkpoint, fnet):
@@ -112,8 +130,8 @@ def test_probe_on_second_environment(minipong_spec, fnet):
     from policyprobe import nn
     pong_net = nn.qnet_params(minipong_spec.obs_shape,
                               minipong_spec.n_actions, seed=1)
-    total, mean_sim, trace = hz.probe_episode(pong_net, minipong_spec,
-                                              IDENTITY, 0, fnet)
+    total, mean_sim, _, trace = hz.probe_episode(pong_net, minipong_spec,
+                                                 IDENTITY, 0, fnet)
     assert mean_sim == 0.0
     assert total == ql.evaluate(pong_net, minipong_spec, [0])[0]
     # an untuned net loses every rally at exactly the floor, so the
@@ -136,8 +154,8 @@ def test_perturbed_probe_reports_positive_similarity(vanilla_checkpoint,
 def test_attack_probe_episode_keeps_distances(vanilla_checkpoint, fnet):
     ck, _ = vanilla_checkpoint
     direction = attack.AttackSpec(method="fgm", p=math.inf, epsilon=0.02)
-    total, mean_sim, trace = hz.probe_episode(ck.params, ck.env_spec,
-                                              direction, 0, fnet)
+    total, mean_sim, _, trace = hz.probe_episode(ck.params, ck.env_spec,
+                                                 direction, 0, fnet)
     assert len(trace) >= 1
     for t in trace:
         assert t.attack_distance <= 0.02 + 1e-9
@@ -296,8 +314,9 @@ def test_capped_episodes_score_exactly_the_fixed_minimum(pixelgrid_spec,
     seeds = list(range(10))
     assert ql.evaluate(net, spec, seeds).tolist() == [spec.score_min] * 10
     for seed in (0, 9):
-        total, _, trace = hz.probe_episode(net, spec, IDENTITY, seed, fnet)
-        assert len(trace) == spec.episode_cap
+        total, _, steps, trace = hz.probe_episode(net, spec, IDENTITY, seed,
+                                                  fnet)
+        assert len(trace) == steps == spec.episode_cap
         assert total == spec.score_min
     config = ql.TrainConfig(total_steps=spec.episode_cap, eps_start=0.0,
                             eps_end=0.0, warmup_steps=500)

@@ -106,7 +106,9 @@ def test_ibp_backprop_matches_finite_differences(rng):
     hi = lo + rng.uniform(0.05, 0.2, size=(2, 10))
     glo = rng.normal(size=(2, 3))
     ghi = rng.normal(size=(2, 3))
-    grads = nn.ibp_backprop_batch(net, lo, hi, glo, ghi)
+    tape = []
+    nn.ibp_forward_batch(net, lo, hi, tape)
+    grads = nn.ibp_backprop_batch(net, lo, hi, glo, ghi, tape)
     h = 1e-6
     for (_, name, arr), (_, _, garr) in zip(net.arrays(), grads.arrays()):
         flat = arr.reshape(-1)
@@ -127,7 +129,9 @@ def test_ibp_backprop_conv_matches_finite_differences(rng):
     lo, hi = centers - 0.02, centers + 0.02
     glo = rng.normal(size=(2, 5))
     ghi = rng.normal(size=(2, 5))
-    grads = nn.ibp_backprop_batch(net, lo, hi, glo, ghi)
+    tape = []
+    nn.ibp_forward_batch(net, lo, hi, tape)
+    grads = nn.ibp_backprop_batch(net, lo, hi, glo, ghi, tape)
     h = 1e-6
     for (_, name, arr), (_, _, garr) in zip(net.arrays(), grads.arrays()):
         flat = arr.reshape(-1)

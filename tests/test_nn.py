@@ -118,7 +118,9 @@ def test_backprop_matches_finite_differences_dense(rng):
     net = dense_net()
     x = rng.normal(size=10)
     gout = rng.normal(size=3)
-    _, grads = nn.backprop(net, x, gout)
+    tape = []
+    nn.forward(net, x, tape)
+    grads = nn.backprop(net, x, gout, "params", tape)
     fd = fd_param_grads(net, x, gout)
     for (_, name, g), (_, _, f) in zip(grads.arrays(), fd.arrays()):
         assert np.allclose(g, f, atol=2e-5), name
@@ -128,7 +130,9 @@ def test_backprop_matches_finite_differences_conv(rng):
     net = small_net()
     x = rng.uniform(0.1, 0.9, size=(9, 9, 1))
     gout = rng.normal(size=5)
-    _, grads = nn.backprop(net, x, gout)
+    tape = []
+    nn.forward(net, x, tape)
+    grads = nn.backprop(net, x, gout, "params", tape)
     fd = fd_param_grads(net, x, gout)
     for (_, name, g), (_, _, f) in zip(grads.arrays(), fd.arrays()):
         assert np.allclose(g, f, atol=2e-5), name
@@ -138,13 +142,43 @@ def test_input_gradient_matches_finite_differences(rng):
     net = small_net(activation="identity")
     x = rng.uniform(0.1, 0.9, size=(9, 9, 1))
     gout = rng.normal(size=5)
-    gin, _ = nn.backprop(net, x, gout)
+    tape = []
+    nn.forward(net, x, tape)
+    gin = nn.backprop(net, x, gout, "input", tape)
     h = 1e-6
     for idx in [(0, 0, 0), (4, 5, 0), (8, 8, 0)]:
         xp = x.copy(); xp[idx] += h
         xm = x.copy(); xm[idx] -= h
         fd = (loss_of(net, xp, gout) - loss_of(net, xm, gout)) / (2 * h)
         assert abs(fd - gin[idx]) < 1e-5
+
+
+def test_backprop_names_one_product(rng):
+    net = small_net()
+    x = rng.uniform(0.1, 0.9, size=(9, 9, 1))
+    tape = []
+    nn.forward(net, x, tape)
+    with pytest.raises(ValueError, match="wrt"):
+        nn.backprop(net, x, rng.normal(size=5), "both", tape)
+    with pytest.raises(nn.ShapeMismatchError):
+        nn.backprop(net, x, rng.normal(size=4), "input", tape)
+
+
+def test_backprop_rejects_a_tape_from_another_input(rng):
+    net = small_net()
+    xs = rng.uniform(0.1, 0.9, size=(3, 9, 9, 1))
+    gout = rng.normal(size=(2, 5))
+    tape = []
+    nn.forward_batch(net, xs, tape)
+    with pytest.raises(nn.ShapeMismatchError, match="tape"):
+        nn.backprop_batch(net, xs[:2], gout, "params", tape)
+    with pytest.raises(ValueError, match="empty tape"):
+        nn.backprop_batch(net, xs[:2], gout, "input", [])
+    box_tape = []
+    nn.ibp_forward_batch(net, xs - 0.01, xs + 0.01, box_tape)
+    with pytest.raises(nn.ShapeMismatchError, match="tape"):
+        nn.ibp_backprop_batch(net, xs[:2] - 0.01, xs[:2] + 0.01, gout, gout,
+                              box_tape)
 
 
 def test_batch_forward_agrees_with_single(rng):

@@ -288,6 +288,33 @@ def test_training_is_deterministic(pixelgrid_spec):
     assert a.curve == b.curve
 
 
+@pytest.mark.parametrize("objective,backward_passes",
+                         [("vanilla", 1), ("sa-ddqn", 3), ("radial", 4)])
+def test_training_update_forms_no_observation_gradient(
+        objective, backward_passes, pixelgrid_spec, monkeypatch):
+    """Training consumes parameter gradients only: every input gradient of
+    one update stops at the second conv layer's input, never the
+    observation's. The counts are one per plain backward pass and two (the
+    centre and the radius) per pass through the bounds."""
+    seen = []
+    input_grad = nn.conv2d_input_grad
+
+    def counting(gout, kernel, stride, pad, in_h, in_w):
+        seen.append((in_h, in_w))
+        return input_grad(gout, kernel, stride, pad, in_h, in_w)
+
+    monkeypatch.setattr(nn, "conv2d_input_grad", counting)
+    # the one update falls on step 32: 33 transitions, 32 % train_every == 0
+    cfg = ql.TrainConfig(objective=objective, total_steps=33,
+                         warmup_steps=32, train_every=4, eps_rob=0.01,
+                         eps_ramp_start=0, eps_ramp_steps=1, seed=2)
+    ql.train(pixelgrid_spec, cfg)
+    net = nn.qnet_params(pixelgrid_spec.obs_shape, 4, seed=2)
+    conv1_out = nn.conv_output_hw(*pixelgrid_spec.obs_shape[:2],
+                                  net.layers[0])
+    assert seen == [conv1_out] * backward_passes
+
+
 def test_warm_start_changes_initial_parameters(pixelgrid_spec,
                                                vanilla_checkpoint):
     ck, _ = vanilla_checkpoint

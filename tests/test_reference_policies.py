@@ -3,6 +3,7 @@ each stores the script's train config, and each plays the task competently
 on clean episodes."""
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -37,6 +38,24 @@ def test_bundled_config_matches_script(name, script_configs, pixelgrid_spec):
     assert ck.config == script_configs[name]
     assert ck.env_spec == pixelgrid_spec
     assert ck.trained_steps == script_configs[name].total_steps
+
+
+# 1200-step fine-tunes from the vanilla reference at seed 3, as measured
+# with the numeric stack named in the script's docstring at 1 and 2 BLAS
+# threads; an arithmetic-neutral change to training keeps them
+FINE_TUNE_IDS = {"vanilla": "a6c1cfdc37990ca9", "sa": "60c2a0ba1b6a5c45",
+                 "radial": "d1c71d2de96f9bd9"}
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_fine_tune_from_vanilla_reproduces_its_checkpoint_id(
+        name, script_configs, vanilla_checkpoint):
+    start, _ = vanilla_checkpoint
+    config = dataclasses.replace(script_configs[name], total_steps=1200,
+                                 seed=3)
+    ck = ql.train(start.env_spec, config, init_params=start.params)
+    assert cp.checkpoint_id(cp.serialize_checkpoint(ck)) \
+        == FINE_TUNE_IDS[name]
 
 
 @pytest.mark.parametrize("name", NAMES)
