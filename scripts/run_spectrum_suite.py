@@ -13,9 +13,14 @@ Usage: python scripts/run_spectrum_suite.py [--env pixelgrid|minipong]
 from __future__ import annotations
 
 import argparse
+import os
 import pathlib
 import sys
 
+# One BLAS thread unless the caller chose a count: on matrices this
+# small, OpenBLAS's default of a thread per core adds CPU time, not
+# speed. Set before numpy loads OpenBLAS.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from policyprobe import checkpoint as cp

@@ -11,20 +11,24 @@ All sampling is seeded, so a rerun on the same numeric stack reproduces
 the files bit for bit.  The bundled files were produced with Python
 3.11.7, numpy 2.4.6 and OpenBLAS 0.3.31 (scipy-openblas 0.3.31.188.0,
 Haswell kernels) on a 2-core x86-64 machine, and reproduced byte for
-byte there both with 2 BLAS threads (OPENBLAS_NUM_THREADS unset) and
-with OPENBLAS_NUM_THREADS=1.  Another BLAS build or CPU may round
-differently and drift the trained parameters, and with them the
-checkpoint ids.
+byte there both with OPENBLAS_NUM_THREADS=2 and with one BLAS thread,
+the script's default.  Another BLAS build or CPU may round differently
+and drift the trained parameters, and with them the checkpoint ids.
 
 Usage: python scripts/train_reference_policies.py [--out DIR]
 """
 from __future__ import annotations
 
 import argparse
+import os
 import pathlib
 import sys
 import time
 
+# One BLAS thread unless the caller chose a count: on matrices this
+# small, OpenBLAS's default of a thread per core adds CPU time, not
+# speed. Set before numpy loads OpenBLAS.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from policyprobe import checkpoint as cp

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import math
 import sys
 from pathlib import Path
 
@@ -253,12 +252,6 @@ def _report_fields(path: Path) -> dict[str, str]:
     return fields
 
 
-def _sem_of(values: list[float]) -> float:
-    if len(values) < 2:
-        return 0.0
-    return float(np.std(values, ddof=1) / math.sqrt(len(values)))
-
-
 def cmd_report(rundir: str) -> int:
     base = Path(rundir)
     if not base.is_dir():
@@ -279,9 +272,9 @@ def cmd_report(rundir: str) -> int:
         out.write("schema=probe_summary_v1,field,value\n")
         out.write(f"runs,{len(scores)}\n")
         out.write(f"mean_score,{np.mean(scores):.17g}\n")
-        out.write(f"sem_score,{_sem_of(scores):.17g}\n")
+        out.write(f"sem_score,{harness._sem(scores):.17g}\n")
         out.write(f"mean_similarity,{np.mean(sims):.17g}\n")
-        out.write(f"sem_similarity,{_sem_of(sims):.17g}\n")
+        out.write(f"sem_similarity,{harness._sem(sims):.17g}\n")
         out.write(f"impact,{impact:.17g}\n")
         cp.atomic_write_text(base / "summary.csv", out.getvalue())
         stored = float(fields["impact"])
@@ -314,8 +307,8 @@ def cmd_report(rundir: str) -> int:
                 return _fail(f"inconsistent impact column for {policy} "
                              f"at {value}")
             out.write(f"{policy},{grp[0][1]},{value},{len(grp)},"
-                      f"{np.mean(scores):.17g},{_sem_of(scores):.17g},"
-                      f"{np.mean(sims):.17g},{_sem_of(sims):.17g},"
+                      f"{np.mean(scores):.17g},{harness._sem(scores):.17g},"
+                      f"{np.mean(sims):.17g},{harness._sem(sims):.17g},"
                       f"{impacts.pop()}\n")
         cp.atomic_write_text(base / "summary.csv", out.getvalue())
         print(f"sweep summary ({len(groups)} points) "

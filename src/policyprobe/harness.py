@@ -15,6 +15,16 @@ scores are always paired.
 
 Directions are either a PerturbationSpec (policy-independent, fixed) or an
 AttackSpec (recomputed against the policy at every step).
+
+Within one episode the policy and the direction are fixed, so what the
+policy sees at a step is a pure function of the true observation:
+perturbations are deterministic and attacks seed their own restarts. An
+episode therefore computes the view, its similarity and the greedy action
+once per distinct observation, and reads repeats from a dict keyed on the
+observation's bytes. Repeats get the very values a recomputation would, so
+scores and traces are unchanged. A policy that loses its way loops over a
+few cells until the step cap, so most steps are repeats. The dict lives for
+one episode and holds at most `episode_cap` entries.
 """
 
 from __future__ import annotations
@@ -129,7 +139,7 @@ def check_baseline(score_clean: float, score_min: float,
             f"exceed the fixed minimum {score_min}")
 
 
-def _sem(values: Array) -> float:
+def _sem(values: Array | list[float]) -> float:
     if len(values) < 2:
         return 0.0
     return float(np.std(values, ddof=1) / math.sqrt(len(values)))
@@ -138,6 +148,29 @@ def _sem(values: Array) -> float:
 # ---------------------------------------------------------------------------
 # Episode probe
 # ---------------------------------------------------------------------------
+
+def _view(params: nn.ParamSet, obs: Array, direction: Direction,
+          fnet: perceptual.FeatureNet,
+          ) -> tuple[Array, float, bool, float, int]:
+    """What the policy sees at one observation: the perturbed or attacked
+    view, the attack's distance and success, the view's similarity to the
+    observation and the greedy action on the view."""
+    if isinstance(direction, perturb.PerturbationSpec):
+        viewed = perturb.apply(direction, obs)
+        dist, success = 0.0, False
+    else:
+        result = attack_mod.run_attack(params, obs, direction)
+        viewed = result.observation
+        dist, success = result.distance, result.success
+        if success and dist > direction.epsilon + 1e-9:
+            raise AssertionError("attack left its ball "
+                                 f"({dist} > {direction.epsilon})")
+    if np.array_equal(viewed, obs):
+        sim = 0.0
+    else:
+        sim = perceptual.lpips(fnet, obs, viewed)
+    return viewed, dist, success, sim, greedy_action(params, viewed)
+
 
 def probe_episode(params: nn.ParamSet, spec: EnvSpec, direction: Direction,
                   episode_seed: int,
@@ -153,26 +186,18 @@ def probe_episode(params: nn.ParamSet, spec: EnvSpec, direction: Direction,
         fnet = perceptual.load_reference_featurenet()
     env = make_env(spec)
     obs = env.reset(episode_seed)
+    # observation bytes -> (view, attack distance, attack success,
+    # similarity, action); see the module docstring
+    memo: dict[bytes, tuple[Array, float, bool, float, int]] = {}
     rewards: list[float] = []
     sim_sum, steps = 0.0, 0
     trace: list[StepTrace] = []
     terminal = False
     while not terminal:
-        if isinstance(direction, perturb.PerturbationSpec):
-            viewed = perturb.apply(direction, obs)
-            dist, success = 0.0, False
-        else:
-            result = attack_mod.run_attack(params, obs, direction)
-            viewed = result.observation
-            dist, success = result.distance, result.success
-            if success and dist > direction.epsilon + 1e-9:
-                raise AssertionError("attack left its ball "
-                                     f"({dist} > {direction.epsilon})")
-        if np.array_equal(viewed, obs):
-            sim = 0.0
-        else:
-            sim = perceptual.lpips(fnet, obs, viewed)
-        action = greedy_action(params, viewed)
+        key = obs.tobytes()
+        if key not in memo:
+            memo[key] = _view(params, obs, direction, fnet)
+        viewed, dist, success, sim, action = memo[key]
         step = env.step(action)
         if keep_trace:
             trace.append(StepTrace(steps, action, step.reward, sim,
@@ -239,7 +264,7 @@ def probe(params: nn.ParamSet, spec: EnvSpec, direction: Direction,
         fnet = perceptual.load_reference_featurenet()
     seeds = list(range(runs))
     if clean_scores is None:
-        clean_scores = clean_baseline(params, spec, runs)
+        clean_scores = clean_baseline(params, spec, runs, fnet)
     elif len(clean_scores) != runs:
         raise ValueError("clean_scores length must match run count")
     records = []
@@ -251,23 +276,17 @@ def probe(params: nn.ParamSet, spec: EnvSpec, direction: Direction,
                      checkpoint_id, fnet.version)
 
 
-def clean_baseline(params: nn.ParamSet, spec: EnvSpec, runs: int) -> Array:
-    """Paired clean scores for seeds 0 .. runs-1 (identity direction)."""
+def clean_baseline(params: nn.ParamSet, spec: EnvSpec, runs: int,
+                   fnet: perceptual.FeatureNet | None = None) -> Array:
+    """Paired clean scores for seeds 0 .. runs-1 (identity direction, whose
+    views never reach lpips)."""
     identity = perturb.PerturbationSpec(family="identity")
     scores = []
     for seed in range(runs):
-        score, _, _, _ = probe_episode(params, spec, identity, seed,
-                                       _NULL_FNET, keep_trace=False)
+        score, _, _, _ = probe_episode(params, spec, identity, seed, fnet,
+                                       keep_trace=False)
         scores.append(score)
     return np.array(scores)
-
-
-class _NullFeatureNet:
-    """Stand-in for clean rollouts: identity directions never call lpips."""
-    version = perceptual.FEATURENET_VERSION
-
-
-_NULL_FNET = _NullFeatureNet()
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +352,7 @@ def sweep(policies: list[tuple[str, nn.ParamSet]], spec: EnvSpec, family: str,
     result = SweepResult(family, parameter, list(values),
                          [name for name, _ in policies])
     for name, params in policies:
-        clean = clean_baseline(params, spec, runs)
+        clean = clean_baseline(params, spec, runs, fnet)
         check_baseline(float(np.mean(clean)), spec.score_min, name)
         for value in values:
             cast = int(value) if parameter in int_fields else value

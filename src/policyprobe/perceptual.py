@@ -12,11 +12,14 @@ with y the unit-normalized activations and w_l per-channel weights (all ones
 by default). The network itself is never trained; its weights come from a
 fixed seed and ship as a versioned text asset so distances are bit-comparable
 across machines. Observations are area-resampled to the net's fixed 36x36
-grayscale input.
+grayscale input; the resample visits only each output cell's few nonzero
+taps, in the order of the dense contraction, so it matches that
+contraction bit for bit (see area_resample).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from importlib import resources
 
@@ -31,6 +34,8 @@ PIXEL_SCALE = 255.0
 FEATURENET_SEED = 2024
 FEATURENET_VERSION = "featurenet_v1"
 _CHANNELS = (8, 16, 16)
+# Products an unoptimized np.einsum sums per pass (numpy's NPY_BUFSIZE)
+_EINSUM_BUFFER = 8192
 
 
 @dataclass
@@ -101,11 +106,38 @@ def _overlap_matrix(n_out: int, n_in: int) -> Array:
     return mat
 
 
+@functools.lru_cache(maxsize=None)
+def _taps(n_out: int, n_in: int) -> tuple[Array, Array]:
+    """The nonzero entries of each `_overlap_matrix` row, in column order,
+    as (n_out, k) index and weight arrays. Shorter rows are padded with
+    their last index at weight zero."""
+    mat = _overlap_matrix(n_out, n_in)
+    width = int(np.count_nonzero(mat, axis=1).max())
+    index = np.empty((n_out, width), dtype=np.intp)
+    weight = np.zeros((n_out, width))
+    for i, row in enumerate(mat):
+        nz = np.flatnonzero(row)
+        index[i] = nz[-1]
+        index[i, :len(nz)] = nz
+        weight[i, :len(nz)] = row[nz]
+    return index, weight
+
+
 def area_resample(obs: Array, size: int = INPUT_SIZE) -> Array:
     """Box-overlap (area-average) resample of (H, W, C) to (size, size, C).
 
     Exact pass-through when the input is already the target size. Channels
     beyond the first are averaged into one grayscale channel first.
+
+    The result is bit-equal to the dense contraction
+    einsum("ri,ijc,sj->rsc", rows, obs, cols) over the overlap matrices,
+    as numpy runs it unoptimized: output (r, s) sums the products
+    (rows[r, i] * obs[i, j]) * cols[s, j], i in the outer and j in the
+    inner loop, starting from zero. The sum here takes the same taps in the
+    same order but skips the zero weights, which add nothing. numpy sums
+    in passes of whole input rows, at most _EINSUM_BUFFER products each,
+    and adds each pass's sum to the output; so does this loop, so the two
+    agree on any input narrower than _EINSUM_BUFFER pixels.
     """
     obs = np.asarray(obs, dtype=np.float64)
     if obs.ndim == 2:
@@ -116,9 +148,21 @@ def area_resample(obs: Array, size: int = INPUT_SIZE) -> Array:
         obs = obs.mean(axis=2, keepdims=True)
     if obs.shape[:2] == (size, size):
         return obs
-    rows = _overlap_matrix(size, obs.shape[0])
-    cols = _overlap_matrix(size, obs.shape[1])
-    return np.einsum("ri,ijc,sj->rsc", rows, obs, cols)
+    row_i, row_w = _taps(size, obs.shape[0])
+    col_i, col_w = _taps(size, obs.shape[1])
+    rows_per_pass = max(1, _EINSUM_BUFFER // obs.shape[1])
+    out = np.zeros((size, size, 1))
+    part = np.zeros_like(out)
+    pass_of = row_i[:, 0] // rows_per_pass
+    for i, w in zip(row_i.T, row_w.T):
+        done = i // rows_per_pass != pass_of
+        out[done] += part[done]
+        part[done] = 0.0
+        pass_of = i // rows_per_pass
+        row = w[:, None, None] * obs[i]
+        for j, v in zip(col_i.T, col_w.T):
+            part += row[:, j] * v[None, :, None]
+    return out + part
 
 
 # ---------------------------------------------------------------------------

@@ -248,7 +248,10 @@ def radial_loss(net: nn.ParamSet, batch: list[Transition],
 # -- gradient versions used by the training loop ---------------------------
 
 def _td_grads(online: nn.ParamSet, target: nn.ParamSet, batch, gamma,
-              weights) -> tuple[float, Array, nn.ParamSet]:
+              weights) -> tuple[float, Array, nn.ParamSet, Array, list]:
+    """TD loss, TD errors and parameter gradients for one batch, plus the
+    online net's Q values on the batch's states and the tape of that
+    forward, which the regularizer gradients reuse (they only read it)."""
     s, a, r, s_next, term = _batch_arrays(batch)
     y = _dqn_targets(online, target, r, s_next, term, gamma)
     tape: list = []
@@ -260,12 +263,14 @@ def _td_grads(online: nn.ParamSet, target: nn.ParamSet, batch, gamma,
     gout[rows, a] = weights * (-np.clip(delta, -HUBER_THRESHOLD,
                                         HUBER_THRESHOLD)) / len(batch)
     grads = nn.backprop_batch(online, s, gout, "params", tape)
-    return td_value, delta, grads
+    return td_value, delta, grads, q_all, tape
 
 
-def _sa_grads(net: nn.ParamSet, batch, eps_rob, c) -> tuple[float, nn.ParamSet]:
+def _sa_grads(net: nn.ParamSet, batch, q: Array, eps_rob,
+              c) -> tuple[float, nn.ParamSet]:
+    """Hinge regularizer value and gradients; q is net's Q on the batch's
+    states."""
     s, _, _, _, _ = _batch_arrays(batch)
-    q = nn.forward_batch(net, s)[-1]
     a_star = np.argmax(q, axis=1)
     lo, hi = input_box(s, eps_rob)
     bound_tape: list = []
@@ -286,10 +291,11 @@ def _sa_grads(net: nn.ParamSet, batch, eps_rob, c) -> tuple[float, nn.ParamSet]:
     return value, grads
 
 
-def _radial_grads(net: nn.ParamSet, batch, eps_rob) -> tuple[float, nn.ParamSet]:
+def _radial_grads(net: nn.ParamSet, batch, q: Array, tape: list,
+                  eps_rob) -> tuple[float, nn.ParamSet]:
+    """Overlap loss value and gradients; q and tape are net's forward on
+    the batch's states."""
     s, a, _, _, _ = _batch_arrays(batch)
-    tape: list = []
-    q = nn.forward_batch(net, s, tape)[-1]
     lo, hi = input_box(s, eps_rob)
     bound_tape: list = []
     blo, bhi = nn.ibp_forward_batch(net, lo, hi, bound_tape)
@@ -333,6 +339,26 @@ def effective_eps_rob(config: TrainConfig, step: int) -> float:
     eps_rob over eps_ramp_steps."""
     frac = (step - config.eps_ramp_start) / config.eps_ramp_steps
     return config.eps_rob * min(1.0, max(0.0, frac))
+
+
+def _update_grads(online: nn.ParamSet, target: nn.ParamSet, batch,
+                  weights: Array, config: TrainConfig,
+                  step: int) -> tuple[Array, nn.ParamSet]:
+    """TD errors and the configured objective's parameter gradients for one
+    batch. The regularizers reuse the TD loss's forward on the batch's
+    states, which is freed when this returns."""
+    _, delta, grads, q, tape = _td_grads(online, target, batch, config.gamma,
+                                         weights)
+    eps_now = effective_eps_rob(config, step)
+    if config.objective == "sa-ddqn":
+        _, extra = _sa_grads(online, batch, q, eps_now, config.sa_hinge_cap)
+        for (_, _, g), (_, _, e) in zip(grads.arrays(), extra.arrays()):
+            g += e
+    elif config.objective == "radial":
+        _, extra = _radial_grads(online, batch, q, tape, eps_now)
+        for (_, _, g), (_, _, e) in zip(grads.arrays(), extra.arrays()):
+            g += config.adv_weight * e
+    return delta, grads
 
 
 def train(spec: EnvSpec, config: TrainConfig, progress_every: int = 0,
@@ -385,20 +411,8 @@ def train(spec: EnvSpec, config: TrainConfig, progress_every: int = 0,
                 and step % config.train_every == 0:
             batch, weights, idx = buffer.sample(config.batch_size)
             try:
-                td_value, delta, grads = _td_grads(online, target, batch,
-                                                   config.gamma, weights)
-                eps_now = effective_eps_rob(config, step)
-                if config.objective == "sa-ddqn":
-                    _, extra = _sa_grads(online, batch, eps_now,
-                                         config.sa_hinge_cap)
-                    for (_, _, g), (_, _, e) in zip(grads.arrays(),
-                                                    extra.arrays()):
-                        g += e
-                elif config.objective == "radial":
-                    _, extra = _radial_grads(online, batch, eps_now)
-                    for (_, _, g), (_, _, e) in zip(grads.arrays(),
-                                                    extra.arrays()):
-                        g += config.adv_weight * e
+                delta, grads = _update_grads(online, target, batch, weights,
+                                             config, step)
                 opt.step(online, grads)
             except nn.NonFiniteError as exc:
                 raise nn.NonFiniteError(

@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from policyprobe import attack, harness as hz
-from policyprobe import perturb, qlearning as ql
+from policyprobe import attack, envs, harness as hz
+from policyprobe import perceptual, perturb, qlearning as ql
 from policyprobe.envs import make_env, make_spec
 
 
@@ -325,6 +325,95 @@ def test_capped_episodes_score_exactly_the_fixed_minimum(pixelgrid_spec,
     # pinned at the floor, the policy has no baseline to normalize against
     with pytest.raises(ValueError, match=r"clean score -2\.0 "):
         hz.probe(net, spec, IDENTITY, runs=3, fnet=fnet)
+
+
+# ---------------------------------------------------------------------------
+# Per-episode memo: one computation per distinct observation
+# ---------------------------------------------------------------------------
+
+def _looping_net(spec):
+    """The always-"up" net with a faint dependence on the observation, so
+    attacks have a gradient to follow while the bias still picks "up"."""
+    from policyprobe import nn
+    net = _stuck_net(spec)
+    faint = nn.qnet_params(spec.obs_shape, spec.n_actions, seed=1)
+    net.layers[-1].weight[...] = 1e-3 * faint.layers[-1].weight
+    return net
+
+
+def _explicit_rollout(net, spec, direction, seed, fnet):
+    """The probe episode as a plain loop that recomputes every step."""
+    env = make_env(spec)
+    obs, terminal, steps = env.reset(seed), False, []
+    while not terminal:
+        if isinstance(direction, perturb.PerturbationSpec):
+            viewed, dist, success = perturb.apply(direction, obs), 0.0, False
+        else:
+            result = attack.run_attack(net, obs, direction)
+            viewed, dist, success = (result.observation, result.distance,
+                                     result.success)
+        sim = (0.0 if np.array_equal(viewed, obs)
+               else perceptual.lpips(fnet, obs, viewed))
+        action = ql.greedy_action(net, viewed)
+        step = env.step(action)
+        steps.append((obs, viewed, action, step.reward, sim, dist, success))
+        obs, terminal = step.observation, step.terminal
+    return steps
+
+
+@pytest.mark.parametrize("direction", [
+    perturb.PerturbationSpec(family="brightness_contrast", beta=30.0),
+    attack.AttackSpec(method="fgm", p=math.inf, epsilon=0.02),
+], ids=["brightness", "fgm"])
+def test_probe_episode_computes_once_per_distinct_observation(
+        direction, pixelgrid_spec, fnet, monkeypatch):
+    """A looping policy repeats a few observations until the cap. Each one
+    is perturbed or attacked, scored and acted on once, and the episode
+    equals a loop that recomputes every step."""
+    spec = pixelgrid_spec
+    net = _looping_net(spec)
+    expected = _explicit_rollout(net, spec, direction, 0, fnet)
+    distinct = {obs.tobytes() for obs, *_ in expected}
+    assert len(expected) == spec.episode_cap > 10 * len(distinct)
+
+    seen = {"view": [], "lpips": [], "action": []}
+
+    def counting(name, fn, arg):
+        def wrapper(*args):
+            seen[name].append(args[arg].tobytes())
+            return fn(*args)
+        return wrapper
+
+    if isinstance(direction, perturb.PerturbationSpec):
+        monkeypatch.setattr(perturb, "apply",
+                            counting("view", perturb.apply, 1))
+    else:
+        monkeypatch.setattr(attack, "run_attack",
+                            counting("view", attack.run_attack, 1))
+    monkeypatch.setattr(perceptual, "lpips",
+                        counting("lpips", perceptual.lpips, 1))
+    monkeypatch.setattr(hz, "greedy_action",
+                        counting("action", hz.greedy_action, 1))
+    total, mean_sim, steps, trace = hz.probe_episode(net, spec, direction, 0,
+                                                     fnet)
+    assert sorted(seen["view"]) == sorted(distinct)
+    assert sorted(seen["lpips"]) == sorted(distinct)
+    assert len(seen["action"]) == len(distinct)
+
+    rewards = [reward for _, _, _, reward, *_ in expected]
+    sim_sum = 0.0
+    for _, _, _, _, sim, _, _ in expected:
+        sim_sum += sim
+    assert total == envs.episode_return(rewards)
+    assert mean_sim == sim_sum / len(expected) > 0.0
+    assert steps == len(trace) == len(expected)
+    for i, (t, (obs, viewed, action, reward, sim, dist, success)) in \
+            enumerate(zip(trace, expected)):
+        assert (t.step, t.action, t.reward, t.similarity) == \
+            (i, action, reward, sim)
+        assert np.array_equal(t.base_obs, obs.astype(np.uint8))
+        assert np.array_equal(t.perturbed_obs, viewed.astype(np.uint8))
+        assert (t.attack_distance, t.attack_success) == (dist, success)
 
 
 def test_sweep_names_the_policy_with_a_degenerate_baseline(

@@ -89,6 +89,25 @@ def test_resample_multichannel_averages_to_gray(rng):
     assert np.allclose(out, ref, atol=1e-12)
 
 
+@pytest.mark.parametrize("h,w,c,size", [
+    (24, 24, 1, 36),     # the PixelGrid frame, upsampled
+    (13, 29, 1, 36),     # non-square, upsampled
+    (36, 36, 1, 20),     # square, downsampled
+    (50, 17, 3, 9),      # non-square, downsampled, multichannel
+    (100, 100, 1, 36),   # above numpy's 8192-product einsum buffer
+    (40, 300, 1, 36),
+])
+def test_resample_is_bit_equal_to_the_dense_contraction(h, w, c, size, rng):
+    """The sparse taps reproduce the dense einsum over the overlap
+    matrices bit for bit, in both directions and on non-square inputs."""
+    rows, cols = pc._overlap_matrix(size, h), pc._overlap_matrix(size, w)
+    for _ in range(5):
+        img = rng.random((h, w, c)) * 255.0
+        gray = img.mean(axis=2, keepdims=True) if c > 1 else img
+        dense = np.einsum("ri,ijc,sj->rsc", rows, gray, cols)
+        assert np.array_equal(pc.area_resample(img, size), dense)
+
+
 def test_resample_rejects_bad_rank():
     with pytest.raises(ValueError):
         pc.area_resample(np.zeros((4, 4, 1, 1)))

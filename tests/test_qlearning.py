@@ -221,11 +221,19 @@ def _loss_fn(kind, net, batch, target, weights):
         y = ql._dqn_targets(net, target, r, s_next, term, 0.9)
         q = nn.forward_batch(net, s)[-1][np.arange(len(batch)), a]
         return float(np.mean(weights * ql._huber(y - q)))
+    q, tape = _forward(net, batch)
     if kind == "sa":
-        value, _ = ql._sa_grads(net, batch, 0.01, 1.0)
+        value, _ = ql._sa_grads(net, batch, q, 0.01, 1.0)
         return value
-    value, _ = ql._radial_grads(net, batch, 0.01)
+    value, _ = ql._radial_grads(net, batch, q, tape, 0.01)
     return value
+
+
+def _forward(net, batch):
+    """Q values and tape of net's forward on the batch's states."""
+    tape = []
+    q = nn.forward_batch(net, ql._batch_arrays(batch)[0], tape)[-1]
+    return q, tape
 
 
 @pytest.mark.parametrize("kind", ["td", "sa", "radial"])
@@ -235,11 +243,12 @@ def test_loss_gradients_match_finite_differences(kind, pixelgrid_spec, rng):
     batch = tiny_transitions(rng, pixelgrid_spec, 4)
     weights = rng.uniform(0.5, 1.0, size=4)
     if kind == "td":
-        _, _, grads = ql._td_grads(net, target, batch, 0.9, weights)
+        _, _, grads, _, _ = ql._td_grads(net, target, batch, 0.9, weights)
     elif kind == "sa":
-        _, grads = ql._sa_grads(net, batch, 0.01, 1.0)
+        _, grads = ql._sa_grads(net, batch, _forward(net, batch)[0], 0.01,
+                                1.0)
     else:
-        _, grads = ql._radial_grads(net, batch, 0.01)
+        _, grads = ql._radial_grads(net, batch, *_forward(net, batch), 0.01)
     h = 1e-5
     checked = 0
     for (_, name, arr), (_, _, garr) in zip(net.arrays(), grads.arrays()):
@@ -313,6 +322,33 @@ def test_training_update_forms_no_observation_gradient(
     conv1_out = nn.conv_output_hw(*pixelgrid_spec.obs_shape[:2],
                                   net.layers[0])
     assert seen == [conv1_out] * backward_passes
+
+
+@pytest.mark.parametrize("objective", ["vanilla", "sa-ddqn", "radial"])
+def test_training_update_forwards_the_batch_states_once(
+        objective, pixelgrid_spec, monkeypatch):
+    """The regularizer gradients reuse the TD loss's forward on the batch's
+    states, so one update runs the online net on those states once."""
+    states, on_states = [], []
+    batch_arrays, forward_batch = ql._batch_arrays, nn.forward_batch
+
+    def recording(batch):
+        arrays = batch_arrays(batch)
+        states.append(arrays[0])
+        return arrays
+
+    def counting(net, x, tape=None):
+        on_states.append(any(x is s for s in states))
+        return forward_batch(net, x, tape)
+
+    monkeypatch.setattr(ql, "_batch_arrays", recording)
+    monkeypatch.setattr(nn, "forward_batch", counting)
+    # the one update falls on step 32, as above
+    cfg = ql.TrainConfig(objective=objective, total_steps=33,
+                         warmup_steps=32, train_every=4, eps_rob=0.01,
+                         eps_ramp_start=0, eps_ramp_steps=1, seed=2)
+    ql.train(pixelgrid_spec, cfg)
+    assert states and sum(on_states) == 1
 
 
 def test_warm_start_changes_initial_parameters(pixelgrid_spec,
