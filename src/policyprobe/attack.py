@@ -96,7 +96,8 @@ def _surrogate_grad(net: nn.ParamSet, x: Array) -> tuple[int, Array]:
     soft = np.exp(z) / np.exp(z).sum()
     gout = soft.copy()
     gout[a_star] -= 1.0
-    return a_star, nn.backprop(net, x, gout, "input", tape)
+    return a_star, nn.backprop_batch(net, x[None], gout[None], "input",
+                                     tape)[0]
 
 
 def fgm(net: nn.ParamSet, obs: Array, spec: AttackSpec) -> AttackResult:
@@ -134,7 +135,8 @@ def _margin_and_grad(net: nn.ParamSet, x: Array,
     gout = np.zeros_like(q)
     gout[a_star] = 1.0
     gout[runner] = -1.0
-    return margin, flipped, nn.backprop(net, x, gout, "input", tape)
+    return margin, flipped, nn.backprop_batch(net, x[None], gout[None],
+                                              "input", tape)[0]
 
 
 def _restart_point(x: Array, spec: AttackSpec, k: int) -> Array:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import nn
 from .envs import EnvSpec
-from .harness import ProbeReport, RunRecord, SweepResult
+from .harness import ProbeReport, SweepResult
 from .qlearning import Checkpoint, TrainConfig
 
 CHECKPOINT_VERSION = "checkpoint v1"

@@ -118,12 +118,9 @@ def cmd_attack(cfg: config_mod.RunConfig, checkpoint_flag: str,
         terminal = False
         while not terminal:
             a_clean = ql.greedy_action(ck.params, obs)
-            result = attack_mod.run_attack(ck.params, obs, direction)
-            a_adv = ql.greedy_action(ck.params, result.observation)
-            sim = 0.0 if np.array_equal(result.observation, obs) \
-                else perceptual.lpips(fnet, obs, result.observation)
-            rows.append((state_index, a_clean, a_adv, result.distance,
-                         result.success, sim))
+            _, dist, success, sim, a_adv = harness._view(ck.params, obs,
+                                                         direction, fnet)
+            rows.append((state_index, a_clean, a_adv, dist, success, sim))
             step = env.step(a_clean)   # trajectory follows the clean policy
             obs, terminal = step.observation, step.terminal
             state_index += 1
@@ -207,7 +204,8 @@ def cmd_sweep(cfg: config_mod.RunConfig, out_flag: str | None) -> int:
                            settings.runs, checkpoint_ids=ids)
     rundir = cp.run_directory("sweep", _resolve_root(cfg, out_flag))
     cp.atomic_write_text(rundir / "sweep.csv", cp.sweep_csv(result))
-    cp.atomic_write_text(rundir / "summary.csv", _sweep_summary(result))
+    cp.atomic_write_text(rundir / "summary.csv",
+                         _sweep_summary(rundir / "sweep.csv"))
     cp.atomic_write_text(rundir / "config_echo.json", cfg.echo + "\n")
     for pt in result.points:
         print(f"{pt.policy} {settings.parameter}={pt.value:g}: "
@@ -216,18 +214,6 @@ def cmd_sweep(cfg: config_mod.RunConfig, out_flag: str | None) -> int:
               f"similarity {pt.report.mean_similarity:.5f}")
     print(f"sweep -> {rundir / 'sweep.csv'}")
     return 0
-
-
-def _sweep_summary(result) -> str:
-    rows = ["schema=sweep_summary_v1,policy,parameter,value,runs,"
-            "mean_score,sem_score,mean_similarity,sem_similarity,impact"]
-    for pt in result.points:
-        rep = pt.report
-        rows.append(f"{pt.policy},{result.parameter},{pt.value:.17g},"
-                    f"{len(rep.runs)},{rep.mean_score:.17g},"
-                    f"{rep.sem_score:.17g},{rep.mean_similarity:.17g},"
-                    f"{rep.sem_similarity:.17g},{rep.impact:.17g}")
-    return "\n".join(rows) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +227,35 @@ def _read_csv_rows(path: Path) -> tuple[list[str], list[list[str]]]:
         raise config_mod.ConfigError(f"{path} has no schema header")
     header = [rows[0][0].split("=", 1)[1]] + rows[0][1:]
     return header, rows[1:]
+
+
+def _sweep_summary(sweep_csv_path: Path) -> str:
+    """sweep_summary_v1 rows rendered from a sweep.csv: per (policy, value),
+    the run count, score and similarity means and SEMs, and the point
+    impact, which every run row of the point must repeat."""
+    header, rows = _read_csv_rows(sweep_csv_path)
+    if header[0] != "sweep_v1":
+        raise config_mod.ConfigError(
+            f"unexpected schema {header[0]} in {sweep_csv_path}")
+    groups: dict[tuple[str, str], list[list[str]]] = {}
+    for row in rows:
+        groups.setdefault((row[0], row[2]), []).append(row)
+    out = ["schema=sweep_summary_v1,policy,parameter,value,runs,"
+           "mean_score,sem_score,mean_similarity,sem_similarity,impact"]
+    for (policy, value), grp in sorted(groups.items(),
+                                       key=lambda kv: (kv[0][0],
+                                                       float(kv[0][1]))):
+        scores = [float(r[5]) for r in grp]
+        sims = [float(r[6]) for r in grp]
+        impacts = {r[7] for r in grp}
+        if len(impacts) != 1:
+            raise config_mod.ConfigError(
+                f"inconsistent impact column for {policy} at {value}")
+        out.append(f"{policy},{grp[0][1]},{value},{len(grp)},"
+                   f"{np.mean(scores):.17g},{harness._sem(scores):.17g},"
+                   f"{np.mean(sims):.17g},{harness._sem(sims):.17g},"
+                   f"{impacts.pop()}")
+    return "\n".join(out) + "\n"
 
 
 def _report_fields(path: Path) -> dict[str, str]:
@@ -287,32 +302,10 @@ def cmd_report(rundir: str) -> int:
         rendered += 1
     sweep_csv_path = base / "sweep.csv"
     if sweep_csv_path.exists():
-        header, rows = _read_csv_rows(sweep_csv_path)
-        if header[0] != "sweep_v1":
-            return _fail(f"unexpected schema {header[0]} in {sweep_csv_path}")
-        groups: dict[tuple[str, str], list[list[str]]] = {}
-        for row in rows:
-            groups.setdefault((row[0], row[2]), []).append(row)
-        out = io.StringIO()
-        out.write("schema=sweep_summary_v1,policy,parameter,value,runs,"
-                  "mean_score,sem_score,mean_similarity,sem_similarity,"
-                  "impact_point\n")
-        for (policy, value), grp in sorted(groups.items(),
-                                           key=lambda kv: (kv[0][0],
-                                                           float(kv[0][1]))):
-            scores = [float(r[5]) for r in grp]
-            sims = [float(r[6]) for r in grp]
-            impacts = {r[7] for r in grp}
-            if len(impacts) != 1:
-                return _fail(f"inconsistent impact column for {policy} "
-                             f"at {value}")
-            out.write(f"{policy},{grp[0][1]},{value},{len(grp)},"
-                      f"{np.mean(scores):.17g},{harness._sem(scores):.17g},"
-                      f"{np.mean(sims):.17g},{harness._sem(sims):.17g},"
-                      f"{impacts.pop()}\n")
-        cp.atomic_write_text(base / "summary.csv", out.getvalue())
-        print(f"sweep summary ({len(groups)} points) "
-              f"-> {base / 'summary.csv'}")
+        summary = _sweep_summary(sweep_csv_path)
+        cp.atomic_write_text(base / "summary.csv", summary)
+        points = len(summary.splitlines()) - 1
+        print(f"sweep summary ({points} points) -> {base / 'summary.csv'}")
         rendered += 1
     if not rendered:
         return _fail(f"nothing to render in {rundir} "
@@ -367,15 +360,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "report":
-        return cmd_report(args.dir)
-    overrides: dict[str, object] = {"seed": args.seed}
-    if args.command == "train":
-        overrides["train.total_steps"] = args.steps
-        overrides["train.objective"] = args.objective
-    if args.command in ("probe", "attack"):
-        overrides["probe.runs"] = args.runs
     try:
+        if args.command == "report":
+            return cmd_report(args.dir)
+        overrides: dict[str, object] = {"seed": args.seed}
+        if args.command == "train":
+            overrides["train.total_steps"] = args.steps
+            overrides["train.objective"] = args.objective
+        if args.command in ("probe", "attack"):
+            overrides["probe.runs"] = args.runs
         cfg = config_mod.load_run_config(args.config, overrides)
         if args.command == "train":
             return cmd_train(cfg, args.out)

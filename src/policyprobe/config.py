@@ -32,16 +32,13 @@ def _check_keys(section: str, mapping: dict, allowed: set[str]) -> None:
         raise ConfigError(f"unknown keys in {section!r}: {sorted(unknown)}")
 
 
-_INT_DIRECTION_FIELDS = {"kernel", "ti", "tj", "pt_seed"}
-
-
 def parse_direction(mapping: dict) -> Direction:
     """A direction is either a fixed perturbation ({"family": ...}) or an
     attack ({"method": ...}); field validity is the owning spec's business."""
     if not isinstance(mapping, dict):
         raise ConfigError("direction must be a mapping")
     if "family" in mapping:
-        kwargs = {k: int(v) if k in _INT_DIRECTION_FIELDS else v
+        kwargs = {k: int(v) if k in perturb.INT_FIELDS else v
                   for k, v in mapping.items()}
         try:
             return perturb.PerturbationSpec(**kwargs)
@@ -91,11 +88,8 @@ class SweepSettings:
             raise ValueError("sweep needs at least one policy")
         if self.runs < 1:
             raise ValueError("sweep runs must be >= 1")
-        int_fields = {"kernel", "ti", "tj"}
         for value in self.values:   # surface bad grid points before any work
-            cast = int(value) if self.parameter in int_fields else value
-            perturb.PerturbationSpec(**{"family": self.family,
-                                        self.parameter: cast})
+            perturb.spec_with(self.family, self.parameter, value)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,17 +128,7 @@ def _grid_layout(spec: EnvSpec) -> tuple[Array, tuple[int, int]]:
         floor = np.argwhere(~walls)
         if len(floor) < 2:
             continue
-        seen = {tuple(floor[0])}
-        queue = deque([tuple(floor[0])])
-        while queue:
-            r, c = queue.popleft()
-            for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-                nr, nc = r + dr, c + dc
-                if 0 <= nr < n and 0 <= nc < n and not walls[nr, nc] \
-                        and (nr, nc) not in seen:
-                    seen.add((nr, nc))
-                    queue.append((nr, nc))
-        if len(seen) == len(floor):
+        if len(_bfs(walls, tuple(floor[0]))) == len(floor):
             goal_rng = np.random.default_rng([spec.seed, 12])
             goal = tuple(floor[goal_rng.integers(len(floor))])
             return walls, goal
@@ -201,50 +191,38 @@ class PixelGridEnv:
                           self.step_index, truncated)
 
 
-def shortest_path_steps(walls: Array, start: tuple[int, int],
-                        goal: tuple[int, int]) -> int:
-    """Breadth-first shortest path length in moves; -1 if unreachable."""
+def _bfs(walls: Array, start: tuple[int, int]
+         ) -> dict[tuple[int, int], tuple[tuple[int, int], int] | None]:
+    """Breadth-first search over the floor of a square wall grid: each cell
+    reachable from start, mapped to the cell it was first reached from and
+    the action that moves there (None for start itself)."""
     n = walls.shape[0]
-    dist = {start: 0}
+    parent: dict = {start: None}
     queue = deque([start])
     while queue:
         cell = queue.popleft()
-        if cell == goal:
-            return dist[cell]
-        r, c = cell
-        for dr, dc in PixelGridEnv.MOVES:
-            nr, nc = r + dr, c + dc
-            if 0 <= nr < n and 0 <= nc < n and not walls[nr, nc] \
-                    and (nr, nc) not in dist:
-                dist[(nr, nc)] = dist[cell] + 1
-                queue.append((nr, nc))
-    return -1
+        for action, (dr, dc) in enumerate(PixelGridEnv.MOVES):
+            nxt = (cell[0] + dr, cell[1] + dc)
+            if 0 <= nxt[0] < n and 0 <= nxt[1] < n and not walls[nxt] \
+                    and nxt not in parent:
+                parent[nxt] = (cell, action)
+                queue.append(nxt)
+    return parent
 
 
 def shortest_path_actions(walls: Array, start: tuple[int, int],
                           goal: tuple[int, int]) -> list[int]:
-    """One action sequence realizing the BFS-shortest path."""
-    n = walls.shape[0]
-    parent: dict[tuple[int, int], tuple[tuple[int, int], int]] = {}
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        cell = queue.popleft()
-        if cell == goal:
-            actions: list[int] = []
-            while cell != start:
-                cell, action = parent[cell]
-                actions.append(action)
-            return actions[::-1]
-        r, c = cell
-        for action, (dr, dc) in enumerate(PixelGridEnv.MOVES):
-            nr, nc = r + dr, c + dc
-            if 0 <= nr < n and 0 <= nc < n and not walls[nr, nc] \
-                    and (nr, nc) not in dist:
-                dist[(nr, nc)] = dist[cell] + 1
-                parent[(nr, nc)] = (cell, action)
-                queue.append((nr, nc))
-    raise ValueError("goal unreachable from start")
+    """One action sequence realizing the BFS-shortest path; its length is
+    the shortest distance in moves."""
+    parent = _bfs(walls, start)
+    if goal not in parent:
+        raise ValueError("goal unreachable from start")
+    actions: list[int] = []
+    cell = goal
+    while parent[cell] is not None:
+        cell, action = parent[cell]
+        actions.append(action)
+    return actions[::-1]
 
 
 def oracle_return(spec: EnvSpec, episode_seed: int) -> float:
@@ -258,9 +236,7 @@ def oracle_return(spec: EnvSpec, episode_seed: int) -> float:
         raise ValueError("oracle_return is defined for pixelgrid only")
     walls, goal = _grid_layout(spec)
     start = _grid_start(spec, walls, goal, episode_seed)
-    d = shortest_path_steps(walls, start, goal)
-    if d < 0:
-        raise RuntimeError("start cannot reach goal (layout bug)")
+    d = len(shortest_path_actions(walls, start, goal))
     return episode_return([-0.01] * (d - 1) + [1.0])
 
 

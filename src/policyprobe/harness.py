@@ -320,13 +320,6 @@ def fixed_direction_verdict(reports: list[ProbeReport],
                for r, c in zip(reports, clean_reports))
 
 
-def _spec_with(family: str, parameter: str, value: float,
-               base: perturb.PerturbationSpec | None) -> perturb.PerturbationSpec:
-    stem = base if base is not None else perturb.PerturbationSpec(family=family)
-    fields = {"family": family, parameter: value}
-    return perturb.PerturbationSpec(**{**stem.__dict__, **fields})
-
-
 def sweep(policies: list[tuple[str, nn.ParamSet]], spec: EnvSpec, family: str,
           parameter: str, values: list[float], runs: int = DEFAULT_RUNS,
           fnet: perceptual.FeatureNet | None = None,
@@ -336,10 +329,10 @@ def sweep(policies: list[tuple[str, nn.ParamSet]], spec: EnvSpec, family: str,
     """Probe every (policy, grid value) pair: the Figure-2-style protocol.
 
     The grid must be strictly increasing; integer-valued parameters (blur
-    kernel, shift distances) are cast from the grid values. Clean baselines
-    are rolled once per policy and shared across the grid; a policy whose
-    clean baseline sits at the fixed minimum is refused by name before its
-    grid is probed.
+    kernel, shift distances, perspective seed) are cast from the grid
+    values (see perturb.spec_with). Clean baselines are rolled once per
+    policy and shared across the grid; a policy whose clean baseline sits
+    at the fixed minimum is refused by name before its grid is probed.
     """
     if any(b >= a for a, b in zip(values[1:], values)):
         raise ValueError("sweep grid must be strictly increasing")
@@ -347,7 +340,6 @@ def sweep(policies: list[tuple[str, nn.ParamSet]], spec: EnvSpec, family: str,
         raise ValueError("need at least one policy")
     if fnet is None:
         fnet = perceptual.load_reference_featurenet()
-    int_fields = {"kernel", "ti", "tj"}
     ids = checkpoint_ids or {}
     result = SweepResult(family, parameter, list(values),
                          [name for name, _ in policies])
@@ -355,8 +347,8 @@ def sweep(policies: list[tuple[str, nn.ParamSet]], spec: EnvSpec, family: str,
         clean = clean_baseline(params, spec, runs, fnet)
         check_baseline(float(np.mean(clean)), spec.score_min, name)
         for value in values:
-            cast = int(value) if parameter in int_fields else value
-            direction = _spec_with(family, parameter, cast, base_direction)
+            direction = perturb.spec_with(family, parameter, value,
+                                          base_direction)
             report = probe(params, spec, direction, runs, fnet,
                            ids.get(name, ""), clean_scores=clean)
             result.points.append(SweepPoint(name, float(value), report))

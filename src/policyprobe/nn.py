@@ -3,33 +3,45 @@
 Everything runs in float64 numpy. The layer set is deliberately frozen to
 dense, 2-D convolution (stride >= 1, zero padding) and the rectifier, which
 is enough for the Q-networks, the reference feature network, and interval
-bound propagation. Batched internals (`*_batch`) operate on arrays with a
-leading batch axis; the single-sample wrappers are the public surface.
+bound propagation. The numeric path is batched: every pass takes arrays
+with a leading batch axis, and one observation is a batch of one.
+`forward` is a convenience over `forward_batch` for a single input.
 
 Conventions:
-  - conv inputs/outputs are (H, W, C), kernels are (kh, kw, cin, cout)
+  - conv inputs/outputs are (B, H, W, C), kernels are (kh, kw, cin, cout)
   - dense weights are (out, in); a dense layer flattens its input row-major
   - parameter gradients come back as a ParamSet of the same shape as the
     parameters
 
 Each backward pass computes one product, the one its caller consumes:
-  - `backprop` / `backprop_batch` with wrt="params" return the parameter
-    gradients (a ParamSet summed over the batch) and never form the
-    gradient with respect to the input below the first layer; training
-    uses this
-  - with wrt="input" they return the input gradient (shaped like the input)
-    and form no parameter gradient; attacks use this
+  - `backprop_batch` with wrt="params" returns the parameter gradients (a
+    ParamSet summed over the batch) and never forms the gradient with
+    respect to the input below the first layer; training uses this
+  - with wrt="input" it returns the input gradient (shaped like the input)
+    and forms no parameter gradient; attacks use this
   - `ibp_backprop_batch` returns parameter gradients only
 Every backward pass reads its activations from the `tape` list that the
-matching forward pass (`forward` / `forward_batch` / `ibp_forward_batch`)
-filled, so each gradient costs one forward pass, and a caller can inspect
-the outputs before it chooses the output gradient.
+matching forward pass (`forward_batch` / `ibp_forward_batch`) filled, so
+each gradient costs one forward pass, and a caller can inspect the outputs
+before it chooses the output gradient.
+
+Determinism contract. The matrix products go through BLAS, whose summation
+order follows the shapes it is handed:
+  - For a fixed batch composition, `forward_batch` and `ibp_forward_batch`
+    return the same bits at 1 and at 2 BLAS threads.
+  - Across batch sizes, a row's values are not bit-stable: the same state
+    at B=1 and inside a batch of 32 may differ in the last bits. They agree
+    to within 16 * np.spacing of the row's largest |Q|, and the greedy
+    argmax agrees on every distinct state the bundled reference policies
+    visit on their clean episodes.
+So any output that is compared bit for bit must come from one fixed batch
+composition; every single-observation caller uses B=1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -109,26 +121,22 @@ class ParamSet:
 
     layers: list[Layer] = field(default_factory=list)
 
-    def copy(self) -> "ParamSet":
+    def _map(self, fn) -> "ParamSet":
+        """Same layers, with fn applied to every parameter array."""
         out = []
         for lay in self.layers:
             if isinstance(lay, DenseLayer):
-                out.append(DenseLayer(lay.weight.copy(), lay.bias.copy(), lay.activation))
+                out.append(DenseLayer(fn(lay.weight), fn(lay.bias), lay.activation))
             else:
-                out.append(ConvLayer(lay.kernel.copy(), lay.bias.copy(),
+                out.append(ConvLayer(fn(lay.kernel), fn(lay.bias),
                                      lay.stride, lay.padding, lay.activation))
         return ParamSet(out)
 
+    def copy(self) -> "ParamSet":
+        return self._map(np.copy)
+
     def zeros_like(self) -> "ParamSet":
-        out = []
-        for lay in self.layers:
-            if isinstance(lay, DenseLayer):
-                out.append(DenseLayer(np.zeros_like(lay.weight), np.zeros_like(lay.bias),
-                                      lay.activation))
-            else:
-                out.append(ConvLayer(np.zeros_like(lay.kernel), np.zeros_like(lay.bias),
-                                     lay.stride, lay.padding, lay.activation))
-        return ParamSet(out)
+        return self._map(np.zeros_like)
 
     def arrays(self):
         """Yield (layer_index, field_name, array) for every parameter array."""
@@ -359,35 +367,9 @@ def backprop_batch(net: ParamSet, x: Array, gout: Array, wrt: str,
     return _BACKWARD[wrt](net, tape, np.asarray(gout, dtype=np.float64))
 
 
-def backprop(net: ParamSet, x: Array, output_grad: Array, wrt: str,
-             tape: list) -> Array | ParamSet:
-    """Exact reverse-mode gradient of <output, output_grad> for one input:
-    the parameter gradients (wrt="params") or the input gradient
-    (wrt="input"). `tape` as for backprop_batch, filled by forward on x."""
-    got = backprop_batch(net, np.asarray(x, dtype=np.float64)[None],
-                         np.asarray(output_grad, dtype=np.float64)[None],
-                         wrt, tape)
-    return got[0] if wrt == "input" else got
-
-
 # ---------------------------------------------------------------------------
 # Interval bound propagation
 # ---------------------------------------------------------------------------
-
-@dataclass
-class Interval:
-    lower: Array
-    upper: Array
-
-    def __post_init__(self):
-        self.lower = np.asarray(self.lower, dtype=np.float64)
-        self.upper = np.asarray(self.upper, dtype=np.float64)
-        if self.lower.shape != self.upper.shape:
-            raise ShapeMismatchError(
-                f"interval bounds differ in shape: {self.lower.shape} vs {self.upper.shape}")
-        if np.any(self.lower > self.upper):
-            raise ValueError("interval has lower > upper")
-
 
 def _ibp_tape(net: ParamSet, lo: Array, hi: Array) -> tuple[Array, Array, list[dict]]:
     """Center/radius propagation: center through the linear map, radius
@@ -417,19 +399,20 @@ def _ibp_tape(net: ParamSet, lo: Array, hi: Array) -> tuple[Array, Array, list[d
 
 def ibp_forward_batch(net: ParamSet, lo: Array, hi: Array,
                       tape: list | None = None) -> tuple[Array, Array]:
-    """Output bounds for a batch of input boxes. A `tape` list receives what
-    ibp_backprop_batch needs (see there)."""
-    out_lo, out_hi, entries = _ibp_tape(net, np.asarray(lo, dtype=np.float64),
-                                        np.asarray(hi, dtype=np.float64))
+    """Sound elementwise output bounds for every input inside each box
+    [lo, hi] of the batch. Bounds of different shapes or with lo > hi
+    anywhere are refused. A `tape` list receives what ibp_backprop_batch
+    needs (see there)."""
+    lo, hi = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
+    if lo.shape != hi.shape:
+        raise ShapeMismatchError(
+            f"box bounds differ in shape: {lo.shape} vs {hi.shape}")
+    if np.any(lo > hi):
+        raise ValueError("box has lower > upper")
+    out_lo, out_hi, entries = _ibp_tape(net, lo, hi)
     if tape is not None:
         tape[:] = entries
     return out_lo, out_hi
-
-
-def ibp_forward(net: ParamSet, box: Interval) -> Interval:
-    """Sound elementwise output bounds for every input inside `box`."""
-    lo, hi = ibp_forward_batch(net, box.lower[None], box.upper[None])
-    return Interval(lo[0], hi[0])
 
 
 def ibp_backprop_batch(net: ParamSet, lo: Array, hi: Array,

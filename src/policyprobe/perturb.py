@@ -27,6 +27,10 @@ FAMILIES = ("identity", "brightness_contrast", "median_blur", "rotation",
 DCT_BLOCK = 8
 DCT_LAMBDA = 8.0  # frequency slope of the quantization law
 
+# PerturbationSpec fields that are integers; manifests and sweep grids give
+# numbers as floats, so these are cast on the way in
+INT_FIELDS = frozenset({"kernel", "ti", "tj", "pt_seed"})
+
 
 class DegenerateGeometryError(ValueError):
     """Corner correspondence does not define an invertible warp."""
@@ -87,6 +91,15 @@ class PerturbationSpec:
         if self.family == "dct_artifacts":
             return f"dct[{self.kappa:g}]"
         return "identity"
+
+
+def spec_with(family: str, parameter: str, value: float,
+              base: PerturbationSpec | None = None) -> PerturbationSpec:
+    """`base` (default: the family's defaults) with `parameter` set to
+    `value`, cast to int for the integer fields."""
+    fields = base.__dict__ if base is not None else {}
+    cast = int(value) if parameter in INT_FIELDS else value
+    return PerturbationSpec(**{**fields, "family": family, parameter: cast})
 
 
 def _as_image(s: Array) -> Array:

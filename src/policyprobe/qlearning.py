@@ -180,13 +180,13 @@ def certified(net: nn.ParamSet, obs: Array, eps_rob: float) -> bool:
     x = np.asarray(obs, dtype=np.float64) / OBS_SCALE
     a_star = int(np.argmax(nn.forward(net, x)[-1]))
     lo, hi = input_box(x, eps_rob)
-    bounds = nn.ibp_forward(net, nn.Interval(lo, hi))
-    others = np.delete(bounds.upper, a_star)
-    return bool(bounds.lower[a_star] > others.max())
+    lower, upper = nn.ibp_forward_batch(net, lo[None], hi[None])
+    others = np.delete(upper[0], a_star)
+    return bool(lower[0, a_star] > others.max())
 
 
 # ---------------------------------------------------------------------------
-# Losses (values and training gradients)
+# Losses: values and training gradients
 # ---------------------------------------------------------------------------
 
 def _huber(delta: Array) -> Array:
@@ -213,69 +213,35 @@ def _dqn_targets(online: nn.ParamSet, target: nn.ParamSet,
     return r + gamma * np.where(term, 0.0, boot)
 
 
-def sa_regularizer(net: nn.ParamSet, obs: Array, eps_rob: float,
-                   c: float) -> float:
-    """Hinge action-consistency penalty from interval bounds over the ball.
-
-    Positive when some other action's upper bound exceeds the greedy
-    action's lower bound; floored at -c once the margin is comfortable.
-    """
-    if c <= 0:
-        raise ValueError("hinge cap must be positive")
-    x = np.asarray(obs, dtype=np.float64) / OBS_SCALE
-    a_star = int(np.argmax(nn.forward(net, x)[-1]))
-    lo, hi = input_box(x, eps_rob)
-    bounds = nn.ibp_forward(net, nn.Interval(lo, hi))
-    inner = float(np.delete(bounds.upper, a_star).max() - bounds.lower[a_star])
-    return max(inner, -c)
-
-
-def radial_loss(net: nn.ParamSet, batch: list[Transition],
-                eps_rob: float) -> float:
-    """Mean over the batch of sum_a' OV(s, a', eps) * Qdiff(s, a')."""
-    if not batch:
-        raise ValueError("empty batch")
-    s, a, _, _, _ = _batch_arrays(batch)
-    q = nn.forward_batch(net, s)[-1]
-    lo, hi = input_box(s, eps_rob)
-    blo, bhi = nn.ibp_forward_batch(net, lo, hi)
-    rows = np.arange(len(batch))
-    qdiff = np.maximum(0.0, q - q[rows, a][:, None])
-    ov = np.maximum(0.0, bhi - blo[rows, a][:, None] + 0.5 * qdiff)
-    return float(np.mean((ov * qdiff).sum(axis=1)))
-
-
-# -- gradient versions used by the training loop ---------------------------
-
-def _td_grads(online: nn.ParamSet, target: nn.ParamSet, batch, gamma,
+def _td_grads(online: nn.ParamSet, target: nn.ParamSet, arrays, gamma,
               weights) -> tuple[float, Array, nn.ParamSet, Array, list]:
-    """TD loss, TD errors and parameter gradients for one batch, plus the
-    online net's Q values on the batch's states and the tape of that
-    forward, which the regularizer gradients reuse (they only read it)."""
-    s, a, r, s_next, term = _batch_arrays(batch)
+    """TD loss, TD errors and parameter gradients for one batch's arrays
+    (see _batch_arrays), plus the online net's Q values on the batch's
+    states and the tape of that forward, which the regularizer gradients
+    reuse (they only read it)."""
+    s, a, r, s_next, term = arrays
     y = _dqn_targets(online, target, r, s_next, term, gamma)
     tape: list = []
     q_all = nn.forward_batch(online, s, tape)[-1]
-    rows = np.arange(len(batch))
+    rows = np.arange(len(s))
     delta = y - q_all[rows, a]
     td_value = float(np.mean(weights * _huber(delta)))
     gout = np.zeros_like(q_all)
     gout[rows, a] = weights * (-np.clip(delta, -HUBER_THRESHOLD,
-                                        HUBER_THRESHOLD)) / len(batch)
+                                        HUBER_THRESHOLD)) / len(s)
     grads = nn.backprop_batch(online, s, gout, "params", tape)
     return td_value, delta, grads, q_all, tape
 
 
-def _sa_grads(net: nn.ParamSet, batch, q: Array, eps_rob,
+def _sa_grads(net: nn.ParamSet, s: Array, q: Array, eps_rob,
               c) -> tuple[float, nn.ParamSet]:
-    """Hinge regularizer value and gradients; q is net's Q on the batch's
-    states."""
-    s, _, _, _, _ = _batch_arrays(batch)
+    """Hinge regularizer value and gradients; q is net's Q on the states
+    s."""
     a_star = np.argmax(q, axis=1)
     lo, hi = input_box(s, eps_rob)
     bound_tape: list = []
     blo, bhi = nn.ibp_forward_batch(net, lo, hi, bound_tape)
-    rows = np.arange(len(batch))
+    rows = np.arange(len(s))
     upper_others = bhi.copy()
     upper_others[rows, a_star] = -np.inf
     worst = np.argmax(upper_others, axis=1)
@@ -284,28 +250,27 @@ def _sa_grads(net: nn.ParamSet, batch, q: Array, eps_rob,
     active = inner > -c
     glo = np.zeros_like(blo)
     ghi = np.zeros_like(bhi)
-    scale = 1.0 / len(batch)
+    scale = 1.0 / len(s)
     glo[rows[active], a_star[active]] = -scale
     ghi[rows[active], worst[active]] = scale
     grads = nn.ibp_backprop_batch(net, lo, hi, glo, ghi, bound_tape)
     return value, grads
 
 
-def _radial_grads(net: nn.ParamSet, batch, q: Array, tape: list,
-                  eps_rob) -> tuple[float, nn.ParamSet]:
-    """Overlap loss value and gradients; q and tape are net's forward on
-    the batch's states."""
-    s, a, _, _, _ = _batch_arrays(batch)
+def _radial_grads(net: nn.ParamSet, s: Array, a: Array, q: Array,
+                  tape: list, eps_rob) -> tuple[float, nn.ParamSet]:
+    """Overlap loss value and gradients for states s with taken actions a;
+    q and tape are net's forward on s."""
     lo, hi = input_box(s, eps_rob)
     bound_tape: list = []
     blo, bhi = nn.ibp_forward_batch(net, lo, hi, bound_tape)
-    rows = np.arange(len(batch))
+    rows = np.arange(len(s))
     qdiff_raw = q - q[rows, a][:, None]
     qdiff = np.maximum(0.0, qdiff_raw)
     ov_raw = bhi - blo[rows, a][:, None] + 0.5 * qdiff
     ov = np.maximum(0.0, ov_raw)
     value = float(np.mean((ov * qdiff).sum(axis=1)))
-    scale = 1.0 / len(batch)
+    scale = 1.0 / len(s)
     ov_on = (ov_raw > 0).astype(np.float64)
     qd_on = (qdiff_raw > 0).astype(np.float64)
     # d/dU and d/dL through the overlap term
@@ -318,8 +283,7 @@ def _radial_grads(net: nn.ParamSet, batch, q: Array, tape: list,
     np.add.at(gq, (rows, a), -(dterm_dqdiff * qd_on).sum(axis=1))
     grads_q = nn.backprop_batch(net, s, gq, "params", tape)
     grads_b = nn.ibp_backprop_batch(net, lo, hi, glo, ghi, bound_tape)
-    for (_, _, g1), (_, _, g2) in zip(grads_q.arrays(), grads_b.arrays()):
-        g1 += g2
+    nn.add_scaled(grads_q, grads_b, 1.0)
     return value, grads_q
 
 
@@ -345,19 +309,20 @@ def _update_grads(online: nn.ParamSet, target: nn.ParamSet, batch,
                   weights: Array, config: TrainConfig,
                   step: int) -> tuple[Array, nn.ParamSet]:
     """TD errors and the configured objective's parameter gradients for one
-    batch. The regularizers reuse the TD loss's forward on the batch's
-    states, which is freed when this returns."""
-    _, delta, grads, q, tape = _td_grads(online, target, batch, config.gamma,
+    batch. The batch is stacked into arrays once, and the regularizers
+    reuse the TD loss's forward on its states, which is freed when this
+    returns."""
+    arrays = _batch_arrays(batch)
+    _, delta, grads, q, tape = _td_grads(online, target, arrays, config.gamma,
                                          weights)
+    s, a = arrays[0], arrays[1]
     eps_now = effective_eps_rob(config, step)
     if config.objective == "sa-ddqn":
-        _, extra = _sa_grads(online, batch, q, eps_now, config.sa_hinge_cap)
-        for (_, _, g), (_, _, e) in zip(grads.arrays(), extra.arrays()):
-            g += e
+        _, extra = _sa_grads(online, s, q, eps_now, config.sa_hinge_cap)
+        nn.add_scaled(grads, extra, 1.0)
     elif config.objective == "radial":
-        _, extra = _radial_grads(online, batch, q, tape, eps_now)
-        for (_, _, g), (_, _, e) in zip(grads.arrays(), extra.arrays()):
-            g += config.adv_weight * e
+        _, extra = _radial_grads(online, s, a, q, tape, eps_now)
+        nn.add_scaled(grads, extra, config.adv_weight)
     return delta, grads
 
 

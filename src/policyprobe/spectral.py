@@ -99,20 +99,23 @@ class BandDelta:
                  float(self.delta[f])) for f in range(len(self.delta))]
 
 
+def _compare(e_base: Array, e_pert: Array, n: int) -> BandDelta:
+    """Per-band delta of two energy profiles and its low/high band sums."""
+    delta = e_pert - e_base
+    f = np.arange(len(delta))
+    low = float(delta[f < n * LOW_BAND_FRACTION].sum())
+    high = float(delta[f > n * HIGH_BAND_FRACTION].sum())
+    return BandDelta(e_base, e_pert, delta, low, high, n)
+
+
 def band_delta(base: Array, perturbed: Array) -> BandDelta:
     base = np.asarray(base, dtype=np.float64)
     perturbed = np.asarray(perturbed, dtype=np.float64)
     if base.shape != perturbed.shape:
         raise ValueError(f"shape mismatch: base {base.shape} "
                          f"vs perturbed {perturbed.shape}")
-    e_base = observation_energy(base)
-    e_pert = observation_energy(perturbed)
-    delta = e_pert - e_base
-    n = max(base.shape[0], base.shape[1])
-    f = np.arange(len(delta))
-    low = float(delta[f < n * LOW_BAND_FRACTION].sum())
-    high = float(delta[f > n * HIGH_BAND_FRACTION].sum())
-    return BandDelta(e_base, e_pert, delta, low, high, n)
+    return _compare(observation_energy(base), observation_energy(perturbed),
+                    max(base.shape[0], base.shape[1]))
 
 
 def mean_band_delta(pairs: list[tuple[Array, Array]]) -> BandDelta:
@@ -123,11 +126,5 @@ def mean_band_delta(pairs: list[tuple[Array, Array]]) -> BandDelta:
     if any(d.n != deltas[0].n or len(d.delta) != len(deltas[0].delta)
            for d in deltas):
         raise ValueError("all pairs must share one observation geometry")
-    e_base = np.mean([d.e_base for d in deltas], axis=0)
-    e_pert = np.mean([d.e_pert for d in deltas], axis=0)
-    delta = e_pert - e_base
-    n = deltas[0].n
-    f = np.arange(len(delta))
-    low = float(delta[f < n * LOW_BAND_FRACTION].sum())
-    high = float(delta[f > n * HIGH_BAND_FRACTION].sum())
-    return BandDelta(e_base, e_pert, delta, low, high, n)
+    return _compare(np.mean([d.e_base for d in deltas], axis=0),
+                    np.mean([d.e_pert for d in deltas], axis=0), deltas[0].n)

@@ -113,8 +113,8 @@ def test_c02_backprop_matches_central_differences():
 
         tape = []
         nn.forward(net, x, tape)
-        grads = nn.backprop(net, x, gout, "params", tape)
-        gin = nn.backprop(net, x, gout, "input", tape)
+        grads = nn.backprop_batch(net, x[None], gout[None], "params", tape)
+        gin = nn.backprop_batch(net, x[None], gout[None], "input", tape)[0]
         for (_, name, arr), (_, _, garr) in zip(net.arrays(), grads.arrays()):
             flat, gflat = arr.reshape(-1), garr.reshape(-1)
             for k in range(flat.size):
@@ -167,16 +167,17 @@ def test_c03_ibp_bounds_never_violated():
             net = _fd_dense_net(net_seed)
             center = rng.uniform(0.0, 1.0, 6)
         for eps in radii:
-            bounds = nn.ibp_forward(net, nn.Interval(center - eps,
-                                                     center + eps))
+            lower, upper = nn.ibp_forward_batch(net, (center - eps)[None],
+                                                (center + eps)[None])
+            lower, upper = lower[0], upper[0]
             samples = center + rng.uniform(-eps, eps,
                                            (n_samples,) + center.shape)
             outs = nn.forward_batch(net, samples)[-1]
             margin = min(margin,
-                         float((outs - bounds.lower).min()),
-                         float((bounds.upper - outs).min()))
-            assert np.all(outs >= bounds.lower - slack)
-            assert np.all(outs <= bounds.upper + slack)
+                         float((outs - lower).min()),
+                         float((upper - outs).min()))
+            assert np.all(outs >= lower - slack)
+            assert np.all(outs <= upper + slack)
             checked += n_samples
     elapsed = time.time() - t0
     assert elapsed < 120.0

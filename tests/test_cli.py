@@ -284,9 +284,24 @@ def test_report_rerenders_sweep_summary(tmp_path, capsys):
     capsys.readouterr()
     assert main(["report", "--dir", str(rundir)]) == 0
     rendered = (rundir / "summary.csv").read_text()
-    # the report command recomputes aggregates from raw rows; apart from the
-    # final column's name it must agree with what sweep wrote originally
-    assert rendered.replace("impact_point", "impact") == original
+    # sweep and report render the summary from the same raw rows
+    assert rendered == original
+
+
+def test_report_detects_inconsistent_sweep_impacts(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", sweep_manifest(tmp_path),
+                 "--out", str(out)]) == 0
+    rundir = only_dir(out)
+    sweep_csv = rundir / "sweep.csv"
+    lines = sweep_csv.read_text().splitlines()
+    cols = lines[1].split(",")
+    cols[7] = str(float(cols[7]) + 0.5)   # one run row's point impact
+    lines[1] = ",".join(cols)
+    sweep_csv.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["report", "--dir", str(rundir)]) == 2
+    assert "inconsistent impact column" in capsys.readouterr().err
 
 
 def test_report_rejects_empty_or_missing_dirs(tmp_path, capsys):
@@ -295,6 +310,9 @@ def test_report_rejects_empty_or_missing_dirs(tmp_path, capsys):
     empty.mkdir()
     assert main(["report", "--dir", str(empty)]) == 2
     assert "nothing to render" in capsys.readouterr().err
+    (empty / "sweep.csv").write_text("policy,value\n")
+    assert main(["report", "--dir", str(empty)]) == 2
+    assert "no schema header" in capsys.readouterr().err
 
 
 def test_unknown_command_exits_via_argparse(tmp_path):

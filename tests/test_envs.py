@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from policyprobe import envs
 from policyprobe.envs import (EpisodeOverError, MiniPongEnv, PixelGridEnv,
                               make_env, make_spec, oracle_return,
-                              shortest_path_steps)
+                              shortest_path_actions)
 
 
 def rollout(env, seed, actions):
@@ -155,7 +155,7 @@ def test_shortest_path_oracle_agrees_with_greedy_distance():
     env = make_env(spec)
     for episode_seed in range(10):
         env.reset(episode_seed)
-        d = shortest_path_steps(env.walls, env.pos, env.goal)
+        d = len(shortest_path_actions(env.walls, env.pos, env.goal))
         assert d >= 1
         expected = 1.0 - 0.01 * (d - 1)
         assert abs(oracle_return(spec, episode_seed) - expected) < 1e-12
@@ -183,7 +183,7 @@ def test_pixelgrid_goal_always_reachable(seed):
     spec = make_spec("pixelgrid", size=8, seed=3)
     env = make_env(spec)
     env.reset(seed)
-    assert shortest_path_steps(env.walls, env.pos, env.goal) >= 1
+    assert len(shortest_path_actions(env.walls, env.pos, env.goal)) >= 1
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,12 @@ from policyprobe import nn
 from tests.test_nn import dense_net, small_net
 
 
+def box_bounds(net, lo, hi):
+    """Output bounds of one input box, as a batch of one."""
+    lower, upper = nn.ibp_forward_batch(net, lo[None], hi[None])
+    return lower[0], upper[0]
+
+
 def random_net(rng, depth=2):
     layers = []
     n_in = 12
@@ -29,34 +35,33 @@ def test_ibp_encloses_sampled_points_dense(rng):
         net = random_net(rng)
         center = rng.normal(size=12)
         eps = float(rng.uniform(0.01, 0.3))
-        box = nn.Interval(center - eps, center + eps)
-        bounds = nn.ibp_forward(net, box)
+        lower, upper = box_bounds(net, center - eps, center + eps)
         for _ in range(200):
             x = center + rng.uniform(-eps, eps, size=12)
             y = nn.forward(net, x)[-1]
-            assert np.all(y >= bounds.lower - 1e-9)
-            assert np.all(y <= bounds.upper + 1e-9)
+            assert np.all(y >= lower - 1e-9)
+            assert np.all(y <= upper + 1e-9)
 
 
 def test_ibp_encloses_sampled_points_conv(rng):
     net = small_net()
     center = rng.uniform(0.2, 0.8, size=(9, 9, 1))
     eps = 0.05
-    bounds = nn.ibp_forward(net, nn.Interval(center - eps, center + eps))
+    lower, upper = box_bounds(net, center - eps, center + eps)
     for _ in range(300):
         x = center + rng.uniform(-eps, eps, size=center.shape)
         y = nn.forward(net, x)[-1]
-        assert np.all(y >= bounds.lower - 1e-9)
-        assert np.all(y <= bounds.upper + 1e-9)
+        assert np.all(y >= lower - 1e-9)
+        assert np.all(y <= upper + 1e-9)
 
 
 def test_zero_radius_bounds_equal_forward(rng):
     net = random_net(rng)
     x = rng.normal(size=12)
-    bounds = nn.ibp_forward(net, nn.Interval(x.copy(), x.copy()))
+    lower, upper = box_bounds(net, x.copy(), x.copy())
     y = nn.forward(net, x)[-1]
-    assert np.allclose(bounds.lower, y, atol=1e-12)
-    assert np.allclose(bounds.upper, y, atol=1e-12)
+    assert np.allclose(lower, y, atol=1e-12)
+    assert np.allclose(upper, y, atol=1e-12)
 
 
 @given(seed=st.integers(0, 10_000))
@@ -67,17 +72,23 @@ def test_bounds_nest_as_radius_grows(seed):
     x = rng.normal(size=12)
     prev = None
     for eps in (0.0, 0.05, 0.1, 0.2):
-        b = nn.ibp_forward(net, nn.Interval(x - eps, x + eps))
-        assert np.all(b.upper >= b.lower)
+        lower, upper = box_bounds(net, x - eps, x + eps)
+        assert np.all(upper >= lower)
         if prev is not None:
-            assert np.all(b.lower <= prev.lower + 1e-12)
-            assert np.all(b.upper >= prev.upper - 1e-12)
-        prev = b
+            assert np.all(lower <= prev[0] + 1e-12)
+            assert np.all(upper >= prev[1] - 1e-12)
+        prev = lower, upper
 
 
 def test_interval_rejects_crossed_bounds():
-    with pytest.raises(ValueError):
-        nn.Interval(np.array([1.0]), np.array([0.0]))
+    net = dense_net()
+    lo = np.zeros((2, 10))
+    hi = lo + 0.1
+    hi[1, 3] = -0.1
+    with pytest.raises(ValueError, match="lower > upper"):
+        nn.ibp_forward_batch(net, lo, hi)
+    with pytest.raises(nn.ShapeMismatchError, match="differ in shape"):
+        nn.ibp_forward_batch(net, lo, hi[:1])
 
 
 def test_batch_ibp_agrees_with_single(rng):
@@ -86,9 +97,9 @@ def test_batch_ibp_agrees_with_single(rng):
     lo, hi = centers - 0.03, centers + 0.03
     blo, bhi = nn.ibp_forward_batch(net, lo, hi)
     for i in range(3):
-        single = nn.ibp_forward(net, nn.Interval(lo[i], hi[i]))
-        assert np.allclose(blo[i], single.lower, atol=1e-12)
-        assert np.allclose(bhi[i], single.upper, atol=1e-12)
+        lower, upper = box_bounds(net, lo[i], hi[i])
+        assert np.allclose(blo[i], lower, atol=1e-12)
+        assert np.allclose(bhi[i], upper, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,22 @@
 """Network core: forward/backward against finite differences and direct
-convolution loops, serialization round-trips, optimizer identities."""
+convolution loops, the determinism contract, serialization round-trips,
+optimizer identities."""
 
-import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from policyprobe import checkpoint as cp
 from policyprobe import nn
+from policyprobe import qlearning as ql
+from policyprobe.envs import make_env, make_spec
+
+TESTS_DIR = Path(__file__).resolve().parent
 
 
 def small_net(seed=0, activation="relu"):
@@ -120,7 +129,7 @@ def test_backprop_matches_finite_differences_dense(rng):
     gout = rng.normal(size=3)
     tape = []
     nn.forward(net, x, tape)
-    grads = nn.backprop(net, x, gout, "params", tape)
+    grads = nn.backprop_batch(net, x[None], gout[None], "params", tape)
     fd = fd_param_grads(net, x, gout)
     for (_, name, g), (_, _, f) in zip(grads.arrays(), fd.arrays()):
         assert np.allclose(g, f, atol=2e-5), name
@@ -132,7 +141,7 @@ def test_backprop_matches_finite_differences_conv(rng):
     gout = rng.normal(size=5)
     tape = []
     nn.forward(net, x, tape)
-    grads = nn.backprop(net, x, gout, "params", tape)
+    grads = nn.backprop_batch(net, x[None], gout[None], "params", tape)
     fd = fd_param_grads(net, x, gout)
     for (_, name, g), (_, _, f) in zip(grads.arrays(), fd.arrays()):
         assert np.allclose(g, f, atol=2e-5), name
@@ -144,7 +153,7 @@ def test_input_gradient_matches_finite_differences(rng):
     gout = rng.normal(size=5)
     tape = []
     nn.forward(net, x, tape)
-    gin = nn.backprop(net, x, gout, "input", tape)
+    gin = nn.backprop_batch(net, x[None], gout[None], "input", tape)[0]
     h = 1e-6
     for idx in [(0, 0, 0), (4, 5, 0), (8, 8, 0)]:
         xp = x.copy(); xp[idx] += h
@@ -159,9 +168,11 @@ def test_backprop_names_one_product(rng):
     tape = []
     nn.forward(net, x, tape)
     with pytest.raises(ValueError, match="wrt"):
-        nn.backprop(net, x, rng.normal(size=5), "both", tape)
+        nn.backprop_batch(net, x[None], rng.normal(size=(1, 5)), "both",
+                          tape)
     with pytest.raises(nn.ShapeMismatchError):
-        nn.backprop(net, x, rng.normal(size=4), "input", tape)
+        nn.backprop_batch(net, x[None], rng.normal(size=(1, 4)), "input",
+                          tape)
 
 
 def test_backprop_rejects_a_tape_from_another_input(rng):
@@ -203,6 +214,75 @@ def test_non_finite_input_rejected():
     bad = np.full(10, np.nan)
     with pytest.raises(nn.NonFiniteError):
         nn.forward(net, bad)
+
+
+# ---------------------------------------------------------------------------
+# Determinism contract (see the nn module docstring)
+# ---------------------------------------------------------------------------
+
+def reference_nets():
+    paths = (TESTS_DIR / "data" / f"{name}_pixelgrid.txt"
+             for name in ("vanilla", "radial", "sa"))
+    return [cp.load_checkpoint(path)[0].params for path in paths]
+
+
+def reference_states(nets):
+    """Every distinct observation the bundled policies visit on clean
+    episodes 0..99, in first-visit order, scaled to [0, 1]."""
+    env = make_env(make_spec("pixelgrid", size=8, seed=0))
+    seen = {}
+    for net in nets:
+        for seed in range(100):
+            obs, terminal = env.reset(seed), False
+            while not terminal:
+                seen.setdefault(obs.tobytes(), obs)
+                step = env.step(ql.greedy_action(net, obs))
+                obs, terminal = step.observation, step.terminal
+    return np.stack(list(seen.values())) / 255.0
+
+
+def contract_outputs() -> bytes:
+    """Q values and interval bounds of each reference net on the reference
+    states, run in chunks of 1, of 8 and of all of them."""
+    nets = reference_nets()
+    x = reference_states(nets)
+    out = []
+    for net in nets:
+        for size in (1, 8, len(x)):
+            for i in range(0, len(x), size):
+                out.append(nn.forward_batch(net, x[i:i + size])[-1])
+                out.extend(nn.ibp_forward_batch(
+                    net, *ql.input_box(x[i:i + size], 0.01)))
+    return b"".join(a.tobytes() for a in out)
+
+
+def test_batch_passes_are_bit_exact_across_blas_threads():
+    path = os.pathsep.join(filter(None, [str(TESTS_DIR.parent / "src"),
+                                         str(TESTS_DIR),
+                                         os.environ.get("PYTHONPATH")]))
+    code = ("import sys, test_nn; "
+            "sys.stdout.buffer.write(test_nn.contract_outputs())")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        outputs.append(subprocess.run([sys.executable, "-c", code], env=env,
+                                      capture_output=True, check=True,
+                                      timeout=300).stdout)
+    assert len(outputs[0]) > 0 and outputs[0] == outputs[1]
+
+
+def test_batch_size_moves_q_values_by_ulps_only():
+    nets = reference_nets()
+    x = reference_states(nets)
+    for net in nets:
+        single = np.concatenate([nn.forward_batch(net, x[i:i + 1])[-1]
+                                 for i in range(len(x))])
+        bound = 16 * np.spacing(np.abs(single).max(axis=1))
+        for size in (2, 8, 32):
+            q = np.concatenate([nn.forward_batch(net, x[i:i + size])[-1]
+                                for i in range(0, len(x), size)])
+            assert np.array_equal(q.argmax(axis=1), single.argmax(axis=1))
+            assert np.all(np.abs(q - single).max(axis=1) <= bound)
 
 
 # ---------------------------------------------------------------------------

@@ -296,6 +296,20 @@ def test_dispatch_matches_direct_calls(rng):
         assert np.array_equal(pb.apply(spec, img), expected), spec.label()
 
 
+def test_spec_with_casts_integer_fields_and_keeps_the_base(rng):
+    base = pb.PerturbationSpec(family="perspective", pt_norm=2.0,
+                               pt_mode="seeded")
+    spec = pb.spec_with("perspective", "pt_seed", 3.0, base)
+    assert spec == pb.PerturbationSpec(family="perspective", pt_norm=2.0,
+                                       pt_mode="seeded", pt_seed=3)
+    assert type(spec.pt_seed) is int
+    img = noise_image(rng)
+    assert np.array_equal(pb.apply(spec, img),
+                          pb.perspective(img, 2.0, "seeded", 3))
+    assert type(pb.spec_with("median_blur", "kernel", 3.0).kernel) is int
+    assert type(pb.spec_with("dct_artifacts", "kappa", 0.5).kappa) is float
+
+
 def test_labels_are_distinct_and_informative():
     labels = [s.label() for s in IDENTITY_SPECS]
     assert len(set(labels)) == len(labels)  # parameters show up in the label

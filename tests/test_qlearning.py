@@ -119,13 +119,37 @@ def test_double_dqn_uses_online_argmax_with_target_value():
 # Certified regularizers
 # ---------------------------------------------------------------------------
 
+def sa_regularizer(net, obs, eps_rob, c):
+    """Value oracle for the hinge action-consistency penalty of one raw
+    observation: max(max_{a'!=a*} U(a') - L(a*), -c) over the eps ball."""
+    x = np.asarray(obs, dtype=np.float64) / ql.OBS_SCALE
+    a_star = int(np.argmax(nn.forward(net, x)[-1]))
+    lo, hi = ql.input_box(x, eps_rob)
+    lower, upper = nn.ibp_forward_batch(net, lo[None], hi[None])
+    inner = float(np.delete(upper[0], a_star).max() - lower[0, a_star])
+    return max(inner, -c)
+
+
+def radial_loss(net, batch, eps_rob):
+    """Value oracle for the overlap loss: mean over the batch of
+    sum_a' OV(s, a', eps) * Qdiff(s, a')."""
+    s, a, _, _, _ = ql._batch_arrays(batch)
+    q = nn.forward_batch(net, s)[-1]
+    lo, hi = ql.input_box(s, eps_rob)
+    blo, bhi = nn.ibp_forward_batch(net, lo, hi)
+    rows = np.arange(len(batch))
+    qdiff = np.maximum(0.0, q - q[rows, a][:, None])
+    ov = np.maximum(0.0, bhi - blo[rows, a][:, None] + 0.5 * qdiff)
+    return float(np.mean((ov * qdiff).sum(axis=1)))
+
+
 def test_sa_regularizer_zero_radius_is_negative_margin(rng):
     net = dense_net()
     obs = rng.integers(0, 256, size=10).astype(float)
     q = nn.forward(net, obs / 255.0)[-1]
     a_star = int(np.argmax(q))
     margin = float(np.delete(q, a_star).max() - q[a_star])
-    got = ql.sa_regularizer(net, obs, eps_rob=0.0, c=100.0)
+    got = sa_regularizer(net, obs, eps_rob=0.0, c=100.0)
     assert margin < 0
     assert abs(got - margin) < 1e-12
 
@@ -134,13 +158,13 @@ def test_sa_regularizer_hinge_floor(rng):
     net = dense_net()
     obs = rng.integers(0, 256, size=10).astype(float)
     tiny_c = 1e-6
-    assert ql.sa_regularizer(net, obs, eps_rob=0.0, c=tiny_c) == -tiny_c
+    assert sa_regularizer(net, obs, eps_rob=0.0, c=tiny_c) == -tiny_c
 
 
 def test_sa_regularizer_monotone_in_radius(rng):
     net = dense_net()
     obs = rng.integers(0, 256, size=10).astype(float)
-    values = [ql.sa_regularizer(net, obs, eps_rob=e, c=10.0)
+    values = [sa_regularizer(net, obs, eps_rob=e, c=10.0)
               for e in (0.0, 0.01, 0.05, 0.1)]
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
@@ -153,7 +177,7 @@ def test_sa_inner_term_dominates_sampled_perturbations(rng):
     x = obs / 255.0
     q = nn.forward(net, x)[-1]
     a_star = int(np.argmax(q))
-    ibp_inner = ql.sa_regularizer(net, obs, eps_rob=eps, c=1e9)
+    ibp_inner = sa_regularizer(net, obs, eps_rob=eps, c=1e9)
     best = -np.inf
     for _ in range(100_000 // 50):
         xs = np.clip(x + rng.uniform(-eps, eps, size=(50, 10)), 0, 1)
@@ -180,7 +204,7 @@ def test_radial_loss_zero_radius_identity(pixelgrid_spec, rng):
     """At radius zero the loss collapses to 1.5 * mean of sum Qdiff^2."""
     net = nn.qnet_params(pixelgrid_spec.obs_shape, 4, seed=3)
     batch = tiny_transitions(rng, pixelgrid_spec, 6)
-    got = ql.radial_loss(net, batch, eps_rob=0.0)
+    got = radial_loss(net, batch, eps_rob=0.0)
     s = np.stack([t.s for t in batch]).astype(float) / 255.0
     q = nn.forward_batch(net, s)[-1]
     a = np.array([t.a for t in batch])
@@ -196,7 +220,7 @@ def test_radial_loss_vanishes_when_taken_action_dominates(rng):
                                      activation="identity")])
     obs = rng.integers(0, 256, size=4).astype(np.uint8)
     batch = [ql.Transition(obs, 0, 0.0, obs, False)]
-    assert ql.radial_loss(net, batch, eps_rob=0.001) == 0.0
+    assert radial_loss(net, batch, eps_rob=0.001) == 0.0
 
 
 def test_certification_predicate_monotone(vanilla_checkpoint, pixelgrid_spec):
@@ -221,18 +245,19 @@ def _loss_fn(kind, net, batch, target, weights):
         y = ql._dqn_targets(net, target, r, s_next, term, 0.9)
         q = nn.forward_batch(net, s)[-1][np.arange(len(batch)), a]
         return float(np.mean(weights * ql._huber(y - q)))
-    q, tape = _forward(net, batch)
+    s, a, _, _, _ = ql._batch_arrays(batch)
+    q, tape = _forward(net, s)
     if kind == "sa":
-        value, _ = ql._sa_grads(net, batch, q, 0.01, 1.0)
+        value, _ = ql._sa_grads(net, s, q, 0.01, 1.0)
         return value
-    value, _ = ql._radial_grads(net, batch, q, tape, 0.01)
+    value, _ = ql._radial_grads(net, s, a, q, tape, 0.01)
     return value
 
 
-def _forward(net, batch):
-    """Q values and tape of net's forward on the batch's states."""
+def _forward(net, s):
+    """Q values and tape of net's forward on the states s."""
     tape = []
-    q = nn.forward_batch(net, ql._batch_arrays(batch)[0], tape)[-1]
+    q = nn.forward_batch(net, s, tape)[-1]
     return q, tape
 
 
@@ -242,13 +267,14 @@ def test_loss_gradients_match_finite_differences(kind, pixelgrid_spec, rng):
     target = nn.qnet_params(pixelgrid_spec.obs_shape, 4, seed=12)
     batch = tiny_transitions(rng, pixelgrid_spec, 4)
     weights = rng.uniform(0.5, 1.0, size=4)
+    arrays = ql._batch_arrays(batch)
+    s, a = arrays[0], arrays[1]
     if kind == "td":
-        _, _, grads, _, _ = ql._td_grads(net, target, batch, 0.9, weights)
+        _, _, grads, _, _ = ql._td_grads(net, target, arrays, 0.9, weights)
     elif kind == "sa":
-        _, grads = ql._sa_grads(net, batch, _forward(net, batch)[0], 0.01,
-                                1.0)
+        _, grads = ql._sa_grads(net, s, _forward(net, s)[0], 0.01, 1.0)
     else:
-        _, grads = ql._radial_grads(net, batch, *_forward(net, batch), 0.01)
+        _, grads = ql._radial_grads(net, s, a, *_forward(net, s), 0.01)
     h = 1e-5
     checked = 0
     for (_, name, arr), (_, _, garr) in zip(net.arrays(), grads.arrays()):
@@ -327,8 +353,9 @@ def test_training_update_forms_no_observation_gradient(
 @pytest.mark.parametrize("objective", ["vanilla", "sa-ddqn", "radial"])
 def test_training_update_forwards_the_batch_states_once(
         objective, pixelgrid_spec, monkeypatch):
-    """The regularizer gradients reuse the TD loss's forward on the batch's
-    states, so one update runs the online net on those states once."""
+    """One update stacks its batch into arrays once, and the regularizer
+    gradients reuse the TD loss's forward on the batch's states, so the
+    online net runs on those states once."""
     states, on_states = [], []
     batch_arrays, forward_batch = ql._batch_arrays, nn.forward_batch
 
@@ -348,7 +375,7 @@ def test_training_update_forwards_the_batch_states_once(
                          warmup_steps=32, train_every=4, eps_rob=0.01,
                          eps_ramp_start=0, eps_ramp_steps=1, seed=2)
     ql.train(pixelgrid_spec, cfg)
-    assert states and sum(on_states) == 1
+    assert len(states) == 1 and sum(on_states) == 1
 
 
 def test_warm_start_changes_initial_parameters(pixelgrid_spec,
