@@ -112,16 +112,23 @@ def cmd_attack(cfg: config_mod.RunConfig, checkpoint_flag: str,
     fnet = perceptual.load_reference_featurenet()
     env = make_env(ck.env_spec)
     rows = []
+    # observation bytes -> (clean action, adversarial action, distance,
+    # success, similarity); every field is a deterministic function of the
+    # observation, so a state revisited in any run is attacked once
+    memo: dict[bytes, tuple[int, int, float, bool, float]] = {}
     state_index = 0
     for seed in range(cfg.probe.runs):
         obs = env.reset(seed)
         terminal = False
         while not terminal:
-            a_clean = ql.greedy_action(ck.params, obs)
-            _, dist, success, sim, a_adv = harness._view(ck.params, obs,
-                                                         direction, fnet)
-            rows.append((state_index, a_clean, a_adv, dist, success, sim))
-            step = env.step(a_clean)   # trajectory follows the clean policy
+            key = obs.tobytes()
+            if key not in memo:
+                _, dist, success, sim, a_adv = harness._view(ck.params, obs,
+                                                             direction, fnet)
+                memo[key] = (ql.greedy_action(ck.params, obs), a_adv, dist,
+                             success, sim)
+            rows.append((state_index, *memo[key]))
+            step = env.step(memo[key][0])   # trajectory follows the clean policy
             obs, terminal = step.observation, step.terminal
             state_index += 1
     rundir = cp.run_directory("attack", _resolve_root(cfg, out_flag))
@@ -279,7 +286,11 @@ def cmd_report(rundir: str) -> int:
             return _fail(f"unexpected schema {header[0]} in {runs_csv}")
         scores = [float(r[2]) for r in rows]
         sims = [float(r[3]) for r in rows]
-        fields = _report_fields(base / "report.txt")
+        report_txt = base / "report.txt"
+        if not report_txt.exists():
+            return _fail(f"{report_txt} is missing: runs.csv is rendered "
+                         "against the clean score stored there")
+        fields = _report_fields(report_txt)
         clean = float(fields["score_clean"])
         score_min = float(fields["score_min_fixed"])
         impact = harness.impact(clean, float(np.mean(scores)), score_min)

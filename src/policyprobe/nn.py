@@ -25,10 +25,31 @@ matching forward pass (`forward_batch` / `ibp_forward_batch`) filled, so
 each gradient costs one forward pass, and a caller can inspect the outputs
 before it chooses the output gradient.
 
+Convolutions run as im2col plus one matrix product. The im2col matrix is
+one contiguous copy of a strided window view of the (padded) input.
+The input gradient of a stride-s convolution is the full correlation of
+the s-dilated output gradient with the spatially flipped, channel-swapped
+kernel. Most of that correlation's products multiply inserted zeros:
+output row h meets undilated gout entries only through the kernel rows
+u = (kh - 1 - h) mod s, + s, + 2s, ... So `conv2d_input_grad` splits the
+rows and columns of the correlation by stride phase (h mod s, w mod s).
+Each phase is a stride-1 correlation of the undilated gout with that
+phase's kernel taps, in the dilated correlation's (u, v, cout) order: one
+im2col and one matrix product per phase, written into the phase's strided
+slots of the input gradient. BLAS gets the same nonzero products as the
+dilated form, in the same order, and none of the zeros.
+
 Determinism contract. The matrix products go through BLAS, whose summation
 order follows the shapes it is handed:
-  - For a fixed batch composition, `forward_batch` and `ibp_forward_batch`
-    return the same bits at 1 and at 2 BLAS threads.
+  - For a fixed batch composition, `forward_batch`, `ibp_forward_batch`
+    and the input gradient of `backprop_batch` return the same bits at 1
+    and at 2 BLAS threads.
+  - On the bundled Q-net conv layers, (6, 6, 1, 8) at stride 3 and
+    (3, 3, 8, 16) at stride 2, `conv2d_input_grad` returns the bits of the
+    dilated correlation at every batch size and at 1 and 2 BLAS threads,
+    so checkpoint ids and attack outputs do not depend on which of the two
+    forms runs. On other shapes BLAS may group the same products
+    differently, and the two agree to a few ulps only.
   - Across batch sizes, a row's values are not bit-stable: the same state
     at B=1 and inside a batch of 32 may differ in the last bits. They agree
     to within 16 * np.spacing of the row's largest |Q|, and the greedy
@@ -44,7 +65,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 Array = np.ndarray
 
@@ -179,14 +200,22 @@ def _act_mask(pre: Array, tag: str) -> Array | None:
 # Convolution primitives (batched, NHWC)
 # ---------------------------------------------------------------------------
 
+def _windows(x: Array, kh: int, kw: int, stride: int, oh: int, ow: int) -> Array:
+    """Read-only (B, oh, ow, kh, kw, C) view of the kh x kw windows of x,
+    one every `stride` pixels from the top-left corner; no data is copied."""
+    b, _, _, c = x.shape
+    sb, sh, sw, sc = x.strides
+    return as_strided(x, (b, oh, ow, kh, kw, c),
+                      (sb, sh * stride, sw * stride, sh, sw, sc), writeable=False)
+
+
 def _conv_windows(x: Array, kh: int, kw: int, stride: int, pad: int) -> Array:
     """im2col: (B, H, W, C) -> (B*oh*ow, kh*kw*C) plus the output grid shape."""
     if pad:
         x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-    win = sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    # win: (B, oh, ow, C, kh, kw) -> (B, oh, ow, kh, kw, C)
-    b, oh, ow = win.shape[:3]
-    cols = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3))
+    b, h, w, _ = x.shape
+    oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
+    cols = np.ascontiguousarray(_windows(x, kh, kw, stride, oh, ow))
     return cols.reshape(b * oh * ow, -1), (b, oh, ow)
 
 
@@ -194,7 +223,7 @@ def conv2d_forward(x: Array, kernel: Array, bias: Array | None,
                    stride: int, pad: int) -> Array:
     kh, kw, cin, cout = kernel.shape
     cols, (b, oh, ow) = _conv_windows(x, kh, kw, stride, pad)
-    k2 = kernel.transpose(0, 1, 2, 3).reshape(kh * kw * cin, cout)
+    k2 = kernel.reshape(kh * kw * cin, cout)
     y = (cols @ k2).reshape(b, oh, ow, cout)
     if bias is not None:
         y = y + bias
@@ -209,20 +238,44 @@ def conv2d_kernel_grad(x: Array, gout: Array, kernel_shape: tuple,
     return (cols.T @ g2).reshape(kh, kw, cin, cout)
 
 
+def _phase(r: int, k: int, s: int, n_full: int) -> tuple[int, int, int, int]:
+    """One axis of stride phase r of the full correlation (module docstring):
+    its first kernel tap, its tap count, its row count, and the gout row its
+    first row's first tap reads, counted from the unpadded gout."""
+    u0 = (k - 1 - r) % s
+    return (u0, len(range(u0, k, s)), len(range(r, n_full, s)),
+            (r + u0 - k + 1) // s)
+
+
 def conv2d_input_grad(gout: Array, kernel: Array, stride: int, pad: int,
                       in_h: int, in_w: int) -> Array:
-    """Gradient w.r.t. the conv input: dilate gout, full-correlate with the
-    spatially flipped, channel-swapped kernel, then crop the zero padding."""
+    """Gradient w.r.t. the conv input, one stride phase at a time (see the
+    module docstring), then cropped of the zero padding."""
     kh, kw, cin, cout = kernel.shape
     b, oh, ow, _ = gout.shape
-    hd, wd = (oh - 1) * stride + 1, (ow - 1) * stride + 1
-    gd = np.zeros((b, hd, wd, cout))
-    gd[:, ::stride, ::stride] = gout
-    kf = np.ascontiguousarray(kernel[::-1, ::-1].transpose(0, 1, 3, 2))  # (kh,kw,cout,cin)
-    full = conv2d_forward(gd, kf, None, 1, kh - 1)  # (b, hd+kh-1, wd+kw-1, cin)
-    hp, wp = in_h + 2 * pad, in_w + 2 * pad
-    dxp = np.zeros((b, hp, wp, cin))
-    dxp[:, :full.shape[1], :full.shape[2]] = full
+    s = stride
+    hf, wf = (oh - 1) * s + kh, (ow - 1) * s + kw  # full correlation's size
+    # A phase has at most ph + 1 taps per column and reads gout rows
+    # -ph .. oh + ph - 1. One view of (ph + 1)-row windows starting at each
+    # of those rows holds every phase's windows as a slice, so gout gets ph
+    # zero rows above and 2 * ph below (pw, 2 * pw columns) to back it.
+    ph, pw = (kh - 1) // s, (kw - 1) // s
+    gp = np.zeros((b, oh + 3 * ph, ow + 3 * pw, cout))
+    gp[:, ph:ph + oh, pw:pw + ow] = gout
+    win = _windows(gp, ph + 1, pw + 1, 1, oh + 2 * ph, ow + 2 * pw)
+    kf = kernel[::-1, ::-1].transpose(0, 1, 3, 2)  # (kh, kw, cout, cin)
+    dxp = np.zeros((b, in_h + 2 * pad, in_w + 2 * pad, cin))
+    col_phases = [(q, *_phase(q, kw, s, wf)) for q in range(s)]
+    for r in range(s):
+        u0, nu, nt, i0 = _phase(r, kh, s, hf)
+        for q, v0, nv, nw, j0 in col_phases:
+            if not (nu and nv):
+                continue  # no tap reaches this phase: its gradient is zero
+            cols = np.ascontiguousarray(
+                win[:, ph + i0:ph + i0 + nt, pw + j0:pw + j0 + nw, :nu, :nv])
+            k2 = kf[u0::s, v0::s].reshape(nu * nv * cout, cin)
+            dxp[:, r:hf:s, q:wf:s] = (cols.reshape(b * nt * nw, -1) @ k2
+                                      ).reshape(b, nt, nw, cin)
     return dxp[:, pad:pad + in_h, pad:pad + in_w]
 
 
@@ -243,7 +296,7 @@ def _check_layer_input(i: int, lay: Layer, x: Array) -> None:
             raise ShapeMismatchError(f"layer {i} (conv): input {x.shape} too small "
                                      f"for kernel {lay.kernel.shape[:2]}")
     else:
-        flat = int(np.prod(x.shape[1:]))
+        flat = math.prod(x.shape[1:])
         if flat != lay.in_features:
             raise ShapeMismatchError(
                 f"layer {i} (dense): expected {lay.in_features} input features, "

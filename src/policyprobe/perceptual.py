@@ -26,6 +26,7 @@ from importlib import resources
 import numpy as np
 
 from . import nn
+from .perturb import as_image
 
 Array = np.ndarray
 
@@ -139,11 +140,7 @@ def area_resample(obs: Array, size: int = INPUT_SIZE) -> Array:
     and adds each pass's sum to the output; so does this loop, so the two
     agree on any input narrower than _EINSUM_BUFFER pixels.
     """
-    obs = np.asarray(obs, dtype=np.float64)
-    if obs.ndim == 2:
-        obs = obs[:, :, None]
-    if obs.ndim != 3:
-        raise ValueError(f"observation must be (H, W, C), got {obs.shape}")
+    obs = as_image(obs)
     if obs.shape[2] > 1:
         obs = obs.mean(axis=2, keepdims=True)
     if obs.shape[:2] == (size, size):

@@ -102,12 +102,16 @@ def spec_with(family: str, parameter: str, value: float,
     return PerturbationSpec(**{**fields, "family": family, parameter: cast})
 
 
-def _as_image(s: Array) -> Array:
+def as_image(s: Array) -> Array:
+    """An observation as float64 (H, W, C); a 2-D array is one channel.
+    perturb, perceptual and spectral all coerce observations here, so they
+    share one shape rule and one message."""
     s = np.asarray(s, dtype=np.float64)
     if s.ndim == 2:
         s = s[:, :, None]
     if s.ndim != 3:
-        raise ValueError(f"observation must be (H, W, C), got shape {s.shape}")
+        raise ValueError(
+            f"observation must be (H, W, C) or (H, W), got shape {s.shape}")
     return s
 
 
@@ -117,12 +121,12 @@ def _as_image(s: Array) -> Array:
 
 def brightness_contrast(s: Array, alpha: float, beta: float) -> Array:
     """Per-pixel linear map s*alpha + beta on the [0, 255] scale, clamped."""
-    return np.clip(_as_image(s) * alpha + beta, 0.0, 255.0)
+    return np.clip(as_image(s) * alpha + beta, 0.0, 255.0)
 
 
 def median_blur(s: Array, kernel: int) -> Array:
     """k-by-k per-channel median; borders handled by edge replication."""
-    img = _as_image(s)
+    img = as_image(s)
     if kernel % 2 == 0 or kernel < 1:
         raise ValueError("blur kernel must be odd and >= 1")
     if kernel > min(img.shape[0], img.shape[1]):
@@ -157,7 +161,7 @@ def rotate(s: Array, degrees: float) -> Array:
     Multiples of 90 degrees use exact integer cos/sin, so square images come
     back as pure coordinate permutations.
     """
-    img = _as_image(s)
+    img = as_image(s)
     if degrees % 360 == 0:
         return img.copy()
     quarter = degrees % 360
@@ -183,7 +187,7 @@ def shift(s: Array, ti: int, tj: int, circular: bool = False) -> Array:
 
     Vacated pixels are zero-filled; circular mode wraps instead.
     """
-    img = _as_image(s)
+    img = as_image(s)
     h, w, _ = img.shape
     if ti != int(ti) or tj != int(tj):
         raise ValueError("shift distances must be integers")
@@ -251,7 +255,7 @@ def apply_homography(s: Array, gamma: Array) -> Array:
     """Warp with a destination-to-source homogeneous matrix (bilinear,
     zero fill). Scaling gamma by any nonzero constant leaves the output
     unchanged."""
-    img = _as_image(s)
+    img = as_image(s)
     gamma = np.asarray(gamma, dtype=np.float64)
     if gamma.shape != (3, 3):
         raise ValueError("homography matrix must be 3x3")
@@ -274,7 +278,7 @@ def apply_homography(s: Array, gamma: Array) -> Array:
 def perspective(s: Array, pt_norm: float, pt_mode: str = "deterministic",
                 pt_seed: int = 0) -> Array:
     """Perspective warp whose largest corner displacement is pt_norm pixels."""
-    img = _as_image(s)
+    img = as_image(s)
     gamma = perspective_matrix(img.shape[0], img.shape[1], pt_norm,
                                pt_mode, pt_seed)
     if pt_norm == 0:
@@ -312,7 +316,7 @@ def dct_artifacts(s: Array, kappa: float) -> Array:
     """
     if not 0.0 <= kappa <= 1.0:
         raise ValueError("kappa must lie in [0, 1]")
-    img = _as_image(s)
+    img = as_image(s)
     h, w, c = img.shape
     ph = (-h) % DCT_BLOCK
     pw = (-w) % DCT_BLOCK
@@ -337,7 +341,7 @@ def apply(spec: PerturbationSpec, s: Array) -> Array:
     """Apply one perturbation spec to one observation."""
     fam = spec.family
     if fam == "identity":
-        return _as_image(s).copy()
+        return as_image(s).copy()
     if fam == "brightness_contrast":
         return brightness_contrast(s, spec.alpha, spec.beta)
     if fam == "median_blur":

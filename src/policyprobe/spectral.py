@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .perturb import as_image
+
 Array = np.ndarray
 
 PIXEL_SCALE = 255.0
@@ -72,11 +74,7 @@ def energy_profile(profile: SpectrumProfile) -> Array:
 def observation_energy(obs: Array) -> Array:
     """Banded energy of a [0, 255] observation: pixels scaled to [0, 1],
     per-channel energies summed."""
-    obs = np.asarray(obs, dtype=np.float64)
-    if obs.ndim == 2:
-        obs = obs[:, :, None]
-    if obs.ndim != 3:
-        raise ValueError(f"observation must be (H, W, C), got {obs.shape}")
+    obs = as_image(obs)
     total = np.zeros(n_bands(obs.shape[0], obs.shape[1]))
     for ch in range(obs.shape[2]):
         total += energy_profile(dft2(obs[:, :, ch] / PIXEL_SCALE))

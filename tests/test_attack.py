@@ -2,15 +2,19 @@
 linear policies, and honesty of the success flag."""
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from policyprobe import attack as atk
+from policyprobe import checkpoint as cp
 from policyprobe import nn
+from policyprobe import qlearning as ql
 from policyprobe.envs import make_env
 
+from conftest import DATA_DIR
 from test_nn import dense_net
 
 
@@ -276,3 +280,44 @@ def test_attacks_form_no_parameter_gradient(vanilla_checkpoint,
         method="cw", epsilon=2 / 255, cw_iterations=20, cw_binary_steps=2))
     assert calls["kernel"] == 0 and calls["zeros"] == 0
     assert calls["obs_input"] >= 2
+
+
+# ---------------------------------------------------------------------------
+# Pinned outputs on the bundled policies
+# ---------------------------------------------------------------------------
+
+def attack_outputs() -> bytes:
+    """FGM and C&W views, distances and success flags, and certificates,
+    on the first three states of episodes 0 and 5 of the vanilla and
+    radial references."""
+    out = []
+    for name in ("vanilla", "radial"):
+        ck, _ = cp.load_checkpoint(DATA_DIR / f"{name}_pixelgrid.txt")
+        env = make_env(ck.env_spec)
+        for seed in (0, 5):
+            obs = env.reset(seed)
+            for _ in range(3):
+                for spec in (atk.AttackSpec(method="fgm", epsilon=0.05),
+                             atk.AttackSpec(method="fgm", p=2.0, epsilon=0.5),
+                             atk.AttackSpec(method="cw", epsilon=0.05,
+                                            cw_iterations=60,
+                                            cw_binary_steps=4)):
+                    res = atk.run_attack(ck.params, obs, spec)
+                    out += [res.observation.tobytes(),
+                            np.float64(res.distance).tobytes(),
+                            bytes([res.success])]
+                out += [bytes([ql.certified(ck.params, obs, eps)])
+                        for eps in (1e-4, 1e-3)]
+                obs = env.step(ql.greedy_action(ck.params, obs)).observation
+    return b"".join(out)
+
+
+# as measured with the numeric stack named in
+# scripts/train_reference_policies.py at 1 and 2 BLAS threads; a change to
+# the gradient path that keeps every bit keeps it
+ATTACK_OUTPUTS_DIGEST = "e9d982dd34be70f8"
+
+
+def test_attack_outputs_match_their_pinned_digest():
+    digest = hashlib.sha256(attack_outputs()).hexdigest()[:16]
+    assert digest == ATTACK_OUTPUTS_DIGEST

@@ -7,8 +7,11 @@ import json
 import numpy as np
 import pytest
 
+from policyprobe import attack
 from policyprobe import checkpoint as cp
+from policyprobe import qlearning as ql
 from policyprobe.cli import main
+from policyprobe.envs import make_env
 
 from conftest import DATA_DIR
 
@@ -166,6 +169,39 @@ def test_attack_writes_per_state_rows(tmp_path, capsys):
     assert "states flipped" in capsys.readouterr().out
 
 
+def test_attack_attacks_each_distinct_state_once(tmp_path, monkeypatch):
+    calls = []
+    run_attack = attack.run_attack
+
+    def counting(net, obs, spec):
+        calls.append(obs.tobytes())
+        return run_attack(net, obs, spec)
+
+    monkeypatch.setattr(attack, "run_attack", counting)
+    cfgp = probe_manifest(tmp_path, {"method": "fgm", "p": "inf",
+                                     "epsilon": 0.05}, runs=4)
+    out = tmp_path / "out"
+    assert main(["attack", "--config", cfgp, "--checkpoint", VANILLA,
+                 "--out", str(out)]) == 0
+    ck, _ = cp.load_checkpoint(VANILLA)
+    env, visited = make_env(ck.env_spec), []
+    for seed in range(4):
+        obs, terminal = env.reset(seed), False
+        while not terminal:
+            visited.append(obs.tobytes())
+            step = env.step(ql.greedy_action(ck.params, obs))
+            obs, terminal = step.observation, step.terminal
+    assert len(set(visited)) < len(visited)   # the runs do revisit states
+    assert sorted(calls) == sorted(set(visited))
+    lines = (only_dir(out) / "states.csv").read_text().splitlines()[1:]
+    assert len(lines) == len(visited)
+    # a revisited state repeats its first row, apart from the state index
+    first: dict[bytes, str] = {}
+    for key, line in zip(visited, lines):
+        fields = line.split(",", 1)[1]
+        assert first.setdefault(key, fields) == fields
+
+
 def test_attack_rollout_flag_adds_probe_report(tmp_path):
     cfgp = probe_manifest(tmp_path, {"method": "fgm", "p": "inf",
                                      "epsilon": 0.05}, runs=2, rollout=True)
@@ -313,6 +349,20 @@ def test_report_rejects_empty_or_missing_dirs(tmp_path, capsys):
     (empty / "sweep.csv").write_text("policy,value\n")
     assert main(["report", "--dir", str(empty)]) == 2
     assert "no schema header" in capsys.readouterr().err
+
+
+def test_report_names_a_missing_report_txt(tmp_path, capsys):
+    cfgp = probe_manifest(tmp_path, {"family": "identity"}, runs=2)
+    out = tmp_path / "out"
+    assert main(["probe", "--config", cfgp, "--checkpoint", VANILLA,
+                 "--out", str(out)]) == 0
+    rundir = only_dir(out)
+    (rundir / "report.txt").unlink()
+    capsys.readouterr()
+    assert main(["report", "--dir", str(rundir)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert str(rundir / "report.txt") in err and "missing" in err
 
 
 def test_unknown_command_exits_via_argparse(tmp_path):

@@ -99,6 +99,88 @@ def test_conv_gradients_match_finite_differences(rng):
         assert abs(fd - gx[idx]) < 1e-5
 
 
+def dilated_input_grad(gout, kernel, stride, pad, in_h, in_w):
+    """The input gradient as one dense correlation: dilate gout by the
+    stride, pad it by the kernel size less one, correlate it with the
+    spatially flipped, channel-swapped kernel, and crop the conv padding.
+    Most of its products multiply inserted zeros; nn.conv2d_input_grad
+    takes only the others, in this correlation's tap order."""
+    kh, kw, cin, cout = kernel.shape
+    b, oh, ow, _ = gout.shape
+    hd, wd = (oh - 1) * stride + 1, (ow - 1) * stride + 1
+    gd = np.zeros((b, hd + 2 * (kh - 1), wd + 2 * (kw - 1), cout))
+    gd[:, kh - 1:kh - 1 + hd:stride, kw - 1:kw - 1 + wd:stride] = gout
+    kf = np.ascontiguousarray(kernel[::-1, ::-1].transpose(0, 1, 3, 2))
+    full = nn.conv2d_forward(gd, kf, None, 1, 0)
+    dxp = np.zeros((b, in_h + 2 * pad, in_w + 2 * pad, cin))
+    dxp[:, :full.shape[1], :full.shape[2]] = full
+    return dxp[:, pad:pad + in_h, pad:pad + in_w]
+
+
+def sparse_gout(rng, shape):
+    """A pre-activation gradient as the rectifier leaves it: about a third
+    of its entries are exact zeros."""
+    return rng.normal(size=shape) * (rng.random(shape) > 0.3)
+
+
+@pytest.mark.parametrize("layer", [0, 1])
+@pytest.mark.parametrize("batch", [1, 2, 8, 32])
+def test_input_grad_is_bit_equal_to_the_dilated_correlation(
+        layer, batch, rng, vanilla_checkpoint):
+    """The determinism contract's case: on the bundled Q-net conv layers,
+    (6, 6, 1, 8) at stride 3 and (3, 3, 8, 16) at stride 2, the phase
+    decomposition returns the dilated correlation's bits."""
+    lay = vanilla_checkpoint[0].params.layers[layer]
+    in_hw = (24, 7)[layer]
+    x = rng.uniform(size=(batch, in_hw, in_hw, lay.kernel.shape[2]))
+    gout = sparse_gout(rng, nn.conv2d_forward(x, lay.kernel, None, lay.stride,
+                                              lay.padding).shape)
+    got = nn.conv2d_input_grad(gout, lay.kernel, lay.stride, lay.padding,
+                               in_hw, in_hw)
+    want = dilated_input_grad(gout, lay.kernel, lay.stride, lay.padding,
+                              in_hw, in_hw)
+    assert np.array_equal(got, want)
+
+
+CONV_CASES = [  # kernel shape, stride, padding, input height and width
+    ((6, 6, 3, 8), 3, 0, (24, 24)),
+    ((3, 3, 4, 5), 1, 1, (9, 8)),
+    ((3, 3, 2, 4), 2, 1, (10, 11)),
+    ((5, 3, 2, 4), 2, 2, (11, 9)),
+    ((2, 4, 3, 6), 3, 1, (13, 12)),
+    ((1, 1, 2, 3), 2, 0, (7, 7)),
+]
+
+
+@pytest.mark.parametrize("kshape,stride,pad,in_hw", CONV_CASES)
+@pytest.mark.parametrize("batch", [1, 8, 32])
+def test_input_grad_is_ulp_close_to_the_dilated_correlation(
+        kshape, stride, pad, in_hw, batch, rng):
+    """Elsewhere BLAS may group the same products differently: the two
+    agree to a few ulps of the largest gradient entry."""
+    kernel = rng.normal(size=kshape)
+    x = rng.normal(size=(batch, *in_hw, kshape[2]))
+    gout = sparse_gout(rng, nn.conv2d_forward(x, kernel, None, stride,
+                                              pad).shape)
+    got = nn.conv2d_input_grad(gout, kernel, stride, pad, *in_hw)
+    want = dilated_input_grad(gout, kernel, stride, pad, *in_hw)
+    assert got.shape == x.shape
+    assert np.abs(got - want).max() <= 8 * np.spacing(np.abs(want).max())
+
+
+@pytest.mark.parametrize("kshape,stride,pad,in_hw", CONV_CASES)
+def test_input_grad_is_the_adjoint_of_the_forward(kshape, stride, pad, in_hw,
+                                                  rng):
+    """<conv(x), g> = <x, input_grad(g)> for the bias-free convolution; the
+    non-square kernels check that each axis is padded by its own size."""
+    kernel = rng.normal(size=kshape)
+    x = rng.normal(size=(2, *in_hw, kshape[2]))
+    y = nn.conv2d_forward(x, kernel, None, stride, pad)
+    gout = rng.normal(size=y.shape)
+    gx = nn.conv2d_input_grad(gout, kernel, stride, pad, *in_hw)
+    assert np.isclose((y * gout).sum(), (x * gx).sum(), rtol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Whole-network backprop against finite differences
 # ---------------------------------------------------------------------------
@@ -242,15 +324,20 @@ def reference_states(nets):
 
 
 def contract_outputs() -> bytes:
-    """Q values and interval bounds of each reference net on the reference
-    states, run in chunks of 1, of 8 and of all of them."""
+    """Q values, interval bounds and input gradients of each reference net
+    on the reference states, run in chunks of 1, of 8 and of all of them."""
     nets = reference_nets()
     x = reference_states(nets)
     out = []
     for net in nets:
         for size in (1, 8, len(x)):
             for i in range(0, len(x), size):
-                out.append(nn.forward_batch(net, x[i:i + size])[-1])
+                tape: list = []
+                q = nn.forward_batch(net, x[i:i + size], tape)[-1]
+                gout = np.linspace(-1.0, 1.0, q.size).reshape(q.shape)
+                out.append(q)
+                out.append(nn.backprop_batch(net, x[i:i + size], gout,
+                                             "input", tape))
                 out.extend(nn.ibp_forward_batch(
                     net, *ql.input_box(x[i:i + size], 0.01)))
     return b"".join(a.tobytes() for a in out)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from policyprobe import perceptual, spectral
 from policyprobe import perturb as pb
 
 
@@ -308,6 +309,20 @@ def test_spec_with_casts_integer_fields_and_keeps_the_base(rng):
                           pb.perspective(img, 2.0, "seeded", 3))
     assert type(pb.spec_with("median_blur", "kernel", 3.0).kernel) is int
     assert type(pb.spec_with("dct_artifacts", "kappa", 0.5).kappa) is float
+
+
+def test_observations_are_coerced_by_one_rule(rng):
+    """perturb, perceptual and spectral read observations through
+    perturb.as_image: a 2-D array is one channel, and any other rank is
+    refused with the same message."""
+    img = noise_image(rng, 24, 24)
+    assert pb.as_image(img[:, :, 0]).shape == (24, 24, 1)
+    for fn in (lambda s: pb.brightness_contrast(s, 1.1, 5.0),
+               perceptual.area_resample, spectral.observation_energy):
+        assert np.array_equal(fn(img[:, :, 0]), fn(img))
+        with pytest.raises(ValueError, match=r"observation must be "
+                           r"\(H, W, C\) or \(H, W\), got shape \(24,\)"):
+            fn(img[0, :, 0])
 
 
 def test_labels_are_distinct_and_informative():
