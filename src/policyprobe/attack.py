@@ -13,6 +13,11 @@ Two attacks against a Q-network, both constrained to an eps-ball measured on
               search over the penalty constant c; success only counts when
               the greedy action verifiably flips
 
+The Q-net is piecewise linear, so the margin's input gradient depends only
+on the runner-up action and the rectifier masks (see the `nn` determinism
+contract); each `cw_minimal` call differentiates every (runner, masks) pair
+once and reuses those exact bits for the rest of the call.
+
 Inputs and outputs are raw [0, 255] observations; reported distances are on
 the [0, 1] scale.
 """
@@ -118,11 +123,15 @@ def fgm(net: nn.ParamSet, obs: Array, spec: AttackSpec) -> AttackResult:
     return AttackResult(adv, dist, flipped)
 
 
-def _margin_and_grad(net: nn.ParamSet, x: Array,
-                     a_star: int) -> tuple[float, bool, Array]:
+def _margin_and_grad(net: nn.ParamSet, x: Array, a_star: int,
+                     grads: dict) -> tuple[float, bool, Array]:
     """Hinge margin of the original greedy action, whether the greedy action
     has strictly flipped, and the margin's input gradient (one forward
-    pass; no backward pass once the margin is closed)."""
+    pass; no backward pass once the margin is closed).
+
+    `grads` memoizes the gradient by (runner, rectifier masks), the only
+    inputs besides the fixed a* that it depends on; the array it returns
+    may be shared, so callers must not modify it in place."""
     tape: list = []
     q = nn.forward(net, x, tape)[-1]
     flipped = int(np.argmax(q)) != a_star
@@ -132,11 +141,15 @@ def _margin_and_grad(net: nn.ParamSet, x: Array,
     margin = float(q[a_star] - others[runner])
     if margin <= 0.0:
         return margin, flipped, np.zeros_like(x)
-    gout = np.zeros_like(q)
-    gout[a_star] = 1.0
-    gout[runner] = -1.0
-    return margin, flipped, nn.backprop_batch(net, x[None], gout[None],
-                                              "input", tape)[0]
+    key = (runner, nn.rectifier_pattern(tape))
+    grad = grads.get(key)
+    if grad is None:
+        gout = np.zeros_like(q)
+        gout[a_star] = 1.0
+        gout[runner] = -1.0
+        grad = grads[key] = nn.backprop_batch(
+            net, x[None], gout[None], "input", tape)[0]
+    return margin, flipped, grad
 
 
 def _restart_point(x: Array, spec: AttackSpec, k: int) -> Array:
@@ -147,9 +160,11 @@ def _restart_point(x: Array, spec: AttackSpec, k: int) -> Array:
 
 
 def _cw_inner(net: nn.ParamSet, x: Array, a_star: int, c_pen: float,
-              spec: AttackSpec, x_start: Array | None = None) -> tuple[Array | None, float]:
+              spec: AttackSpec, grads: dict,
+              x_start: Array | None = None) -> tuple[Array | None, float]:
     """Projected descent for one penalty constant; returns the closest
-    flipped iterate (scaled coords) and its distance, or (None, inf)."""
+    flipped iterate (scaled coords) and its distance, or (None, inf).
+    `grads` is the calling `cw_minimal`'s margin-gradient memo."""
     x_adv = x.copy() if x_start is None else x_start.copy()
     best, best_dist = None, math.inf
     for it in range(spec.cw_iterations):
@@ -162,7 +177,8 @@ def _cw_inner(net: nn.ParamSet, x: Array, a_star: int, c_pen: float,
             # smooth proximity surrogate; the inf-ball projection and the
             # reported inf-norm keep the constraint and metric exact
             dist_grad = delta
-        margin, flipped, margin_grad = _margin_and_grad(net, x_adv, a_star)
+        margin, flipped, margin_grad = _margin_and_grad(net, x_adv, a_star,
+                                                         grads)
         if flipped:
             d = norm_of(delta, spec.p)
             if d < best_dist:
@@ -182,11 +198,12 @@ def cw_minimal(net: nn.ParamSet, obs: Array, spec: AttackSpec) -> AttackResult:
     obs = np.asarray(obs, dtype=np.float64)
     x = obs / OBS_SCALE
     a_star, _ = _greedy(net, x)
+    grads: dict = {}  # (runner, masks) -> margin gradient, for this call only
     best, best_dist = None, math.inf
     lo, hi = spec.cw_penalty_lo, spec.cw_penalty_hi
     c_pen = math.sqrt(lo * hi)
     for _ in range(spec.cw_binary_steps):
-        cand, dist = _cw_inner(net, x, a_star, c_pen, spec)
+        cand, dist = _cw_inner(net, x, a_star, c_pen, spec, grads)
         if cand is None:
             # The clean start can stall on a flat hinge (dead relu paths
             # give a zero margin gradient); seeded restarts inside the ball
@@ -194,7 +211,7 @@ def cw_minimal(net: nn.ParamSet, obs: Array, spec: AttackSpec) -> AttackResult:
             # search keeps following the clean-start outcome.
             for k in range(1, spec.cw_restarts + 1):
                 r_cand, r_dist = _cw_inner(net, x, a_star, c_pen, spec,
-                                           _restart_point(x, spec, k))
+                                           grads, _restart_point(x, spec, k))
                 if r_cand is not None and r_dist < best_dist:
                     best, best_dist = r_cand, r_dist
         if cand is not None:

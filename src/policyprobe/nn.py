@@ -55,6 +55,10 @@ order follows the shapes it is handed:
     to within 16 * np.spacing of the row's largest |Q|, and the greedy
     argmax agrees on every distinct state the bundled reference policies
     visit on their clean episodes.
+  - The input gradient of `backprop_batch` reads gout, the tape's
+    rectifier masks, the weights and the shapes, never the activation
+    values, so two inputs with equal masks get the same bits for the same
+    gout.
 So any output that is compared bit for bit must come from one fixed batch
 composition; every single-observation caller uses B=1.
 """
@@ -418,6 +422,13 @@ def backprop_batch(net: ParamSet, x: Array, gout: Array, wrt: str,
         raise ValueError(f"wrt must be one of {tuple(_BACKWARD)}, got {wrt!r}")
     _check_tape(tape, np.shape(x), np.shape(gout))
     return _BACKWARD[wrt](net, tape, np.asarray(gout, dtype=np.float64))
+
+
+def rectifier_pattern(tape: list[dict]) -> bytes:
+    """The rectifier masks a forward pass recorded on its tape, as one key.
+    Inputs with equal patterns get the same input-gradient bits for the
+    same gout (see the determinism contract)."""
+    return b"".join(e["mask"].tobytes() for e in tape if e["mask"] is not None)
 
 
 # ---------------------------------------------------------------------------

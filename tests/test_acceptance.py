@@ -412,23 +412,29 @@ def test_c10_certified_states_resist_cw():
         assert b <= a + 1e-12, f"certified fraction increased: {fracs}"
     # The certificate at eps covers every smaller radius (the balls nest),
     # so each state is attacked once at the largest radius it certifies.
+    # cw_minimal is deterministic, so a state visited again keeps the
+    # verdict of its first attack.
     attacked = successes = 0
+    verdicts = {}
     for i, state in enumerate(states):
         certified_radii = [eps for eps in grid if cert[eps][i]]
         if not certified_radii:
             continue
         eps = max(certified_radii)
-        res = atk.cw_minimal(ck.params, state,
-                             atk.AttackSpec(method="cw", p=np.inf,
-                                            epsilon=eps))
+        key = (state.tobytes(), eps)
+        if key not in verdicts:
+            verdicts[key] = atk.cw_minimal(
+                ck.params, state,
+                atk.AttackSpec(method="cw", p=np.inf, epsilon=eps)).success
         attacked += 1
-        successes += int(res.success)
+        successes += int(verdicts[key])
     assert successes == 0
     elapsed = time.time() - t0
     assert elapsed < 300.0
     _pass(10, f"fractions {['%.3f' % f for f in fracs]} over eps {grid} "
               f"monotone non-increasing; cw failed on all {attacked} "
-              f"certified states (0 successes); {elapsed:.0f}s < 300s")
+              f"certified states, {len(verdicts)} distinct (0 successes); "
+              f"{elapsed:.0f}s < 300s")
 
 
 # ---------------------------------------------------------------------------

@@ -282,6 +282,43 @@ def test_attacks_form_no_parameter_gradient(vanilla_checkpoint,
     assert calls["obs_input"] >= 2
 
 
+def test_cw_runs_one_backward_per_runner_and_mask_pattern(radial_checkpoint,
+                                                          monkeypatch):
+    """C&W's margin gradient depends only on the runner-up action and the
+    rectifier masks, so one call runs one backward pass per distinct
+    (runner, masks) key among its open-margin iterates, and no more."""
+    ck, _ = radial_checkpoint
+    env = make_env(ck.env_spec)
+    obs = env.reset(0)
+    for _ in range(3):
+        obs = env.step(ql.greedy_action(ck.params, obs)).observation
+    a_star = ql.greedy_action(ck.params, obs)
+    keys, backwards = set(), [0]
+    forward, backprop = nn.forward, nn.backprop_batch
+
+    def record_key(net, x, tape=None):
+        outs = forward(net, x, tape)
+        if tape is not None:
+            q = outs[-1].copy()
+            top, q[a_star] = q[a_star], -np.inf
+            runner = int(np.argmax(q))
+            if top - q[runner] > 0.0:
+                keys.add((runner, nn.rectifier_pattern(tape)))
+        return outs
+
+    def count_backward(*args):
+        backwards[0] += 1
+        return backprop(*args)
+
+    monkeypatch.setattr(nn, "forward", record_key)
+    monkeypatch.setattr(nn, "backprop_batch", count_backward)
+    spec = atk.AttackSpec(method="cw", epsilon=2 / 255)
+    atk.cw_minimal(ck.params, obs, spec)
+    assert len(keys) > 1
+    assert backwards[0] == len(keys)
+    assert 10 * backwards[0] < spec.cw_binary_steps * spec.cw_iterations
+
+
 # ---------------------------------------------------------------------------
 # Pinned outputs on the bundled policies
 # ---------------------------------------------------------------------------
@@ -321,3 +358,38 @@ ATTACK_OUTPUTS_DIGEST = "e9d982dd34be70f8"
 def test_attack_outputs_match_their_pinned_digest():
     digest = hashlib.sha256(attack_outputs()).hexdigest()[:16]
     assert digest == ATTACK_OUTPUTS_DIGEST
+
+
+def default_cw_outputs() -> bytes:
+    """Default-settings C&W views, distances and success flags at the
+    attack benchmark's radii on the first three states of episode 0, and
+    L2 C&W with two seeded restarts on the first two, of the vanilla and
+    radial references."""
+    out = []
+    for name, radii in (("vanilla", (1e-3, 2 / 255)),
+                        ("radial", (5e-4, 2 / 255))):
+        ck, _ = cp.load_checkpoint(DATA_DIR / f"{name}_pixelgrid.txt")
+        env = make_env(ck.env_spec)
+        obs = env.reset(0)
+        for i in range(3):
+            specs = [atk.AttackSpec(method="cw", epsilon=eps) for eps in radii]
+            if i < 2:
+                specs.append(atk.AttackSpec(method="cw", p=2.0, epsilon=0.05,
+                                            cw_restarts=2))
+            for spec in specs:
+                res = atk.cw_minimal(ck.params, obs, spec)
+                out += [res.observation.tobytes(),
+                        np.float64(res.distance).tobytes(),
+                        bytes([res.success])]
+            obs = env.step(ql.greedy_action(ck.params, obs)).observation
+    return b"".join(out)
+
+
+# recorded before C&W memoized its margin gradient, with the numeric stack
+# named in scripts/train_reference_policies.py; the memo keeps every bit
+DEFAULT_CW_OUTPUTS_DIGEST = "da6a26298a392ac2"
+
+
+def test_default_cw_outputs_match_their_pinned_digest():
+    digest = hashlib.sha256(default_cw_outputs()).hexdigest()[:16]
+    assert digest == DEFAULT_CW_OUTPUTS_DIGEST

@@ -372,6 +372,35 @@ def test_batch_size_moves_q_values_by_ulps_only():
             assert np.all(np.abs(q - single).max(axis=1) <= bound)
 
 
+def test_input_gradient_reads_only_the_rectifier_masks(rng):
+    """Two observations with equal rectifier patterns get bit-identical
+    input gradients for the same output gradient, although their
+    activations differ; a pair whose patterns differ gets another gradient.
+    C&W memoizes its margin gradient on the pattern because of this."""
+    ck, _ = cp.load_checkpoint(TESTS_DIR / "data" / "vanilla_pixelgrid.txt")
+    x = make_env(ck.env_spec).reset(0) / 255.0
+    gout = np.zeros(ck.params.layers[-1].out_features)
+    gout[0], gout[1] = 1.0, -1.0
+
+    def pattern_and_grad(obs):
+        tape = []
+        q = nn.forward(ck.params, obs, tape)[-1]
+        grad = nn.backprop_batch(ck.params, obs[None], gout[None], "input",
+                                 tape)[0]
+        return q, nn.rectifier_pattern(tape), grad
+
+    q0, m0, g0 = pattern_and_grad(x)
+    # scaling keeps blank pixels at zero, so the pre-activations that sit
+    # at exactly zero (zero-bias channels over blank windows) stay there
+    q1, m1, g1 = pattern_and_grad(x * (1.0 + 1e-9))
+    assert not np.array_equal(q0, q1)
+    assert m1 == m0
+    assert np.array_equal(g0, g1)
+    _, m2, g2 = pattern_and_grad(x + rng.uniform(-0.05, 0.05, x.shape))
+    assert m2 != m0
+    assert not np.array_equal(g0, g2)
+
+
 # ---------------------------------------------------------------------------
 # Initialization and fixed architecture
 # ---------------------------------------------------------------------------
