@@ -17,6 +17,13 @@ validation or runtime failure, with the diagnostic on stderr.
 
 from __future__ import annotations
 
+import os
+
+# One BLAS thread unless the caller chose a count, as in the scripts: on
+# matrices this small, OpenBLAS's default of a thread per core adds CPU
+# time, not speed. Set before numpy loads OpenBLAS.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import csv
 import io

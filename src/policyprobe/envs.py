@@ -6,6 +6,12 @@ cells as 3x3 pixel blocks into a single-channel [0, 255] image, and both are
 pure functions of (spec, episode_seed, action sequence): all stochasticity is
 front-loaded into seeded draws.
 
+A PixelGrid layout (walls, goal, start cells) depends on the spec alone,
+so it is drawn once per spec and cached: every env made from one spec
+shares its read-only arrays, and only the agent's position is per env.
+Frames are uint8 cell grids upscaled by repeating each cell 3x3, with no
+float intermediate.
+
 Rewards:
   PixelGrid  +1 on the step that reaches the goal (terminal), -0.01 otherwise
              (wall bumps leave the position unchanged and still cost -0.01).
@@ -15,6 +21,7 @@ Rewards:
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -108,38 +115,54 @@ class EpisodeOverError(RuntimeError):
 
 
 def _render_cells(cells: Array) -> Array:
-    """Upscale an (n, n) grid of shades into (3n, 3n, 1) uint8 pixels."""
-    img = np.kron(cells, np.ones((CELL, CELL)))
-    return img.astype(np.uint8)[:, :, None]
+    """Upscale an (n, n) uint8 grid of shades into (3n, 3n, 1) pixels."""
+    return cells.repeat(CELL, 0).repeat(CELL, 1)[:, :, None]
 
 
 # ---------------------------------------------------------------------------
 # PixelGrid
 # ---------------------------------------------------------------------------
 
-def _grid_layout(spec: EnvSpec) -> tuple[Array, tuple[int, int]]:
-    """Walls and goal for a spec. Wall patterns are redrawn until the floor
-    forms a single connected component, so every seeded start can reach the
-    goal; the goal is then drawn uniformly over floor cells."""
+@dataclass(frozen=True)
+class _GridLayout:
+    walls: Array                         # (n, n) bool, read-only
+    goal: tuple[int, int]
+    starts: tuple[tuple[int, int], ...]  # floor cells but the goal, row-major
+    background: Array                    # (n, n) uint8 shades without the
+                                         # agent, read-only
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_layout(spec: EnvSpec) -> _GridLayout:
+    """Walls, goal and start cells for a spec, drawn once per spec (the
+    cache is unbounded: an entry is a few hundred bytes, and a process
+    sees few specs). Wall patterns are redrawn until the floor forms a
+    single connected component, so every seeded start can reach the goal;
+    the goal is then drawn uniformly over floor cells."""
     n = spec.size
     for attempt in range(1000):
         rng = np.random.default_rng([spec.seed, 11, attempt])
         walls = rng.random((n, n)) < WALL_DENSITY
-        floor = np.argwhere(~walls)
+        floor = [(int(r), int(c)) for r, c in np.argwhere(~walls)]
         if len(floor) < 2:
             continue
-        if len(_bfs(walls, tuple(floor[0]))) == len(floor):
+        if len(_bfs(walls, floor[0])) == len(floor):
             goal_rng = np.random.default_rng([spec.seed, 12])
-            goal = tuple(floor[goal_rng.integers(len(floor))])
-            return walls, goal
+            goal = floor[goal_rng.integers(len(floor))]
+            background = np.where(walls, SHADE_WALL, SHADE_FLOOR
+                                  ).astype(np.uint8)
+            background[goal] = SHADE_GOAL
+            walls.flags.writeable = background.flags.writeable = False
+            return _GridLayout(walls, goal,
+                               tuple(p for p in floor if p != goal),
+                               background)
     raise RuntimeError("could not draw a connected wall layout")
 
 
-def _grid_start(spec: EnvSpec, walls: Array, goal: tuple[int, int],
-                episode_seed: int) -> tuple[int, int]:
-    floor = [tuple(p) for p in np.argwhere(~walls) if tuple(p) != goal]
+def _grid_start(spec: EnvSpec, episode_seed: int) -> tuple[int, int]:
+    starts = _grid_layout(spec).starts
     rng = np.random.default_rng([spec.seed, 13, episode_seed])
-    return floor[rng.integers(len(floor))]
+    return starts[rng.integers(len(starts))]
 
 
 class PixelGridEnv:
@@ -151,20 +174,20 @@ class PixelGridEnv:
         if spec.env_id != "pixelgrid":
             raise ValueError("spec is not a pixelgrid spec")
         self.spec = spec
-        self.walls, self.goal = _grid_layout(spec)
+        layout = _grid_layout(spec)
+        self.walls, self.goal = layout.walls, layout.goal
+        self._background = layout.background
         self.pos: tuple[int, int] | None = None
         self.step_index = 0
         self.terminal = True
 
     def _observe(self) -> Array:
-        cells = np.full((self.spec.size, self.spec.size), SHADE_FLOOR, dtype=np.float64)
-        cells[self.walls] = SHADE_WALL
-        cells[self.goal] = SHADE_GOAL
+        cells = self._background.copy()
         cells[self.pos] = SHADE_AGENT
         return _render_cells(cells)
 
     def reset(self, episode_seed: int) -> Array:
-        self.pos = _grid_start(self.spec, self.walls, self.goal, episode_seed)
+        self.pos = _grid_start(self.spec, episode_seed)
         self.step_index = 0
         self.terminal = False
         return self._observe()
@@ -234,9 +257,9 @@ def oracle_return(spec: EnvSpec, episode_seed: int) -> float:
     """
     if spec.env_id != "pixelgrid":
         raise ValueError("oracle_return is defined for pixelgrid only")
-    walls, goal = _grid_layout(spec)
-    start = _grid_start(spec, walls, goal, episode_seed)
-    d = len(shortest_path_actions(walls, start, goal))
+    layout = _grid_layout(spec)
+    start = _grid_start(spec, episode_seed)
+    d = len(shortest_path_actions(layout.walls, start, layout.goal))
     return episode_return([-0.01] * (d - 1) + [1.0])
 
 
@@ -298,7 +321,7 @@ class MiniPongEnv:
     def _observe(self) -> Array:
         n = self.spec.size
         st = self.state
-        cells = np.full((n, n), SHADE_FLOOR, dtype=np.float64)
+        cells = np.full((n, n), SHADE_FLOOR, dtype=np.uint8)
         cells[st.opp_top:st.opp_top + PADDLE_HEIGHT, 0] = SHADE_WALL
         cells[st.player_top:st.player_top + PADDLE_HEIGHT, n - 1] = SHADE_GOAL
         cells[st.ball] = SHADE_AGENT

@@ -296,10 +296,18 @@ def clean_baseline(params: nn.ParamSet, spec: EnvSpec, runs: int,
 def hsd_verdict(report: ProbeReport, clean_report: ProbeReport,
                 eps_threshold: float, delta_threshold: float) -> bool:
     """Empirical high-sensitivity test: similarity within eps_threshold and
-    mean perturbed return below delta_threshold times the clean mean."""
+    mean perturbed return below delta_threshold times the clean mean.
+
+    The score test is a fraction of the clean mean, which reads backwards
+    when that mean is not positive (a MiniPong rise from -2.0 to -1.5
+    would pass it), so such a clean report is refused."""
     if report.env_id != clean_report.env_id \
             or report.checkpoint_id != clean_report.checkpoint_id:
         raise ValueError("reports compare different envs or policies")
+    if not clean_report.mean_score > 0:
+        raise ValueError(
+            f"clean mean score {clean_report.mean_score!r} is not positive: "
+            "a fraction of it is no score threshold")
     return (report.mean_similarity <= eps_threshold
             and report.mean_score < delta_threshold * clean_report.mean_score)
 

@@ -23,10 +23,17 @@ Each backward pass computes one product, the one its caller consumes:
 Every backward pass reads its activations from the `tape` list that the
 matching forward pass (`forward_batch` / `ibp_forward_batch`) filled, so
 each gradient costs one forward pass, and a caller can inspect the outputs
-before it chooses the output gradient.
+before it chooses the output gradient. `forward_batch` records only when
+it is handed a tape: each layer's input, its shapes and its rectifier
+mask, a bool array (g * mask gives the bits a 0/1 float mask gives).
+Without a tape it forms no mask, so forward-only callers pay nothing for
+a backward pass they never run.
 
 Convolutions run as im2col plus one matrix product. The im2col matrix is
-one contiguous copy of a strided window view of the (padded) input.
+one contiguous copy of a strided window view, an ndarray built directly
+over the input's buffer. Zero padding first copies the input into the
+middle of a preallocated zero frame: the values np.pad would give, without
+its per-call overhead.
 The input gradient of a stride-s convolution is the full correlation of
 the s-dilated output gradient with the spatially flipped, channel-swapped
 kernel. Most of that correlation's products multiply inserted zeros:
@@ -69,7 +76,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 Array = np.ndarray
 
@@ -194,9 +200,10 @@ def _act(pre: Array, tag: str) -> Array:
 
 
 def _act_mask(pre: Array, tag: str) -> Array | None:
-    # derivative mask; None means identity
+    # derivative mask as bools (g * mask is g or a signed zero, the same
+    # bits a 0/1 float mask gives); None means identity
     if tag == "relu":
-        return (pre > 0.0).astype(np.float64)
+        return pre > 0.0
     return None
 
 
@@ -205,19 +212,25 @@ def _act_mask(pre: Array, tag: str) -> Array | None:
 # ---------------------------------------------------------------------------
 
 def _windows(x: Array, kh: int, kw: int, stride: int, oh: int, ow: int) -> Array:
-    """Read-only (B, oh, ow, kh, kw, C) view of the kh x kw windows of x,
-    one every `stride` pixels from the top-left corner; no data is copied."""
+    """(B, oh, ow, kh, kw, C) view of the kh x kw windows of x, one every
+    `stride` pixels from the top-left corner. The view is built straight
+    over x's buffer (x is copied first only if it is not C-contiguous), so
+    its windows overlap in memory: callers read it and never write to it."""
+    x = np.ascontiguousarray(x)
     b, _, _, c = x.shape
     sb, sh, sw, sc = x.strides
-    return as_strided(x, (b, oh, ow, kh, kw, c),
-                      (sb, sh * stride, sw * stride, sh, sw, sc), writeable=False)
+    return np.ndarray((b, oh, ow, kh, kw, c), x.dtype, x, 0,
+                      (sb, sh * stride, sw * stride, sh, sw, sc))
 
 
 def _conv_windows(x: Array, kh: int, kw: int, stride: int, pad: int) -> Array:
-    """im2col: (B, H, W, C) -> (B*oh*ow, kh*kw*C) plus the output grid shape."""
+    """im2col: (B, H, W, C) -> (B*oh*ow, kh*kw*C) plus the output grid shape.
+    Zero padding writes x into the middle of a zero frame."""
+    b, h, w, c = x.shape
     if pad:
-        x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-    b, h, w, _ = x.shape
+        frame = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+        frame[:, pad:pad + h, pad:pad + w] = x
+        x, h, w = frame, h + 2 * pad, w + 2 * pad
     oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
     cols = np.ascontiguousarray(_windows(x, kh, kw, stride, oh, ow))
     return cols.reshape(b * oh * ow, -1), (b, oh, ow)
@@ -307,34 +320,29 @@ def _check_layer_input(i: int, lay: Layer, x: Array) -> None:
                 f"got {flat} from shape {x.shape}")
 
 
-def _forward_tape(net: ParamSet, x: Array) -> tuple[list[Array], list[dict]]:
-    """Batched forward keeping everything the backward pass needs."""
-    outs, tape = [], []
-    cur = x
-    for i, lay in enumerate(net.layers):
-        _check_layer_input(i, lay, cur)
-        if isinstance(lay, ConvLayer):
-            entry = {"input": cur, "in_shape": cur.shape}
-            pre = conv2d_forward(cur, lay.kernel, lay.bias, lay.stride, lay.padding)
-        else:
-            flat = cur.reshape(cur.shape[0], -1)
-            entry = {"input": flat, "in_shape": cur.shape}
-            pre = flat @ lay.weight.T + lay.bias
-        entry["mask"] = _act_mask(pre, lay.activation)
-        entry["out_shape"] = pre.shape
-        cur = _act(pre, lay.activation)
-        outs.append(cur)
-        tape.append(entry)
-    return outs, tape
-
-
 def forward_batch(net: ParamSet, x: Array, tape: list | None = None) -> list[Array]:
     """Run a batch through the net; one post-activation array per layer.
 
     A `tape` list receives what a backward pass over this forward needs
-    (see backprop_batch).
+    (see backprop_batch): each layer's input, shapes and rectifier mask.
+    Without a tape nothing is recorded and no mask is formed.
     """
-    outs, entries = _forward_tape(net, np.asarray(x, dtype=np.float64))
+    outs, entries = [], []
+    cur = np.asarray(x, dtype=np.float64)
+    for i, lay in enumerate(net.layers):
+        _check_layer_input(i, lay, cur)
+        if isinstance(lay, ConvLayer):
+            xin = cur
+            pre = conv2d_forward(cur, lay.kernel, lay.bias, lay.stride, lay.padding)
+        else:
+            xin = cur.reshape(cur.shape[0], -1)
+            pre = xin @ lay.weight.T + lay.bias
+        if tape is not None:
+            entries.append({"input": xin, "in_shape": cur.shape,
+                            "mask": _act_mask(pre, lay.activation),
+                            "out_shape": pre.shape})
+        cur = _act(pre, lay.activation)
+        outs.append(cur)
     if tape is not None:
         tape[:] = entries
     return outs

@@ -3,6 +3,9 @@ error reporting, and the report command's re-render checks."""
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -32,6 +35,30 @@ def only_dir(root):
     dirs = [p for p in root.iterdir() if p.is_dir()]
     assert len(dirs) == 1, f"expected one run directory, found {dirs}"
     return dirs[0]
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("given,expected", [(None, "1"), ("2", "2")])
+def test_cli_defaults_to_one_blas_thread_but_keeps_the_callers(given,
+                                                               expected):
+    """Importing the CLI, as its entry points do, sets OpenBLAS's thread
+    count variable (read when numpy loads) unless the caller set one."""
+    src = str(DATA_DIR.parent.parent / "src")
+    env = {k: v for k, v in os.environ.items()
+           if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    code = ("import os; import policyprobe.cli; "
+            "print(os.environ['OPENBLAS_NUM_THREADS'])")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=60).stdout
+    assert out.strip() == expected
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,87 @@ def test_episode_cap_truncates(env_id, size):
 
 
 # ---------------------------------------------------------------------------
+# Rendering against a float np.kron reference
+# ---------------------------------------------------------------------------
+
+def kron_frame(cells):
+    """The frame of a float (n, n) grid of shades, upscaled with np.kron."""
+    img = np.kron(cells, np.ones((envs.CELL, envs.CELL)))
+    return img.astype(np.uint8)[:, :, None]
+
+
+def pixelgrid_reference(env):
+    cells = np.full((env.spec.size,) * 2, float(envs.SHADE_FLOOR))
+    cells[env.walls] = envs.SHADE_WALL
+    cells[env.goal] = envs.SHADE_GOAL
+    cells[env.pos] = envs.SHADE_AGENT
+    return kron_frame(cells)
+
+
+def minipong_reference(env):
+    n, st = env.spec.size, env.state
+    cells = np.full((n, n), float(envs.SHADE_FLOOR))
+    cells[st.opp_top:st.opp_top + envs.PADDLE_HEIGHT, 0] = envs.SHADE_WALL
+    cells[st.player_top:st.player_top + envs.PADDLE_HEIGHT, n - 1] = \
+        envs.SHADE_GOAL
+    cells[st.ball] = envs.SHADE_AGENT
+    return kron_frame(cells)
+
+
+def assert_same_frame(frame, reference):
+    assert frame.dtype == np.uint8 and frame.shape == reference.shape
+    assert frame.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_pixelgrid_frames_match_the_kron_reference_from_every_start(seed):
+    spec = make_spec("pixelgrid", size=8, seed=seed)
+    env = make_env(spec)
+    starts = {tuple(int(v) for v in p) for p in np.argwhere(~env.walls)}
+    starts.discard(env.goal)
+    seen = set()
+    for episode_seed in range(2000):
+        assert_same_frame(env.reset(episode_seed), pixelgrid_reference(env))
+        if env.pos in seen:
+            continue
+        seen.add(env.pos)
+        for action in range(spec.n_actions):   # one step each way
+            step = env.step(action)
+            assert_same_frame(step.observation, pixelgrid_reference(env))
+            if step.terminal:
+                break
+        if seen == starts:
+            break
+    assert seen == starts
+
+
+def test_minipong_frames_match_the_kron_reference(minipong_spec):
+    env = make_env(minipong_spec)
+    assert_same_frame(env.reset(0), minipong_reference(env))
+    for _ in range(300):
+        step = env.step(env.tracker_action())
+        assert_same_frame(step.observation, minipong_reference(env))
+    assert not step.terminal
+
+
+def test_pixelgrid_layout_is_shared_and_read_only():
+    spec = make_spec("pixelgrid", size=8, seed=0)
+    a, b = make_env(spec), make_env(spec)
+    assert a.walls is b.walls and a.goal == b.goal
+    with pytest.raises(ValueError):
+        a.walls[0, 0] = not a.walls[0, 0]
+    a.reset(0)
+    b.reset(0)
+    start = b.pos
+    for action in range(spec.n_actions):
+        a.step(action)
+        if a.pos != start:
+            break
+    assert a.pos != start and b.pos == start
+    assert_same_frame(b.step(0).observation, pixelgrid_reference(b))
+
+
+# ---------------------------------------------------------------------------
 # PixelGrid
 # ---------------------------------------------------------------------------
 

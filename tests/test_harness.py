@@ -217,6 +217,24 @@ def test_hsd_verdict_boundaries(pixelgrid_spec):
         hz.hsd_verdict(quiet_drop, other, 0.05, 0.5)
 
 
+@pytest.mark.parametrize("clean_scores,perturbed_scores",
+                         [([-2.0, -2.0], [-1.5, -1.5]),   # a rise
+                          ([0.0, 0.0], [-1.0, -1.0])])    # a lost point
+def test_hsd_verdict_refuses_a_non_positive_clean_mean(
+        clean_scores, perturbed_scores, minipong_spec):
+    """On MiniPong a clean mean <= 0 would make `mean < delta * clean_mean`
+    read a better score as high-sensitivity."""
+    clean = synthetic_report(clean_scores, [0.0, 0.0], clean_scores[0],
+                             minipong_spec)
+    perturbed = synthetic_report(perturbed_scores, [0.01, 0.01],
+                                 clean_scores[0], minipong_spec)
+    mean = repr(clean.mean_score)
+    with pytest.raises(ValueError, match=f"clean mean score {mean}"):
+        hz.hsd_verdict(perturbed, clean, 0.05, 0.5)
+    with pytest.raises(ValueError, match="clean mean"):
+        hz.fixed_direction_verdict([perturbed], [clean], 0.05, 0.5)
+
+
 def test_fixed_direction_verdict_is_a_conjunction(pixelgrid_spec):
     clean = synthetic_report([0.9, 0.9], [0.0, 0.0], 0.9, pixelgrid_spec)
     hit = synthetic_report([0.0, 0.0], [0.01, 0.01], 0.9, pixelgrid_spec)

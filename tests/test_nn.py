@@ -10,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.lib.stride_tricks import as_strided
 
 from policyprobe import checkpoint as cp
-from policyprobe import nn
+from policyprobe import nn, perceptual
 from policyprobe import qlearning as ql
 from policyprobe.envs import make_env, make_spec
 
@@ -97,6 +98,41 @@ def test_conv_gradients_match_finite_differences(rng):
         xm = x.copy(); xm[idx] -= h
         fd = (value(xp_, kernel) - value(xm, kernel)) / (2 * h)
         assert abs(fd - gx[idx]) < 1e-5
+
+
+def featurenet_inputs(fnet, batch):
+    """Each reference feature-net layer's input on `batch` PixelGrid
+    frames, one entry per layer."""
+    env = make_env(make_spec("pixelgrid", size=8, seed=0))
+    x = np.stack([perceptual.area_resample(env.reset(seed))
+                  for seed in range(batch)]) / perceptual.PIXEL_SCALE
+    return [x] + nn.forward_batch(fnet.params, x)[:-1]
+
+
+@pytest.mark.parametrize("batch", [1, 4])
+def test_padded_conv_is_bit_equal_to_the_np_pad_form(batch, fnet):
+    """Padding writes the input into a zero frame; the products are those
+    of an np.pad copy run unpadded, bit for bit."""
+    for lay, x in zip(fnet.params.layers, featurenet_inputs(fnet, batch)):
+        p = lay.padding
+        assert p > 0
+        padded = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
+        want = nn.conv2d_forward(padded, lay.kernel, lay.bias, lay.stride, 0)
+        got = nn.conv2d_forward(x, lay.kernel, lay.bias, lay.stride, p)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_windows_of_a_non_contiguous_input_match_as_strided(rng):
+    x = rng.normal(size=(3, 11, 14, 2))[:, 1:, ::2]   # not C-contiguous
+    assert not x.flags.c_contiguous
+    kh, kw, s = 3, 2, 2
+    oh, ow = (x.shape[1] - kh) // s + 1, (x.shape[2] - kw) // s + 1
+    sb, sh, sw, sc = x.strides
+    want = as_strided(x, (x.shape[0], oh, ow, kh, kw, x.shape[3]),
+                      (sb, sh * s, sw * s, sh, sw, sc), writeable=False)
+    got = nn._windows(x, kh, kw, s, oh, ow)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 def dilated_input_grad(gout, kernel, stride, pad, in_h, in_w):
@@ -281,6 +317,20 @@ def test_batch_forward_agrees_with_single(rng):
     for i in range(4):
         single = nn.forward(net, xs[i])[-1]
         assert np.allclose(batch_out[i], single, atol=1e-12)
+
+
+def test_forward_without_a_tape_returns_the_taped_bits(rng, fnet):
+    qnet = reference_nets()[0]
+    cases = [(qnet, rng.uniform(size=(1, 24, 24, 1))),
+             (qnet, rng.uniform(size=(5, 24, 24, 1))),
+             (small_net(), rng.uniform(size=(3, 9, 9, 1))),
+             (fnet.params, featurenet_inputs(fnet, 4)[0])]
+    for net, x in cases:
+        tape: list = []
+        taped = nn.forward_batch(net, x, tape)
+        plain = nn.forward_batch(net, x)
+        assert len(tape) == len(net.layers)
+        assert [a.tobytes() for a in plain] == [a.tobytes() for a in taped]
 
 
 def test_shape_mismatch_rejected(rng):
