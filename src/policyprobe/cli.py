@@ -119,23 +119,26 @@ def cmd_attack(cfg: config_mod.RunConfig, checkpoint_flag: str,
     fnet = perceptual.load_reference_featurenet()
     env = make_env(ck.env_spec)
     rows = []
-    # observation bytes -> (clean action, adversarial action, distance,
-    # success, similarity); every field is a deterministic function of the
-    # observation, so a state revisited in any run is attacked once
-    memo: dict[bytes, tuple[int, int, float, bool, float]] = {}
+    # the rollout probe below reads the table's views, so each distinct
+    # state is attacked once across the table and the rollout; a state's
+    # view and both actions are deterministic functions of it
+    views: harness.Views = {}
+    # observation bytes -> (clean action, action on the view)
+    actions: dict[bytes, tuple[int, int]] = {}
     state_index = 0
     for seed in range(cfg.probe.runs):
         obs = env.reset(seed)
         terminal = False
         while not terminal:
             key = obs.tobytes()
-            if key not in memo:
-                _, dist, success, sim, a_adv = harness._view(ck.params, obs,
-                                                             direction, fnet)
-                memo[key] = (ql.greedy_action(ck.params, obs), a_adv, dist,
-                             success, sim)
-            rows.append((state_index, *memo[key]))
-            step = env.step(memo[key][0])   # trajectory follows the clean policy
+            if key not in views:
+                views[key] = harness._view(ck.params, obs, direction, fnet)
+                actions[key] = (ql.greedy_action(ck.params, obs),
+                                ql.greedy_action(ck.params, views[key][0]))
+            a_clean, a_adv = actions[key]
+            _, dist, success, sim = views[key]
+            rows.append((state_index, a_clean, a_adv, dist, success, sim))
+            step = env.step(a_clean)   # trajectory follows the clean policy
             obs, terminal = step.observation, step.terminal
             state_index += 1
     rundir = cp.run_directory("attack", _resolve_root(cfg, out_flag))
@@ -146,7 +149,8 @@ def cmd_attack(cfg: config_mod.RunConfig, checkpoint_flag: str,
           f"-> {rundir / 'states.csv'}")
     if cfg.probe.rollout:
         report = harness.probe(ck.params, ck.env_spec, direction,
-                               cfg.probe.runs, fnet, checkpoint_id=ck_id)
+                               cfg.probe.runs, fnet, checkpoint_id=ck_id,
+                               views=views)
         cp.atomic_write_text(rundir / "report.txt",
                              cp.report_text(report, cfg.echo))
         cp.atomic_write_text(rundir / "runs.csv", cp.report_csv(report))

@@ -16,15 +16,21 @@ scores are always paired.
 Directions are either a PerturbationSpec (policy-independent, fixed) or an
 AttackSpec (recomputed against the policy at every step).
 
-Within one episode the policy and the direction are fixed, so what the
-policy sees at a step is a pure function of the true observation:
-perturbations are deterministic and attacks seed their own restarts. An
-episode therefore computes the view, its similarity and the greedy action
-once per distinct observation, and reads repeats from a dict keyed on the
-observation's bytes. Repeats get the very values a recomputation would, so
-scores and traces are unchanged. A policy that loses its way loops over a
-few cells until the step cap, so most steps are repeats. The dict lives for
-one episode and holds at most `episode_cap` entries.
+What the policy sees at an observation depends only on the direction and
+the observation, and for an attack on the policy too: perturbations are
+deterministic and attacks seed their own restarts. The view, the attack's
+distance and success, and the view's similarity are therefore computed once
+per distinct observation and read back from a views dict keyed on the
+observation's bytes. A perturbation's views hold for every policy, so
+`sweep` shares one dict across every run and every policy at a grid value;
+an attack's views stay with the policy they were computed against, and a
+`probe` call shares them across its runs. The greedy action on the view is
+memoized the same way in an actions dict, one per `probe` call, where the
+policy and the direction are fixed. Every call runs at batch size 1, so a
+repeat gets the very bits a recomputation would, and scores and traces are
+unchanged. A policy that loses its way loops over a few cells until the
+step cap, so most steps are repeats. A sweep keeps one grid value's views
+alive at a time, at most runs x episode_cap x policies entries.
 """
 
 from __future__ import annotations
@@ -149,12 +155,15 @@ def _sem(values: Array | list[float]) -> float:
 # Episode probe
 # ---------------------------------------------------------------------------
 
+# observation bytes -> (view, attack distance, attack success, similarity)
+Views = dict[bytes, tuple[Array, float, bool, float]]
+
+
 def _view(params: nn.ParamSet, obs: Array, direction: Direction,
-          fnet: perceptual.FeatureNet,
-          ) -> tuple[Array, float, bool, float, int]:
+          fnet: perceptual.FeatureNet) -> tuple[Array, float, bool, float]:
     """What the policy sees at one observation: the perturbed or attacked
-    view, the attack's distance and success, the view's similarity to the
-    observation and the greedy action on the view."""
+    view, the attack's distance and success, and the view's similarity to
+    the observation."""
     if isinstance(direction, perturb.PerturbationSpec):
         viewed = perturb.apply(direction, obs)
         dist, success = 0.0, False
@@ -169,35 +178,43 @@ def _view(params: nn.ParamSet, obs: Array, direction: Direction,
         sim = 0.0
     else:
         sim = perceptual.lpips(fnet, obs, viewed)
-    return viewed, dist, success, sim, greedy_action(params, viewed)
+    return viewed, dist, success, sim
 
 
 def probe_episode(params: nn.ParamSet, spec: EnvSpec, direction: Direction,
                   episode_seed: int,
                   fnet: perceptual.FeatureNet | None = None,
                   keep_trace: bool = True,
+                  views: Views | None = None,
+                  actions: dict[bytes, int] | None = None,
                   ) -> tuple[float, float, int, list[StepTrace]]:
     """One rollout with the policy viewing perturbed observations.
 
     Returns (total reward, mean per-step similarity, env steps taken,
-    per-step trace).
+    per-step trace). `views` and `actions` are the memos of the module
+    docstring, keyed on observation bytes. A caller may share them across
+    episodes: `views` along one direction (and, for an attack, one policy),
+    `actions` for one policy along one direction. Each defaults to a fresh
+    dict for this episode.
     """
     if fnet is None:
         fnet = perceptual.load_reference_featurenet()
+    views = {} if views is None else views
+    actions = {} if actions is None else actions
     env = make_env(spec)
     obs = env.reset(episode_seed)
-    # observation bytes -> (view, attack distance, attack success,
-    # similarity, action); see the module docstring
-    memo: dict[bytes, tuple[Array, float, bool, float, int]] = {}
     rewards: list[float] = []
     sim_sum, steps = 0.0, 0
     trace: list[StepTrace] = []
     terminal = False
     while not terminal:
         key = obs.tobytes()
-        if key not in memo:
-            memo[key] = _view(params, obs, direction, fnet)
-        viewed, dist, success, sim, action = memo[key]
+        if key not in views:
+            views[key] = _view(params, obs, direction, fnet)
+        viewed, dist, success, sim = views[key]
+        if key not in actions:
+            actions[key] = greedy_action(params, viewed)
+        action = actions[key]
         step = env.step(action)
         if keep_trace:
             trace.append(StepTrace(steps, action, step.reward, sim,
@@ -251,12 +268,16 @@ def probe(params: nn.ParamSet, spec: EnvSpec, direction: Direction,
           fnet: perceptual.FeatureNet | None = None,
           checkpoint_id: str = "",
           clean_scores: Array | None = None,
+          views: Views | None = None,
           ) -> ProbeReport:
     """Probe a policy along one direction with paired clean runs.
 
     Episode seeds are 0 .. runs-1 for both the clean baseline and the
     perturbed runs. Precomputed clean_scores (same seeds) can be passed to
-    avoid re-rolling the baseline across many probes.
+    avoid re-rolling the baseline across many probes. Every run shares one
+    views dict and one actions dict (see the module docstring); a caller
+    may pass `views` it filled along the same direction, against the same
+    policy if the direction is an attack.
     """
     if runs < 1:
         raise ValueError("need at least one run")
@@ -267,10 +288,12 @@ def probe(params: nn.ParamSet, spec: EnvSpec, direction: Direction,
         clean_scores = clean_baseline(params, spec, runs, fnet)
     elif len(clean_scores) != runs:
         raise ValueError("clean_scores length must match run count")
+    views = {} if views is None else views
+    actions: dict[bytes, int] = {}
     records = []
     for seed in seeds:
         score, sim, steps, _ = probe_episode(params, spec, direction, seed,
-                                             fnet, keep_trace=False)
+                                             fnet, False, views, actions)
         records.append(RunRecord(seed, score, sim, steps))
     return aggregate(direction, spec, records, float(np.mean(clean_scores)),
                      checkpoint_id, fnet.version)
@@ -281,10 +304,12 @@ def clean_baseline(params: nn.ParamSet, spec: EnvSpec, runs: int,
     """Paired clean scores for seeds 0 .. runs-1 (identity direction, whose
     views never reach lpips)."""
     identity = perturb.PerturbationSpec(family="identity")
+    views: Views = {}
+    actions: dict[bytes, int] = {}
     scores = []
     for seed in range(runs):
         score, _, _, _ = probe_episode(params, spec, identity, seed, fnet,
-                                       keep_trace=False)
+                                       False, views, actions)
         scores.append(score)
     return np.array(scores)
 
@@ -339,25 +364,38 @@ def sweep(policies: list[tuple[str, nn.ParamSet]], spec: EnvSpec, family: str,
     The grid must be strictly increasing; integer-valued parameters (blur
     kernel, shift distances, perspective seed) are cast from the grid
     values (see perturb.spec_with). Clean baselines are rolled once per
-    policy and shared across the grid; a policy whose clean baseline sits
-    at the fixed minimum is refused by name before its grid is probed.
+    policy, in policy order, and shared across the grid; a policy whose
+    clean baseline sits at the fixed minimum is refused by name before any
+    grid point is probed. Policy names must be unique. The policies share
+    one views dict per grid value (see the module docstring). Points are
+    listed policy by policy.
     """
     if any(b >= a for a, b in zip(values[1:], values)):
         raise ValueError("sweep grid must be strictly increasing")
     if not policies:
         raise ValueError("need at least one policy")
+    names = [name for name, _ in policies]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"duplicate policy name {name!r} in sweep")
     if fnet is None:
         fnet = perceptual.load_reference_featurenet()
     ids = checkpoint_ids or {}
-    result = SweepResult(family, parameter, list(values),
-                         [name for name, _ in policies])
+    cleans = []
     for name, params in policies:
         clean = clean_baseline(params, spec, runs, fnet)
         check_baseline(float(np.mean(clean)), spec.score_min, name)
-        for value in values:
-            direction = perturb.spec_with(family, parameter, value,
-                                          base_direction)
-            report = probe(params, spec, direction, runs, fnet,
-                           ids.get(name, ""), clean_scores=clean)
-            result.points.append(SweepPoint(name, float(value), report))
+        cleans.append(clean)
+    reports: dict[tuple[str, float], ProbeReport] = {}
+    for value in values:
+        direction = perturb.spec_with(family, parameter, value,
+                                      base_direction)
+        views: Views = {}
+        for (name, params), clean in zip(policies, cleans):
+            reports[(name, value)] = probe(params, spec, direction, runs,
+                                           fnet, ids.get(name, ""),
+                                           clean_scores=clean, views=views)
+    result = SweepResult(family, parameter, list(values), names)
+    result.points = [SweepPoint(name, float(value), reports[(name, value)])
+                     for name in names for value in values]
     return result

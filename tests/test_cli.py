@@ -2,6 +2,7 @@
 error reporting, and the report command's re-render checks."""
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 
 from policyprobe import attack
 from policyprobe import checkpoint as cp
+from policyprobe import harness
 from policyprobe import qlearning as ql
 from policyprobe.cli import main
 from policyprobe.envs import make_env
@@ -19,6 +21,7 @@ from policyprobe.envs import make_env
 from conftest import DATA_DIR
 
 VANILLA = str(DATA_DIR / "vanilla_pixelgrid.txt")
+RADIAL = str(DATA_DIR / "radial_pixelgrid.txt")
 
 ENV_SECTION = {"id": "pixelgrid", "size": 8, "seed": 0}
 
@@ -196,7 +199,21 @@ def test_attack_writes_per_state_rows(tmp_path, capsys):
     assert "states flipped" in capsys.readouterr().out
 
 
-def test_attack_attacks_each_distinct_state_once(tmp_path, monkeypatch):
+def clean_visits(path, runs):
+    """Observation bytes of every state of greedy rollouts, seeds 0..runs-1."""
+    ck, _ = cp.load_checkpoint(path)
+    env, visited = make_env(ck.env_spec), []
+    for seed in range(runs):
+        obs, terminal = env.reset(seed), False
+        while not terminal:
+            visited.append(obs.tobytes())
+            step = env.step(ql.greedy_action(ck.params, obs))
+            obs, terminal = step.observation, step.terminal
+    return visited
+
+
+def count_attacks(monkeypatch):
+    """Record the observation bytes of every run_attack call."""
     calls = []
     run_attack = attack.run_attack
 
@@ -205,19 +222,17 @@ def test_attack_attacks_each_distinct_state_once(tmp_path, monkeypatch):
         return run_attack(net, obs, spec)
 
     monkeypatch.setattr(attack, "run_attack", counting)
+    return calls
+
+
+def test_attack_attacks_each_distinct_state_once(tmp_path, monkeypatch):
+    calls = count_attacks(monkeypatch)
     cfgp = probe_manifest(tmp_path, {"method": "fgm", "p": "inf",
                                      "epsilon": 0.05}, runs=4)
     out = tmp_path / "out"
     assert main(["attack", "--config", cfgp, "--checkpoint", VANILLA,
                  "--out", str(out)]) == 0
-    ck, _ = cp.load_checkpoint(VANILLA)
-    env, visited = make_env(ck.env_spec), []
-    for seed in range(4):
-        obs, terminal = env.reset(seed), False
-        while not terminal:
-            visited.append(obs.tobytes())
-            step = env.step(ql.greedy_action(ck.params, obs))
-            obs, terminal = step.observation, step.terminal
+    visited = clean_visits(VANILLA, 4)
     assert len(set(visited)) < len(visited)   # the runs do revisit states
     assert sorted(calls) == sorted(set(visited))
     lines = (only_dir(out) / "states.csv").read_text().splitlines()[1:]
@@ -238,6 +253,25 @@ def test_attack_rollout_flag_adds_probe_report(tmp_path):
     rundir = only_dir(out)
     assert (rundir / "report.txt").exists()
     assert (rundir / "runs.csv").exists()
+
+
+def test_attack_rollout_attacks_each_distinct_state_once(tmp_path,
+                                                        monkeypatch):
+    """The rollout probe reads the table's views: a state in both the
+    table and the rollout is attacked once."""
+    direction = attack.AttackSpec(method="fgm", p=np.inf, epsilon=0.05)
+    ck, _ = cp.load_checkpoint(RADIAL)
+    table = set(clean_visits(RADIAL, 4))
+    rollout = {t.base_obs.tobytes() for seed in range(4)
+               for t in harness.probe_episode(ck.params, ck.env_spec,
+                                              direction, seed)[3]}
+    assert table & rollout and rollout - table
+    calls = count_attacks(monkeypatch)
+    cfgp = probe_manifest(tmp_path, {"method": "fgm", "p": "inf",
+                                     "epsilon": 0.05}, runs=4, rollout=True)
+    assert main(["attack", "--config", cfgp, "--checkpoint", RADIAL,
+                 "--out", str(tmp_path / "out")]) == 0
+    assert sorted(calls) == sorted(table | rollout)
 
 
 def test_attack_rejects_fixed_directions(tmp_path, capsys):
@@ -397,3 +431,84 @@ def test_unknown_command_exits_via_argparse(tmp_path):
         main(["mystery"])
     with pytest.raises(SystemExit):
         main([])
+
+
+# ---------------------------------------------------------------------------
+# Pinned outputs: sweep, probe and attack bytes that a memo must keep
+# ---------------------------------------------------------------------------
+
+POLICIES = {"vanilla": VANILLA,
+            "radial": RADIAL,
+            "sa-ddqn": str(DATA_DIR / "sa_pixelgrid.txt")}
+GRIDS = {"beta": ("brightness_contrast", [0.0, 10.0, 20.0, 30.0, 45.0]),
+         "kappa": ("dct_artifacts", [0.0, 0.2, 0.4, 0.6, 0.8])}
+
+
+def sha(*texts: str) -> str:
+    return hashlib.sha256("".join(texts).encode()).hexdigest()[:16]
+
+
+def sweep_outputs(tmp_path, kind, runs) -> str:
+    family, values = GRIDS[kind]
+    cfgp = manifest(tmp_path, {"sweep": {
+        "family": family, "parameter": kind, "values": values,
+        "policies": POLICIES, "runs": runs}}, name=f"sweep_{kind}.json")
+    out = tmp_path / f"out_{kind}"
+    assert main(["sweep", "--config", cfgp, "--out", str(out)]) == 0
+    rundir = only_dir(out)
+    return sha((rundir / "sweep.csv").read_text(),
+               (rundir / "summary.csv").read_text())
+
+
+# recorded while the view memo lived for one episode, with the numeric
+# stack named in scripts/train_reference_policies.py; a memo that returns
+# what a recomputation would keeps every byte
+SWEEP_OUTPUTS_DIGESTS = {("beta", 2): "33d09f33c9b26163",
+                         ("kappa", 2): "45d711698ba980fa",
+                         ("beta", 10): "a58f02ab5908ee15"}
+
+
+@pytest.mark.parametrize("kind,runs", list(SWEEP_OUTPUTS_DIGESTS),
+                         ids=["beta-2", "kappa-2", "beta-10"])
+def test_sweep_outputs_match_their_pinned_digest(tmp_path, kind, runs):
+    """The benchmark's two grids over the bundled policies, and a 10-run
+    brightness grid: sweep.csv and summary.csv."""
+    assert sweep_outputs(tmp_path, kind, runs) == \
+        SWEEP_OUTPUTS_DIGESTS[(kind, runs)]
+
+
+FGM_PROBE_RUNS_DIGEST = "c0b645a2e1e095e6"
+
+
+def test_fgm_probe_runs_match_their_pinned_digest(tmp_path):
+    cfgp = probe_manifest(tmp_path, {"method": "fgm", "p": "inf",
+                                     "epsilon": 0.05}, runs=4)
+    out = tmp_path / "out"
+    assert main(["probe", "--config", cfgp, "--checkpoint", VANILLA,
+                 "--out", str(out)]) == 0
+    assert sha((only_dir(out) / "runs.csv").read_text()) == \
+        FGM_PROBE_RUNS_DIGEST
+
+
+def report_aggregates(text: str) -> str:
+    """report.txt up to its config echo, which holds the manifest's paths."""
+    return text.split("config_echo:\n", 1)[0]
+
+
+CW_ROLLOUT_DIGEST = "c32304a282804525"
+
+
+def test_attack_rollout_outputs_match_their_pinned_digest(tmp_path):
+    """Radial policy, C&W at 2/255, five runs, with the rollout report:
+    states.csv, runs.csv and the aggregate lines of report.txt."""
+    cfgp = probe_manifest(tmp_path, {"method": "cw", "p": "inf",
+                                     "epsilon": 2 / 255}, runs=5,
+                          rollout=True)
+    out = tmp_path / "out"
+    assert main(["attack", "--config", cfgp, "--checkpoint", RADIAL,
+                 "--out", str(out)]) == 0
+    rundir = only_dir(out)
+    assert sha((rundir / "states.csv").read_text(),
+               (rundir / "runs.csv").read_text(),
+               report_aggregates((rundir / "report.txt").read_text())) == \
+        CW_ROLLOUT_DIGEST

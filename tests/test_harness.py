@@ -441,3 +441,79 @@ def test_sweep_names_the_policy_with_a_degenerate_baseline(
         hz.sweep([("vanilla", ck.params), ("stuck", _stuck_net(ck.env_spec))],
                  ck.env_spec, "median_blur", "kernel", values=[1, 3],
                  runs=2, fnet=fnet)
+
+
+def test_sweep_refuses_duplicate_policy_names(vanilla_checkpoint, fnet):
+    """Two points per grid value under one label would make `point` and
+    the sweep rows ambiguous."""
+    ck, _ = vanilla_checkpoint
+    with pytest.raises(ValueError, match="duplicate policy name 'vanilla'"):
+        hz.sweep([("vanilla", ck.params), ("radial", ck.params),
+                  ("vanilla", ck.params)], ck.env_spec, "median_blur",
+                 "kernel", values=[1, 3], runs=1, fnet=fnet)
+
+
+# ---------------------------------------------------------------------------
+# Memo scope: views per direction, actions per probe call
+# ---------------------------------------------------------------------------
+
+def _recording(seen, fn, key):
+    def wrapper(*args):
+        seen.append(key(*args))
+        return fn(*args)
+    return wrapper
+
+
+def test_sweep_computes_once_per_distinct_direction_and_observation(
+        vanilla_checkpoint, radial_checkpoint, fnet, monkeypatch):
+    """Every run and every policy shares a grid value's views: each
+    (direction, observation) is perturbed and scored once in the sweep, and
+    each (policy, direction, observation) acted on once."""
+    policies = [("vanilla", vanilla_checkpoint[0].params),
+                ("radial", radial_checkpoint[0].params)]
+    spec = vanilla_checkpoint[0].env_spec
+    grid = dict(family="brightness_contrast", parameter="beta",
+                values=[10.0, 30.0], runs=4, fnet=fnet)
+    views, sims, acts = [], [], []
+    monkeypatch.setattr(perturb, "apply", _recording(
+        views, perturb.apply, lambda d, obs: (d, obs.tobytes())))
+    monkeypatch.setattr(perceptual, "lpips", _recording(
+        sims, perceptual.lpips, lambda f, a, b: (a.tobytes(), b.tobytes())))
+    monkeypatch.setattr(hz, "greedy_action", _recording(
+        acts, hz.greedy_action, lambda p, v: (id(p), v.tobytes())))
+    result = hz.sweep(policies, spec, **grid)
+    # each policy's clean runs keep their own identity views
+    views = [(d, obs) for d, obs in views if d.family != "identity"]
+    # brightness views of distinct (direction, observation) pairs differ
+    # from each other and from the clean observations, so a repeated
+    # (policy, view) is a repeated (policy, direction, observation)
+    assert len(views) == len(set(views)) > 0
+    assert len(sims) == len(set(sims)) > 0
+    assert len(acts) == len(set(acts))
+    steps = sum(run.episode_length for pt in result.points
+                for run in pt.report.runs)
+    assert len(sims) < steps / 4      # the memo shares across the sweep
+
+
+def test_attack_views_stay_with_their_policy(vanilla_checkpoint,
+                                             radial_checkpoint, fnet,
+                                             monkeypatch):
+    """Attacks depend on the policy: two nets probed along one FGM
+    direction each attack every observation they visit, once per probe
+    call, and no view crosses from one net to the other."""
+    spec = vanilla_checkpoint[0].env_spec
+    direction = attack.AttackSpec(method="fgm", p=math.inf, epsilon=0.02)
+    nets = [vanilla_checkpoint[0].params, radial_checkpoint[0].params]
+    visited = [{obs.tobytes() for seed in range(3)
+                for obs, *_ in _explicit_rollout(net, spec, direction, seed,
+                                                 fnet)}
+               for net in nets]
+    assert visited[0] & visited[1]    # both nets see the start cells
+    calls = []
+    monkeypatch.setattr(attack, "run_attack", _recording(
+        calls, attack.run_attack, lambda p, obs, d: (id(p), obs.tobytes())))
+    for net in nets:
+        hz.probe(net, spec, direction, runs=3, fnet=fnet)
+    for net, seen in zip(nets, visited):
+        mine = [obs for owner, obs in calls if owner == id(net)]
+        assert sorted(mine) == sorted(seen)
