@@ -31,38 +31,33 @@ import time
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+import numpy as np
+
 from policyprobe import checkpoint as cp
-from policyprobe import nn, qlearning as ql
-from policyprobe.envs import make_env, make_spec, oracle_return
+from policyprobe import harness, nn, perceptual, qlearning as ql
+from policyprobe.envs import make_spec, oracle_return
 
 EVAL_EPISODES = list(range(20))
 CERT_RADII = (5e-5, 1e-4, 5e-4, 1e-3, 1 / 255)
 
 
-def visited_states(params: nn.ParamSet, spec, episode_seeds):
-    """Observations along greedy rollouts, the harness's state sample."""
-    env = make_env(spec)
-    states = []
-    for seed in episode_seeds:
-        obs = env.reset(seed)
-        terminal = False
-        while not terminal:
-            states.append(obs.copy())
-            result = env.step(ql.greedy_action(params, obs))
-            obs, terminal = result.observation, result.terminal
-    return states
-
-
 def report(name: str, ck: ql.Checkpoint, spec, elapsed: float) -> None:
-    returns = ql.evaluate(ck.params, spec, EVAL_EPISODES)
+    """Eval return against the oracle, and the certified share of the
+    states the eval episodes visit, from one clean walk per episode."""
+    fnet = perceptual.load_reference_featurenet()
+    returns, states = [], []
+    for seed in EVAL_EPISODES:
+        score, _, _, trace = harness.probe_episode(
+            ck.params, spec, harness.IDENTITY, seed, fnet)
+        returns.append(score)
+        states += [t.base_obs for t in trace]
     oracle = sum(oracle_return(spec, s) for s in EVAL_EPISODES) / len(EVAL_EPISODES)
-    states = visited_states(ck.params, spec, EVAL_EPISODES)
     certs = " ".join(
         f"cert@{eps:g}={sum(ql.certified(ck.params, s, eps) for s in states) / len(states):.3f}"
         for eps in CERT_RADII
     )
     print(
-        f"{name}: {elapsed:.0f}s eval {returns.mean():+.4f} "
+        f"{name}: {elapsed:.0f}s eval {np.mean(returns):+.4f} "
         f"oracle {oracle:+.4f} {certs} (states={len(states)})",
         flush=True,
     )

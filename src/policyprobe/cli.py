@@ -35,7 +35,7 @@ import numpy as np
 from . import attack as attack_mod
 from . import checkpoint as cp
 from . import config as config_mod
-from . import harness, perceptual, perturb, spectral
+from . import harness, perceptual, spectral
 from . import qlearning as ql
 from .envs import make_env
 
@@ -117,30 +117,19 @@ def cmd_attack(cfg: config_mod.RunConfig, checkpoint_flag: str,
     ck, ck_id = _load_checkpoint_arg(checkpoint_flag or cfg.probe.checkpoint)
     _check_env_match(cfg, ck)
     fnet = perceptual.load_reference_featurenet()
-    env = make_env(ck.env_spec)
-    rows = []
     # the rollout probe below reads the table's views, so each distinct
-    # state is attacked once across the table and the rollout; a state's
-    # view and both actions are deterministic functions of it
+    # state is attacked once across the table and the rollout
     views: harness.Views = {}
-    # observation bytes -> (clean action, action on the view)
-    actions: dict[bytes, tuple[int, int]] = {}
-    state_index = 0
+    rows = []
     for seed in range(cfg.probe.runs):
-        obs = env.reset(seed)
-        terminal = False
-        while not terminal:
-            key = obs.tobytes()
-            if key not in views:
-                views[key] = harness._view(ck.params, obs, direction, fnet)
-                actions[key] = (ql.greedy_action(ck.params, obs),
-                                ql.greedy_action(ck.params, views[key][0]))
-            a_clean, a_adv = actions[key]
-            _, dist, success, sim = views[key]
-            rows.append((state_index, a_clean, a_adv, dist, success, sim))
-            step = env.step(a_clean)   # trajectory follows the clean policy
-            obs, terminal = step.observation, step.terminal
-            state_index += 1
+        # the trajectory follows the clean policy
+        trace = harness.probe_episode(ck.params, ck.env_spec,
+                                      harness.IDENTITY, seed, fnet)[3]
+        for t in trace:
+            viewed, dist, success, sim = harness.view(
+                ck.params, t.base_obs, direction, fnet, views)
+            a_adv = ql.greedy_action(ck.params, viewed)
+            rows.append((len(rows), t.action, a_adv, dist, success, sim))
     rundir = cp.run_directory("attack", _resolve_root(cfg, out_flag))
     cp.atomic_write_text(rundir / "states.csv", cp.attack_csv(rows))
     cp.atomic_write_text(rundir / "config_echo.json", cfg.echo + "\n")
@@ -168,29 +157,22 @@ def cmd_spectrum(cfg: config_mod.RunConfig, checkpoint_flag: str,
     if settings.source == "rollout" or ck_path:
         ck, _ = _load_checkpoint_arg(ck_path)
         _check_env_match(cfg, ck)
-    env = make_env(cfg.env)
-    observations = []
-    for seed in range(settings.samples):
-        obs = env.reset(seed)
-        observations.append(obs.copy())
-        if settings.source == "rollout":
-            terminal = False
-            while not terminal:
-                step = env.step(ql.greedy_action(ck.params, obs))
-                obs, terminal = step.observation, step.terminal
-                if not terminal:
-                    observations.append(obs.copy())
+    fnet = perceptual.load_reference_featurenet()
+    params = ck.params if ck else None
+    if settings.source == "rollout":
+        observations = [
+            t.base_obs for seed in range(settings.samples)
+            for t in harness.probe_episode(params, cfg.env, harness.IDENTITY,
+                                           seed, fnet)[3]]
+    else:
+        env = make_env(cfg.env)
+        observations = [env.reset(seed) for seed in range(settings.samples)]
     rundir = cp.run_directory("spectrum", _resolve_root(cfg, out_flag))
     cp.atomic_write_text(rundir / "config_echo.json", cfg.echo + "\n")
     for direction in settings.directions:
-        pairs = []
-        for obs in observations:
-            if isinstance(direction, perturb.PerturbationSpec):
-                viewed = perturb.apply(direction, obs)
-            else:
-                viewed = attack_mod.run_attack(ck.params, obs,
-                                               direction).observation
-            pairs.append((obs, viewed))
+        views: harness.Views = {}
+        pairs = [(obs, harness.view(params, obs, direction, fnet, views)[0])
+                 for obs in observations]
         delta = spectral.mean_band_delta(pairs)
         label = harness.direction_label(direction)
         safe = "".join(c if c.isalnum() or c in "._-" else "_"
@@ -244,6 +226,11 @@ def _read_csv_rows(path: Path) -> tuple[list[str], list[list[str]]]:
     if not rows or not rows[0] or not rows[0][0].startswith("schema="):
         raise config_mod.ConfigError(f"{path} has no schema header")
     header = [rows[0][0].split("=", 1)[1]] + rows[0][1:]
+    for line, row in enumerate(rows[1:], 2):
+        if len(row) != len(header) - 1:
+            raise config_mod.ConfigError(
+                f"{path} line {line} has {len(row)} of {len(header) - 1} "
+                "fields")
     return header, rows[1:]
 
 
@@ -270,8 +257,8 @@ def _sweep_summary(sweep_csv_path: Path) -> str:
             raise config_mod.ConfigError(
                 f"inconsistent impact column for {policy} at {value}")
         out.append(f"{policy},{grp[0][1]},{value},{len(grp)},"
-                   f"{np.mean(scores):.17g},{harness._sem(scores):.17g},"
-                   f"{np.mean(sims):.17g},{harness._sem(sims):.17g},"
+                   f"{np.mean(scores):.17g},{harness.sem(scores):.17g},"
+                   f"{np.mean(sims):.17g},{harness.sem(sims):.17g},"
                    f"{impacts.pop()}")
     return "\n".join(out) + "\n"
 
@@ -282,6 +269,9 @@ def _report_fields(path: Path) -> dict[str, str]:
         if " = " in line:
             key, _, value = line.partition(" = ")
             fields[key.strip()] = value
+    for key in ("score_clean", "score_min_fixed", "impact"):
+        if key not in fields:
+            raise config_mod.ConfigError(f"{path} has no {key} field")
     return fields
 
 
@@ -309,9 +299,9 @@ def cmd_report(rundir: str) -> int:
         out.write("schema=probe_summary_v1,field,value\n")
         out.write(f"runs,{len(scores)}\n")
         out.write(f"mean_score,{np.mean(scores):.17g}\n")
-        out.write(f"sem_score,{harness._sem(scores):.17g}\n")
+        out.write(f"sem_score,{harness.sem(scores):.17g}\n")
         out.write(f"mean_similarity,{np.mean(sims):.17g}\n")
-        out.write(f"sem_similarity,{harness._sem(sims):.17g}\n")
+        out.write(f"sem_similarity,{harness.sem(sims):.17g}\n")
         out.write(f"impact,{impact:.17g}\n")
         cp.atomic_write_text(base / "summary.csv", out.getvalue())
         stored = float(fields["impact"])

@@ -18,19 +18,19 @@ AttackSpec (recomputed against the policy at every step).
 
 What the policy sees at an observation depends only on the direction and
 the observation, and for an attack on the policy too: perturbations are
-deterministic and attacks seed their own restarts. The view, the attack's
-distance and success, and the view's similarity are therefore computed once
-per distinct observation and read back from a views dict keyed on the
-observation's bytes. A perturbation's views hold for every policy, so
-`sweep` shares one dict across every run and every policy at a grid value;
-an attack's views stay with the policy they were computed against, and a
-`probe` call shares them across its runs. The greedy action on the view is
-memoized the same way in an actions dict, one per `probe` call, where the
-policy and the direction are fixed. Every call runs at batch size 1, so a
-repeat gets the very bits a recomputation would, and scores and traces are
-unchanged. A policy that loses its way loops over a few cells until the
-step cap, so most steps are repeats. A sweep keeps one grid value's views
-alive at a time, at most runs x episode_cap x policies entries.
+deterministic and attacks seed their own restarts. So `view` computes the
+view, the attack's distance and success, and the view's similarity once
+per distinct observation and reads them back from a views dict keyed on
+the observation's bytes. One dict serves one direction, and for an attack
+one policy. It is shared by the runs of a `probe` call, by the policies of
+a `sweep` at one grid value, by `policyprobe attack`'s table and its
+rollout probe, and across the states of one `policyprobe spectrum`
+direction. The greedy action on the view is memoized the same way in an
+actions dict, one per `probe` call. Every call runs at batch size 1, so a
+repeat gets the very bits a recomputation would. A policy that loses its
+way loops over a few cells until the step cap, so most steps are repeats.
+A sweep keeps one grid value's views alive at a time, at most runs x
+episode_cap x policies entries.
 """
 
 from __future__ import annotations
@@ -50,6 +50,10 @@ Array = np.ndarray
 Direction = perturb.PerturbationSpec | attack_mod.AttackSpec
 
 DEFAULT_RUNS = 10
+
+# A probe along the identity is a clean rollout: its trace holds every
+# visited state and the clean action.
+IDENTITY = perturb.PerturbationSpec()
 
 
 def direction_label(direction: Direction) -> str:
@@ -145,7 +149,7 @@ def check_baseline(score_clean: float, score_min: float,
             f"exceed the fixed minimum {score_min}")
 
 
-def _sem(values: Array | list[float]) -> float:
+def sem(values: Array | list[float]) -> float:
     if len(values) < 2:
         return 0.0
     return float(np.std(values, ddof=1) / math.sqrt(len(values)))
@@ -159,26 +163,28 @@ def _sem(values: Array | list[float]) -> float:
 Views = dict[bytes, tuple[Array, float, bool, float]]
 
 
-def _view(params: nn.ParamSet, obs: Array, direction: Direction,
-          fnet: perceptual.FeatureNet) -> tuple[Array, float, bool, float]:
+def view(params: nn.ParamSet, obs: Array, direction: Direction,
+         fnet: perceptual.FeatureNet,
+         views: Views) -> tuple[Array, float, bool, float]:
     """What the policy sees at one observation: the perturbed or attacked
     view, the attack's distance and success, and the view's similarity to
-    the observation."""
-    if isinstance(direction, perturb.PerturbationSpec):
-        viewed = perturb.apply(direction, obs)
-        dist, success = 0.0, False
-    else:
-        result = attack_mod.run_attack(params, obs, direction)
-        viewed = result.observation
-        dist, success = result.distance, result.success
-        if success and dist > direction.epsilon + 1e-9:
-            raise AssertionError("attack left its ball "
-                                 f"({dist} > {direction.epsilon})")
-    if np.array_equal(viewed, obs):
-        sim = 0.0
-    else:
-        sim = perceptual.lpips(fnet, obs, viewed)
-    return viewed, dist, success, sim
+    the observation. Read from `views`, or computed and stored there."""
+    key = obs.tobytes()
+    if key not in views:
+        if isinstance(direction, perturb.PerturbationSpec):
+            viewed = perturb.apply(direction, obs)
+            dist, success = 0.0, False
+        else:
+            result = attack_mod.run_attack(params, obs, direction)
+            viewed = result.observation
+            dist, success = result.distance, result.success
+            if success and dist > direction.epsilon + 1e-9:
+                raise AssertionError("attack left its ball "
+                                     f"({dist} > {direction.epsilon})")
+        sim = (0.0 if np.array_equal(viewed, obs)
+               else perceptual.lpips(fnet, obs, viewed))
+        views[key] = viewed, dist, success, sim
+    return views[key]
 
 
 def probe_episode(params: nn.ParamSet, spec: EnvSpec, direction: Direction,
@@ -208,10 +214,8 @@ def probe_episode(params: nn.ParamSet, spec: EnvSpec, direction: Direction,
     trace: list[StepTrace] = []
     terminal = False
     while not terminal:
+        viewed, dist, success, sim = view(params, obs, direction, fnet, views)
         key = obs.tobytes()
-        if key not in views:
-            views[key] = _view(params, obs, direction, fnet)
-        viewed, dist, success, sim = views[key]
         if key not in actions:
             actions[key] = greedy_action(params, viewed)
         action = actions[key]
@@ -225,8 +229,7 @@ def probe_episode(params: nn.ParamSet, spec: EnvSpec, direction: Direction,
         rewards.append(step.reward)
         sim_sum += sim
         steps += 1
-        obs = step.observation
-        terminal = step.terminal
+        obs, terminal = step.observation, step.terminal
     return (episode_return(rewards), sim_sum / steps if steps else 0.0,
             steps, trace)
 
@@ -254,9 +257,9 @@ def aggregate(direction: Direction, env_spec: EnvSpec, runs: list[RunRecord],
         runs=list(runs),
         seeds=[r.episode_seed for r in runs],
         mean_score=float(scores.mean()),
-        sem_score=_sem(scores),
+        sem_score=sem(scores),
         mean_similarity=float(sims.mean()),
-        sem_similarity=_sem(sims),
+        sem_similarity=sem(sims),
         score_clean=score_clean,
         score_min_fixed=env_spec.score_min,
         impact=impact(score_clean, float(scores.mean()), env_spec.score_min),
@@ -303,15 +306,11 @@ def clean_baseline(params: nn.ParamSet, spec: EnvSpec, runs: int,
                    fnet: perceptual.FeatureNet | None = None) -> Array:
     """Paired clean scores for seeds 0 .. runs-1 (identity direction, whose
     views never reach lpips)."""
-    identity = perturb.PerturbationSpec(family="identity")
     views: Views = {}
     actions: dict[bytes, int] = {}
-    scores = []
-    for seed in range(runs):
-        score, _, _, _ = probe_episode(params, spec, identity, seed, fnet,
-                                       False, views, actions)
-        scores.append(score)
-    return np.array(scores)
+    return np.array([probe_episode(params, spec, IDENTITY, seed, fnet, False,
+                                   views, actions)[0]
+                     for seed in range(runs)])
 
 
 # ---------------------------------------------------------------------------

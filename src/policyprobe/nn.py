@@ -179,9 +179,6 @@ class ParamSet:
                 yield i, "kernel", lay.kernel
                 yield i, "bias", lay.bias
 
-    def n_params(self) -> int:
-        return sum(a.size for _, _, a in self.arrays())
-
 
 def add_scaled(params: ParamSet, grads: ParamSet, scale: float) -> None:
     """params += scale * grads, in place."""

@@ -159,14 +159,11 @@ class ReplayBuffer:
 # Policy surface
 # ---------------------------------------------------------------------------
 
-def q_values(net: nn.ParamSet, obs: Array) -> Array:
-    """Q(s, .) for one raw [0, 255] observation."""
-    return nn.forward(net, np.asarray(obs, dtype=np.float64) / OBS_SCALE)[-1]
-
-
 def greedy_action(net: nn.ParamSet, obs: Array) -> int:
-    """Argmax action; ties break to the lowest index."""
-    return int(np.argmax(q_values(net, obs)))
+    """Argmax of Q(s, .) for one raw [0, 255] observation; ties break to
+    the lowest index."""
+    x = np.asarray(obs, dtype=np.float64) / OBS_SCALE
+    return int(np.argmax(nn.forward(net, x)[-1]))
 
 
 def input_box(x: Array, eps_rob: float) -> tuple[Array, Array]:
@@ -177,8 +174,8 @@ def input_box(x: Array, eps_rob: float) -> tuple[Array, Array]:
 def certified(net: nn.ParamSet, obs: Array, eps_rob: float) -> bool:
     """True when the greedy action provably survives every perturbation in
     the eps_rob ball: lower(Q(a*)) > upper(Q(a')) for all other actions."""
+    a_star = greedy_action(net, obs)
     x = np.asarray(obs, dtype=np.float64) / OBS_SCALE
-    a_star = int(np.argmax(nn.forward(net, x)[-1]))
     lo, hi = input_box(x, eps_rob)
     lower, upper = nn.ibp_forward_batch(net, lo[None], hi[None])
     others = np.delete(upper[0], a_star)
@@ -394,20 +391,3 @@ def train(spec: EnvSpec, config: TrainConfig, progress_every: int = 0,
                   f"episodes {episode_index} recent-return {mean:.3f}")
 
     return Checkpoint(online, spec, config, curve, config.total_steps)
-
-
-def evaluate(net: nn.ParamSet, spec: EnvSpec,
-             episode_seeds: list[int]) -> Array:
-    """Greedy-policy episode returns for the given seeds."""
-    env = make_env(spec)
-    totals = []
-    for seed in episode_seeds:
-        obs = env.reset(seed)
-        rewards, terminal = [], False
-        while not terminal:
-            result = env.step(greedy_action(net, obs))
-            rewards.append(result.reward)
-            obs = result.observation
-            terminal = result.terminal
-        totals.append(episode_return(rewards))
-    return np.array(totals)

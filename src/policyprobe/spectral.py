@@ -28,16 +28,9 @@ LOW_BAND_FRACTION = 1.0 / 8.0    # low band:  f < N/8
 HIGH_BAND_FRACTION = 3.0 / 8.0   # high band: f > 3N/8
 
 
-@dataclass
-class SpectrumProfile:
-    grid: Array            # complex F(u, v), shape (I, J)
-    magnitude_sq: Array    # |F|^2
-    i_dim: int
-    j_dim: int
-
-
-def dft2(x: Array) -> SpectrumProfile:
-    """Normalized 2-D DFT of a single-channel array (used as given)."""
+def dft2(x: Array) -> Array:
+    """Normalized 2-D DFT of a single-channel array (used as given): the
+    complex grid F(u, v), shape (I, J)."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 3:
         if x.shape[2] != 1:
@@ -46,9 +39,7 @@ def dft2(x: Array) -> SpectrumProfile:
         x = x[:, :, 0]
     if x.ndim != 2:
         raise ValueError(f"dft2 needs a 2-D array, got shape {x.shape}")
-    i_dim, j_dim = x.shape
-    grid = np.fft.fft2(x) / (i_dim * j_dim)
-    return SpectrumProfile(grid, np.abs(grid) ** 2, i_dim, j_dim)
+    return np.fft.fft2(x) / x.size
 
 
 def band_indices(i_dim: int, j_dim: int) -> Array:
@@ -64,11 +55,12 @@ def n_bands(i_dim: int, j_dim: int) -> int:
     return max(i_dim // 2, j_dim // 2) + 1
 
 
-def energy_profile(profile: SpectrumProfile) -> Array:
-    """E(f) for f = 0 .. max band; sums |F|^2 over each band."""
-    bands = band_indices(profile.i_dim, profile.j_dim)
-    return np.bincount(bands.ravel(), weights=profile.magnitude_sq.ravel(),
-                       minlength=n_bands(profile.i_dim, profile.j_dim))
+def energy_profile(grid: Array) -> Array:
+    """E(f) for f = 0 .. max band; sums |F|^2 over each band of a dft2
+    grid."""
+    return np.bincount(band_indices(*grid.shape).ravel(),
+                       weights=(np.abs(grid) ** 2).ravel(),
+                       minlength=n_bands(*grid.shape))
 
 
 def observation_energy(obs: Array) -> Array:

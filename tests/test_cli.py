@@ -315,6 +315,26 @@ def test_spectrum_rollout_needs_checkpoint(tmp_path, capsys):
                  "--out", str(tmp_path / "o2")]) == 0
 
 
+def rollout_spectrum(tmp_path, directions):
+    """Run `spectrum` on radial rollouts of seeds 0..3; the run directory."""
+    cfgp = manifest(tmp_path, {"spectrum": {
+        "directions": directions, "source": "rollout", "samples": 4}})
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", cfgp, "--checkpoint", RADIAL,
+                 "--out", str(out)]) == 0
+    return only_dir(out)
+
+
+def test_spectrum_attacks_each_distinct_rollout_state_once(tmp_path,
+                                                          monkeypatch):
+    visited = clean_visits(RADIAL, 4)
+    assert len(set(visited)) < len(visited)   # the rollouts revisit states
+    calls = count_attacks(monkeypatch)
+    rollout_spectrum(tmp_path, [{"method": "fgm", "p": "inf",
+                                 "epsilon": 0.05}])
+    assert sorted(calls) == sorted(set(visited))
+
+
 # ---------------------------------------------------------------------------
 # sweep + report
 # ---------------------------------------------------------------------------
@@ -426,6 +446,44 @@ def test_report_names_a_missing_report_txt(tmp_path, capsys):
     assert str(rundir / "report.txt") in err and "missing" in err
 
 
+def test_report_names_a_report_txt_without_its_clean_score(tmp_path,
+                                                           capsys):
+    cfgp = probe_manifest(tmp_path, {"family": "identity"}, runs=2)
+    out = tmp_path / "out"
+    assert main(["probe", "--config", cfgp, "--checkpoint", VANILLA,
+                 "--out", str(out)]) == 0
+    report_txt = only_dir(out) / "report.txt"
+    lines = report_txt.read_text().splitlines(keepends=True)
+    report_txt.write_text("".join(line for line in lines
+                                  if not line.startswith("score_clean ")))
+    capsys.readouterr()
+    assert main(["report", "--dir", str(only_dir(out))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(report_txt) in err and "score_clean" in err
+
+
+@pytest.mark.parametrize("command,name", [("probe", "runs.csv"),
+                                          ("sweep", "sweep.csv")])
+def test_report_names_a_short_row(tmp_path, capsys, command, name):
+    if command == "probe":
+        args = ["--config", probe_manifest(tmp_path, {"family": "identity"},
+                                           runs=2), "--checkpoint", VANILLA]
+    else:
+        args = ["--config", sweep_manifest(tmp_path)]
+    out = tmp_path / "out"
+    assert main([command, *args, "--out", str(out)]) == 0
+    path = only_dir(out) / name
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0]     # drop the last column
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["report", "--dir", str(only_dir(out))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{path} line 3 has" in err
+
+
 def test_unknown_command_exits_via_argparse(tmp_path):
     with pytest.raises(SystemExit):
         main(["mystery"])
@@ -512,3 +570,19 @@ def test_attack_rollout_outputs_match_their_pinned_digest(tmp_path):
                (rundir / "runs.csv").read_text(),
                report_aggregates((rundir / "report.txt").read_text())) == \
         CW_ROLLOUT_DIGEST
+
+
+ROLLOUT_SPECTRUM_DIGEST = "30ffd217567169b9"
+
+
+def test_rollout_spectrum_outputs_match_their_pinned_digest(tmp_path):
+    """Radial rollouts of four seeds, median blur k=3 and FGM at 0.05:
+    every band csv and sample image."""
+    rundir = rollout_spectrum(tmp_path, [
+        {"family": "median_blur", "kernel": 3},
+        {"method": "fgm", "p": "inf", "epsilon": 0.05}])
+    files = sorted(p for p in rundir.iterdir()
+                   if p.name.startswith(("spectrum_", "sample_")))
+    assert len(files) == 6
+    assert sha(*(p.name + p.read_text() for p in files)) == \
+        ROLLOUT_SPECTRUM_DIGEST

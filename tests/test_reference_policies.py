@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from policyprobe import checkpoint as cp
+from policyprobe import harness
 from policyprobe import qlearning as ql
 from policyprobe.envs import oracle_return
 
@@ -59,9 +60,10 @@ def test_fine_tune_from_vanilla_reproduces_its_checkpoint_id(
 
 
 @pytest.mark.parametrize("name", NAMES)
-def test_reference_policy_is_competent(name, pixelgrid_spec):
+def test_reference_policy_is_competent(name, pixelgrid_spec, fnet):
     ck, _ = cp.load_checkpoint(DATA_DIR / f"{name}_pixelgrid.txt")
-    returns = ql.evaluate(ck.params, pixelgrid_spec, EVAL_EPISODES)
+    returns = harness.clean_baseline(ck.params, pixelgrid_spec,
+                                     len(EVAL_EPISODES), fnet)
     oracle = np.mean([oracle_return(pixelgrid_spec, s)
                       for s in EVAL_EPISODES])
     assert returns.mean() >= COMPETENCE_FLOOR * oracle, (
