@@ -22,7 +22,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from policyprobe import checkpoint as cp
-from policyprobe import harness, perceptual
+from policyprobe import harness
 from policyprobe.attack import AttackSpec
 from policyprobe.perturb import PerturbationSpec
 
@@ -59,7 +59,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     ck, ck_id = cp.load_checkpoint(args.checkpoint)
-    fnet = perceptual.load_reference_featurenet()
     rundir = (pathlib.Path(args.out) if args.out
               else cp.run_directory("probe-suite"))
     rundir.mkdir(parents=True, exist_ok=True)
@@ -68,7 +67,7 @@ def main(argv=None) -> int:
 
     for direction in DIRECTIONS:
         report = harness.probe(ck.params, ck.env_spec, direction, args.runs,
-                               fnet, checkpoint_id=ck_id)
+                               checkpoint_id=ck_id)
         print("  " + cp.summary_line(report))
         label = harness.direction_label(direction)
         safe = "".join(c if c.isalnum() or c in "._-" else "_"

@@ -34,7 +34,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 import numpy as np
 
 from policyprobe import checkpoint as cp
-from policyprobe import harness, nn, perceptual, qlearning as ql
+from policyprobe import harness, nn, qlearning as ql
 from policyprobe.envs import make_spec, oracle_return
 
 EVAL_EPISODES = list(range(20))
@@ -44,11 +44,10 @@ CERT_RADII = (5e-5, 1e-4, 5e-4, 1e-3, 1 / 255)
 def report(name: str, ck: ql.Checkpoint, spec, elapsed: float) -> None:
     """Eval return against the oracle, and the certified share of the
     states the eval episodes visit, from one clean walk per episode."""
-    fnet = perceptual.load_reference_featurenet()
     returns, states = [], []
     for seed in EVAL_EPISODES:
         score, _, _, trace = harness.probe_episode(
-            ck.params, spec, harness.IDENTITY, seed, fnet)
+            ck.params, spec, harness.IDENTITY, seed)
         returns.append(score)
         states += [t.base_obs for t in trace]
     oracle = sum(oracle_return(spec, s) for s in EVAL_EPISODES) / len(EVAL_EPISODES)

@@ -35,7 +35,7 @@ import numpy as np
 from . import attack as attack_mod
 from . import checkpoint as cp
 from . import config as config_mod
-from . import harness, perceptual, spectral
+from . import harness, spectral
 from . import qlearning as ql
 from .envs import make_env
 
@@ -116,7 +116,6 @@ def cmd_attack(cfg: config_mod.RunConfig, checkpoint_flag: str,
             "(probe.direction with a 'method')")
     ck, ck_id = _load_checkpoint_arg(checkpoint_flag or cfg.probe.checkpoint)
     _check_env_match(cfg, ck)
-    fnet = perceptual.load_reference_featurenet()
     # the rollout probe below reads the table's views, so each distinct
     # state is attacked once across the table and the rollout
     views: harness.Views = {}
@@ -124,10 +123,10 @@ def cmd_attack(cfg: config_mod.RunConfig, checkpoint_flag: str,
     for seed in range(cfg.probe.runs):
         # the trajectory follows the clean policy
         trace = harness.probe_episode(ck.params, ck.env_spec,
-                                      harness.IDENTITY, seed, fnet)[3]
+                                      harness.IDENTITY, seed)[3]
         for t in trace:
             viewed, dist, success, sim = harness.view(
-                ck.params, t.base_obs, direction, fnet, views)
+                ck.params, t.base_obs, direction, views)
             a_adv = ql.greedy_action(ck.params, viewed)
             rows.append((len(rows), t.action, a_adv, dist, success, sim))
     rundir = cp.run_directory("attack", _resolve_root(cfg, out_flag))
@@ -138,7 +137,7 @@ def cmd_attack(cfg: config_mod.RunConfig, checkpoint_flag: str,
           f"-> {rundir / 'states.csv'}")
     if cfg.probe.rollout:
         report = harness.probe(ck.params, ck.env_spec, direction,
-                               cfg.probe.runs, fnet, checkpoint_id=ck_id,
+                               cfg.probe.runs, checkpoint_id=ck_id,
                                views=views)
         cp.atomic_write_text(rundir / "report.txt",
                              cp.report_text(report, cfg.echo))
@@ -157,13 +156,12 @@ def cmd_spectrum(cfg: config_mod.RunConfig, checkpoint_flag: str,
     if settings.source == "rollout" or ck_path:
         ck, _ = _load_checkpoint_arg(ck_path)
         _check_env_match(cfg, ck)
-    fnet = perceptual.load_reference_featurenet()
     params = ck.params if ck else None
     if settings.source == "rollout":
         observations = [
             t.base_obs for seed in range(settings.samples)
             for t in harness.probe_episode(params, cfg.env, harness.IDENTITY,
-                                           seed, fnet)[3]]
+                                           seed)[3]]
     else:
         env = make_env(cfg.env)
         observations = [env.reset(seed) for seed in range(settings.samples)]
@@ -171,7 +169,7 @@ def cmd_spectrum(cfg: config_mod.RunConfig, checkpoint_flag: str,
     cp.atomic_write_text(rundir / "config_echo.json", cfg.echo + "\n")
     for direction in settings.directions:
         views: harness.Views = {}
-        pairs = [(obs, harness.view(params, obs, direction, fnet, views)[0])
+        pairs = [(obs, harness.view(params, obs, direction, views)[0])
                  for obs in observations]
         delta = spectral.mean_band_delta(pairs)
         label = harness.direction_label(direction)
@@ -225,6 +223,8 @@ def _read_csv_rows(path: Path) -> tuple[list[str], list[list[str]]]:
         rows = list(csv.reader(fh))
     if not rows or not rows[0] or not rows[0][0].startswith("schema="):
         raise config_mod.ConfigError(f"{path} has no schema header")
+    if len(rows) < 2:
+        raise config_mod.ConfigError(f"{path} has no data rows")
     header = [rows[0][0].split("=", 1)[1]] + rows[0][1:]
     for line, row in enumerate(rows[1:], 2):
         if len(row) != len(header) - 1:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import attack, perturb
@@ -30,6 +30,11 @@ def _check_keys(section: str, mapping: dict, allowed: set[str]) -> None:
     unknown = set(mapping) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {section!r}: {sorted(unknown)}")
+
+
+def _field_names(settings: type) -> set[str]:
+    """The keys of a manifest section: its dataclass's fields."""
+    return {f.name for f in fields(settings)}
 
 
 def parse_direction(mapping: dict) -> Direction:
@@ -59,16 +64,12 @@ def parse_direction(mapping: dict) -> Direction:
 class ProbeSettings:
     direction: Direction
     runs: int = 10
-    eps_threshold: float = 0.05    # similarity ceiling for the verdict
-    delta_threshold: float = 0.5   # perturbed-score fraction for the verdict
     rollout: bool = False          # attack command: also run a rollout probe
     checkpoint: str = ""
 
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError("probe runs must be >= 1")
-        if self.eps_threshold < 0 or not 0 < self.delta_threshold:
-            raise ValueError("bad verdict thresholds")
 
 
 @dataclass(frozen=True)
@@ -128,10 +129,6 @@ class RunConfig:
 _TOP_KEYS = {"seed", "env", "train", "probe", "sweep", "spectrum",
              "output_dir"}
 _ENV_KEYS = {"id", "size", "seed", "gamma"}
-_PROBE_KEYS = {"direction", "runs", "eps_threshold", "delta_threshold",
-               "rollout", "checkpoint"}
-_SWEEP_KEYS = {"family", "parameter", "values", "policies", "runs"}
-_SPECTRUM_KEYS = {"directions", "source", "samples", "checkpoint"}
 
 
 def build_run_config(raw: dict) -> RunConfig:
@@ -149,8 +146,7 @@ def build_run_config(raw: dict) -> RunConfig:
                     gamma=float(env_raw.get("gamma", 0.9)))
 
     train_raw = dict(raw.get("train", {}))
-    _check_keys("train", train_raw,
-                {f.name for f in TrainConfig.__dataclass_fields__.values()})
+    _check_keys("train", train_raw, _field_names(TrainConfig))
     train_raw.setdefault("seed", seed)
     train_raw.setdefault("gamma", env.gamma)
     try:
@@ -161,7 +157,7 @@ def build_run_config(raw: dict) -> RunConfig:
     probe = None
     if "probe" in raw:
         probe_raw = dict(raw["probe"])
-        _check_keys("probe", probe_raw, _PROBE_KEYS)
+        _check_keys("probe", probe_raw, _field_names(ProbeSettings))
         if "direction" not in probe_raw:
             raise ConfigError("probe section needs a 'direction'")
         probe_raw["direction"] = parse_direction(probe_raw["direction"])
@@ -170,7 +166,7 @@ def build_run_config(raw: dict) -> RunConfig:
     sweep = None
     if "sweep" in raw:
         sweep_raw = dict(raw["sweep"])
-        _check_keys("sweep", sweep_raw, _SWEEP_KEYS)
+        _check_keys("sweep", sweep_raw, _field_names(SweepSettings))
         policies = sweep_raw.get("policies")
         if not isinstance(policies, dict):
             raise ConfigError("sweep section needs a 'policies' mapping "
@@ -183,7 +179,7 @@ def build_run_config(raw: dict) -> RunConfig:
     spectrum = None
     if "spectrum" in raw:
         spec_raw = dict(raw["spectrum"])
-        _check_keys("spectrum", spec_raw, _SPECTRUM_KEYS)
+        _check_keys("spectrum", spec_raw, _field_names(SpectrumSettings))
         directions = spec_raw.get("directions")
         if not isinstance(directions, list) or not directions:
             raise ConfigError("spectrum section needs a 'directions' list")

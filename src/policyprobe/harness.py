@@ -164,11 +164,11 @@ Views = dict[bytes, tuple[Array, float, bool, float]]
 
 
 def view(params: nn.ParamSet, obs: Array, direction: Direction,
-         fnet: perceptual.FeatureNet,
          views: Views) -> tuple[Array, float, bool, float]:
     """What the policy sees at one observation: the perturbed or attacked
     view, the attack's distance and success, and the view's similarity to
-    the observation. Read from `views`, or computed and stored there."""
+    the observation under the reference featurenet. Read from `views`, or
+    computed and stored there."""
     key = obs.tobytes()
     if key not in views:
         if isinstance(direction, perturb.PerturbationSpec):
@@ -182,15 +182,14 @@ def view(params: nn.ParamSet, obs: Array, direction: Direction,
                 raise AssertionError("attack left its ball "
                                      f"({dist} > {direction.epsilon})")
         sim = (0.0 if np.array_equal(viewed, obs)
-               else perceptual.lpips(fnet, obs, viewed))
+               else perceptual.lpips(perceptual.reference_featurenet(),
+                                     obs, viewed))
         views[key] = viewed, dist, success, sim
     return views[key]
 
 
 def probe_episode(params: nn.ParamSet, spec: EnvSpec, direction: Direction,
-                  episode_seed: int,
-                  fnet: perceptual.FeatureNet | None = None,
-                  keep_trace: bool = True,
+                  episode_seed: int, keep_trace: bool = True,
                   views: Views | None = None,
                   actions: dict[bytes, int] | None = None,
                   ) -> tuple[float, float, int, list[StepTrace]]:
@@ -203,8 +202,6 @@ def probe_episode(params: nn.ParamSet, spec: EnvSpec, direction: Direction,
     `actions` for one policy along one direction. Each defaults to a fresh
     dict for this episode.
     """
-    if fnet is None:
-        fnet = perceptual.load_reference_featurenet()
     views = {} if views is None else views
     actions = {} if actions is None else actions
     env = make_env(spec)
@@ -214,7 +211,7 @@ def probe_episode(params: nn.ParamSet, spec: EnvSpec, direction: Direction,
     trace: list[StepTrace] = []
     terminal = False
     while not terminal:
-        viewed, dist, success, sim = view(params, obs, direction, fnet, views)
+        viewed, dist, success, sim = view(params, obs, direction, views)
         key = obs.tobytes()
         if key not in actions:
             actions[key] = greedy_action(params, viewed)
@@ -239,9 +236,7 @@ def probe_episode(params: nn.ParamSet, spec: EnvSpec, direction: Direction,
 # ---------------------------------------------------------------------------
 
 def aggregate(direction: Direction, env_spec: EnvSpec, runs: list[RunRecord],
-              score_clean: float, checkpoint_id: str = "",
-              featurenet_version: str = perceptual.FEATURENET_VERSION,
-              ) -> ProbeReport:
+              score_clean: float, checkpoint_id: str = "") -> ProbeReport:
     """Fold per-run records into a report; impact uses the env's fixed
     minimum and the supplied paired clean mean."""
     if not runs:
@@ -253,7 +248,7 @@ def aggregate(direction: Direction, env_spec: EnvSpec, runs: list[RunRecord],
         direction_spec=direction,
         env_id=env_spec.env_id,
         checkpoint_id=checkpoint_id,
-        featurenet_version=featurenet_version,
+        featurenet_version=perceptual.FEATURENET_VERSION,
         runs=list(runs),
         seeds=[r.episode_seed for r in runs],
         mean_score=float(scores.mean()),
@@ -268,7 +263,6 @@ def aggregate(direction: Direction, env_spec: EnvSpec, runs: list[RunRecord],
 
 def probe(params: nn.ParamSet, spec: EnvSpec, direction: Direction,
           runs: int = DEFAULT_RUNS,
-          fnet: perceptual.FeatureNet | None = None,
           checkpoint_id: str = "",
           clean_scores: Array | None = None,
           views: Views | None = None,
@@ -284,11 +278,9 @@ def probe(params: nn.ParamSet, spec: EnvSpec, direction: Direction,
     """
     if runs < 1:
         raise ValueError("need at least one run")
-    if fnet is None:
-        fnet = perceptual.load_reference_featurenet()
     seeds = list(range(runs))
     if clean_scores is None:
-        clean_scores = clean_baseline(params, spec, runs, fnet)
+        clean_scores = clean_baseline(params, spec, runs)
     elif len(clean_scores) != runs:
         raise ValueError("clean_scores length must match run count")
     views = {} if views is None else views
@@ -296,65 +288,28 @@ def probe(params: nn.ParamSet, spec: EnvSpec, direction: Direction,
     records = []
     for seed in seeds:
         score, sim, steps, _ = probe_episode(params, spec, direction, seed,
-                                             fnet, False, views, actions)
+                                             False, views, actions)
         records.append(RunRecord(seed, score, sim, steps))
     return aggregate(direction, spec, records, float(np.mean(clean_scores)),
-                     checkpoint_id, fnet.version)
+                     checkpoint_id)
 
 
-def clean_baseline(params: nn.ParamSet, spec: EnvSpec, runs: int,
-                   fnet: perceptual.FeatureNet | None = None) -> Array:
+def clean_baseline(params: nn.ParamSet, spec: EnvSpec, runs: int) -> Array:
     """Paired clean scores for seeds 0 .. runs-1 (identity direction, whose
     views never reach lpips)."""
     views: Views = {}
     actions: dict[bytes, int] = {}
-    return np.array([probe_episode(params, spec, IDENTITY, seed, fnet, False,
+    return np.array([probe_episode(params, spec, IDENTITY, seed, False,
                                    views, actions)[0]
                      for seed in range(runs)])
 
 
 # ---------------------------------------------------------------------------
-# Verdicts and sweeps
+# Sweeps
 # ---------------------------------------------------------------------------
-
-def hsd_verdict(report: ProbeReport, clean_report: ProbeReport,
-                eps_threshold: float, delta_threshold: float) -> bool:
-    """Empirical high-sensitivity test: similarity within eps_threshold and
-    mean perturbed return below delta_threshold times the clean mean.
-
-    The score test is a fraction of the clean mean, which reads backwards
-    when that mean is not positive (a MiniPong rise from -2.0 to -1.5
-    would pass it), so such a clean report is refused."""
-    if report.env_id != clean_report.env_id \
-            or report.checkpoint_id != clean_report.checkpoint_id:
-        raise ValueError("reports compare different envs or policies")
-    if not clean_report.mean_score > 0:
-        raise ValueError(
-            f"clean mean score {clean_report.mean_score!r} is not positive: "
-            "a fraction of it is no score threshold")
-    return (report.mean_similarity <= eps_threshold
-            and report.mean_score < delta_threshold * clean_report.mean_score)
-
-
-def fixed_direction_verdict(reports: list[ProbeReport],
-                            clean_reports: list[ProbeReport],
-                            eps_threshold: float,
-                            delta_threshold: float) -> bool:
-    """A fixed direction qualifies only if it is high-sensitivity for every
-    supplied policy."""
-    if len(reports) != len(clean_reports) or not reports:
-        raise ValueError("need one clean report per probed report")
-    for rep in reports:
-        if not isinstance(rep.direction_spec, perturb.PerturbationSpec):
-            raise ValueError("fixed-direction verdicts need "
-                             "policy-independent directions")
-    return all(hsd_verdict(r, c, eps_threshold, delta_threshold)
-               for r, c in zip(reports, clean_reports))
-
 
 def sweep(policies: list[tuple[str, nn.ParamSet]], spec: EnvSpec, family: str,
           parameter: str, values: list[float], runs: int = DEFAULT_RUNS,
-          fnet: perceptual.FeatureNet | None = None,
           base_direction: perturb.PerturbationSpec | None = None,
           checkpoint_ids: dict[str, str] | None = None,
           ) -> SweepResult:
@@ -377,12 +332,10 @@ def sweep(policies: list[tuple[str, nn.ParamSet]], spec: EnvSpec, family: str,
     for i, name in enumerate(names):
         if name in names[:i]:
             raise ValueError(f"duplicate policy name {name!r} in sweep")
-    if fnet is None:
-        fnet = perceptual.load_reference_featurenet()
     ids = checkpoint_ids or {}
     cleans = []
     for name, params in policies:
-        clean = clean_baseline(params, spec, runs, fnet)
+        clean = clean_baseline(params, spec, runs)
         check_baseline(float(np.mean(clean)), spec.score_min, name)
         cleans.append(clean)
     reports: dict[tuple[str, float], ProbeReport] = {}
@@ -392,7 +345,7 @@ def sweep(policies: list[tuple[str, nn.ParamSet]], spec: EnvSpec, family: str,
         views: Views = {}
         for (name, params), clean in zip(policies, cleans):
             reports[(name, value)] = probe(params, spec, direction, runs,
-                                           fnet, ids.get(name, ""),
+                                           ids.get(name, ""),
                                            clean_scores=clean, views=views)
     result = SweepResult(family, parameter, list(values), names)
     result.points = [SweepPoint(name, float(value), reports[(name, value)])

@@ -572,33 +572,23 @@ def qnet_params(obs_shape: tuple[int, int, int], n_actions: int, seed: int) -> P
 
 
 # ---------------------------------------------------------------------------
-# Optimizers
+# Optimizer
 # ---------------------------------------------------------------------------
 
-@dataclass
-class OptimizerConfig:
-    kind: str = "adam"   # "sgd" | "adam"
-    lr: float = 5e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def __post_init__(self):
-        if self.kind not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer kind {self.kind!r}")
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class Optimizer:
-    """Plain gradient step or bias-corrected adaptive-moment step.
+    """Bias-corrected adaptive-moment (Adam) step at learning rate lr.
 
     Updates are applied in place and are deterministic given the state.
     Non-finite gradients abort the run.
     """
 
-    def __init__(self, config: OptimizerConfig):
-        self.config = config
+    def __init__(self, lr: float):
+        self.lr = lr
         self.t = 0
         self._m: ParamSet | None = None
         self._v: ParamSet | None = None
@@ -606,23 +596,19 @@ class Optimizer:
     def step(self, params: ParamSet, grads: ParamSet) -> ParamSet:
         for _, name, g in grads.arrays():
             require_finite(g, f"gradient ({name})")
-        cfg = self.config
-        if cfg.kind == "sgd":
-            add_scaled(params, grads, -cfg.lr)
-            return params
         if self._m is None:
             self._m = params.zeros_like()
             self._v = params.zeros_like()
         self.t += 1
-        bc1 = 1.0 - cfg.beta1 ** self.t
-        bc2 = 1.0 - cfg.beta2 ** self.t
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
         for (_, _, p), (_, _, g), (_, _, m), (_, _, v) in zip(
                 params.arrays(), grads.arrays(), self._m.arrays(), self._v.arrays()):
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
-            p -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         return params
 
 

@@ -11,10 +11,12 @@ averages are summed:
 with y the unit-normalized activations and w_l per-channel weights (all ones
 by default). The network itself is never trained; its weights come from a
 fixed seed and ship as a versioned text asset so distances are bit-comparable
-across machines. Observations are area-resampled to the net's fixed 36x36
-grayscale input; the resample visits only each output cell's few nonzero
-taps, in the order of the dense contraction, so it matches that
-contraction bit for bit (see area_resample).
+across machines. `reference_featurenet` parses that asset once per process
+and shares the net read-only with every caller. Observations are
+area-resampled to the net's fixed 36x36 grayscale input; the resample
+visits only each output cell's few nonzero taps, in the order of the dense
+contraction, so it matches that contraction bit for bit (see
+area_resample).
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ class FeatureNet:
     params: nn.ParamSet
     channel_weights: list[Array]   # w_l, one nonnegative vector per layer
     version: str = FEATURENET_VERSION
-    input_size: int = INPUT_SIZE
 
     def __post_init__(self):
         if len(self.channel_weights) != len(self.params.layers):
@@ -82,6 +83,18 @@ def load_reference_featurenet() -> FeatureNet:
     if kind != "featurenet":
         raise ValueError(f"asset has kind {kind!r}, expected 'featurenet'")
     return FeatureNet(params, _default_weights(params))
+
+
+@functools.lru_cache(maxsize=None)
+def reference_featurenet() -> FeatureNet:
+    """The shipped net, parsed once per process. Its arrays are read-only,
+    because every caller shares them."""
+    fnet = load_reference_featurenet()
+    for _, _, arr in fnet.params.arrays():
+        arr.flags.writeable = False
+    for w in fnet.channel_weights:
+        w.flags.writeable = False
+    return fnet
 
 
 def make_featurenet(seed: int = FEATURENET_SEED) -> FeatureNet:
@@ -175,7 +188,7 @@ def _unit_normalize(act: Array) -> Array:
 
 def normalized_activations(fnet: FeatureNet, s: Array) -> list[Array]:
     """Per-layer channel-unit-normalized activations for one observation."""
-    x = area_resample(s, fnet.input_size) / PIXEL_SCALE
+    x = area_resample(s) / PIXEL_SCALE
     acts = nn.forward(fnet.params, x)
     return [_unit_normalize(a) for a in acts]
 

@@ -323,7 +323,7 @@ def _update_grads(online: nn.ParamSet, target: nn.ParamSet, batch,
     return delta, grads
 
 
-def train(spec: EnvSpec, config: TrainConfig, progress_every: int = 0,
+def train(spec: EnvSpec, config: TrainConfig,
           init_params: nn.ParamSet | None = None) -> Checkpoint:
     """Run the configured objective and return the trained checkpoint.
 
@@ -336,7 +336,7 @@ def train(spec: EnvSpec, config: TrainConfig, progress_every: int = 0,
     online = init_params.copy() if init_params is not None \
         else nn.qnet_params(spec.obs_shape, spec.n_actions, config.seed)
     target = online.copy()
-    opt = nn.Optimizer(nn.OptimizerConfig(kind="adam", lr=config.lr))
+    opt = nn.Optimizer(config.lr)
     buffer = ReplayBuffer(config.replay_capacity, config.alpha_pr,
                           config.beta_is_start, config.priority_floor,
                           config.seed)
@@ -384,10 +384,5 @@ def train(spec: EnvSpec, config: TrainConfig, progress_every: int = 0,
 
         if (step + 1) % config.target_sync == 0:
             target = online.copy()
-        if progress_every and (step + 1) % progress_every == 0:
-            recent = [ret for _, ret in curve[-20:]]
-            mean = float(np.mean(recent)) if recent else float("nan")
-            print(f"  step {step + 1}/{config.total_steps} "
-                  f"episodes {episode_index} recent-return {mean:.3f}")
 
     return Checkpoint(online, spec, config, curve, config.total_steps)

@@ -57,5 +57,14 @@ def fnet():
 
 
 @pytest.fixture()
+def fresh_reference_net():
+    """An empty reference-featurenet cache, emptied again on teardown so no
+    other test sees what this one cached."""
+    perceptual.reference_featurenet.cache_clear()
+    yield
+    perceptual.reference_featurenet.cache_clear()
+
+
+@pytest.fixture()
 def rng():
     return np.random.default_rng(20260823)

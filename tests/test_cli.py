@@ -463,9 +463,8 @@ def test_report_names_a_report_txt_without_its_clean_score(tmp_path,
     assert str(report_txt) in err and "score_clean" in err
 
 
-@pytest.mark.parametrize("command,name", [("probe", "runs.csv"),
-                                          ("sweep", "sweep.csv")])
-def test_report_names_a_short_row(tmp_path, capsys, command, name):
+def raw_rows_path(tmp_path, command, name):
+    """The raw-rows CSV of a fresh identity probe or small sweep."""
     if command == "probe":
         args = ["--config", probe_manifest(tmp_path, {"family": "identity"},
                                            runs=2), "--checkpoint", VANILLA]
@@ -473,15 +472,35 @@ def test_report_names_a_short_row(tmp_path, capsys, command, name):
         args = ["--config", sweep_manifest(tmp_path)]
     out = tmp_path / "out"
     assert main([command, *args, "--out", str(out)]) == 0
-    path = only_dir(out) / name
+    return only_dir(out) / name
+
+
+@pytest.mark.parametrize("command,name", [("probe", "runs.csv"),
+                                          ("sweep", "sweep.csv")])
+def test_report_names_a_short_row(tmp_path, capsys, command, name):
+    path = raw_rows_path(tmp_path, command, name)
     lines = path.read_text().splitlines()
     lines[2] = lines[2].rsplit(",", 1)[0]     # drop the last column
     path.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
-    assert main(["report", "--dir", str(only_dir(out))]) == 2
+    assert main(["report", "--dir", str(path.parent)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"{path} line 3 has" in err
+
+
+@pytest.mark.parametrize("command,name", [("probe", "runs.csv"),
+                                          ("sweep", "sweep.csv")])
+def test_report_refuses_a_csv_without_data_rows(tmp_path, capsys, command,
+                                                name):
+    """A header alone would render a summary of nans, and a nan drift
+    passes the drift check."""
+    path = raw_rows_path(tmp_path, command, name)
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+    capsys.readouterr()
+    assert main(["report", "--dir", str(path.parent)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path} has no data rows\n"
 
 
 def test_unknown_command_exits_via_argparse(tmp_path):

@@ -98,6 +98,16 @@ def test_unknown_keys_rejected_everywhere():
                                         "mode": "fast"}})
 
 
+@pytest.mark.parametrize("key", ["eps_threshold", "delta_threshold"])
+def test_probe_section_refuses_the_removed_verdict_thresholds(key):
+    """No command reads a verdict threshold, so a manifest that sets one is
+    refused instead of silently ignored."""
+    with pytest.raises(cfg.ConfigError, match=key):
+        cfg.build_run_config({"env": {"id": "pixelgrid"},
+                              "probe": {"direction": {"family": "identity"},
+                                        key: 0.1}})
+
+
 def test_missing_env_section_rejected():
     with pytest.raises(cfg.ConfigError):
         cfg.build_run_config({})
@@ -112,7 +122,7 @@ def test_section_values_hit_owning_validators():
     with pytest.raises(ValueError):
         cfg.build_run_config({"env": {"id": "pixelgrid"},
                               "train": {"objective": "sac"}})
-    # probe thresholds validated by ProbeSettings
+    # probe runs validated by ProbeSettings
     with pytest.raises(ValueError):
         cfg.build_run_config({"env": {"id": "pixelgrid"},
                               "probe": {"direction": {"family": "identity"},
@@ -126,8 +136,7 @@ def test_section_values_hit_owning_validators():
 def test_probe_section_round_trip():
     raw = dict(MINIMAL)
     raw["probe"] = {"direction": {"family": "dct_artifacts", "kappa": 0.5},
-                    "runs": 5, "eps_threshold": 0.1,
-                    "delta_threshold": 0.6, "checkpoint": "ck.txt"}
+                    "runs": 5, "checkpoint": "ck.txt"}
     rc = cfg.build_run_config(raw)
     assert rc.probe.runs == 5
     assert rc.probe.direction.kappa == 0.5

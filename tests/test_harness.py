@@ -1,5 +1,5 @@
 """Probe harness: impact arithmetic, paired clean baselines, identity
-consistency, verdicts, and sweep bookkeeping."""
+consistency, and sweep bookkeeping."""
 from __future__ import annotations
 
 import math
@@ -88,12 +88,11 @@ def test_direction_labels():
 # Episode probes (real rollouts on the bundled policy)
 # ---------------------------------------------------------------------------
 
-def test_identity_probe_episode_matches_clean_rollout(vanilla_checkpoint,
-                                                      fnet):
+def test_identity_probe_episode_matches_clean_rollout(vanilla_checkpoint):
     ck, _ = vanilla_checkpoint
     spec = ck.env_spec
     total, mean_sim, steps, trace = hz.probe_episode(ck.params, spec,
-                                                     IDENTITY, 0, fnet)
+                                                     IDENTITY, 0)
     assert mean_sim == 0.0
     assert all(t.similarity == 0.0 for t in trace)
     assert len(trace) == steps >= 1
@@ -109,13 +108,13 @@ def test_clean_baseline_equals_greedy_evaluation(vanilla_checkpoint):
     assert np.array_equal(base, ref)
 
 
-def test_probe_records_each_runs_episode_length(vanilla_checkpoint, fnet):
+def test_probe_records_each_runs_episode_length(vanilla_checkpoint):
     """Each run's length is the env steps of the same greedy rollout."""
     ck, _ = vanilla_checkpoint
     spec = ck.env_spec
     direction = perturb.PerturbationSpec(family="brightness_contrast",
                                          beta=15.0)
-    report = hz.probe(ck.params, spec, direction, runs=3, fnet=fnet)
+    report = hz.probe(ck.params, spec, direction, runs=3)
     env = make_env(spec)
     for run in report.runs:
         obs, steps, terminal = env.reset(run.episode_seed), 0, False
@@ -127,9 +126,9 @@ def test_probe_records_each_runs_episode_length(vanilla_checkpoint, fnet):
         assert run.episode_length == steps
 
 
-def test_identity_probe_report_is_exactly_neutral(vanilla_checkpoint, fnet):
+def test_identity_probe_report_is_exactly_neutral(vanilla_checkpoint):
     ck, ck_id = vanilla_checkpoint
-    report = hz.probe(ck.params, ck.env_spec, IDENTITY, runs=5, fnet=fnet,
+    report = hz.probe(ck.params, ck.env_spec, IDENTITY, runs=5,
                       checkpoint_id=ck_id)
     assert report.impact == 0.0
     assert report.mean_similarity == 0.0
@@ -141,50 +140,49 @@ def test_identity_probe_report_is_exactly_neutral(vanilla_checkpoint, fnet):
     assert report.score_min_fixed == ck.env_spec.score_min
 
 
-def test_probe_on_second_environment(minipong_spec, fnet):
+def test_probe_on_second_environment(minipong_spec):
     """Episode probing is environment-agnostic, and a policy pinned to the
     score floor is refused a (meaningless) impact instead of reporting 0/0."""
     from policyprobe import nn
     pong_net = nn.qnet_params(minipong_spec.obs_shape,
                               minipong_spec.n_actions, seed=1)
     total, mean_sim, _, trace = hz.probe_episode(pong_net, minipong_spec,
-                                                 IDENTITY, 0, fnet)
+                                                 IDENTITY, 0)
     assert mean_sim == 0.0
     assert total == greedy_returns(pong_net, minipong_spec, [0])[0]
     # an untuned net loses every rally at exactly the floor, so the
     # normalized impact is undefined and the probe must say so
     assert total == minipong_spec.score_min
     with pytest.raises(ValueError):
-        hz.probe(pong_net, minipong_spec, IDENTITY, runs=3, fnet=fnet)
+        hz.probe(pong_net, minipong_spec, IDENTITY, runs=3)
 
 
-def test_perturbed_probe_reports_positive_similarity(vanilla_checkpoint,
-                                                     fnet):
+def test_perturbed_probe_reports_positive_similarity(vanilla_checkpoint):
     ck, _ = vanilla_checkpoint
     direction = perturb.PerturbationSpec(family="brightness_contrast",
                                          alpha=0.6, beta=-40.0)
-    report = hz.probe(ck.params, ck.env_spec, direction, runs=3, fnet=fnet)
+    report = hz.probe(ck.params, ck.env_spec, direction, runs=3)
     assert report.mean_similarity > 0.0
     assert math.isfinite(report.impact)
 
 
-def test_attack_probe_episode_keeps_distances(vanilla_checkpoint, fnet):
+def test_attack_probe_episode_keeps_distances(vanilla_checkpoint):
     ck, _ = vanilla_checkpoint
     direction = attack.AttackSpec(method="fgm", p=math.inf, epsilon=0.02)
     total, mean_sim, _, trace = hz.probe_episode(ck.params, ck.env_spec,
-                                                 direction, 0, fnet)
+                                                 direction, 0)
     assert len(trace) >= 1
     for t in trace:
         assert t.attack_distance <= 0.02 + 1e-9
     assert math.isfinite(total)
 
 
-def test_probe_rejects_bad_run_counts(vanilla_checkpoint, fnet):
+def test_probe_rejects_bad_run_counts(vanilla_checkpoint):
     ck, _ = vanilla_checkpoint
     with pytest.raises(ValueError):
-        hz.probe(ck.params, ck.env_spec, IDENTITY, runs=0, fnet=fnet)
+        hz.probe(ck.params, ck.env_spec, IDENTITY, runs=0)
     with pytest.raises(ValueError):
-        hz.probe(ck.params, ck.env_spec, IDENTITY, runs=3, fnet=fnet,
+        hz.probe(ck.params, ck.env_spec, IDENTITY, runs=3,
                  clean_scores=np.array([1.0]))
 
 
@@ -211,78 +209,14 @@ def test_aggregate_rejects_empty(pixelgrid_spec):
 
 
 # ---------------------------------------------------------------------------
-# Verdicts
-# ---------------------------------------------------------------------------
-
-def test_hsd_verdict_boundaries(pixelgrid_spec):
-    clean = synthetic_report([0.9, 0.9], [0.0, 0.0], 0.9, pixelgrid_spec)
-    quiet_drop = synthetic_report([0.1, 0.1], [0.01, 0.01], 0.9,
-                                  pixelgrid_spec)
-    assert hz.hsd_verdict(quiet_drop, clean, eps_threshold=0.05,
-                          delta_threshold=0.5)
-    # similarity too visible
-    loud_drop = synthetic_report([0.1, 0.1], [0.2, 0.2], 0.9, pixelgrid_spec)
-    assert not hz.hsd_verdict(loud_drop, clean, 0.05, 0.5)
-    # score barely moved
-    quiet_mild = synthetic_report([0.8, 0.8], [0.01, 0.01], 0.9,
-                                  pixelgrid_spec)
-    assert not hz.hsd_verdict(quiet_mild, clean, 0.05, 0.5)
-    # the comparison requires the same policy and environment
-    other = synthetic_report([0.9, 0.9], [0.0, 0.0], 0.9, pixelgrid_spec,
-                             ck="feedface")
-    with pytest.raises(ValueError):
-        hz.hsd_verdict(quiet_drop, other, 0.05, 0.5)
-
-
-@pytest.mark.parametrize("clean_scores,perturbed_scores",
-                         [([-2.0, -2.0], [-1.5, -1.5]),   # a rise
-                          ([0.0, 0.0], [-1.0, -1.0])])    # a lost point
-def test_hsd_verdict_refuses_a_non_positive_clean_mean(
-        clean_scores, perturbed_scores, minipong_spec):
-    """On MiniPong a clean mean <= 0 would make `mean < delta * clean_mean`
-    read a better score as high-sensitivity."""
-    clean = synthetic_report(clean_scores, [0.0, 0.0], clean_scores[0],
-                             minipong_spec)
-    perturbed = synthetic_report(perturbed_scores, [0.01, 0.01],
-                                 clean_scores[0], minipong_spec)
-    mean = repr(clean.mean_score)
-    with pytest.raises(ValueError, match=f"clean mean score {mean}"):
-        hz.hsd_verdict(perturbed, clean, 0.05, 0.5)
-    with pytest.raises(ValueError, match="clean mean"):
-        hz.fixed_direction_verdict([perturbed], [clean], 0.05, 0.5)
-
-
-def test_fixed_direction_verdict_is_a_conjunction(pixelgrid_spec):
-    clean = synthetic_report([0.9, 0.9], [0.0, 0.0], 0.9, pixelgrid_spec)
-    hit = synthetic_report([0.0, 0.0], [0.01, 0.01], 0.9, pixelgrid_spec)
-    miss = synthetic_report([0.85, 0.85], [0.01, 0.01], 0.9, pixelgrid_spec)
-    assert hz.fixed_direction_verdict([hit, hit], [clean, clean], 0.05, 0.5)
-    assert not hz.fixed_direction_verdict([hit, miss], [clean, clean],
-                                          0.05, 0.5)
-    with pytest.raises(ValueError):
-        hz.fixed_direction_verdict([hit], [clean, clean], 0.05, 0.5)
-    with pytest.raises(ValueError):
-        hz.fixed_direction_verdict([], [], 0.05, 0.5)
-
-
-def test_fixed_direction_verdict_rejects_attacks(pixelgrid_spec):
-    records = [hz.RunRecord(0, 0.0, 0.01, 5)]
-    adv = hz.aggregate(attack.AttackSpec(method="fgm", epsilon=0.05),
-                       pixelgrid_spec, records, 0.9, checkpoint_id="deadbeef")
-    clean = synthetic_report([0.9], [0.0], 0.9, pixelgrid_spec)
-    with pytest.raises(ValueError):
-        hz.fixed_direction_verdict([adv], [clean], 0.05, 0.5)
-
-
-# ---------------------------------------------------------------------------
 # Sweeps
 # ---------------------------------------------------------------------------
 
-def test_sweep_structure_and_identity_point(vanilla_checkpoint, fnet):
+def test_sweep_structure_and_identity_point(vanilla_checkpoint):
     ck, ck_id = vanilla_checkpoint
     result = hz.sweep([("vanilla", ck.params)], ck.env_spec,
                       family="median_blur", parameter="kernel",
-                      values=[1, 3], runs=3, fnet=fnet,
+                      values=[1, 3], runs=3,
                       checkpoint_ids={"vanilla": ck_id})
     assert result.policies == ["vanilla"]
     assert result.values == [1, 3]
@@ -304,20 +238,20 @@ def test_sweep_structure_and_identity_point(vanilla_checkpoint, fnet):
         result.point("radial", 1)
 
 
-def test_sweep_rejects_unsorted_grid(vanilla_checkpoint, fnet):
+def test_sweep_rejects_unsorted_grid(vanilla_checkpoint):
     ck, _ = vanilla_checkpoint
     with pytest.raises(ValueError):
         hz.sweep([("vanilla", ck.params)], ck.env_spec, "median_blur",
-                 "kernel", values=[3, 1], runs=1, fnet=fnet)
+                 "kernel", values=[3, 1], runs=1)
     with pytest.raises(ValueError):
-        hz.sweep([], ck.env_spec, "median_blur", "kernel", [1], 1, fnet)
+        hz.sweep([], ck.env_spec, "median_blur", "kernel", [1], 1)
 
 
-def test_sweep_carries_base_direction(vanilla_checkpoint, fnet):
+def test_sweep_carries_base_direction(vanilla_checkpoint):
     ck, _ = vanilla_checkpoint
     base = perturb.PerturbationSpec(family="shift", circular=True)
     result = hz.sweep([("vanilla", ck.params)], ck.env_spec, "shift", "ti",
-                      values=[1, 2], runs=2, fnet=fnet, base_direction=base)
+                      values=[1, 2], runs=2, base_direction=base)
     for pt in result.points:
         assert pt.report.direction_spec.circular is True
         assert pt.report.direction.endswith("c")
@@ -340,8 +274,7 @@ def _stuck_net(spec):
     return net
 
 
-def test_capped_episodes_score_exactly_the_fixed_minimum(pixelgrid_spec,
-                                                         fnet):
+def test_capped_episodes_score_exactly_the_fixed_minimum(pixelgrid_spec):
     """200 steps of -0.01 must sum to score_min = -0.01 * cap exactly; a
     running float sum drifts to -2.0000000000000013, below the floor."""
     spec = pixelgrid_spec
@@ -349,8 +282,7 @@ def test_capped_episodes_score_exactly_the_fixed_minimum(pixelgrid_spec,
     seeds = list(range(10))
     assert greedy_returns(net, spec, seeds).tolist() == [spec.score_min] * 10
     for seed in (0, 9):
-        total, _, steps, trace = hz.probe_episode(net, spec, IDENTITY, seed,
-                                                  fnet)
+        total, _, steps, trace = hz.probe_episode(net, spec, IDENTITY, seed)
         assert len(trace) == steps == spec.episode_cap
         assert total == spec.score_min
     config = ql.TrainConfig(total_steps=spec.episode_cap, eps_start=0.0,
@@ -359,7 +291,7 @@ def test_capped_episodes_score_exactly_the_fixed_minimum(pixelgrid_spec,
     assert ck.curve == [(0, spec.score_min)]
     # pinned at the floor, the policy has no baseline to normalize against
     with pytest.raises(ValueError, match=r"clean score -2\.0 "):
-        hz.probe(net, spec, IDENTITY, runs=3, fnet=fnet)
+        hz.probe(net, spec, IDENTITY, runs=3)
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +361,7 @@ def test_probe_episode_computes_once_per_distinct_observation(
                         counting("lpips", perceptual.lpips, 1))
     monkeypatch.setattr(hz, "greedy_action",
                         counting("action", hz.greedy_action, 1))
-    total, mean_sim, steps, trace = hz.probe_episode(net, spec, direction, 0,
-                                                     fnet)
+    total, mean_sim, steps, trace = hz.probe_episode(net, spec, direction, 0)
     assert sorted(seen["view"]) == sorted(distinct)
     assert sorted(seen["lpips"]) == sorted(distinct)
     assert len(seen["action"]) == len(distinct)
@@ -452,22 +383,22 @@ def test_probe_episode_computes_once_per_distinct_observation(
 
 
 def test_sweep_names_the_policy_with_a_degenerate_baseline(
-        vanilla_checkpoint, fnet):
+        vanilla_checkpoint):
     ck, _ = vanilla_checkpoint
     with pytest.raises(ValueError, match="policy 'stuck'"):
         hz.sweep([("vanilla", ck.params), ("stuck", _stuck_net(ck.env_spec))],
                  ck.env_spec, "median_blur", "kernel", values=[1, 3],
-                 runs=2, fnet=fnet)
+                 runs=2)
 
 
-def test_sweep_refuses_duplicate_policy_names(vanilla_checkpoint, fnet):
+def test_sweep_refuses_duplicate_policy_names(vanilla_checkpoint):
     """Two points per grid value under one label would make `point` and
     the sweep rows ambiguous."""
     ck, _ = vanilla_checkpoint
     with pytest.raises(ValueError, match="duplicate policy name 'vanilla'"):
         hz.sweep([("vanilla", ck.params), ("radial", ck.params),
                   ("vanilla", ck.params)], ck.env_spec, "median_blur",
-                 "kernel", values=[1, 3], runs=1, fnet=fnet)
+                 "kernel", values=[1, 3], runs=1)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +413,7 @@ def _recording(seen, fn, key):
 
 
 def test_sweep_computes_once_per_distinct_direction_and_observation(
-        vanilla_checkpoint, radial_checkpoint, fnet, monkeypatch):
+        vanilla_checkpoint, radial_checkpoint, monkeypatch):
     """Every run and every policy shares a grid value's views: each
     (direction, observation) is perturbed and scored once in the sweep, and
     each (policy, direction, observation) acted on once."""
@@ -490,7 +421,7 @@ def test_sweep_computes_once_per_distinct_direction_and_observation(
                 ("radial", radial_checkpoint[0].params)]
     spec = vanilla_checkpoint[0].env_spec
     grid = dict(family="brightness_contrast", parameter="beta",
-                values=[10.0, 30.0], runs=4, fnet=fnet)
+                values=[10.0, 30.0], runs=4)
     views, sims, acts = [], [], []
     monkeypatch.setattr(perturb, "apply", _recording(
         views, perturb.apply, lambda d, obs: (d, obs.tobytes())))
@@ -530,7 +461,41 @@ def test_attack_views_stay_with_their_policy(vanilla_checkpoint,
     monkeypatch.setattr(attack, "run_attack", _recording(
         calls, attack.run_attack, lambda p, obs, d: (id(p), obs.tobytes())))
     for net in nets:
-        hz.probe(net, spec, direction, runs=3, fnet=fnet)
+        hz.probe(net, spec, direction, runs=3)
     for net, seen in zip(nets, visited):
         mine = [obs for owner, obs in calls if owner == id(net)]
         assert sorted(mine) == sorted(seen)
+
+
+# ---------------------------------------------------------------------------
+# One reference featurenet per process
+# ---------------------------------------------------------------------------
+
+def test_clean_runs_never_parse_the_featurenet(vanilla_checkpoint,
+                                               fresh_reference_net,
+                                               monkeypatch):
+    """An identity view never reaches lpips, so clean runs need no net."""
+    def refuse():
+        raise AssertionError("featurenet asset parsed")
+
+    monkeypatch.setattr(perceptual, "load_reference_featurenet", refuse)
+    ck, _ = vanilla_checkpoint
+    hz.clean_baseline(ck.params, ck.env_spec, 3)
+    hz.probe_episode(ck.params, ck.env_spec, IDENTITY, 0)
+
+
+def test_sweep_and_probe_parse_the_featurenet_once(
+        vanilla_checkpoint, radial_checkpoint, fresh_reference_net,
+        monkeypatch):
+    loads = []
+    monkeypatch.setattr(perceptual, "load_reference_featurenet", _recording(
+        loads, perceptual.load_reference_featurenet, lambda: None))
+    spec = vanilla_checkpoint[0].env_spec
+    hz.sweep([("vanilla", vanilla_checkpoint[0].params),
+              ("radial", radial_checkpoint[0].params)], spec,
+             "brightness_contrast", "beta", values=[10.0, 30.0], runs=2)
+    assert len(loads) == 1
+    direction = perturb.PerturbationSpec(family="brightness_contrast",
+                                         beta=20.0)
+    hz.probe(vanilla_checkpoint[0].params, spec, direction, runs=2)
+    assert len(loads) == 1

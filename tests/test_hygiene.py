@@ -72,3 +72,43 @@ def test_private_read_detector():
                          ids=lambda p: p.name)
 def test_no_module_reads_another_modules_private_names(path):
     assert private_reads(path.read_text()) == []
+
+
+# Manifest-settable dataclasses, by defining module: a field no expression
+# reads is an option that does nothing.
+SETTINGS = {"config.py": ("ProbeSettings", "SweepSettings",
+                          "SpectrumSettings"),
+            "qlearning.py": ("TrainConfig",),
+            "attack.py": ("AttackSpec",),
+            "perturb.py": ("PerturbationSpec",)}
+
+
+def unread_fields(sources: list[str], owner: str, name: str) -> list[str]:
+    """Fields of dataclass `name`, defined in source `owner`, that no
+    attribute load in `sources` reads other than through `self`."""
+    cls = next(node for node in ast.parse(owner).body
+               if isinstance(node, ast.ClassDef) and node.name == name)
+    fields = [s.target.id for s in cls.body
+              if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+    reads = {node.attr for source in sources
+             for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.ctx, ast.Load)
+             and not (isinstance(node.value, ast.Name)
+                      and node.value.id == "self")}
+    return [f for f in fields if f not in reads]
+
+
+def test_unread_field_detector():
+    owner = ("@dataclass\nclass S:\n    a: int\n    b: int = 0\n"
+             "    c: int = 1\n    def f(self):\n        return self.b\n")
+    user = "def g(s):\n    s.c = 2\n    return s.a\n"
+    assert unread_fields([owner, user], owner, "S") == ["b", "c"]
+
+
+@pytest.mark.parametrize("module,name",
+                         [(m, n) for m, names in SETTINGS.items()
+                          for n in names], ids=lambda v: v)
+def test_every_manifest_field_is_read(module, name):
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    assert unread_fields(sources, (SRC / module).read_text(), name) == []

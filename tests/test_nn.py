@@ -481,20 +481,8 @@ def test_qnet_rejects_too_small_observations():
 
 
 # ---------------------------------------------------------------------------
-# Optimizers
+# Optimizer
 # ---------------------------------------------------------------------------
-
-def test_sgd_step_is_scaled_subtraction():
-    net = dense_net()
-    grads = net.zeros_like()
-    for _, _, g in grads.arrays():
-        g += 2.0
-    before = [arr.copy() for _, _, arr in net.arrays()]
-    opt = nn.Optimizer(nn.OptimizerConfig(kind="sgd", lr=0.05))
-    opt.step(net, grads)
-    for prev, (_, _, now) in zip(before, net.arrays()):
-        assert np.allclose(now, prev - 0.1, atol=1e-15)
-
 
 def test_adam_first_step_moves_by_lr_in_sign_direction(rng):
     net = dense_net()
@@ -502,7 +490,7 @@ def test_adam_first_step_moves_by_lr_in_sign_direction(rng):
     for _, _, g in grads.arrays():
         g[...] = rng.choice([-3.0, 1.5, 0.7], size=g.shape)
     before = [arr.copy() for _, _, arr in net.arrays()]
-    opt = nn.Optimizer(nn.OptimizerConfig(kind="adam", lr=1e-3))
+    opt = nn.Optimizer(1e-3)
     opt.step(net, grads)
     # bias-corrected first step is lr * sign(g) up to the eps regularizer
     for prev, (_, _, now), (_, _, g) in zip(before, net.arrays(),
@@ -515,7 +503,7 @@ def test_optimizer_rejects_non_finite_grads():
     grads = net.zeros_like()
     for _, _, g in grads.arrays():
         g[...] = np.inf
-    opt = nn.Optimizer(nn.OptimizerConfig(kind="sgd", lr=0.1))
+    opt = nn.Optimizer(0.1)
     with pytest.raises(nn.NonFiniteError):
         opt.step(net, grads)
 

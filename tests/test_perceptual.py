@@ -35,6 +35,17 @@ def test_asset_distances_are_stable_across_loads(fnet, rng):
     assert pc.lpips(fnet, a, b) == pc.lpips(other, a, b)
 
 
+def test_cached_reference_net_is_read_only(fresh_reference_net):
+    """Every caller in the process shares the cached net, so none may
+    change it under the others."""
+    fnet = pc.reference_featurenet()
+    assert pc.reference_featurenet() is fnet
+    arrays = [arr for _, _, arr in fnet.params.arrays()]
+    for arr in arrays + fnet.channel_weights:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0.0
+
+
 def test_featurenet_rejects_bad_channel_weights():
     params = pc.build_reference_params()
     good = [np.ones(lay.kernel.shape[3]) for lay in params.layers]

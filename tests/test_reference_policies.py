@@ -60,10 +60,10 @@ def test_fine_tune_from_vanilla_reproduces_its_checkpoint_id(
 
 
 @pytest.mark.parametrize("name", NAMES)
-def test_reference_policy_is_competent(name, pixelgrid_spec, fnet):
+def test_reference_policy_is_competent(name, pixelgrid_spec):
     ck, _ = cp.load_checkpoint(DATA_DIR / f"{name}_pixelgrid.txt")
     returns = harness.clean_baseline(ck.params, pixelgrid_spec,
-                                     len(EVAL_EPISODES), fnet)
+                                     len(EVAL_EPISODES))
     oracle = np.mean([oracle_return(pixelgrid_spec, s)
                       for s in EVAL_EPISODES])
     assert returns.mean() >= COMPETENCE_FLOOR * oracle, (
