@@ -69,7 +69,7 @@ def main(argv=None) -> int:
         report = harness.probe(ck.params, ck.env_spec, direction, args.runs,
                                checkpoint_id=ck_id)
         print("  " + cp.summary_line(report))
-        label = harness.direction_label(direction)
+        label = direction.label()
         safe = "".join(c if c.isalnum() or c in "._-" else "_"
                        for c in label)
         cp.atomic_write_text(rundir / f"runs_{safe}.csv",

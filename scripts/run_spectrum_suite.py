@@ -24,7 +24,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from policyprobe import checkpoint as cp
-from policyprobe import harness, perturb, spectral
+from policyprobe import perturb, spectral
 from policyprobe.envs import make_env, make_spec
 
 DIRECTIONS = [
@@ -61,7 +61,7 @@ def main(argv=None) -> int:
         pairs = [(obs, perturb.apply(direction, obs))
                  for obs in observations]
         delta = spectral.mean_band_delta(pairs)
-        label = harness.direction_label(direction)
+        label = direction.label()
         safe = "".join(c if c.isalnum() or c in "._-" else "_"
                        for c in label)
         cp.atomic_write_text(rundir / f"spectrum_{safe}.csv",

@@ -65,6 +65,10 @@ class AttackSpec:
         if self.cw_step <= 0:
             raise ValueError("cw_step must be positive")
 
+    def label(self) -> str:
+        norm = "inf" if math.isinf(self.p) else "l2"
+        return f"{self.method}[p={norm},eps={self.epsilon:g}]"
+
 
 @dataclass
 class AttackResult:

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import io
-import math
 import os
 import tempfile
 import time
@@ -91,6 +89,10 @@ def run_directory(command: str, root: Path | None = None) -> Path:
 # ---------------------------------------------------------------------------
 
 def _format_value(value) -> str:
+    """One value of any file written here: floats at 17 significant digits,
+    which round-trip (inf is "inf"), and bools as 0/1."""
+    if isinstance(value, (bool, np.bool_)):
+        return str(int(value))
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)
@@ -102,19 +104,12 @@ def _config_lines(prefix: str, obj) -> list[str]:
 
 
 def serialize_checkpoint(ck: Checkpoint) -> str:
-    out = io.StringIO()
-    out.write(f"{CHECKPOINT_VERSION}\n")
-    out.write(f"trained_steps = {ck.trained_steps}\n")
-    for line in _config_lines("env", ck.env_spec):
-        out.write(line + "\n")
-    for line in _config_lines("train", ck.config):
-        out.write(line + "\n")
-    out.write(f"curve {len(ck.curve)}\n")
-    for episode, ret in ck.curve:
-        out.write(f"{episode} {ret:.17g}\n")
-    out.write(nn.serialize_params(ck.params, kind="qnet"))
-    out.write("end checkpoint\n")
-    return out.getvalue()
+    lines = [CHECKPOINT_VERSION, f"trained_steps = {ck.trained_steps}",
+             *_config_lines("env", ck.env_spec),
+             *_config_lines("train", ck.config), f"curve {len(ck.curve)}"]
+    lines += [" ".join(map(_format_value, row)) for row in ck.curve]
+    return ("\n".join(lines) + "\n"
+            + nn.serialize_params(ck.params, kind="qnet") + "end checkpoint\n")
 
 
 def checkpoint_id(text: str) -> str:
@@ -122,8 +117,7 @@ def checkpoint_id(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-_FIELD_PARSERS = {"int": int, "float": float, "str": str,
-                  "bool": lambda s: s == "True"}
+_FIELD_PARSERS = {"int": int, "float": float, "str": str}
 
 
 def _parse_config(cls, prefix: str, fields: dict[str, str]):
@@ -201,44 +195,42 @@ def load_checkpoint(path: Path | str) -> tuple[Checkpoint, str]:
 # CSV and report writers
 # ---------------------------------------------------------------------------
 
+def csv_text(header: str, rows) -> str:
+    """Every CSV table: the schema header, then one line per row of values
+    (see _format_value)."""
+    lines = [header] + [",".join(map(_format_value, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def curve_csv(curve: list[tuple[int, float]]) -> str:
-    rows = [CURVE_CSV_HEADER]
-    rows += [f"{episode},{ret:.17g}" for episode, ret in curve]
-    return "\n".join(rows) + "\n"
+    return csv_text(CURVE_CSV_HEADER, curve)
 
 
 def report_csv(report: ProbeReport) -> str:
-    rows = [REPORT_CSV_HEADER]
-    for i, run in enumerate(report.runs):
-        rows.append(f"{i},{run.episode_seed},{run.score:.17g},"
-                    f"{run.mean_similarity:.17g}")
-    return "\n".join(rows) + "\n"
+    return csv_text(REPORT_CSV_HEADER,
+                    [(i, run.episode_seed, run.score, run.mean_similarity)
+                     for i, run in enumerate(report.runs)])
 
 
 def report_text(report: ProbeReport, config_echo: str = "") -> str:
     """Self-contained probe summary: direction, provenance, aggregates,
     and (when given) the indented config echo that reproduces the run."""
-    out = io.StringIO()
-    out.write("probe report v1\n")
-    out.write(f"direction = {report.direction}\n")
-    out.write(f"env = {report.env_id}\n")
-    out.write(f"checkpoint = {report.checkpoint_id}\n")
-    out.write(f"featurenet = {report.featurenet_version}\n")
-    out.write(f"runs = {len(report.runs)}\n")
-    out.write(f"episode_seeds = {','.join(str(s) for s in report.seeds)}\n")
-    out.write(f"score_clean = {report.score_clean:.17g}\n")
-    out.write(f"score_min_fixed = {report.score_min_fixed:.17g}\n")
-    out.write(f"mean_score = {report.mean_score:.17g}\n")
-    out.write(f"sem_score = {report.sem_score:.17g}\n")
-    out.write(f"mean_similarity = {report.mean_similarity:.17g}\n")
-    out.write(f"sem_similarity = {report.sem_similarity:.17g}\n")
-    out.write(f"impact = {report.impact:.17g}\n")
+    lines = ["probe report v1",
+             f"direction = {report.direction}",
+             f"env = {report.env_id}",
+             f"checkpoint = {report.checkpoint_id}",
+             f"featurenet = {report.featurenet_version}",
+             f"runs = {len(report.runs)}",
+             f"episode_seeds = {','.join(str(s) for s in report.seeds)}"]
+    lines += [f"{name} = {_format_value(getattr(report, name))}"
+              for name in ("score_clean", "score_min_fixed", "mean_score",
+                           "sem_score", "mean_similarity", "sem_similarity",
+                           "impact")]
     if config_echo:
-        out.write("config_echo:\n")
-        for line in config_echo.rstrip("\n").splitlines():
-            out.write(f"  {line}\n")
-    out.write("end report\n")
-    return out.getvalue()
+        lines.append("config_echo:")
+        lines += ["  " + ln for ln in config_echo.rstrip("\n").splitlines()]
+    lines.append("end report")
+    return "\n".join(lines) + "\n"
 
 
 def summary_line(report: ProbeReport) -> str:
@@ -251,29 +243,20 @@ def summary_line(report: ProbeReport) -> str:
 
 def sweep_csv(result: SweepResult) -> str:
     """One row per (policy, grid value, run), plus the point impact."""
-    rows = [SWEEP_CSV_HEADER]
-    for pt in result.points:
-        for i, run in enumerate(pt.report.runs):
-            rows.append(
-                f"{pt.policy},{result.parameter},{pt.value:.17g},{i},"
-                f"{run.episode_seed},{run.score:.17g},"
-                f"{run.mean_similarity:.17g},{pt.report.impact:.17g}")
-    return "\n".join(rows) + "\n"
+    return csv_text(SWEEP_CSV_HEADER,
+                    [(pt.policy, result.parameter, pt.value, i,
+                      run.episode_seed, run.score, run.mean_similarity,
+                      pt.report.impact)
+                     for pt in result.points
+                     for i, run in enumerate(pt.report.runs)])
 
 
 def spectrum_csv(rows: list[tuple[int, float, float, float]]) -> str:
-    out = [SPECTRUM_CSV_HEADER]
-    out += [f"{f},{eb:.17g},{ep:.17g},{d:.17g}" for f, eb, ep, d in rows]
-    return "\n".join(out) + "\n"
+    return csv_text(SPECTRUM_CSV_HEADER, rows)
 
 
 def attack_csv(rows: list[tuple[int, int, int, float, bool, float]]) -> str:
-    out = [ATTACK_CSV_HEADER]
-    for state, a_clean, a_adv, dist, success, sim in rows:
-        dist_s = "inf" if math.isinf(dist) else f"{dist:.17g}"
-        out.append(f"{state},{a_clean},{a_adv},{dist_s},"
-                   f"{int(success)},{sim:.17g}")
-    return "\n".join(out) + "\n"
+    return csv_text(ATTACK_CSV_HEADER, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
 import csv
-import io
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import attack as attack_mod
 from . import checkpoint as cp
@@ -45,24 +42,26 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _resolve_root(cfg: config_mod.RunConfig, out_flag: str | None) -> Path:
-    if out_flag:
-        return Path(out_flag)
-    if cfg.output_dir:
-        return Path(cfg.output_dir)
-    return cp.output_root()
+def _run_directory(cfg: config_mod.RunConfig, command: str,
+                   out_flag: str | None) -> Path:
+    """A fresh run directory under --out, else the manifest's output_dir,
+    else the default root, holding the effective config's echo."""
+    root = out_flag or cfg.output_dir
+    rundir = cp.run_directory(command, Path(root) if root else None)
+    cp.atomic_write_text(rundir / "config_echo.json", cfg.echo + "\n")
+    return rundir
 
 
-def _load_checkpoint_arg(path: str) -> tuple[ql.Checkpoint, str]:
+def _load_checkpoint_arg(cfg: config_mod.RunConfig,
+                         path: str) -> tuple[ql.Checkpoint, str]:
+    """The checkpoint at path and its id; it must exist and have been
+    trained on the manifest's environment."""
     if not path:
         raise config_mod.ConfigError(
             "a checkpoint is required (--checkpoint or probe.checkpoint)")
     if not Path(path).exists():
         raise config_mod.ConfigError(f"checkpoint not found: {path}")
-    return cp.load_checkpoint(path)
-
-
-def _check_env_match(cfg: config_mod.RunConfig, ck: ql.Checkpoint) -> None:
+    ck, ck_id = cp.load_checkpoint(path)
     have, want = ck.env_spec, cfg.env
     if (have.env_id, have.size, have.seed) != (want.env_id, want.size,
                                                want.seed):
@@ -70,6 +69,7 @@ def _check_env_match(cfg: config_mod.RunConfig, ck: ql.Checkpoint) -> None:
             f"checkpoint was trained on {have.env_id} size {have.size} "
             f"seed {have.seed}, manifest asks for {want.env_id} size "
             f"{want.size} seed {want.seed}")
+    return ck, ck_id
 
 
 # ---------------------------------------------------------------------------
@@ -78,10 +78,9 @@ def _check_env_match(cfg: config_mod.RunConfig, ck: ql.Checkpoint) -> None:
 
 def cmd_train(cfg: config_mod.RunConfig, out_flag: str | None) -> int:
     ck = ql.train(cfg.env, cfg.train)
-    rundir = cp.run_directory("train", _resolve_root(cfg, out_flag))
+    rundir = _run_directory(cfg, "train", out_flag)
     ck_id = cp.save_checkpoint(rundir / "checkpoint.txt", ck)
     cp.atomic_write_text(rundir / "curve.csv", cp.curve_csv(ck.curve))
-    cp.atomic_write_text(rundir / "config_echo.json", cfg.echo + "\n")
     print(f"checkpoint {ck_id} ({cfg.train.objective}, "
           f"{ck.trained_steps} steps) -> {rundir / 'checkpoint.txt'}")
     return 0
@@ -91,15 +90,14 @@ def cmd_probe(cfg: config_mod.RunConfig, checkpoint_flag: str,
               out_flag: str | None) -> int:
     if cfg.probe is None:
         raise config_mod.ConfigError("manifest has no probe section")
-    ck, ck_id = _load_checkpoint_arg(checkpoint_flag or cfg.probe.checkpoint)
-    _check_env_match(cfg, ck)
+    ck, ck_id = _load_checkpoint_arg(cfg, checkpoint_flag
+                                     or cfg.probe.checkpoint)
     report = harness.probe(ck.params, ck.env_spec, cfg.probe.direction,
                            cfg.probe.runs, checkpoint_id=ck_id)
-    rundir = cp.run_directory("probe", _resolve_root(cfg, out_flag))
+    rundir = _run_directory(cfg, "probe", out_flag)
     cp.atomic_write_text(rundir / "report.txt",
                          cp.report_text(report, cfg.echo))
     cp.atomic_write_text(rundir / "runs.csv", cp.report_csv(report))
-    cp.atomic_write_text(rundir / "config_echo.json", cfg.echo + "\n")
     print(cp.summary_line(report))
     print(f"report -> {rundir / 'report.txt'}")
     return 0
@@ -114,8 +112,8 @@ def cmd_attack(cfg: config_mod.RunConfig, checkpoint_flag: str,
         raise config_mod.ConfigError(
             "the attack command needs an attack direction "
             "(probe.direction with a 'method')")
-    ck, ck_id = _load_checkpoint_arg(checkpoint_flag or cfg.probe.checkpoint)
-    _check_env_match(cfg, ck)
+    ck, ck_id = _load_checkpoint_arg(cfg, checkpoint_flag
+                                     or cfg.probe.checkpoint)
     # the rollout probe below reads the table's views, so each distinct
     # state is attacked once across the table and the rollout
     views: harness.Views = {}
@@ -129,9 +127,8 @@ def cmd_attack(cfg: config_mod.RunConfig, checkpoint_flag: str,
                 ck.params, t.base_obs, direction, views)
             a_adv = ql.greedy_action(ck.params, viewed)
             rows.append((len(rows), t.action, a_adv, dist, success, sim))
-    rundir = cp.run_directory("attack", _resolve_root(cfg, out_flag))
+    rundir = _run_directory(cfg, "attack", out_flag)
     cp.atomic_write_text(rundir / "states.csv", cp.attack_csv(rows))
-    cp.atomic_write_text(rundir / "config_echo.json", cfg.echo + "\n")
     n_success = sum(1 for r in rows if r[4])
     print(f"{direction.method}: {n_success}/{len(rows)} states flipped "
           f"-> {rundir / 'states.csv'}")
@@ -154,8 +151,7 @@ def cmd_spectrum(cfg: config_mod.RunConfig, checkpoint_flag: str,
     ck = None
     ck_path = checkpoint_flag or settings.checkpoint
     if settings.source == "rollout" or ck_path:
-        ck, _ = _load_checkpoint_arg(ck_path)
-        _check_env_match(cfg, ck)
+        ck, _ = _load_checkpoint_arg(cfg, ck_path)
     params = ck.params if ck else None
     if settings.source == "rollout":
         observations = [
@@ -165,14 +161,13 @@ def cmd_spectrum(cfg: config_mod.RunConfig, checkpoint_flag: str,
     else:
         env = make_env(cfg.env)
         observations = [env.reset(seed) for seed in range(settings.samples)]
-    rundir = cp.run_directory("spectrum", _resolve_root(cfg, out_flag))
-    cp.atomic_write_text(rundir / "config_echo.json", cfg.echo + "\n")
+    rundir = _run_directory(cfg, "spectrum", out_flag)
     for direction in settings.directions:
         views: harness.Views = {}
         pairs = [(obs, harness.view(params, obs, direction, views)[0])
                  for obs in observations]
         delta = spectral.mean_band_delta(pairs)
-        label = harness.direction_label(direction)
+        label = direction.label()
         safe = "".join(c if c.isalnum() or c in "._-" else "_"
                        for c in label)
         path = rundir / f"spectrum_{safe}.csv"
@@ -193,18 +188,16 @@ def cmd_sweep(cfg: config_mod.RunConfig, out_flag: str | None) -> int:
     settings = cfg.sweep
     policies, ids = [], {}
     for label, path in settings.policies:
-        ck, ck_id = _load_checkpoint_arg(path)
-        _check_env_match(cfg, ck)
+        ck, ck_id = _load_checkpoint_arg(cfg, path)
         policies.append((label, ck.params))
         ids[label] = ck_id
     result = harness.sweep(policies, cfg.env, settings.family,
                            settings.parameter, list(settings.values),
                            settings.runs, checkpoint_ids=ids)
-    rundir = cp.run_directory("sweep", _resolve_root(cfg, out_flag))
+    rundir = _run_directory(cfg, "sweep", out_flag)
     cp.atomic_write_text(rundir / "sweep.csv", cp.sweep_csv(result))
     cp.atomic_write_text(rundir / "summary.csv",
                          _sweep_summary(rundir / "sweep.csv"))
-    cp.atomic_write_text(rundir / "config_echo.json", cfg.echo + "\n")
     for pt in result.points:
         print(f"{pt.policy} {settings.parameter}={pt.value:g}: "
               f"impact {pt.report.impact:+.4f} "
@@ -245,22 +238,21 @@ def _sweep_summary(sweep_csv_path: Path) -> str:
     groups: dict[tuple[str, str], list[list[str]]] = {}
     for row in rows:
         groups.setdefault((row[0], row[2]), []).append(row)
-    out = ["schema=sweep_summary_v1,policy,parameter,value,runs,"
-           "mean_score,sem_score,mean_similarity,sem_similarity,impact"]
+    out = []
     for (policy, value), grp in sorted(groups.items(),
                                        key=lambda kv: (kv[0][0],
                                                        float(kv[0][1]))):
-        scores = [float(r[5]) for r in grp]
-        sims = [float(r[6]) for r in grp]
         impacts = {r[7] for r in grp}
         if len(impacts) != 1:
             raise config_mod.ConfigError(
                 f"inconsistent impact column for {policy} at {value}")
-        out.append(f"{policy},{grp[0][1]},{value},{len(grp)},"
-                   f"{np.mean(scores):.17g},{harness.sem(scores):.17g},"
-                   f"{np.mean(sims):.17g},{harness.sem(sims):.17g},"
-                   f"{impacts.pop()}")
-    return "\n".join(out) + "\n"
+        out.append((policy, grp[0][1], value, len(grp),
+                    *harness.summarize([float(r[5]) for r in grp],
+                                       [float(r[6]) for r in grp]),
+                    impacts.pop()))
+    return cp.csv_text("schema=sweep_summary_v1,policy,parameter,value,runs,"
+                       "mean_score,sem_score,mean_similarity,sem_similarity,"
+                       "impact", out)
 
 
 def _report_fields(path: Path) -> dict[str, str]:
@@ -285,8 +277,8 @@ def cmd_report(rundir: str) -> int:
         header, rows = _read_csv_rows(runs_csv)
         if header[0] != "probe_runs_v1":
             return _fail(f"unexpected schema {header[0]} in {runs_csv}")
-        scores = [float(r[2]) for r in rows]
-        sims = [float(r[3]) for r in rows]
+        stats = harness.summarize([float(r[2]) for r in rows],
+                                  [float(r[3]) for r in rows])
         report_txt = base / "report.txt"
         if not report_txt.exists():
             return _fail(f"{report_txt} is missing: runs.csv is rendered "
@@ -294,16 +286,11 @@ def cmd_report(rundir: str) -> int:
         fields = _report_fields(report_txt)
         clean = float(fields["score_clean"])
         score_min = float(fields["score_min_fixed"])
-        impact = harness.impact(clean, float(np.mean(scores)), score_min)
-        out = io.StringIO()
-        out.write("schema=probe_summary_v1,field,value\n")
-        out.write(f"runs,{len(scores)}\n")
-        out.write(f"mean_score,{np.mean(scores):.17g}\n")
-        out.write(f"sem_score,{harness.sem(scores):.17g}\n")
-        out.write(f"mean_similarity,{np.mean(sims):.17g}\n")
-        out.write(f"sem_similarity,{harness.sem(sims):.17g}\n")
-        out.write(f"impact,{impact:.17g}\n")
-        cp.atomic_write_text(base / "summary.csv", out.getvalue())
+        impact = harness.impact(clean, stats[0], score_min)
+        cp.atomic_write_text(base / "summary.csv", cp.csv_text(
+            "schema=probe_summary_v1,field,value",
+            zip(("runs", "mean_score", "sem_score", "mean_similarity",
+                 "sem_similarity", "impact"), (len(rows), *stats, impact))))
         stored = float(fields["impact"])
         drift = abs(stored - impact)
         print(f"{fields.get('direction', '?')}: impact {impact:+.6f} "

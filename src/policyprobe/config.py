@@ -43,8 +43,7 @@ def parse_direction(mapping: dict) -> Direction:
     if not isinstance(mapping, dict):
         raise ConfigError("direction must be a mapping")
     if "family" in mapping:
-        kwargs = {k: int(v) if k in perturb.INT_FIELDS else v
-                  for k, v in mapping.items()}
+        kwargs = {k: perturb.cast_field(k, v) for k, v in mapping.items()}
         try:
             return perturb.PerturbationSpec(**kwargs)
         except TypeError as exc:
@@ -112,6 +111,11 @@ class SpectrumSettings:
                     and self.source == "reset":
                 raise ValueError("attack directions in a spectrum run "
                                  "need a checkpoint")
+        labels = [d.label() for d in self.directions]
+        for i, label in enumerate(labels):
+            if label in labels[:i]:  # their output files would collide
+                raise ValueError(f"two spectrum directions share the label "
+                                 f"{label!r}")
 
 
 @dataclass(frozen=True)

@@ -114,6 +114,16 @@ class EpisodeOverError(RuntimeError):
     """step() called after the terminal flag without an intervening reset()."""
 
 
+def _step_result(env: Env, reward: float, done: bool) -> StepResult:
+    """End of every step: count it, end the episode if it is done, else
+    truncate it at the episode cap, and report the new observation."""
+    env.step_index += 1
+    truncated = not done and env.step_index >= env.spec.episode_cap
+    env.terminal = done or truncated
+    return StepResult(env._observe(), reward, env.terminal, env.step_index,
+                      truncated)
+
+
 def _render_cells(cells: Array) -> Array:
     """Upscale an (n, n) uint8 grid of shades into (3n, 3n, 1) pixels."""
     return cells.repeat(CELL, 0).repeat(CELL, 1)[:, :, None]
@@ -202,16 +212,8 @@ class PixelGridEnv:
         n = self.spec.size
         if 0 <= nr < n and 0 <= nc < n and not self.walls[nr, nc]:
             self.pos = (nr, nc)
-        self.step_index += 1
-        truncated = False
-        if self.pos == self.goal:
-            reward, self.terminal = 1.0, True
-        else:
-            reward = -0.01
-            if self.step_index >= self.spec.episode_cap:
-                self.terminal, truncated = True, True
-        return StepResult(self._observe(), reward, self.terminal,
-                          self.step_index, truncated)
+        done = self.pos == self.goal
+        return _step_result(self, 1.0 if done else -0.01, done)
 
 
 def _bfs(walls: Array, start: tuple[int, int]
@@ -395,14 +397,9 @@ class MiniPongEnv:
         else:
             self._serve()
 
-        self.step_index += 1
-        truncated = False
-        if abs(st.player_points - st.opp_points) >= POINTS_TO_WIN:
-            self.terminal = True
-        elif self.step_index >= self.spec.episode_cap:
-            self.terminal, truncated = True, True
-        return StepResult(self._observe(), reward, self.terminal,
-                          self.step_index, truncated)
+        return _step_result(
+            self, reward,
+            abs(st.player_points - st.opp_points) >= POINTS_TO_WIN)
 
 
 Env = PixelGridEnv | MiniPongEnv

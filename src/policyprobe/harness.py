@@ -56,13 +56,6 @@ DEFAULT_RUNS = 10
 IDENTITY = perturb.PerturbationSpec()
 
 
-def direction_label(direction: Direction) -> str:
-    if isinstance(direction, perturb.PerturbationSpec):
-        return direction.label()
-    return (f"{direction.method}[p={'inf' if math.isinf(direction.p) else 'l2'},"
-            f"eps={direction.epsilon:g}]")
-
-
 # ---------------------------------------------------------------------------
 # Types
 # ---------------------------------------------------------------------------
@@ -155,6 +148,13 @@ def sem(values: Array | list[float]) -> float:
     return float(np.std(values, ddof=1) / math.sqrt(len(values)))
 
 
+def summarize(scores: Array | list[float], sims: Array | list[float]
+              ) -> tuple[float, float, float, float]:
+    """Mean and SEM of a set of run scores, then of their similarities."""
+    return (float(np.mean(scores)), sem(scores),
+            float(np.mean(sims)), sem(sims))
+
+
 # ---------------------------------------------------------------------------
 # Episode probe
 # ---------------------------------------------------------------------------
@@ -241,23 +241,23 @@ def aggregate(direction: Direction, env_spec: EnvSpec, runs: list[RunRecord],
     minimum and the supplied paired clean mean."""
     if not runs:
         raise ValueError("at least one run required")
-    scores = np.array([r.score for r in runs])
-    sims = np.array([r.mean_similarity for r in runs])
+    mean_score, sem_score, mean_sim, sem_sim = summarize(
+        [r.score for r in runs], [r.mean_similarity for r in runs])
     return ProbeReport(
-        direction=direction_label(direction),
+        direction=direction.label(),
         direction_spec=direction,
         env_id=env_spec.env_id,
         checkpoint_id=checkpoint_id,
         featurenet_version=perceptual.FEATURENET_VERSION,
         runs=list(runs),
         seeds=[r.episode_seed for r in runs],
-        mean_score=float(scores.mean()),
-        sem_score=sem(scores),
-        mean_similarity=float(sims.mean()),
-        sem_similarity=sem(sims),
+        mean_score=mean_score,
+        sem_score=sem_score,
+        mean_similarity=mean_sim,
+        sem_similarity=sem_sim,
         score_clean=score_clean,
         score_min_fixed=env_spec.score_min,
-        impact=impact(score_clean, float(scores.mean()), env_spec.score_min),
+        impact=impact(score_clean, mean_score, env_spec.score_min),
     )
 
 
@@ -316,8 +316,8 @@ def sweep(policies: list[tuple[str, nn.ParamSet]], spec: EnvSpec, family: str,
     """Probe every (policy, grid value) pair: the Figure-2-style protocol.
 
     The grid must be strictly increasing; integer-valued parameters (blur
-    kernel, shift distances, perspective seed) are cast from the grid
-    values (see perturb.spec_with). Clean baselines are rolled once per
+    kernel, shift distances, perspective seed) take only integral grid
+    values (see perturb.cast_field). Clean baselines are rolled once per
     policy, in policy order, and shared across the grid; a policy whose
     clean baseline sits at the fixed minimum is refused by name before any
     grid point is probed. Policy names must be unique. The policies share

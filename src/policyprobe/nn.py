@@ -13,10 +13,14 @@ Conventions:
   - parameter gradients come back as a ParamSet of the same shape as the
     parameters
 
-Each backward pass computes one product, the one its caller consumes:
-  - `backprop_batch` with wrt="params" returns the parameter gradients (a
-    ParamSet summed over the batch) and never forms the gradient with
-    respect to the input below the first layer; training uses this
+A layer's linear map, its weight and bias gradients and its input gradient
+are `_affine`, `_affine_grads` and `_affine_input_grad`, each branching
+once on conv vs dense. Each backward pass computes one product, the one
+its caller consumes:
+  - `backprop_batch` runs the reverse walk `_backward`; with wrt="params"
+    it returns the parameter gradients (a ParamSet summed over the batch)
+    and never forms the input gradient below the first layer; training
+    uses this
   - with wrt="input" it returns the input gradient (shaped like the input)
     and forms no parameter gradient; attacks use this
   - `ibp_backprop_batch` returns parameter gradients only
@@ -141,6 +145,10 @@ class ConvLayer:
             raise ValueError("conv layer needs stride >= 1 and padding >= 0")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unsupported activation {self.activation!r}")
+
+    @property
+    def weight(self) -> Array:  # the kernel, as layer-generic code reads it
+        return self.kernel
 
 
 Layer = DenseLayer | ConvLayer
@@ -303,10 +311,7 @@ def _check_layer_input(i: int, lay: Layer, x: Array) -> None:
             raise ShapeMismatchError(
                 f"layer {i} (conv): expected input (*, H, W, {lay.kernel.shape[2]}), "
                 f"got {x.shape}")
-        kh, kw = lay.kernel.shape[:2]
-        oh = (x.shape[1] + 2 * lay.padding - kh) // lay.stride + 1
-        ow = (x.shape[2] + 2 * lay.padding - kw) // lay.stride + 1
-        if oh < 1 or ow < 1:
+        if min(conv_output_hw(x.shape[1], x.shape[2], lay)) < 1:
             raise ShapeMismatchError(f"layer {i} (conv): input {x.shape} too small "
                                      f"for kernel {lay.kernel.shape[:2]}")
     else:
@@ -315,6 +320,32 @@ def _check_layer_input(i: int, lay: Layer, x: Array) -> None:
             raise ShapeMismatchError(
                 f"layer {i} (dense): expected {lay.in_features} input features, "
                 f"got {flat} from shape {x.shape}")
+
+
+def _affine(lay: Layer, x: Array, weight: Array, bias: Array | None) -> Array:
+    """The layer's linear map with `weight` in place of its own (IBP sends
+    the radius through |weight| with no bias); dense flattens x first."""
+    if isinstance(lay, ConvLayer):
+        return conv2d_forward(x, weight, bias, lay.stride, lay.padding)
+    y = x.reshape(x.shape[0], -1) @ weight.T
+    return y if bias is None else y + bias
+
+
+def _affine_grads(lay: Layer, x: Array, g: Array) -> tuple[Array, Array]:
+    """The weight and bias gradients at input x, summed over the batch."""
+    if isinstance(lay, ConvLayer):
+        return (conv2d_kernel_grad(x, g, lay.kernel.shape, lay.stride,
+                                   lay.padding), g.sum(axis=(0, 1, 2)))
+    return g.T @ x.reshape(x.shape[0], -1), g.sum(axis=0)
+
+
+def _affine_input_grad(lay: Layer, weight: Array, g: Array,
+                       in_shape: tuple) -> Array:
+    """The input gradient, shaped in_shape, of the map with `weight`."""
+    if isinstance(lay, ConvLayer):
+        return conv2d_input_grad(g, weight, lay.stride, lay.padding,
+                                 in_shape[1], in_shape[2])
+    return (g @ weight).reshape(in_shape)
 
 
 def forward_batch(net: ParamSet, x: Array, tape: list | None = None) -> list[Array]:
@@ -328,14 +359,9 @@ def forward_batch(net: ParamSet, x: Array, tape: list | None = None) -> list[Arr
     cur = np.asarray(x, dtype=np.float64)
     for i, lay in enumerate(net.layers):
         _check_layer_input(i, lay, cur)
-        if isinstance(lay, ConvLayer):
-            xin = cur
-            pre = conv2d_forward(cur, lay.kernel, lay.bias, lay.stride, lay.padding)
-        else:
-            xin = cur.reshape(cur.shape[0], -1)
-            pre = xin @ lay.weight.T + lay.bias
+        pre = _affine(lay, cur, lay.weight, lay.bias)
         if tape is not None:
-            entries.append({"input": xin, "in_shape": cur.shape,
+            entries.append({"input": cur, "in_shape": cur.shape,
                             "mask": _act_mask(pre, lay.activation),
                             "out_shape": pre.shape})
         cur = _act(pre, lay.activation)
@@ -357,47 +383,25 @@ def forward(net: ParamSet, x: Array, tape: list | None = None) -> list[Array]:
     return squeezed
 
 
-def _input_step(lay: Layer, entry: dict, g: Array) -> Array:
-    """Carry a masked pre-activation gradient to the layer's input."""
-    if isinstance(lay, ConvLayer):
-        xin = entry["input"]
-        return conv2d_input_grad(g, lay.kernel, lay.stride, lay.padding,
-                                 xin.shape[1], xin.shape[2])
-    return (g @ lay.weight).reshape(entry["in_shape"])
-
-
-def _param_grads(net: ParamSet, tape: list[dict], g: Array) -> ParamSet:
-    """Reverse walk for parameter gradients; it ends with layer 0's kernel
-    and bias, so the input gradient below layer 0 is never formed."""
-    grads = net.zeros_like()
-    for i in range(len(net.layers) - 1, -1, -1):
-        lay, entry, glay = net.layers[i], tape[i], grads.layers[i]
-        if entry["mask"] is not None:
-            g = g * entry["mask"]
-        xin = entry["input"]
-        if isinstance(lay, ConvLayer):
-            glay.kernel += conv2d_kernel_grad(xin, g, lay.kernel.shape,
-                                              lay.stride, lay.padding)
-            glay.bias += g.sum(axis=(0, 1, 2))
-        else:
-            glay.weight += g.T @ xin
-            glay.bias += g.sum(axis=0)
-        if i > 0:
-            g = _input_step(lay, entry, g)
-    return grads
-
-
-def _input_grad(net: ParamSet, tape: list[dict], g: Array) -> Array:
-    """Reverse walk for the input gradient; no parameter product is formed."""
+def _backward(net: ParamSet, tape: list[dict], g: Array,
+              wrt: str) -> Array | ParamSet:
+    """The reverse walk: wrt="params" adds each layer's weight and bias
+    gradients into a zero ParamSet and stops at layer 0, never forming the
+    input gradient; wrt="input" forms no parameter product."""
+    grads = net.zeros_like() if wrt == "params" else None
     for i in range(len(net.layers) - 1, -1, -1):
         lay, entry = net.layers[i], tape[i]
         if entry["mask"] is not None:
             g = g * entry["mask"]
-        g = _input_step(lay, entry, g)
+        if grads is not None:
+            gw, gb = _affine_grads(lay, entry["input"], g)
+            w, b = grads.layers[i].weight, grads.layers[i].bias
+            w += gw
+            b += gb
+            if i == 0:
+                return grads
+        g = _affine_input_grad(lay, lay.weight, g, entry["in_shape"])
     return g
-
-
-_BACKWARD = {"params": _param_grads, "input": _input_grad}
 
 
 def _check_tape(tape: list[dict], x_shape: tuple, *gout_shapes: tuple) -> None:
@@ -423,10 +427,10 @@ def backprop_batch(net: ParamSet, x: Array, gout: Array, wrt: str,
     list forward_batch filled when it ran this same x; the backward pass
     reads the activations from it instead of running the forward again.
     """
-    if wrt not in _BACKWARD:
-        raise ValueError(f"wrt must be one of {tuple(_BACKWARD)}, got {wrt!r}")
+    if wrt not in ("params", "input"):
+        raise ValueError(f"wrt must be one of ('params', 'input'), got {wrt!r}")
     _check_tape(tape, np.shape(x), np.shape(gout))
-    return _BACKWARD[wrt](net, tape, np.asarray(gout, dtype=np.float64))
+    return _backward(net, tape, np.asarray(gout, dtype=np.float64), wrt)
 
 
 def rectifier_pattern(tape: list[dict]) -> bytes:
@@ -440,36 +444,12 @@ def rectifier_pattern(tape: list[dict]) -> bytes:
 # Interval bound propagation
 # ---------------------------------------------------------------------------
 
-def _ibp_tape(net: ParamSet, lo: Array, hi: Array) -> tuple[Array, Array, list[dict]]:
-    """Center/radius propagation: center through the linear map, radius
-    through its elementwise absolute value; rectifier applies to both bounds."""
-    tape = []
-    for i, lay in enumerate(net.layers):
-        _check_layer_input(i, lay, lo)
-        mu, rad = (lo + hi) / 2.0, (hi - lo) / 2.0
-        if isinstance(lay, ConvLayer):
-            entry = {"mu": mu, "rad": rad, "in_shape": lo.shape}
-            pmu = conv2d_forward(mu, lay.kernel, lay.bias, lay.stride, lay.padding)
-            prad = conv2d_forward(rad, np.abs(lay.kernel), None, lay.stride, lay.padding)
-        else:
-            entry = {"mu": mu.reshape(mu.shape[0], -1),
-                     "rad": rad.reshape(rad.shape[0], -1),
-                     "in_shape": lo.shape}
-            pmu = entry["mu"] @ lay.weight.T + lay.bias
-            prad = entry["rad"] @ np.abs(lay.weight).T
-        pl, pu = pmu - prad, pmu + prad
-        entry["mask_l"] = _act_mask(pl, lay.activation)
-        entry["mask_u"] = _act_mask(pu, lay.activation)
-        entry["out_shape"] = pl.shape
-        lo, hi = _act(pl, lay.activation), _act(pu, lay.activation)
-        tape.append(entry)
-    return lo, hi, tape
-
-
 def ibp_forward_batch(net: ParamSet, lo: Array, hi: Array,
                       tape: list | None = None) -> tuple[Array, Array]:
     """Sound elementwise output bounds for every input inside each box
-    [lo, hi] of the batch. Bounds of different shapes or with lo > hi
+    [lo, hi] of the batch: the center goes through the linear map, the
+    radius through its elementwise absolute value, and the rectifier
+    applies to both bounds. Bounds of different shapes or with lo > hi
     anywhere are refused. A `tape` list receives what ibp_backprop_batch
     needs (see there)."""
     lo, hi = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
@@ -478,10 +458,22 @@ def ibp_forward_batch(net: ParamSet, lo: Array, hi: Array,
             f"box bounds differ in shape: {lo.shape} vs {hi.shape}")
     if np.any(lo > hi):
         raise ValueError("box has lower > upper")
-    out_lo, out_hi, entries = _ibp_tape(net, lo, hi)
+    entries = []
+    for i, lay in enumerate(net.layers):
+        _check_layer_input(i, lay, lo)
+        mu, rad = (lo + hi) / 2.0, (hi - lo) / 2.0
+        pmu = _affine(lay, mu, lay.weight, lay.bias)
+        prad = _affine(lay, rad, np.abs(lay.weight), None)
+        pl, pu = pmu - prad, pmu + prad
+        if tape is not None:
+            entries.append({"mu": mu, "rad": rad, "in_shape": lo.shape,
+                            "mask_l": _act_mask(pl, lay.activation),
+                            "mask_u": _act_mask(pu, lay.activation),
+                            "out_shape": pl.shape})
+        lo, hi = _act(pl, lay.activation), _act(pu, lay.activation)
     if tape is not None:
         tape[:] = entries
-    return out_lo, out_hi
+    return lo, hi
 
 
 def ibp_backprop_batch(net: ParamSet, lo: Array, hi: Array,
@@ -502,28 +494,16 @@ def ibp_backprop_batch(net: ParamSet, lo: Array, hi: Array,
             gl = gl * entry["mask_l"]
             gu = gu * entry["mask_u"]
         gmu, grad_r = gl + gu, gu - gl
-        glay = grads.layers[i]
-        if isinstance(lay, ConvLayer):
-            mu, rad = entry["mu"], entry["rad"]
-            glay.kernel += conv2d_kernel_grad(mu, gmu, lay.kernel.shape,
-                                              lay.stride, lay.padding)
-            glay.kernel += np.sign(lay.kernel) * conv2d_kernel_grad(
-                rad, grad_r, lay.kernel.shape, lay.stride, lay.padding)
-            glay.bias += gmu.sum(axis=(0, 1, 2))
-            if i == 0:
-                break
-            dmu = conv2d_input_grad(gmu, lay.kernel, lay.stride, lay.padding,
-                                    mu.shape[1], mu.shape[2])
-            drad = conv2d_input_grad(grad_r, np.abs(lay.kernel), lay.stride,
-                                     lay.padding, mu.shape[1], mu.shape[2])
-        else:
-            mu, rad = entry["mu"], entry["rad"]
-            glay.weight += gmu.T @ mu + np.sign(lay.weight) * (grad_r.T @ rad)
-            glay.bias += gmu.sum(axis=0)
-            if i == 0:
-                break
-            dmu = (gmu @ lay.weight).reshape(entry["in_shape"])
-            drad = (grad_r @ np.abs(lay.weight)).reshape(entry["in_shape"])
+        gw_mu, gb = _affine_grads(lay, entry["mu"], gmu)
+        gw_rad = _affine_grads(lay, entry["rad"], grad_r)[0]
+        w, b = grads.layers[i].weight, grads.layers[i].bias
+        w += gw_mu + np.sign(lay.weight) * gw_rad
+        b += gb
+        if i == 0:
+            break
+        dmu = _affine_input_grad(lay, lay.weight, gmu, entry["in_shape"])
+        drad = _affine_input_grad(lay, np.abs(lay.weight), grad_r,
+                                  entry["in_shape"])
         gl, gu = (dmu - drad) / 2.0, (dmu + drad) / 2.0
     return grads
 

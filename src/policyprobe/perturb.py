@@ -14,6 +14,7 @@ to [0, 255].
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,7 @@ DCT_BLOCK = 8
 DCT_LAMBDA = 8.0  # frequency slope of the quantization law
 
 # PerturbationSpec fields that are integers; manifests and sweep grids give
-# numbers as floats, so these are cast on the way in
+# numbers as floats, so these are cast on the way in (see cast_field)
 INT_FIELDS = frozenset({"kernel", "ti", "tj", "pt_seed"})
 
 
@@ -93,13 +94,23 @@ class PerturbationSpec:
         return "identity"
 
 
+def cast_field(name: str, value):
+    """`value` for the PerturbationSpec field `name`; an integer field
+    takes an integral number as an int and refuses any other value."""
+    if name not in INT_FIELDS:
+        return value
+    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def spec_with(family: str, parameter: str, value: float,
               base: PerturbationSpec | None = None) -> PerturbationSpec:
     """`base` (default: the family's defaults) with `parameter` set to
-    `value`, cast to int for the integer fields."""
+    `value` (see cast_field)."""
     fields = base.__dict__ if base is not None else {}
-    cast = int(value) if parameter in INT_FIELDS else value
-    return PerturbationSpec(**{**fields, "family": family, parameter: cast})
+    return PerturbationSpec(**{**fields, "family": family,
+                               parameter: cast_field(parameter, value)})
 
 
 def as_image(s: Array) -> Array:

@@ -304,6 +304,18 @@ def test_spectrum_reset_writes_per_direction_files(tmp_path, capsys):
     assert "low-band delta" in capsys.readouterr().out
 
 
+def test_spectrum_refuses_directions_that_share_a_label(tmp_path, capsys):
+    """Two seeded perspectives share the label pt[3,seeded] and would write
+    the same files; the command refuses them before making a directory."""
+    cfgp = manifest(tmp_path, {"spectrum": {"directions": [
+        {"family": "perspective", "pt_norm": 3.0, "pt_mode": "seeded",
+         "pt_seed": seed} for seed in (0, 1)], "samples": 2}})
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", cfgp, "--out", str(out)]) == 2
+    assert "pt[3,seeded]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_spectrum_rollout_needs_checkpoint(tmp_path, capsys):
     cfgp = manifest(tmp_path, {"spectrum": {
         "directions": [{"family": "median_blur", "kernel": 3}],

@@ -36,6 +36,18 @@ def test_parse_direction_casts_integer_fields():
     assert d.tj == -1 and isinstance(d.tj, int)
 
 
+@pytest.mark.parametrize("field,value", [("ti", 1.9), ("kernel", 3.5),
+                                         ("pt_seed", 0.5), ("tj", math.inf)])
+def test_parse_direction_refuses_non_integral_integer_fields(field, value):
+    """A cast would probe a different direction than the manifest names:
+    ti=1.9 used to probe ti=1."""
+    with pytest.raises(ValueError, match=field):
+        cfg.parse_direction({"family": "shift", field: value})
+    raw = dict(MINIMAL, probe={"direction": {"family": "shift", field: value}})
+    with pytest.raises(ValueError, match=field):
+        cfg.build_run_config(raw)
+
+
 def test_parse_attack_direction_with_inf_norm():
     d = cfg.parse_direction({"method": "fgm", "p": "inf", "epsilon": 0.05})
     assert isinstance(d, attack.AttackSpec)
@@ -163,6 +175,20 @@ def test_sweep_section_validates_grid_and_policies():
     bad["sweep"] = dict(raw["sweep"], policies=[["vanilla", "a.txt"]])
     with pytest.raises(cfg.ConfigError):
         cfg.build_run_config(bad)
+
+
+def test_sweep_grid_refuses_non_integral_values_of_integer_fields():
+    """A kernel grid (3.0, 3.5) used to probe kernel 3 twice while sweep.csv
+    recorded 3.5 for the second point; integral floats stay accepted."""
+    raw = dict(MINIMAL, sweep={"family": "median_blur", "parameter": "kernel",
+                               "values": [3.0, 3.5],
+                               "policies": {"vanilla": "a.txt"}})
+    with pytest.raises(ValueError, match="kernel must be an integer, got 3.5"):
+        cfg.build_run_config(raw)
+    with pytest.raises(ValueError, match="kernel"):
+        perturb.spec_with("median_blur", "kernel", 3.5)
+    raw["sweep"]["values"] = [1.0, 3.0]
+    assert cfg.build_run_config(raw).sweep.values == (1.0, 3.0)
 
 
 def test_spectrum_section_parses_directions():

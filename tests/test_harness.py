@@ -76,12 +76,12 @@ def test_sem_conventions():
 # ---------------------------------------------------------------------------
 
 def test_direction_labels():
-    assert hz.direction_label(perturb.PerturbationSpec(
-        family="median_blur", kernel=5)) == "blur[k=5]"
-    assert hz.direction_label(attack.AttackSpec(
-        method="fgm", p=math.inf, epsilon=0.05)) == "fgm[p=inf,eps=0.05]"
-    assert hz.direction_label(attack.AttackSpec(
-        method="cw", p=2.0, epsilon=0.3)) == "cw[p=l2,eps=0.3]"
+    assert perturb.PerturbationSpec(
+        family="median_blur", kernel=5).label() == "blur[k=5]"
+    assert attack.AttackSpec(
+        method="fgm", p=math.inf, epsilon=0.05).label() == "fgm[p=inf,eps=0.05]"
+    assert attack.AttackSpec(
+        method="cw", p=2.0, epsilon=0.3).label() == "cw[p=l2,eps=0.3]"
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
-"""Source hygiene: every module-level import in the package is used, and
-no module reads another package module's private names."""
+"""Source hygiene: every module-level import in the package and the
+scripts is used, and no module reads another package module's private
+names."""
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "policyprobe"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "policyprobe"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -29,7 +31,8 @@ def test_unused_import_detector():
     assert unused_imports(source) == ["os", "c"]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py"))
+                         + sorted((ROOT / "scripts").glob("*.py")),
                          ids=lambda p: p.name)
 def test_module_level_imports_are_used(path):
     assert unused_imports(path.read_text()) == []

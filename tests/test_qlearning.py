@@ -81,6 +81,29 @@ def test_replay_probabilities_sum_to_one_and_weights_capped(pixelgrid_spec,
     assert np.all(weights <= 1.0 + 1e-12)
 
 
+def test_replay_buffer_wraps_around_at_capacity(pixelgrid_spec, rng):
+    """Pushes past capacity overwrite the oldest slot first, in ring order,
+    and each overwritten slot takes the current maximum priority."""
+    buf = ql.ReplayBuffer(4, alpha_pr=1.0, beta_is=1.0,
+                          priority_floor=0.5, seed=0)
+    t = tiny_transitions(rng, pixelgrid_spec, 9)
+    for tr in t[:4]:
+        buf.push(tr)
+    buf.update_priorities(np.arange(4), np.array([0.5, 2.0, 1.0, 3.0]))
+    buf.push(t[4])                       # overwrites slot 0 (t[0])
+    assert buf._prio[0] == 3.5           # the maximum, 3.0 + floor
+    buf.update_priorities(np.array([1]), np.array([9.5]))
+    buf.push(t[5])                       # slot 1
+    assert buf._prio[1] == 10.0          # the raised maximum
+    for tr in t[6:9]:                    # slots 2, 3 and 0 again
+        buf.push(tr)
+    assert len(buf) == 4
+    assert [id(x) for x in buf._items] == [id(x) for x in
+                                           (t[8], t[5], t[6], t[7])]
+    assert buf._prio.tolist() == [10.0] * 4
+    assert abs(buf.probabilities().sum() - 1.0) < 1e-12
+
+
 def test_replay_rejects_oversized_sample(pixelgrid_spec, rng):
     buf = ql.ReplayBuffer(8, alpha_pr=0.6, beta_is=0.4,
                           priority_floor=1e-3, seed=1)

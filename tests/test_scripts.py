@@ -1,0 +1,67 @@
+"""Smoke tests of the analysis scripts: each runs end to end on a small
+budget and writes the files it promises, and the spectrum suite writes
+what `policyprobe spectrum` writes for the same directions."""
+from __future__ import annotations
+
+import dataclasses
+import importlib.util
+import json
+from pathlib import Path
+
+from policyprobe import checkpoint as cp
+from policyprobe.cli import main
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(f"scripts_{name}",
+                                                  SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_probe_suite_writes_one_runs_csv_per_direction(tmp_path, capsys):
+    suite = load_script("run_probe_suite")
+    assert suite.main(["--runs", "1", "--out", str(tmp_path)]) == 0
+    csvs = sorted(tmp_path.glob("runs_*.csv"))
+    assert len(csvs) == len(suite.DIRECTIONS)   # no two labels collide
+    for path in csvs:
+        lines = path.read_text().splitlines()
+        assert lines[0] == cp.REPORT_CSV_HEADER and len(lines) == 2
+    assert "per-run CSVs" in capsys.readouterr().out
+
+
+def test_robustness_sweep_writes_one_sweep_csv_per_grid(tmp_path, capsys):
+    sweep = load_script("run_robustness_sweep")
+    assert sweep.main(["--runs", "1", "--out", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        f"sweep_{parameter}.csv" for _, parameter, _ in sweep.GRIDS]
+    for _, parameter, values in sweep.GRIDS:
+        lines = (tmp_path / f"sweep_{parameter}.csv").read_text().splitlines()
+        assert lines[0] == cp.SWEEP_CSV_HEADER
+        assert len(lines) == 1 + len(sweep.POLICIES) * len(values)
+    assert "raw rows" in capsys.readouterr().out
+
+
+def test_spectrum_suite_writes_what_the_spectrum_command_writes(tmp_path):
+    suite = load_script("run_spectrum_suite")
+    script_dir = tmp_path / "script"
+    assert suite.main(["--samples", "2", "--out", str(script_dir)]) == 0
+    written = sorted(script_dir.iterdir())
+    assert len(written) == 3 * len(suite.DIRECTIONS)  # CSV and two PGMs each
+
+    manifest = tmp_path / "run.json"
+    manifest.write_text(json.dumps({
+        "env": {"id": "pixelgrid", "size": 8, "seed": 0},
+        "spectrum": {"directions": [dataclasses.asdict(d)
+                                    for d in suite.DIRECTIONS],
+                     "samples": 2}}))
+    out = tmp_path / "cli"
+    assert main(["spectrum", "--config", str(manifest),
+                 "--out", str(out)]) == 0
+    (rundir,) = out.iterdir()
+    for path in written:
+        assert (rundir / path.name).read_bytes() == path.read_bytes(), \
+            path.name
