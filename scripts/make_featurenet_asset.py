@@ -22,7 +22,8 @@ import sys
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from policyprobe import nn, perceptual
+from policyprobe import checkpoint as cp
+from policyprobe import perceptual
 
 
 def main(argv=None) -> int:
@@ -35,7 +36,7 @@ def main(argv=None) -> int:
              / "policyprobe" / "assets"
              / f"{perceptual.FEATURENET_VERSION}.txt")
     params = perceptual.build_reference_params()
-    text = nn.serialize_params(params, kind="featurenet")
+    text = cp.serialize_params(params, kind="featurenet")
 
     if asset.exists():
         current = asset.read_text()

@@ -69,10 +69,8 @@ def main(argv=None) -> int:
         report = harness.probe(ck.params, ck.env_spec, direction, args.runs,
                                checkpoint_id=ck_id)
         print("  " + cp.summary_line(report))
-        label = direction.label()
-        safe = "".join(c if c.isalnum() or c in "._-" else "_"
-                       for c in label)
-        cp.atomic_write_text(rundir / f"runs_{safe}.csv",
+        stem = cp.file_stem(direction.label())
+        cp.atomic_write_text(rundir / f"runs_{stem}.csv",
                              cp.report_csv(report))
     print(f"per-run CSVs -> {rundir}")
     return 0

@@ -62,14 +62,7 @@ def main(argv=None) -> int:
                  for obs in observations]
         delta = spectral.mean_band_delta(pairs)
         label = direction.label()
-        safe = "".join(c if c.isalnum() or c in "._-" else "_"
-                       for c in label)
-        cp.atomic_write_text(rundir / f"spectrum_{safe}.csv",
-                             cp.spectrum_csv(delta.csv_rows()))
-        cp.atomic_write_text(rundir / f"sample_base_{safe}.pgm",
-                             cp.pgm_text(pairs[0][0]))
-        cp.atomic_write_text(rundir / f"sample_pert_{safe}.pgm",
-                             cp.pgm_text(pairs[0][1]))
+        cp.write_spectrum(rundir, label, delta, *pairs[0])
         print(f"  {label:<18} low-band {delta.low_delta:+.3e}   "
               f"high-band {delta.high_delta:+.3e}")
     print(f"band CSVs and PGM samples -> {rundir}")

@@ -49,7 +49,7 @@ def report(name: str, ck: ql.Checkpoint, spec, elapsed: float) -> None:
         score, _, _, trace = harness.probe_episode(
             ck.params, spec, harness.IDENTITY, seed)
         returns.append(score)
-        states += [t.base_obs for t in trace]
+        states += [obs for obs, _ in trace]
     oracle = sum(oracle_return(spec, s) for s in EVAL_EPISODES) / len(EVAL_EPISODES)
     certs = " ".join(
         f"cert@{eps:g}={sum(ql.certified(ck.params, s, eps) for s in states) / len(states):.3f}"

@@ -10,7 +10,7 @@ Subpackage map:
   perceptual  reference-feature perceptual distance
   spectral    2-D Fourier energy-band analysis
   harness     probe protocol, impact statistics, sweeps
-  checkpoint  versioned text checkpoints and run artifacts
+  checkpoint  every on-disk format: checkpoints, parameters, run artifacts
   cli         command-line front end
 """
 

@@ -1,9 +1,13 @@
-"""On-disk formats: checkpoints, reports, CSV tables, PGM dumps.
+"""On-disk formats: checkpoints and their parameter section, reports, CSV
+tables, PGM dumps. This module both writes and reads each of them.
 
-Everything is plain text. Checkpoints embed the environment spec, the full
-training config, the training curve, and the parameters in one versioned
-file; loading is bit-exact (save -> load -> save reproduces the identical
-byte stream) and refuses version mismatches and truncated files loudly.
+Everything is plain text; every value goes through `_format_value`.
+Checkpoints embed the environment spec, the full training config, the
+training curve, and the parameters in one versioned file; loading is
+bit-exact (save -> load -> save reproduces the identical byte stream), and
+every damaged file read here is refused with a CheckpointFormatError. The
+parameter section is tagged "qnet" in a checkpoint and "featurenet" as the
+whole of the reference feature net's asset.
 
 All writes go through an atomic write-to-temp-then-rename so a crashed run
 never leaves a half-written artifact. Output roots resolve through the
@@ -18,16 +22,23 @@ import hashlib
 import os
 import tempfile
 import time
+from itertools import chain
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import nn
 from .envs import EnvSpec
-from .harness import ProbeReport, SweepResult
 from .qlearning import Checkpoint, TrainConfig
 
+if TYPE_CHECKING:   # harness imports perceptual, which imports this module
+    from .harness import ProbeReport, SweepResult
+    from .spectral import BandDelta
+
 CHECKPOINT_VERSION = "checkpoint v1"
+PARAMSET_FORMAT_VERSION = 1
+_VALUES_PER_LINE = 8
 OUTPUT_ROOT_ENV = "POLICYPROBE_OUT"
 DEFAULT_OUTPUT_ROOT = "runs"
 
@@ -41,6 +52,10 @@ SPECTRUM_CSV_HEADER = "schema=band_energy_v1,f,e_base,e_pert,delta"
 ATTACK_CSV_HEADER = ("schema=attack_states_v1,"
                      "state,action_clean,action_adv,distance,success,"
                      "similarity")
+PROBE_SUMMARY_CSV_HEADER = "schema=probe_summary_v1,field,value"
+SWEEP_SUMMARY_CSV_HEADER = ("schema=sweep_summary_v1,policy,parameter,value,"
+                            "runs,mean_score,sem_score,mean_similarity,"
+                            "sem_similarity,impact")
 
 
 class CheckpointFormatError(ValueError):
@@ -85,7 +100,7 @@ def run_directory(command: str, root: Path | None = None) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint codec
+# Checkpoint and parameter codec
 # ---------------------------------------------------------------------------
 
 def _format_value(value) -> str:
@@ -96,6 +111,83 @@ def _format_value(value) -> str:
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)
+
+
+def _emit_array(lines: list[str], name: str, arr: np.ndarray) -> None:
+    flat = arr.ravel()
+    lines.append(f"{name} {flat.size}")
+    for i in range(0, flat.size, _VALUES_PER_LINE):
+        lines.append(" ".join(map(_format_value,
+                                  flat[i:i + _VALUES_PER_LINE].tolist())))
+
+
+def serialize_params(net: nn.ParamSet, kind: str = "qnet") -> str:
+    """Row-major decimal text encoding; round-trips bit-exactly."""
+    lines = [f"paramset v{PARAMSET_FORMAT_VERSION} kind={kind}",
+             f"layers {len(net.layers)}"]
+    for i, lay in enumerate(net.layers):
+        if isinstance(lay, nn.DenseLayer):
+            lines.append(f"layer {i} dense in {lay.in_features} "
+                         f"out {lay.out_features} activation {lay.activation}")
+            _emit_array(lines, "weight", lay.weight)
+        else:
+            kh, kw, cin, cout = lay.kernel.shape
+            lines.append(f"layer {i} conv kh {kh} kw {kw} cin {cin} "
+                         f"cout {cout} stride {lay.stride} pad {lay.padding} "
+                         f"activation {lay.activation}")
+            _emit_array(lines, "kernel", lay.kernel)
+        _emit_array(lines, "bias", lay.bias)
+    lines.append("end")
+    return "\n".join(lines) + "\n"
+
+
+def _read_array(lines: list[str], pos: int, name: str,
+                shape: tuple) -> tuple[np.ndarray, int]:
+    """The array `name` at lines[pos] and the position after its values."""
+    count = int(np.prod(shape))
+    end = pos + 1 + -(-count // _VALUES_PER_LINE)
+    # line by line, so no more than one line's tokens are alive at a time
+    values = list(map(float, chain.from_iterable(map(str.split,
+                                                     lines[pos + 1:end]))))
+    if lines[pos] != f"{name} {count}" or len(values) != count:
+        raise CheckpointFormatError(
+            f"expected '{name} {count}' and its values at line {pos + 1}")
+    return np.array(values).reshape(shape), end
+
+
+def parse_params(lines: list[str], pos: int,
+                 kind: str) -> tuple[nn.ParamSet, int]:
+    """Inverse of serialize_params: the parameter section of the given kind
+    that starts at lines[pos], and the position after its end line."""
+    head = f"paramset v{PARAMSET_FORMAT_VERSION} kind={kind}"
+    if lines[pos:pos + 1] != [head]:
+        raise CheckpointFormatError(f"expected {head!r} at line {pos + 1}")
+    layers: list[nn.Layer] = []
+    try:
+        pos += 2
+        for i in range(int(lines[pos - 1].removeprefix("layers "))):
+            toks = lines[pos].split()
+            f = dict(zip(toks[3::2], toks[4::2]))
+            if toks[:3] == ["layer", str(i), "dense"]:
+                shape = (int(f["out"]), int(f["in"]))
+                w, pos = _read_array(lines, pos + 1, "weight", shape)
+                b, pos = _read_array(lines, pos, "bias", shape[:1])
+                layers.append(nn.DenseLayer(w, b, f["activation"]))
+            elif toks[:3] == ["layer", str(i), "conv"]:
+                shape = tuple(int(f[k]) for k in ("kh", "kw", "cin", "cout"))
+                k, pos = _read_array(lines, pos + 1, "kernel", shape)
+                b, pos = _read_array(lines, pos, "bias", shape[3:])
+                layers.append(nn.ConvLayer(k, b, int(f["stride"]),
+                                           int(f["pad"]), f["activation"]))
+            else:
+                raise CheckpointFormatError(
+                    f"bad layer header at line {pos + 1}")
+    except (IndexError, KeyError):
+        raise CheckpointFormatError(
+            f"truncated or damaged parameters at line {pos + 1}") from None
+    if lines[pos:pos + 1] != ["end"]:
+        raise CheckpointFormatError(f"missing end marker at line {pos + 1}")
+    return nn.ParamSet(layers), pos + 1
 
 
 def _config_lines(prefix: str, obj) -> list[str]:
@@ -109,7 +201,7 @@ def serialize_checkpoint(ck: Checkpoint) -> str:
              *_config_lines("train", ck.config), f"curve {len(ck.curve)}"]
     lines += [" ".join(map(_format_value, row)) for row in ck.curve]
     return ("\n".join(lines) + "\n"
-            + nn.serialize_params(ck.params, kind="qnet") + "end checkpoint\n")
+            + serialize_params(ck.params, kind="qnet") + "end checkpoint\n")
 
 
 def checkpoint_id(text: str) -> str:
@@ -165,16 +257,12 @@ def parse_checkpoint(text: str) -> Checkpoint:
         raise CheckpointFormatError(f"unrecognized fields {sorted(fields)}")
     if pos >= len(lines) or not lines[pos].startswith("curve "):
         raise CheckpointFormatError("missing curve section")
-    n_curve = int(lines[pos].split()[1])
-    pos += 1
-    curve = []
-    for i in range(n_curve):
-        episode, ret = lines[pos + i].split()
-        curve.append((int(episode), float(ret)))
-    pos += n_curve
-    params, kind = nn.parse_params("\n".join(lines[pos:-1]) + "\n")
-    if kind != "qnet":
-        raise CheckpointFormatError(f"unexpected parameter kind {kind!r}")
+    end = pos + 1 + int(lines[pos].split()[1])
+    curve = [(int(episode), float(ret))
+             for episode, ret in map(str.split, lines[pos + 1:end])]
+    params, pos = parse_params(lines, end, "qnet")
+    if pos != len(lines) - 1:
+        raise CheckpointFormatError(f"line {pos + 1} follows the parameters")
     return Checkpoint(params, env_spec, config, curve, trained_steps)
 
 
@@ -192,7 +280,7 @@ def load_checkpoint(path: Path | str) -> tuple[Checkpoint, str]:
 
 
 # ---------------------------------------------------------------------------
-# CSV and report writers
+# CSV tables and reports
 # ---------------------------------------------------------------------------
 
 def csv_text(header: str, rows) -> str:
@@ -200,6 +288,26 @@ def csv_text(header: str, rows) -> str:
     (see _format_value)."""
     lines = [header] + [",".join(map(_format_value, row)) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def read_csv(path: Path, header: str) -> list[list[str]]:
+    """The data rows, as lists of fields, of a table csv_text wrote under
+    `header`; refuses another header, no rows and a row of another width."""
+    lines = Path(path).read_text().splitlines()
+    if not lines or not lines[0].startswith("schema="):
+        raise CheckpointFormatError(f"{path} has no schema header")
+    if lines[0] != header:
+        raise CheckpointFormatError(
+            f"unexpected schema {lines[0].removeprefix('schema=')} in {path}")
+    if len(lines) < 2:
+        raise CheckpointFormatError(f"{path} has no data rows")
+    width = header.count(",")
+    rows = [line.split(",") for line in lines[1:]]
+    for n, row in enumerate(rows, 2):
+        if len(row) != width:
+            raise CheckpointFormatError(
+                f"{path} line {n} has {len(row)} of {width} fields")
+    return rows
 
 
 def curve_csv(curve: list[tuple[int, float]]) -> str:
@@ -233,6 +341,19 @@ def report_text(report: ProbeReport, config_echo: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
+def report_fields(path: Path) -> dict[str, str]:
+    """A report_text file's `key = value` fields, impact among them."""
+    fields = {}
+    for line in Path(path).read_text().splitlines():
+        if " = " in line:
+            key, _, value = line.partition(" = ")
+            fields[key.strip()] = value
+    for key in ("score_clean", "score_min_fixed", "impact"):
+        if key not in fields:
+            raise CheckpointFormatError(f"{path} has no {key} field")
+    return fields
+
+
 def summary_line(report: ProbeReport) -> str:
     return (f"{report.env_id} {report.direction}: "
             f"impact {report.impact:+.4f} "
@@ -251,8 +372,11 @@ def sweep_csv(result: SweepResult) -> str:
                      for i, run in enumerate(pt.report.runs)])
 
 
-def spectrum_csv(rows: list[tuple[int, float, float, float]]) -> str:
-    return csv_text(SPECTRUM_CSV_HEADER, rows)
+def spectrum_csv(delta: BandDelta) -> str:
+    """One row per band f: both energies and their delta."""
+    return csv_text(SPECTRUM_CSV_HEADER,
+                    zip(range(len(delta.delta)), delta.e_base.tolist(),
+                        delta.e_pert.tolist(), delta.delta.tolist()))
 
 
 def attack_csv(rows: list[tuple[int, int, int, float, bool, float]]) -> str:
@@ -260,8 +384,26 @@ def attack_csv(rows: list[tuple[int, int, int, float, bool, float]]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Observation dumps
+# Per-direction files and observation dumps
 # ---------------------------------------------------------------------------
+
+def file_stem(label: str) -> str:
+    """A direction label as a file-name stem: every character other than a
+    letter, a digit, '.', '_' or '-' becomes '_'."""
+    return "".join(c if c.isalnum() or c in "._-" else "_" for c in label)
+
+
+def write_spectrum(rundir: Path, label: str, delta: BandDelta,
+                   base: np.ndarray, perturbed: np.ndarray) -> Path:
+    """One spectrum direction's band CSV and the PGM pair of its first
+    base and perturbed observation; returns the CSV's path."""
+    stem = file_stem(label)
+    path = atomic_write_text(rundir / f"spectrum_{stem}.csv",
+                             spectrum_csv(delta))
+    atomic_write_text(rundir / f"sample_base_{stem}.pgm", pgm_text(base))
+    atomic_write_text(rundir / f"sample_pert_{stem}.pgm", pgm_text(perturbed))
+    return path
+
 
 def pgm_text(obs: np.ndarray) -> str:
     """Plain portable graymap (P2) for a single-channel uint8 observation."""

@@ -25,7 +25,6 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
@@ -120,13 +119,12 @@ def cmd_attack(cfg: config_mod.RunConfig, checkpoint_flag: str,
     rows = []
     for seed in range(cfg.probe.runs):
         # the trajectory follows the clean policy
-        trace = harness.probe_episode(ck.params, ck.env_spec,
-                                      harness.IDENTITY, seed)[3]
-        for t in trace:
-            viewed, dist, success, sim = harness.view(
-                ck.params, t.base_obs, direction, views)
+        for obs, action in harness.probe_episode(ck.params, ck.env_spec,
+                                                 harness.IDENTITY, seed)[3]:
+            viewed, dist, success, sim = harness.view(ck.params, obs,
+                                                      direction, views)
             a_adv = ql.greedy_action(ck.params, viewed)
-            rows.append((len(rows), t.action, a_adv, dist, success, sim))
+            rows.append((len(rows), action, a_adv, dist, success, sim))
     rundir = _run_directory(cfg, "attack", out_flag)
     cp.atomic_write_text(rundir / "states.csv", cp.attack_csv(rows))
     n_success = sum(1 for r in rows if r[4])
@@ -155,9 +153,9 @@ def cmd_spectrum(cfg: config_mod.RunConfig, checkpoint_flag: str,
     params = ck.params if ck else None
     if settings.source == "rollout":
         observations = [
-            t.base_obs for seed in range(settings.samples)
-            for t in harness.probe_episode(params, cfg.env, harness.IDENTITY,
-                                           seed)[3]]
+            obs for seed in range(settings.samples)
+            for obs, _ in harness.probe_episode(params, cfg.env,
+                                                harness.IDENTITY, seed)[3]]
     else:
         env = make_env(cfg.env)
         observations = [env.reset(seed) for seed in range(settings.samples)]
@@ -168,15 +166,7 @@ def cmd_spectrum(cfg: config_mod.RunConfig, checkpoint_flag: str,
                  for obs in observations]
         delta = spectral.mean_band_delta(pairs)
         label = direction.label()
-        safe = "".join(c if c.isalnum() or c in "._-" else "_"
-                       for c in label)
-        path = rundir / f"spectrum_{safe}.csv"
-        cp.atomic_write_text(path, cp.spectrum_csv(delta.csv_rows()))
-        base0, viewed0 = pairs[0]
-        cp.atomic_write_text(rundir / f"sample_base_{safe}.pgm",
-                             cp.pgm_text(base0))
-        cp.atomic_write_text(rundir / f"sample_pert_{safe}.pgm",
-                             cp.pgm_text(viewed0))
+        path = cp.write_spectrum(rundir, label, delta, *pairs[0])
         print(f"{label}: low-band delta {delta.low_delta:+.6g} "
               f"high-band delta {delta.high_delta:+.6g} -> {path}")
     return 0
@@ -211,30 +201,11 @@ def cmd_sweep(cfg: config_mod.RunConfig, out_flag: str | None) -> int:
 # report: re-render summaries from stored raw rows
 # ---------------------------------------------------------------------------
 
-def _read_csv_rows(path: Path) -> tuple[list[str], list[list[str]]]:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or not rows[0] or not rows[0][0].startswith("schema="):
-        raise config_mod.ConfigError(f"{path} has no schema header")
-    if len(rows) < 2:
-        raise config_mod.ConfigError(f"{path} has no data rows")
-    header = [rows[0][0].split("=", 1)[1]] + rows[0][1:]
-    for line, row in enumerate(rows[1:], 2):
-        if len(row) != len(header) - 1:
-            raise config_mod.ConfigError(
-                f"{path} line {line} has {len(row)} of {len(header) - 1} "
-                "fields")
-    return header, rows[1:]
-
-
 def _sweep_summary(sweep_csv_path: Path) -> str:
     """sweep_summary_v1 rows rendered from a sweep.csv: per (policy, value),
     the run count, score and similarity means and SEMs, and the point
     impact, which every run row of the point must repeat."""
-    header, rows = _read_csv_rows(sweep_csv_path)
-    if header[0] != "sweep_v1":
-        raise config_mod.ConfigError(
-            f"unexpected schema {header[0]} in {sweep_csv_path}")
+    rows = cp.read_csv(sweep_csv_path, cp.SWEEP_CSV_HEADER)
     groups: dict[tuple[str, str], list[list[str]]] = {}
     for row in rows:
         groups.setdefault((row[0], row[2]), []).append(row)
@@ -250,21 +221,7 @@ def _sweep_summary(sweep_csv_path: Path) -> str:
                     *harness.summarize([float(r[5]) for r in grp],
                                        [float(r[6]) for r in grp]),
                     impacts.pop()))
-    return cp.csv_text("schema=sweep_summary_v1,policy,parameter,value,runs,"
-                       "mean_score,sem_score,mean_similarity,sem_similarity,"
-                       "impact", out)
-
-
-def _report_fields(path: Path) -> dict[str, str]:
-    fields = {}
-    for line in path.read_text().splitlines():
-        if " = " in line:
-            key, _, value = line.partition(" = ")
-            fields[key.strip()] = value
-    for key in ("score_clean", "score_min_fixed", "impact"):
-        if key not in fields:
-            raise config_mod.ConfigError(f"{path} has no {key} field")
-    return fields
+    return cp.csv_text(cp.SWEEP_SUMMARY_CSV_HEADER, out)
 
 
 def cmd_report(rundir: str) -> int:
@@ -274,21 +231,19 @@ def cmd_report(rundir: str) -> int:
     rendered = 0
     runs_csv = base / "runs.csv"
     if runs_csv.exists():
-        header, rows = _read_csv_rows(runs_csv)
-        if header[0] != "probe_runs_v1":
-            return _fail(f"unexpected schema {header[0]} in {runs_csv}")
+        rows = cp.read_csv(runs_csv, cp.REPORT_CSV_HEADER)
         stats = harness.summarize([float(r[2]) for r in rows],
                                   [float(r[3]) for r in rows])
         report_txt = base / "report.txt"
         if not report_txt.exists():
             return _fail(f"{report_txt} is missing: runs.csv is rendered "
                          "against the clean score stored there")
-        fields = _report_fields(report_txt)
+        fields = cp.report_fields(report_txt)
         clean = float(fields["score_clean"])
         score_min = float(fields["score_min_fixed"])
         impact = harness.impact(clean, stats[0], score_min)
         cp.atomic_write_text(base / "summary.csv", cp.csv_text(
-            "schema=probe_summary_v1,field,value",
+            cp.PROBE_SUMMARY_CSV_HEADER,
             zip(("runs", "mean_score", "sem_score", "mean_similarity",
                  "sem_similarity", "impact"), (len(rows), *stats, impact))))
         stored = float(fields["impact"])

@@ -61,18 +61,6 @@ IDENTITY = perturb.PerturbationSpec()
 # ---------------------------------------------------------------------------
 
 @dataclass
-class StepTrace:
-    step: int
-    action: int
-    reward: float
-    similarity: float
-    base_obs: Array          # uint8 copies of the true and perturbed views
-    perturbed_obs: Array
-    attack_distance: float = 0.0
-    attack_success: bool = False
-
-
-@dataclass
 class RunRecord:
     episode_seed: int
     score: float
@@ -189,18 +177,18 @@ def view(params: nn.ParamSet, obs: Array, direction: Direction,
 
 
 def probe_episode(params: nn.ParamSet, spec: EnvSpec, direction: Direction,
-                  episode_seed: int, keep_trace: bool = True,
-                  views: Views | None = None,
+                  episode_seed: int, views: Views | None = None,
                   actions: dict[bytes, int] | None = None,
-                  ) -> tuple[float, float, int, list[StepTrace]]:
+                  ) -> tuple[float, float, int, list[tuple[Array, int]]]:
     """One rollout with the policy viewing perturbed observations.
 
     Returns (total reward, mean per-step similarity, env steps taken,
-    per-step trace). `views` and `actions` are the memos of the module
-    docstring, keyed on observation bytes. A caller may share them across
-    episodes: `views` along one direction (and, for an attack, one policy),
-    `actions` for one policy along one direction. Each defaults to a fresh
-    dict for this episode.
+    trace), the trace being each step's (true observation, action); each
+    observation's view and scores are in `views`. `views` and `actions`
+    are the memos of the module docstring, keyed on observation bytes. A
+    caller may share them across episodes: `views` along one direction
+    (and, for an attack, one policy), `actions` for one policy along one
+    direction. Each defaults to a fresh dict for this episode.
     """
     views = {} if views is None else views
     actions = {} if actions is None else actions
@@ -208,21 +196,17 @@ def probe_episode(params: nn.ParamSet, spec: EnvSpec, direction: Direction,
     obs = env.reset(episode_seed)
     rewards: list[float] = []
     sim_sum, steps = 0.0, 0
-    trace: list[StepTrace] = []
+    trace: list[tuple[Array, int]] = []
+    first: dict[bytes, Array] = {}   # one array per state, shared by repeats
     terminal = False
     while not terminal:
-        viewed, dist, success, sim = view(params, obs, direction, views)
+        viewed, _, _, sim = view(params, obs, direction, views)
         key = obs.tobytes()
         if key not in actions:
             actions[key] = greedy_action(params, viewed)
         action = actions[key]
         step = env.step(action)
-        if keep_trace:
-            trace.append(StepTrace(steps, action, step.reward, sim,
-                                   obs.astype(np.uint8),
-                                   viewed.astype(np.uint8),
-                                   dist if math.isfinite(dist) else 0.0,
-                                   success))
+        trace.append((first.setdefault(key, obs), action))
         rewards.append(step.reward)
         sim_sum += sim
         steps += 1
@@ -288,7 +272,7 @@ def probe(params: nn.ParamSet, spec: EnvSpec, direction: Direction,
     records = []
     for seed in seeds:
         score, sim, steps, _ = probe_episode(params, spec, direction, seed,
-                                             False, views, actions)
+                                             views, actions)
         records.append(RunRecord(seed, score, sim, steps))
     return aggregate(direction, spec, records, float(np.mean(clean_scores)),
                      checkpoint_id)
@@ -299,8 +283,8 @@ def clean_baseline(params: nn.ParamSet, spec: EnvSpec, runs: int) -> Array:
     views never reach lpips)."""
     views: Views = {}
     actions: dict[bytes, int] = {}
-    return np.array([probe_episode(params, spec, IDENTITY, seed, False,
-                                   views, actions)[0]
+    return np.array([probe_episode(params, spec, IDENTITY, seed, views,
+                                   actions)[0]
                      for seed in range(runs)])
 
 
@@ -310,7 +294,6 @@ def clean_baseline(params: nn.ParamSet, spec: EnvSpec, runs: int) -> Array:
 
 def sweep(policies: list[tuple[str, nn.ParamSet]], spec: EnvSpec, family: str,
           parameter: str, values: list[float], runs: int = DEFAULT_RUNS,
-          base_direction: perturb.PerturbationSpec | None = None,
           checkpoint_ids: dict[str, str] | None = None,
           ) -> SweepResult:
     """Probe every (policy, grid value) pair: the Figure-2-style protocol.
@@ -340,8 +323,7 @@ def sweep(policies: list[tuple[str, nn.ParamSet]], spec: EnvSpec, family: str,
         cleans.append(clean)
     reports: dict[tuple[str, float], ProbeReport] = {}
     for value in values:
-        direction = perturb.spec_with(family, parameter, value,
-                                      base_direction)
+        direction = perturb.spec_with(family, parameter, value)
         views: Views = {}
         for (name, params), clean in zip(policies, cleans):
             reports[(name, value)] = probe(params, spec, direction, runs,

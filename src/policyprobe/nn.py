@@ -5,7 +5,9 @@ dense, 2-D convolution (stride >= 1, zero padding) and the rectifier, which
 is enough for the Q-networks, the reference feature network, and interval
 bound propagation. The numeric path is batched: every pass takes arrays
 with a leading batch axis, and one observation is a batch of one.
-`forward` is a convenience over `forward_batch` for a single input.
+`forward` is a convenience over `forward_batch` for a single input. The
+module is numerics only and imports no other package module; the
+parameters' text format lives in `checkpoint`.
 
 Conventions:
   - conv inputs/outputs are (B, H, W, C), kernels are (kh, kw, cin, cout)
@@ -590,109 +592,3 @@ class Optimizer:
             v += (1.0 - ADAM_BETA2) * g * g
             p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         return params
-
-
-# ---------------------------------------------------------------------------
-# Text serialization (versioned; >= 17 significant digits)
-# ---------------------------------------------------------------------------
-
-PARAMSET_FORMAT_VERSION = 1
-_VALUES_PER_LINE = 8
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _emit_array(lines: list[str], name: str, arr: Array) -> None:
-    flat = arr.ravel()
-    lines.append(f"{name} {flat.size}")
-    for i in range(0, flat.size, _VALUES_PER_LINE):
-        lines.append(" ".join(_fmt(v) for v in flat[i:i + _VALUES_PER_LINE]))
-
-
-def serialize_params(net: ParamSet, kind: str = "qnet") -> str:
-    """Row-major decimal text encoding; round-trips bit-exactly."""
-    lines = [f"paramset v{PARAMSET_FORMAT_VERSION} kind={kind}",
-             f"layers {len(net.layers)}"]
-    for i, lay in enumerate(net.layers):
-        if isinstance(lay, DenseLayer):
-            lines.append(f"layer {i} dense in {lay.in_features} out {lay.out_features} "
-                         f"activation {lay.activation}")
-            _emit_array(lines, "weight", lay.weight)
-        else:
-            kh, kw, cin, cout = lay.kernel.shape
-            lines.append(f"layer {i} conv kh {kh} kw {kw} cin {cin} cout {cout} "
-                         f"stride {lay.stride} pad {lay.padding} "
-                         f"activation {lay.activation}")
-            _emit_array(lines, "kernel", lay.kernel)
-        _emit_array(lines, "bias", lay.bias)
-    lines.append("end")
-    return "\n".join(lines) + "\n"
-
-
-class ParamSetFormatError(ValueError):
-    pass
-
-
-def _read_array(lines: list[str], pos: int, name: str, shape: tuple) -> tuple[Array, int]:
-    header = lines[pos].split()
-    if len(header) != 2 or header[0] != name:
-        raise ParamSetFormatError(f"expected '{name} <count>' at line {pos + 1}")
-    count = int(header[1])
-    if count != int(np.prod(shape)):
-        raise ParamSetFormatError(f"{name}: count {count} does not match shape {shape}")
-    pos += 1
-    vals: list[float] = []
-    while len(vals) < count:
-        if pos >= len(lines):
-            raise ParamSetFormatError(f"truncated while reading {name}")
-        vals.extend(float(t) for t in lines[pos].split())
-        pos += 1
-    if len(vals) != count:
-        raise ParamSetFormatError(f"{name}: got {len(vals)} values, expected {count}")
-    return np.array(vals, dtype=np.float64).reshape(shape), pos
-
-
-def parse_params(text: str) -> tuple[ParamSet, str]:
-    """Inverse of serialize_params; returns (params, kind)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("paramset "):
-        raise ParamSetFormatError("missing paramset header")
-    head = lines[0].split()
-    if head[1] != f"v{PARAMSET_FORMAT_VERSION}":
-        raise ParamSetFormatError(f"unsupported paramset version {head[1]!r}")
-    kind = "unknown"
-    for tok in head[2:]:
-        if tok.startswith("kind="):
-            kind = tok[5:]
-    if len(lines) < 2 or not lines[1].startswith("layers "):
-        raise ParamSetFormatError("missing layer count")
-    n_layers = int(lines[1].split()[1])
-    pos, layers = 2, []
-    for i in range(n_layers):
-        if pos >= len(lines):
-            raise ParamSetFormatError(f"truncated before layer {i}")
-        toks = lines[pos].split()
-        if toks[0] != "layer" or int(toks[1]) != i:
-            raise ParamSetFormatError(f"bad layer header at line {pos + 1}")
-        kind_tok = toks[2]
-        fields = dict(zip(toks[3::2], toks[4::2]))
-        pos += 1
-        if kind_tok == "dense":
-            shape = (int(fields["out"]), int(fields["in"]))
-            w, pos = _read_array(lines, pos, "weight", shape)
-            b, pos = _read_array(lines, pos, "bias", (shape[0],))
-            layers.append(DenseLayer(w, b, fields["activation"]))
-        elif kind_tok == "conv":
-            shape = (int(fields["kh"]), int(fields["kw"]),
-                     int(fields["cin"]), int(fields["cout"]))
-            k, pos = _read_array(lines, pos, "kernel", shape)
-            b, pos = _read_array(lines, pos, "bias", (shape[3],))
-            layers.append(ConvLayer(k, b, int(fields["stride"]), int(fields["pad"]),
-                                    fields["activation"]))
-        else:
-            raise ParamSetFormatError(f"unknown layer kind {kind_tok!r}")
-    if pos >= len(lines) or lines[pos] != "end":
-        raise ParamSetFormatError("missing end marker (file truncated?)")
-    return ParamSet(layers), kind

@@ -11,8 +11,10 @@ averages are summed:
 with y the unit-normalized activations and w_l per-channel weights (all ones
 by default). The network itself is never trained; its weights come from a
 fixed seed and ship as a versioned text asset so distances are bit-comparable
-across machines. `reference_featurenet` parses that asset once per process
-and shares the net read-only with every caller. Observations are
+across machines. The asset is a `checkpoint` parameter section of kind
+"featurenet", written and read by that module's codec.
+`reference_featurenet` parses that asset once per process and shares the
+net read-only with every caller. Observations are
 area-resampled to the net's fixed 36x36 grayscale input; the resample
 visits only each output cell's few nonzero taps, in the order of the dense
 contraction, so it matches that contraction bit for bit (see
@@ -27,7 +29,7 @@ from importlib import resources
 
 import numpy as np
 
-from . import nn
+from . import checkpoint, nn
 from .perturb import as_image
 
 Array = np.ndarray
@@ -79,9 +81,8 @@ def load_reference_featurenet() -> FeatureNet:
     """The shipped, versioned reference net."""
     asset = resources.files("policyprobe").joinpath(
         f"assets/{FEATURENET_VERSION}.txt")
-    params, kind = nn.parse_params(asset.read_text())
-    if kind != "featurenet":
-        raise ValueError(f"asset has kind {kind!r}, expected 'featurenet'")
+    params, _ = checkpoint.parse_params(asset.read_text().splitlines(), 0,
+                                        "featurenet")
     return FeatureNet(params, _default_weights(params))
 
 

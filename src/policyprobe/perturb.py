@@ -104,12 +104,10 @@ def cast_field(name: str, value):
     return int(value)
 
 
-def spec_with(family: str, parameter: str, value: float,
-              base: PerturbationSpec | None = None) -> PerturbationSpec:
-    """`base` (default: the family's defaults) with `parameter` set to
-    `value` (see cast_field)."""
-    fields = base.__dict__ if base is not None else {}
-    return PerturbationSpec(**{**fields, "family": family,
+def spec_with(family: str, parameter: str, value: float) -> PerturbationSpec:
+    """The family's defaults with `parameter` set to `value` (see
+    cast_field)."""
+    return PerturbationSpec(**{"family": family,
                                parameter: cast_field(parameter, value)})
 
 

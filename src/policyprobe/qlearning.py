@@ -84,6 +84,11 @@ class TrainConfig:
             raise ValueError("sa_hinge_cap must be > 0")
         if self.lr <= 0 or self.total_steps < 0 or self.batch_size < 1:
             raise ValueError("bad optimizer/loop settings")
+        if self.train_every < 1 or self.target_sync < 1:
+            raise ValueError("train_every and target_sync must be >= 1")
+        for name in ("eps_start", "eps_end", "beta_is_start", "beta_is_end"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
 
 
 @dataclass

@@ -84,10 +84,6 @@ class BandDelta:
     high_delta: float   # sum of delta over f > 3N/8
     n: int              # N = max(I, J)
 
-    def csv_rows(self) -> list[tuple[int, float, float, float]]:
-        return [(f, float(self.e_base[f]), float(self.e_pert[f]),
-                 float(self.delta[f])) for f in range(len(self.delta))]
-
 
 def _compare(e_base: Array, e_pert: Array, n: int) -> BandDelta:
     """Per-band delta of two energy profiles and its low/high band sums."""

@@ -9,7 +9,7 @@ import pytest
 
 from policyprobe import checkpoint as cp
 from policyprobe import harness as hz
-from policyprobe import nn, qlearning as ql
+from policyprobe import nn, qlearning as ql, spectral
 from policyprobe.envs import make_spec
 
 
@@ -42,7 +42,7 @@ def test_save_load_preserves_everything(tmp_path):
     assert loaded.env_spec == ck.env_spec
     assert loaded.config == ck.config
     assert loaded.curve == ck.curve
-    assert nn.serialize_params(loaded.params) == nn.serialize_params(ck.params)
+    assert cp.serialize_params(loaded.params) == cp.serialize_params(ck.params)
 
 
 def test_checkpoint_id_tracks_content(tmp_path):
@@ -73,6 +73,13 @@ def test_parse_rejects_truncation():
     without_field = [ln for ln in lines if not ln.startswith("train.lr")]
     with pytest.raises(cp.CheckpointFormatError):
         cp.parse_checkpoint("\n".join(without_field) + "\n")
+
+
+def test_parse_rejects_lines_after_the_parameters():
+    lines = cp.serialize_checkpoint(tiny_checkpoint()).splitlines()
+    lines.insert(-1, "weight 0")
+    with pytest.raises(cp.CheckpointFormatError, match="follows the param"):
+        cp.parse_checkpoint("\n".join(lines) + "\n")
 
 
 def test_parse_rejects_unknown_fields():
@@ -185,11 +192,27 @@ def test_curve_csv_round_trips_values():
 
 
 def test_spectrum_csv_matches_band_rows():
-    rows = [(0, 1.0, 1.5, 0.5), (1, 0.25, 0.2, -0.05)]
-    lines = cp.spectrum_csv(rows).strip().split("\n")
+    delta = spectral.BandDelta(np.array([1.0, 0.25]), np.array([1.5, 0.2]),
+                               np.array([0.5, -0.05]), 0.0, 0.0, 8)
+    lines = cp.spectrum_csv(delta).strip().split("\n")
     assert lines[0] == cp.SPECTRUM_CSV_HEADER
     assert lines[1] == "0,1,1.5,0.5"
     assert lines[2].startswith("1,0.25,")
+
+
+def test_read_csv_returns_rows_and_refuses_other_headers(tmp_path):
+    text = cp.report_csv(make_report())
+    path = cp.atomic_write_text(tmp_path / "runs.csv", text)
+    assert cp.read_csv(path, cp.REPORT_CSV_HEADER) == [
+        line.split(",") for line in text.splitlines()[1:]]
+    path.write_text(path.read_text().replace(",score,", ",return,", 1))
+    with pytest.raises(cp.CheckpointFormatError, match="unexpected schema"):
+        cp.read_csv(path, cp.REPORT_CSV_HEADER)
+
+
+def test_file_stem_keeps_only_safe_characters():
+    assert cp.file_stem("pt[3,seeded]") == "pt_3_seeded_"
+    assert cp.file_stem("bc[0.6,-40]") == "bc_0.6_-40_"
 
 
 def test_attack_csv_spells_infinity():

@@ -99,6 +99,19 @@ def test_train_flag_overrides_manifest(tmp_path):
     assert echo["train"]["total_steps"] == 520
 
 
+def test_train_refuses_a_zero_update_period(tmp_path, capsys):
+    """train_every 0 used to pass validation and end the run in a
+    ZeroDivisionError traceback once training started."""
+    cfgp = manifest(tmp_path, {"train": {"total_steps": 600,
+                                         "warmup_steps": 500,
+                                         "replay_capacity": 2000,
+                                         "train_every": 0}})
+    out = tmp_path / "out"
+    assert main(["train", "--config", cfgp, "--out", str(out)]) == 2
+    assert "train_every" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # probe
 # ---------------------------------------------------------------------------
@@ -262,9 +275,9 @@ def test_attack_rollout_attacks_each_distinct_state_once(tmp_path,
     direction = attack.AttackSpec(method="fgm", p=np.inf, epsilon=0.05)
     ck, _ = cp.load_checkpoint(RADIAL)
     table = set(clean_visits(RADIAL, 4))
-    rollout = {t.base_obs.tobytes() for seed in range(4)
-               for t in harness.probe_episode(ck.params, ck.env_spec,
-                                              direction, seed)[3]}
+    rollout = {obs.tobytes() for seed in range(4)
+               for obs, _ in harness.probe_episode(ck.params, ck.env_spec,
+                                                   direction, seed)[3]}
     assert table & rollout and rollout - table
     calls = count_attacks(monkeypatch)
     cfgp = probe_manifest(tmp_path, {"method": "fgm", "p": "inf",
@@ -513,6 +526,20 @@ def test_report_refuses_a_csv_without_data_rows(tmp_path, capsys, command,
     assert main(["report", "--dir", str(path.parent)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {path} has no data rows\n"
+
+
+@pytest.mark.parametrize("command,name", [("probe", "runs.csv"),
+                                          ("sweep", "sweep.csv")])
+def test_report_refuses_a_header_with_other_columns(tmp_path, capsys,
+                                                    command, name):
+    """The columns are read by position, so a header naming other columns
+    under the right schema name is refused, not read as the known one."""
+    path = raw_rows_path(tmp_path, command, name)
+    path.write_text(path.read_text().replace(",score,", ",return,", 1))
+    capsys.readouterr()
+    assert main(["report", "--dir", str(path.parent)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unexpected schema") and str(path) in err
 
 
 def test_unknown_command_exits_via_argparse(tmp_path):

@@ -141,6 +141,16 @@ def test_section_values_hit_owning_validators():
                                         "runs": 0}})
 
 
+@pytest.mark.parametrize("field,value", [
+    ("train_every", 0), ("target_sync", 0), ("eps_start", 3.0),
+    ("eps_end", -0.1), ("beta_is_start", 1.5), ("beta_is_end", 7.0)])
+def test_train_section_refuses_values_training_cannot_use(field, value):
+    """A zero period used to raise ZeroDivisionError mid-training; an
+    exploration rate or replay beta outside [0, 1] used to train anyway."""
+    with pytest.raises(ValueError, match=field):
+        cfg.build_run_config(dict(MINIMAL, train={field: value}))
+
+
 # ---------------------------------------------------------------------------
 # Probe / sweep / spectrum sections
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Source hygiene: every module-level import in the package and the
-scripts is used, and no module reads another package module's private
-names."""
+scripts is used, no module reads another package module's private
+names, the on-disk formats live in checkpoint alone, and nn imports no
+other package module."""
 import ast
 from pathlib import Path
 
@@ -75,6 +76,32 @@ def test_private_read_detector():
                          ids=lambda p: p.name)
 def test_no_module_reads_another_modules_private_names(path):
     assert private_reads(path.read_text()) == []
+
+
+def string_literals(source: str) -> list[str]:
+    """Every string constant in the module, f-string parts included."""
+    return [node.value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.name != "checkpoint.py"],
+                         ids=lambda p: p.name)
+def test_only_checkpoint_spells_a_file_format(path):
+    """A float format or a schema header outside checkpoint is a second
+    writer or reader of a format checkpoint owns."""
+    found = [s for s in string_literals(path.read_text())
+             if ".17g" in s or "schema=" in s]
+    assert found == []
+
+
+def test_nn_imports_no_other_package_module():
+    tree = ast.parse((SRC / "nn.py").read_text())
+    relative = [node.module or "." for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level > 0]
+    named = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for a in node.names if a.name.startswith("policyprobe")]
+    assert relative + named == []
 
 
 # Manifest-settable dataclasses, by defining module: a field no expression

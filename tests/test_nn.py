@@ -509,29 +509,33 @@ def test_optimizer_rejects_non_finite_grads():
 
 
 # ---------------------------------------------------------------------------
-# Serialization
+# Serialization (the parameter codec lives in checkpoint)
 # ---------------------------------------------------------------------------
 
 def test_serialization_round_trip_bit_exact(rng):
     net = small_net()
     for _, _, arr in net.arrays():   # excite the full float range
         arr *= rng.uniform(1e-8, 1e8)
-    text = nn.serialize_params(net, kind="qnet")
-    back, kind = nn.parse_params(text)
-    assert kind == "qnet"
+    text = cp.serialize_params(net, kind="qnet")
+    lines = text.splitlines()
+    back, end = cp.parse_params(lines, 0, "qnet")
+    assert end == len(lines)
     for (_, name, a), (_, _, b) in zip(net.arrays(), back.arrays()):
         assert np.array_equal(a, b), name
-    assert nn.serialize_params(back, kind="qnet") == text
+    assert cp.serialize_params(back, kind="qnet") == text
+    with pytest.raises(cp.CheckpointFormatError, match="kind"):
+        cp.parse_params(lines, 0, "featurenet")
 
 
 def test_parse_rejects_damage():
-    text = nn.serialize_params(dense_net(), kind="qnet")
-    with pytest.raises(nn.ParamSetFormatError):
-        nn.parse_params(text.replace("paramset v1", "paramset v2"))
-    with pytest.raises(nn.ParamSetFormatError):
-        nn.parse_params(text[: len(text) // 2])
-    with pytest.raises(nn.ParamSetFormatError):
-        nn.parse_params("")
+    text = cp.serialize_params(dense_net(), kind="qnet")
+    with pytest.raises(cp.CheckpointFormatError):
+        cp.parse_params(text.replace("paramset v1", "paramset v2")
+                        .splitlines(), 0, "qnet")
+    with pytest.raises(cp.CheckpointFormatError):
+        cp.parse_params(text[: len(text) // 2].splitlines(), 0, "qnet")
+    with pytest.raises(cp.CheckpointFormatError):
+        cp.parse_params([], 0, "qnet")
 
 
 @given(st.lists(st.floats(-1e12, 1e12, allow_nan=False), min_size=1,
@@ -540,5 +544,6 @@ def test_parse_rejects_damage():
 def test_number_encoding_round_trips_exactly(values):
     net = nn.ParamSet([nn.DenseLayer(np.array([values]), np.zeros(1),
                                      activation="identity")])
-    back, _ = nn.parse_params(nn.serialize_params(net, kind="qnet"))
+    back, _ = cp.parse_params(
+        cp.serialize_params(net, kind="qnet").splitlines(), 0, "qnet")
     assert np.array_equal(back.layers[0].weight, np.array([values]))

@@ -297,16 +297,13 @@ def test_dispatch_matches_direct_calls(rng):
         assert np.array_equal(pb.apply(spec, img), expected), spec.label()
 
 
-def test_spec_with_casts_integer_fields_and_keeps_the_base(rng):
-    base = pb.PerturbationSpec(family="perspective", pt_norm=2.0,
-                               pt_mode="seeded")
-    spec = pb.spec_with("perspective", "pt_seed", 3.0, base)
-    assert spec == pb.PerturbationSpec(family="perspective", pt_norm=2.0,
-                                       pt_mode="seeded", pt_seed=3)
+def test_spec_with_casts_integer_fields(rng):
+    spec = pb.spec_with("perspective", "pt_seed", 3.0)
+    assert spec == pb.PerturbationSpec(family="perspective", pt_seed=3)
     assert type(spec.pt_seed) is int
     img = noise_image(rng)
     assert np.array_equal(pb.apply(spec, img),
-                          pb.perspective(img, 2.0, "seeded", 3))
+                          pb.perspective(img, spec.pt_norm, spec.pt_mode, 3))
     assert type(pb.spec_with("median_blur", "kernel", 3.0).kernel) is int
     assert type(pb.spec_with("dct_artifacts", "kappa", 0.5).kappa) is float
 

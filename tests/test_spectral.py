@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from policyprobe import checkpoint as cp
 from policyprobe import perturb as pb
 from policyprobe import spectral as sp
 
@@ -151,10 +152,16 @@ def test_band_delta_rejects_mismatched_shapes(rng):
 
 
 def test_band_delta_csv_rows_cover_every_band(rng):
+    """The spectrum CSV holds one row per band: f, both energies and their
+    delta, each value exact."""
     obs = rng.integers(0, 256, size=(8, 8, 1)).astype(float)
     d = sp.band_delta(obs, np.clip(obs + 5, 0, 255))
-    rows = d.csv_rows()
+    lines = cp.spectrum_csv(d).splitlines()
+    assert lines[0] == cp.SPECTRUM_CSV_HEADER
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
     assert len(rows) == sp.n_bands(8, 8)
+    assert np.array_equal([r[1:] for r in rows],
+                          np.stack([d.e_base, d.e_pert, d.delta], axis=1))
     assert [r[0] for r in rows] == list(range(len(rows)))
     for f, e_base, e_pert, delta in rows:
         assert abs((e_pert - e_base) - delta) < 1e-15
