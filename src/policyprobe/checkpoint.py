@@ -141,14 +141,27 @@ def serialize_params(net: nn.ParamSet, kind: str = "qnet") -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parsed(parse, raw: str, n: int):
+    """parse(raw), with a ValueError refused as damage at file line n."""
+    try:
+        return parse(raw)
+    except ValueError:
+        raise CheckpointFormatError(f"bad value {raw!r} at line {n}") from None
+
+
 def _read_array(lines: list[str], pos: int, name: str,
                 shape: tuple) -> tuple[np.ndarray, int]:
     """The array `name` at lines[pos] and the position after its values."""
     count = int(np.prod(shape))
     end = pos + 1 + -(-count // _VALUES_PER_LINE)
-    # line by line, so no more than one line's tokens are alive at a time
-    values = list(map(float, chain.from_iterable(map(str.split,
-                                                     lines[pos + 1:end]))))
+    chunk = lines[pos + 1:end]
+    try:
+        # line by line, so no more than one line's tokens are alive at a time
+        values = list(map(float, chain.from_iterable(map(str.split, chunk))))
+    except ValueError:   # name the first line holding a non-number
+        for n, line in enumerate(chunk, pos + 2):
+            _parsed(lambda raw: [float(v) for v in raw.split()], line, n)
+        raise
     if lines[pos] != f"{name} {count}" or len(values) != count:
         raise CheckpointFormatError(
             f"expected '{name} {count}' and its values at line {pos + 1}")
@@ -163,9 +176,11 @@ def parse_params(lines: list[str], pos: int,
     if lines[pos:pos + 1] != [head]:
         raise CheckpointFormatError(f"expected {head!r} at line {pos + 1}")
     layers: list[nn.Layer] = []
+    at = pos + 1     # the line a damaged value is reported at
     try:
         pos += 2
-        for i in range(int(lines[pos - 1].removeprefix("layers "))):
+        for i in range(int(lines[at].removeprefix("layers "))):
+            at = pos
             toks = lines[pos].split()
             f = dict(zip(toks[3::2], toks[4::2]))
             if toks[:3] == ["layer", str(i), "dense"]:
@@ -182,9 +197,11 @@ def parse_params(lines: list[str], pos: int,
             else:
                 raise CheckpointFormatError(
                     f"bad layer header at line {pos + 1}")
-    except (IndexError, KeyError):
+    except CheckpointFormatError:
+        raise
+    except (IndexError, KeyError, ValueError):
         raise CheckpointFormatError(
-            f"truncated or damaged parameters at line {pos + 1}") from None
+            f"truncated or damaged parameters at line {at + 1}") from None
     if lines[pos:pos + 1] != ["end"]:
         raise CheckpointFormatError(f"missing end marker at line {pos + 1}")
     return nn.ParamSet(layers), pos + 1
@@ -209,26 +226,29 @@ def checkpoint_id(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-_FIELD_PARSERS = {"int": int, "float": float, "str": str}
+def _curve_row(row: str) -> tuple[int, float]:
+    episode, ret = row.split()
+    return int(episode), float(ret)
 
 
-def _parse_config(cls, prefix: str, fields: dict[str, str]):
+_FIELD_PARSERS = {"int": int, "float": float, "str": str,
+                  "tuple[int, int, int]": lambda raw: tuple(
+                      int(v) for v in raw.strip("()").split(",") if v.strip())}
+
+
+def _parse_config(cls, prefix: str, fields: dict[str, tuple[str, int]]):
+    """cls from its `prefix.` fields (key -> value, line), popping them."""
     kwargs = {}
     for f in dataclasses.fields(cls):
         key = f"{prefix}.{f.name}"
         if key not in fields:
             raise CheckpointFormatError(f"missing field {key}")
-        raw = fields.pop(key)
-        type_name = f.type if isinstance(f.type, str) else f.type.__name__
-        if f.name == "obs_shape":   # the one tuple-typed field
-            kwargs[f.name] = tuple(int(v) for v in
-                                   raw.strip("()").split(",") if v.strip())
-        elif type_name not in _FIELD_PARSERS:
-            raise CheckpointFormatError(
-                f"cannot parse field {key} of type {type_name}")
-        else:
-            kwargs[f.name] = _FIELD_PARSERS[type_name](raw)
-    return cls(**kwargs)
+        kwargs[f.name] = _parsed(_FIELD_PARSERS[f.type], *fields.pop(key))
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise CheckpointFormatError(f"invalid {prefix} fields: {exc}") \
+            from None
 
 
 def parse_checkpoint(text: str) -> Checkpoint:
@@ -240,26 +260,23 @@ def parse_checkpoint(text: str) -> Checkpoint:
     if not lines[-1] == "end checkpoint":
         raise CheckpointFormatError("truncated checkpoint: missing end marker")
     pos = 1
-    fields: dict[str, str] = {}
-    trained_steps = None
+    fields: dict[str, tuple[str, int]] = {}
     while pos < len(lines) and " = " in lines[pos]:
         key, _, value = lines[pos].partition(" = ")
-        if key == "trained_steps":
-            trained_steps = int(value)
-        else:
-            fields[key] = value
+        fields[key] = (value, pos + 1)
         pos += 1
-    if trained_steps is None:
+    if "trained_steps" not in fields:
         raise CheckpointFormatError("missing trained_steps")
+    trained_steps = _parsed(int, *fields.pop("trained_steps"))
     env_spec = _parse_config(EnvSpec, "env", fields)
     config = _parse_config(TrainConfig, "train", fields)
     if fields:
         raise CheckpointFormatError(f"unrecognized fields {sorted(fields)}")
     if pos >= len(lines) or not lines[pos].startswith("curve "):
         raise CheckpointFormatError("missing curve section")
-    end = pos + 1 + int(lines[pos].split()[1])
-    curve = [(int(episode), float(ret))
-             for episode, ret in map(str.split, lines[pos + 1:end])]
+    end = pos + 1 + _parsed(int, lines[pos].removeprefix("curve "), pos + 1)
+    curve = [_parsed(_curve_row, row, n)
+             for n, row in enumerate(lines[pos + 1:end], pos + 2)]
     params, pos = parse_params(lines, end, "qnet")
     if pos != len(lines) - 1:
         raise CheckpointFormatError(f"line {pos + 1} follows the parameters")
@@ -308,10 +325,6 @@ def read_csv(path: Path, header: str) -> list[list[str]]:
             raise CheckpointFormatError(
                 f"{path} line {n} has {len(row)} of {width} fields")
     return rows
-
-
-def curve_csv(curve: list[tuple[int, float]]) -> str:
-    return csv_text(CURVE_CSV_HEADER, curve)
 
 
 def report_csv(report: ProbeReport) -> str:
@@ -377,10 +390,6 @@ def spectrum_csv(delta: BandDelta) -> str:
     return csv_text(SPECTRUM_CSV_HEADER,
                     zip(range(len(delta.delta)), delta.e_base.tolist(),
                         delta.e_pert.tolist(), delta.delta.tolist()))
-
-
-def attack_csv(rows: list[tuple[int, int, int, float, bool, float]]) -> str:
-    return csv_text(ATTACK_CSV_HEADER, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,8 @@ def cmd_train(cfg: config_mod.RunConfig, out_flag: str | None) -> int:
     ck = ql.train(cfg.env, cfg.train)
     rundir = _run_directory(cfg, "train", out_flag)
     ck_id = cp.save_checkpoint(rundir / "checkpoint.txt", ck)
-    cp.atomic_write_text(rundir / "curve.csv", cp.curve_csv(ck.curve))
+    cp.atomic_write_text(rundir / "curve.csv",
+                         cp.csv_text(cp.CURVE_CSV_HEADER, ck.curve))
     print(f"checkpoint {ck_id} ({cfg.train.objective}, "
           f"{ck.trained_steps} steps) -> {rundir / 'checkpoint.txt'}")
     return 0
@@ -126,7 +127,8 @@ def cmd_attack(cfg: config_mod.RunConfig, checkpoint_flag: str,
             a_adv = ql.greedy_action(ck.params, viewed)
             rows.append((len(rows), action, a_adv, dist, success, sim))
     rundir = _run_directory(cfg, "attack", out_flag)
-    cp.atomic_write_text(rundir / "states.csv", cp.attack_csv(rows))
+    cp.atomic_write_text(rundir / "states.csv",
+                         cp.csv_text(cp.ATTACK_CSV_HEADER, rows))
     n_success = sum(1 for r in rows if r[4])
     print(f"{direction.method}: {n_success}/{len(rows)} states flipped "
           f"-> {rundir / 'states.csv'}")

@@ -1,10 +1,10 @@
 """Two deterministic pixel-observation environments at desk scale.
 
 PixelGrid: navigate a walled n-by-n grid to a goal cell. MiniPong: a minimal
-paddle-ball rally against a scripted half-speed opponent. Both render logical
-cells as 3x3 pixel blocks into a single-channel [0, 255] image, and both are
-pure functions of (spec, episode_seed, action sequence): all stochasticity is
-front-loaded into seeded draws.
+paddle-ball rally against a scripted opponent that moves one row per step.
+Both render logical cells as 3x3 pixel blocks into a single-channel [0, 255]
+image, and both are pure functions of (spec, episode_seed, action sequence):
+all stochasticity is front-loaded into seeded draws.
 
 A PixelGrid layout (walls, goal, start cells) depends on the spec alone,
 so it is drawn once per spec and cached: every env made from one spec
@@ -16,7 +16,7 @@ Rewards:
   PixelGrid  +1 on the step that reaches the goal (terminal), -0.01 otherwise
              (wall bumps leave the position unchanged and still cost -0.01).
   MiniPong   +1 when the opponent misses the ball, -1 when the player does;
-             the episode ends when either side reaches 5 points or at the cap.
+             the episode ends when one side leads by 5 points or at the cap.
 """
 
 from __future__ import annotations
@@ -357,7 +357,7 @@ class MiniPongEnv:
         st = self.state
         top_max = n - PADDLE_HEIGHT
 
-        # player paddle, then the half-speed opponent
+        # player paddle, then the opponent, one row every step
         if action == 1:
             st.player_top = max(0, st.player_top - 1)
         elif action == 2:

@@ -2,17 +2,17 @@
 
 The distance between two observations is computed from the internal
 activations of a small frozen convolutional net: at every layer and spatial
-site the channel vector is normalized to unit length, the squared weighted
-difference between the two inputs is averaged over space, and the per-layer
-averages are summed:
+site the channel vector is normalized to unit length, the squared
+difference between the two inputs is averaged over space, and the
+per-layer averages are summed:
 
-    d(s1, s2) = sum_l (1/(H_l*W_l)) * sum_{h,w} || w_l . (y1_lhw - y2_lhw) ||^2
+    d(s1, s2) = sum_l (1/(H_l*W_l)) * sum_{h,w} || y1_lhw - y2_lhw ||^2
 
-with y the unit-normalized activations and w_l per-channel weights (all ones
-by default). The network itself is never trained; its weights come from a
-fixed seed and ship as a versioned text asset so distances are bit-comparable
-across machines. The asset is a `checkpoint` parameter section of kind
-"featurenet", written and read by that module's codec.
+with y the unit-normalized activations. The network itself is never
+trained; its weights come from a fixed seed and ship as a versioned text
+asset so distances are bit-comparable across machines. The asset is a
+`checkpoint` parameter section of kind "featurenet", written and read by
+that module's codec; `build_reference_params` regenerates it from the seed.
 `reference_featurenet` parses that asset once per process and shares the
 net read-only with every caller. Observations are
 area-resampled to the net's fixed 36x36 grayscale input; the resample
@@ -24,7 +24,6 @@ area_resample).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -43,23 +42,6 @@ _CHANNELS = (8, 16, 16)
 _EINSUM_BUFFER = 8192
 
 
-@dataclass
-class FeatureNet:
-    params: nn.ParamSet
-    channel_weights: list[Array]   # w_l, one nonnegative vector per layer
-    version: str = FEATURENET_VERSION
-
-    def __post_init__(self):
-        if len(self.channel_weights) != len(self.params.layers):
-            raise ValueError("one channel weight vector per layer required")
-        for lay, w in zip(self.params.layers, self.channel_weights):
-            w = np.asarray(w, dtype=np.float64)
-            if np.any(w < 0):
-                raise ValueError("channel weights must be nonnegative")
-            if w.shape != (lay.kernel.shape[3],):
-                raise ValueError("channel weight length must match layer channels")
-
-
 def build_reference_params(seed: int = FEATURENET_SEED) -> nn.ParamSet:
     """The reference net's weights: three stride-2 rectified conv layers,
     deterministic in the seed."""
@@ -73,36 +55,17 @@ def build_reference_params(seed: int = FEATURENET_SEED) -> nn.ParamSet:
     return nn.ParamSet(layers)
 
 
-def _default_weights(params: nn.ParamSet) -> list[Array]:
-    return [np.ones(lay.kernel.shape[3]) for lay in params.layers]
-
-
-def load_reference_featurenet() -> FeatureNet:
-    """The shipped, versioned reference net."""
+@functools.lru_cache(maxsize=None)
+def reference_featurenet() -> nn.ParamSet:
+    """The shipped, versioned net, parsed once per process. Its arrays are
+    read-only, because every caller shares them."""
     asset = resources.files("policyprobe").joinpath(
         f"assets/{FEATURENET_VERSION}.txt")
     params, _ = checkpoint.parse_params(asset.read_text().splitlines(), 0,
                                         "featurenet")
-    return FeatureNet(params, _default_weights(params))
-
-
-@functools.lru_cache(maxsize=None)
-def reference_featurenet() -> FeatureNet:
-    """The shipped net, parsed once per process. Its arrays are read-only,
-    because every caller shares them."""
-    fnet = load_reference_featurenet()
-    for _, _, arr in fnet.params.arrays():
+    for _, _, arr in params.arrays():
         arr.flags.writeable = False
-    for w in fnet.channel_weights:
-        w.flags.writeable = False
-    return fnet
-
-
-def make_featurenet(seed: int = FEATURENET_SEED) -> FeatureNet:
-    """Regenerate the reference net from its seed (bit-identical to the
-    shipped asset)."""
-    params = build_reference_params(seed)
-    return FeatureNet(params, _default_weights(params))
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -187,14 +150,14 @@ def _unit_normalize(act: Array) -> Array:
     return np.divide(act, norms, out=np.zeros_like(act), where=norms > 0)
 
 
-def normalized_activations(fnet: FeatureNet, s: Array) -> list[Array]:
+def normalized_activations(fnet: nn.ParamSet, s: Array) -> list[Array]:
     """Per-layer channel-unit-normalized activations for one observation."""
     x = area_resample(s) / PIXEL_SCALE
-    acts = nn.forward(fnet.params, x)
+    acts = nn.forward(fnet, x)
     return [_unit_normalize(a) for a in acts]
 
 
-def lpips(fnet: FeatureNet, s1: Array, s2: Array) -> float:
+def lpips(fnet: nn.ParamSet, s1: Array, s2: Array) -> float:
     """The perceptual distance; symmetric, nonnegative, zero at identity."""
     s1 = np.asarray(s1, dtype=np.float64)
     s2 = np.asarray(s2, dtype=np.float64)
@@ -203,8 +166,7 @@ def lpips(fnet: FeatureNet, s1: Array, s2: Array) -> float:
     y1 = normalized_activations(fnet, s1)
     y2 = normalized_activations(fnet, s2)
     total = 0.0
-    for a1, a2, w in zip(y1, y2, fnet.channel_weights):
-        h, wdim = a1.shape[:2]
-        diff = (a1 - a2) * w
-        total += float((diff ** 2).sum() / (h * wdim))
+    for a1, a2 in zip(y1, y2):
+        h, w = a1.shape[:2]
+        total += float(((a1 - a2) ** 2).sum() / (h * w))
     return total

@@ -6,6 +6,10 @@ the image center, integer shift, perspective warp, and DCT compression
 artifacts. None of them ever sees a policy; that independence is structural
 (there is no policy argument to pass).
 
+`FAMILIES` declares each family once: its function, the PerturbationSpec
+fields it takes in call order, and its label. `apply` and `label()` read
+that table, and a spec refuses a value in a field its family does not read.
+
 All geometry uses inverse mapping with bilinear interpolation and zero fill;
 right-angle rotations snap to exact lattice permutations. Outputs are clamped
 to [0, 255].
@@ -15,22 +19,15 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 Array = np.ndarray
 
-FAMILIES = ("identity", "brightness_contrast", "median_blur", "rotation",
-            "shift", "perspective", "dct_artifacts")
-
 DCT_BLOCK = 8
 DCT_LAMBDA = 8.0  # frequency slope of the quantization law
-
-# PerturbationSpec fields that are integers; manifests and sweep grids give
-# numbers as floats, so these are cast on the way in (see cast_field)
-INT_FIELDS = frozenset({"kernel", "ti", "tj", "pt_seed"})
 
 
 class DegenerateGeometryError(ValueError):
@@ -41,8 +38,8 @@ class DegenerateGeometryError(ValueError):
 class PerturbationSpec:
     """One perturbation family with its parameters.
 
-    Only the fields relevant to `family` are read; the rest keep their
-    defaults. `pt_seed` is used by the seeded perspective mode only.
+    A field the family does not read (see FAMILIES) must keep its default.
+    `pt_seed` is used by the seeded perspective mode only.
     """
 
     family: str = "identity"
@@ -61,6 +58,10 @@ class PerturbationSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown perturbation family {self.family!r}")
+        reads = FAMILIES[self.family][1]
+        for f in fields(self)[1:]:   # every field but family
+            if f.name not in reads and getattr(self, f.name) != f.default:
+                raise ValueError(f"{self.family} does not read {f.name}")
         if self.family == "median_blur":
             if self.kernel < 1 or self.kernel % 2 == 0:
                 raise ValueError("blur kernel must be odd and >= 1")
@@ -78,20 +79,14 @@ class PerturbationSpec:
                 raise ValueError("alpha and beta must be finite")
 
     def label(self) -> str:
-        if self.family == "brightness_contrast":
-            return f"bc[{self.alpha:g},{self.beta:g}]"
-        if self.family == "median_blur":
-            return f"blur[k={self.kernel}]"
-        if self.family == "rotation":
-            return f"rot[{self.degrees:g}]"
-        if self.family == "shift":
-            tag = "c" if self.circular else ""
-            return f"shift[{self.ti},{self.tj}]{tag}"
-        if self.family == "perspective":
-            return f"pt[{self.pt_norm:g},{self.pt_mode}]"
-        if self.family == "dct_artifacts":
-            return f"dct[{self.kappa:g}]"
-        return "identity"
+        _, reads, label = FAMILIES[self.family]
+        return label(*(getattr(self, name) for name in reads))
+
+
+# PerturbationSpec fields that are integers; manifests and sweep grids give
+# numbers as floats, so these are cast on the way in (see cast_field)
+INT_FIELDS = frozenset(f.name for f in fields(PerturbationSpec)
+                       if f.type == "int")
 
 
 def cast_field(name: str, value):
@@ -105,10 +100,12 @@ def cast_field(name: str, value):
 
 
 def spec_with(family: str, parameter: str, value: float) -> PerturbationSpec:
-    """The family's defaults with `parameter` set to `value` (see
-    cast_field)."""
-    return PerturbationSpec(**{"family": family,
-                               parameter: cast_field(parameter, value)})
+    """The family's defaults with `parameter`, a field the family reads,
+    set to `value` (see cast_field)."""
+    spec = PerturbationSpec(family=family)
+    if parameter not in FAMILIES[family][1]:
+        raise ValueError(f"{family} does not read {parameter}")
+    return replace(spec, **{parameter: cast_field(parameter, value)})
 
 
 def as_image(s: Array) -> Array:
@@ -127,6 +124,11 @@ def as_image(s: Array) -> Array:
 # ---------------------------------------------------------------------------
 # Families
 # ---------------------------------------------------------------------------
+
+def identity(s: Array) -> Array:
+    """The observation itself, as a fresh array."""
+    return as_image(s).copy()
+
 
 def brightness_contrast(s: Array, alpha: float, beta: float) -> Array:
     """Per-pixel linear map s*alpha + beta on the [0, 255] scale, clamped."""
@@ -346,21 +348,23 @@ def dct_artifacts(s: Array, kappa: float) -> Array:
 # Dispatch
 # ---------------------------------------------------------------------------
 
+# family -> (function, the spec fields it takes after the observation in
+# call order, label of those field values)
+FAMILIES = {
+    "identity": (identity, (), lambda: "identity"),
+    "brightness_contrast": (brightness_contrast, ("alpha", "beta"),
+                            lambda a, b: f"bc[{a:g},{b:g}]"),
+    "median_blur": (median_blur, ("kernel",), lambda k: f"blur[k={k}]"),
+    "rotation": (rotate, ("degrees",), lambda d: f"rot[{d:g}]"),
+    "shift": (shift, ("ti", "tj", "circular"),
+              lambda i, j, c: f"shift[{i},{j}]" + ("c" if c else "")),
+    "perspective": (perspective, ("pt_norm", "pt_mode", "pt_seed"),
+                    lambda n, mode, _: f"pt[{n:g},{mode}]"),
+    "dct_artifacts": (dct_artifacts, ("kappa",), lambda k: f"dct[{k:g}]"),
+}
+
+
 def apply(spec: PerturbationSpec, s: Array) -> Array:
     """Apply one perturbation spec to one observation."""
-    fam = spec.family
-    if fam == "identity":
-        return as_image(s).copy()
-    if fam == "brightness_contrast":
-        return brightness_contrast(s, spec.alpha, spec.beta)
-    if fam == "median_blur":
-        return median_blur(s, spec.kernel)
-    if fam == "rotation":
-        return rotate(s, spec.degrees)
-    if fam == "shift":
-        return shift(s, spec.ti, spec.tj, spec.circular)
-    if fam == "perspective":
-        return perspective(s, spec.pt_norm, spec.pt_mode, spec.pt_seed)
-    if fam == "dct_artifacts":
-        return dct_artifacts(s, spec.kappa)
-    raise ValueError(f"unknown perturbation family {fam!r}")
+    fn, reads, _ = FAMILIES[spec.family]
+    return fn(s, *(getattr(spec, name) for name in reads))

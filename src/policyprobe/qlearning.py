@@ -84,6 +84,10 @@ class TrainConfig:
             raise ValueError("sa_hinge_cap must be > 0")
         if self.lr <= 0 or self.total_steps < 0 or self.batch_size < 1:
             raise ValueError("bad optimizer/loop settings")
+        if self.batch_size > self.replay_capacity:   # it would never update
+            raise ValueError("batch_size must not exceed replay_capacity")
+        if self.alpha_pr < 0 or self.priority_floor <= 0:
+            raise ValueError("alpha_pr must be >= 0 and priority_floor > 0")
         if self.train_every < 1 or self.target_sync < 1:
             raise ValueError("train_every and target_sync must be >= 1")
         for name in ("eps_start", "eps_end", "beta_is_start", "beta_is_end"):

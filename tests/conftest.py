@@ -53,7 +53,7 @@ def sa_checkpoint():
 
 @pytest.fixture(scope="session")
 def fnet():
-    return perceptual.load_reference_featurenet()
+    return perceptual.reference_featurenet()
 
 
 @pytest.fixture()

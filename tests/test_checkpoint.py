@@ -3,6 +3,7 @@ CSV schemas, atomic writes, and run-directory hygiene."""
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +81,31 @@ def test_parse_rejects_lines_after_the_parameters():
     lines.insert(-1, "weight 0")
     with pytest.raises(cp.CheckpointFormatError, match="follows the param"):
         cp.parse_checkpoint("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("pattern,replacement,message", [
+    (r"^(bias \d+\n)\S+", r"\1zero", None),
+    (r"^layers \d+$", "layers four", None),
+    (r" stride \d+ ", " stride x ", None),
+    (r" activation relu$", " activation tanh", None),
+    (r"^train\.batch_size = .*$", "train.batch_size = many", None),
+    (r"^(curve \d+\n\d+) \S+$", r"\1", None),
+    (r"^train\.objective = .*$", "train.objective = bogus",
+     "invalid train fields: unknown objective 'bogus'"),
+], ids=["value", "layers", "stride", "activation", "batch_size",
+        "curve_row", "objective"])
+def test_parse_names_the_damaged_line(pattern, replacement, message):
+    """Damage that a value parser or a constructor refuses is a
+    CheckpointFormatError naming its line, or its fields where no single
+    line is at fault."""
+    text = cp.serialize_checkpoint(tiny_checkpoint())
+    damaged = re.sub(pattern, replacement, text, count=1, flags=re.M)
+    lines = damaged.splitlines()
+    n = next(i for i, (a, b) in enumerate(zip(lines, text.splitlines()), 1)
+             if a != b)
+    with pytest.raises(cp.CheckpointFormatError,
+                       match=re.escape(message or f"at line {n}")):
+        cp.parse_checkpoint(damaged)
 
 
 def test_parse_rejects_unknown_fields():
@@ -183,7 +209,8 @@ def test_summary_line_mentions_the_numbers():
 
 
 def test_curve_csv_round_trips_values():
-    text = cp.curve_csv([(0, -1.0), (1, 0.123456789012345678)])
+    text = cp.csv_text(cp.CURVE_CSV_HEADER,
+                       [(0, -1.0), (1, 0.123456789012345678)])
     lines = text.strip().split("\n")
     assert lines[0] == cp.CURVE_CSV_HEADER
     episode, ret = lines[2].split(",")
@@ -217,7 +244,7 @@ def test_file_stem_keeps_only_safe_characters():
 
 def test_attack_csv_spells_infinity():
     rows = [(0, 2, 1, 0.125, True, 0.01), (1, 0, 0, math.inf, False, 0.0)]
-    lines = cp.attack_csv(rows).strip().split("\n")
+    lines = cp.csv_text(cp.ATTACK_CSV_HEADER, rows).strip().split("\n")
     assert lines[0] == cp.ATTACK_CSV_HEADER
     assert lines[1] == "0,2,1,0.125,1,0.01"
     assert lines[2] == "1,0,0,inf,0,0"

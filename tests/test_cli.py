@@ -112,6 +112,21 @@ def test_train_refuses_a_zero_update_period(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_refuses_a_batch_larger_than_the_replay_buffer(tmp_path,
+                                                             capsys):
+    """Such a run never samples a batch, so it used to save its initial
+    parameters as a 300-step checkpoint and exit 0."""
+    cfgp = manifest(tmp_path, {"train": {"total_steps": 300,
+                                         "warmup_steps": 10,
+                                         "replay_capacity": 16,
+                                         "batch_size": 32}})
+    out = tmp_path / "out"
+    assert main(["train", "--config", cfgp, "--out", str(out)]) == 2
+    assert "batch_size must not exceed replay_capacity" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # probe
 # ---------------------------------------------------------------------------
@@ -382,6 +397,33 @@ def test_sweep_writes_rows_and_summary(tmp_path, capsys):
     assert summary[0].startswith("schema=sweep_summary_v1")
     assert len(summary) == 3
     assert "kernel=1" in capsys.readouterr().out
+
+
+def test_probe_refuses_a_field_its_family_does_not_read(tmp_path, capsys):
+    """This direction used to probe rot[0] and exit 0."""
+    cfgp = probe_manifest(tmp_path, {"family": "rotation", "kernel": 5,
+                                     "beta": 30})
+    out = tmp_path / "out"
+    assert main(["probe", "--config", cfgp, "--checkpoint", VANILLA,
+                 "--out", str(out)]) == 2
+    assert "rotation does not read beta" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("parameter", ["beta", "bogus"])
+def test_sweep_refuses_a_parameter_its_family_does_not_read(tmp_path, capsys,
+                                                            parameter):
+    """Over beta, a median blur sweep used to repeat one point and exit 0;
+    over bogus, it ended in a TypeError traceback."""
+    cfgp = manifest(tmp_path, {"sweep": {
+        "family": "median_blur", "parameter": parameter, "values": [1, 3],
+        "policies": {"vanilla": VANILLA}, "runs": 2}})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfgp, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: invalid configuration or input: "
+                   f"median_blur does not read {parameter}\n")
+    assert not out.exists()
 
 
 def test_report_rerenders_probe_summary_without_drift(tmp_path, capsys):

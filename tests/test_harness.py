@@ -469,10 +469,10 @@ def test_clean_runs_never_parse_the_featurenet(vanilla_checkpoint,
                                                fresh_reference_net,
                                                monkeypatch):
     """An identity view never reaches lpips, so clean runs need no net."""
-    def refuse():
+    def refuse(*args):
         raise AssertionError("featurenet asset parsed")
 
-    monkeypatch.setattr(perceptual, "load_reference_featurenet", refuse)
+    monkeypatch.setattr(perceptual.checkpoint, "parse_params", refuse)
     ck, _ = vanilla_checkpoint
     hz.clean_baseline(ck.params, ck.env_spec, 3)
     hz.probe_episode(ck.params, ck.env_spec, IDENTITY, 0)
@@ -482,14 +482,15 @@ def test_sweep_and_probe_parse_the_featurenet_once(
         vanilla_checkpoint, radial_checkpoint, fresh_reference_net,
         monkeypatch):
     loads = []
-    monkeypatch.setattr(perceptual, "load_reference_featurenet", _recording(
-        loads, perceptual.load_reference_featurenet, lambda: None))
+    monkeypatch.setattr(perceptual.checkpoint, "parse_params", _recording(
+        loads, perceptual.checkpoint.parse_params,
+        lambda lines, pos, kind: kind))
     spec = vanilla_checkpoint[0].env_spec
     hz.sweep([("vanilla", vanilla_checkpoint[0].params),
               ("radial", radial_checkpoint[0].params)], spec,
              "brightness_contrast", "beta", values=[10.0, 30.0], runs=2)
-    assert len(loads) == 1
+    assert loads == ["featurenet"]
     direction = perturb.PerturbationSpec(family="brightness_contrast",
                                          beta=20.0)
     hz.probe(vanilla_checkpoint[0].params, spec, direction, runs=2)
-    assert len(loads) == 1
+    assert loads == ["featurenet"]

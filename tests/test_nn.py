@@ -106,14 +106,14 @@ def featurenet_inputs(fnet, batch):
     env = make_env(make_spec("pixelgrid", size=8, seed=0))
     x = np.stack([perceptual.area_resample(env.reset(seed))
                   for seed in range(batch)]) / perceptual.PIXEL_SCALE
-    return [x] + nn.forward_batch(fnet.params, x)[:-1]
+    return [x] + nn.forward_batch(fnet, x)[:-1]
 
 
 @pytest.mark.parametrize("batch", [1, 4])
 def test_padded_conv_is_bit_equal_to_the_np_pad_form(batch, fnet):
     """Padding writes the input into a zero frame; the products are those
     of an np.pad copy run unpadded, bit for bit."""
-    for lay, x in zip(fnet.params.layers, featurenet_inputs(fnet, batch)):
+    for lay, x in zip(fnet.layers, featurenet_inputs(fnet, batch)):
         p = lay.padding
         assert p > 0
         padded = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
@@ -324,7 +324,7 @@ def test_forward_without_a_tape_returns_the_taped_bits(rng, fnet):
     cases = [(qnet, rng.uniform(size=(1, 24, 24, 1))),
              (qnet, rng.uniform(size=(5, 24, 24, 1))),
              (small_net(), rng.uniform(size=(3, 9, 9, 1))),
-             (fnet.params, featurenet_inputs(fnet, 4)[0])]
+             (fnet, featurenet_inputs(fnet, 4)[0])]
     for net, x in cases:
         tape: list = []
         taped = nn.forward_batch(net, x, tape)

@@ -20,17 +20,16 @@ def noise(rng, h=16, w=16):
 # ---------------------------------------------------------------------------
 
 def test_shipped_asset_matches_seed_regeneration(fnet):
-    rebuilt = pc.make_featurenet()
-    assert fnet.version == pc.FEATURENET_VERSION
-    assert len(fnet.params.layers) == len(rebuilt.params.layers)
-    for a, b in zip(fnet.params.layers, rebuilt.params.layers):
+    rebuilt = pc.build_reference_params()
+    assert len(fnet.layers) == len(rebuilt.layers)
+    for a, b in zip(fnet.layers, rebuilt.layers):
         assert np.array_equal(a.kernel, b.kernel)
         assert np.array_equal(a.bias, b.bias)
         assert a.stride == b.stride and a.padding == b.padding
 
 
 def test_asset_distances_are_stable_across_loads(fnet, rng):
-    other = pc.load_reference_featurenet()
+    other = pc.build_reference_params()
     a, b = noise(rng), noise(rng)
     assert pc.lpips(fnet, a, b) == pc.lpips(other, a, b)
 
@@ -40,25 +39,9 @@ def test_cached_reference_net_is_read_only(fresh_reference_net):
     change it under the others."""
     fnet = pc.reference_featurenet()
     assert pc.reference_featurenet() is fnet
-    arrays = [arr for _, _, arr in fnet.params.arrays()]
-    for arr in arrays + fnet.channel_weights:
+    for _, _, arr in fnet.arrays():
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0.0
-
-
-def test_featurenet_rejects_bad_channel_weights():
-    params = pc.build_reference_params()
-    good = [np.ones(lay.kernel.shape[3]) for lay in params.layers]
-    with pytest.raises(ValueError):
-        pc.FeatureNet(params, good[:-1])
-    bad = [w.copy() for w in good]
-    bad[0][0] = -1.0
-    with pytest.raises(ValueError):
-        pc.FeatureNet(params, bad)
-    short = [w.copy() for w in good]
-    short[1] = np.ones(3)
-    with pytest.raises(ValueError):
-        pc.FeatureNet(params, short)
 
 
 # ---------------------------------------------------------------------------
@@ -171,26 +154,10 @@ def test_hand_computed_distance_matches(fnet, rng):
     y1 = pc.normalized_activations(fnet, a)
     y2 = pc.normalized_activations(fnet, b)
     total = 0.0
-    for a1, a2, w in zip(y1, y2, fnet.channel_weights):
-        h, wdim = a1.shape[:2]
-        total += float((((a1 - a2) * w) ** 2).sum() / (h * wdim))
+    for a1, a2 in zip(y1, y2):
+        h, w = a1.shape[:2]
+        total += float(((a1 - a2) ** 2).sum() / (h * w))
     assert pc.lpips(fnet, a, b) == total
-
-
-def test_channel_weights_gate_layers(rng):
-    """Zeroing every layer's weights silences the metric; zeroing one layer
-    removes exactly that layer's contribution."""
-    params = pc.build_reference_params()
-    ones = [np.ones(lay.kernel.shape[3]) for lay in params.layers]
-    zeros = [np.zeros(lay.kernel.shape[3]) for lay in params.layers]
-    a, b = noise(rng), noise(rng)
-    silent = pc.FeatureNet(params, zeros)
-    assert pc.lpips(silent, a, b) == 0.0
-    partial_w = [w.copy() for w in ones]
-    partial_w[2] = np.zeros_like(partial_w[2])
-    full = pc.lpips(pc.FeatureNet(params, ones), a, b)
-    partial = pc.lpips(pc.FeatureNet(params, partial_w), a, b)
-    assert 0.0 < partial < full
 
 
 def test_small_perturbations_score_small(fnet, rng):
@@ -205,7 +172,7 @@ def test_small_perturbations_score_small(fnet, rng):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1))
 def test_metric_nonnegative_and_finite(seed):
-    fnet = pc.make_featurenet()
+    fnet = pc.reference_featurenet()
     rng = np.random.default_rng(seed)
     a = rng.integers(0, 256, size=(12, 12, 1)).astype(float)
     b = rng.integers(0, 256, size=(12, 12, 1)).astype(float)

@@ -2,6 +2,8 @@
 geometry conventions, and range/shape guarantees."""
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -275,6 +277,35 @@ def test_dct_rejects_kappa_outside_unit_interval(rng):
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
         pb.PerturbationSpec(family="sharpen")
+    with pytest.raises(ValueError, match="unknown perturbation family"):
+        pb.spec_with("sharpen", "beta", 1.0)
+
+
+@pytest.mark.parametrize("family", sorted(pb.FAMILIES))
+def test_each_family_takes_the_fields_it_declares(family):
+    """A family's function takes the observation, then exactly the spec
+    fields its FAMILIES entry names, in that order."""
+    fn, reads, _ = pb.FAMILIES[family]
+    assert list(inspect.signature(fn).parameters)[1:] == list(reads)
+
+
+def test_spec_refuses_a_field_its_family_does_not_read():
+    with pytest.raises(ValueError, match="rotation does not read kernel"):
+        pb.PerturbationSpec(family="rotation", kernel=5)
+    with pytest.raises(ValueError, match="identity does not read circular"):
+        pb.PerturbationSpec(circular=True)
+    # a default value in an unread field is no refusal
+    assert pb.PerturbationSpec(family="rotation", kernel=1).label() == "rot[0]"
+
+
+@pytest.mark.parametrize("family,parameter", [("median_blur", "beta"),
+                                              ("rotation", "bogus"),
+                                              ("identity", "family")])
+def test_spec_with_refuses_a_parameter_its_family_does_not_read(family,
+                                                                parameter):
+    with pytest.raises(ValueError, match=f"{family} does not read "
+                                         f"{parameter}"):
+        pb.spec_with(family, parameter, 3.0)
 
 
 def test_dispatch_matches_direct_calls(rng):
@@ -340,23 +371,19 @@ def test_labels_are_distinct_and_informative():
 def test_every_family_preserves_shape_and_range(family, seed):
     rng = np.random.default_rng(seed)
     img = rng.integers(0, 256, size=(16, 16, 1)).astype(float)
-    spec = {
-        "brightness_contrast": pb.PerturbationSpec(
-            family=family, alpha=float(rng.uniform(0.2, 2.0)),
+    fields = {
+        "brightness_contrast": lambda: dict(
+            alpha=float(rng.uniform(0.2, 2.0)),
             beta=float(rng.uniform(-60, 60))),
-        "median_blur": pb.PerturbationSpec(family=family, kernel=3),
-        "rotation": pb.PerturbationSpec(
-            family=family, degrees=float(rng.uniform(-180, 180))),
-        "shift": pb.PerturbationSpec(
-            family=family, ti=int(rng.integers(-5, 6)),
-            tj=int(rng.integers(-5, 6))),
-        "perspective": pb.PerturbationSpec(
-            family=family, pt_norm=float(rng.uniform(0, 3)),
-            pt_mode="seeded", pt_seed=int(seed % 1000)),
-        "dct_artifacts": pb.PerturbationSpec(
-            family=family, kappa=float(rng.uniform(0, 1))),
-    }[family]
-    out = pb.apply(spec, img)
+        "median_blur": lambda: dict(kernel=3),
+        "rotation": lambda: dict(degrees=float(rng.uniform(-180, 180))),
+        "shift": lambda: dict(ti=int(rng.integers(-5, 6)),
+                              tj=int(rng.integers(-5, 6))),
+        "perspective": lambda: dict(pt_norm=float(rng.uniform(0, 3)),
+                                    pt_mode="seeded", pt_seed=int(seed % 1000)),
+        "dct_artifacts": lambda: dict(kappa=float(rng.uniform(0, 1))),
+    }[family]()
+    out = pb.apply(pb.PerturbationSpec(family=family, **fields), img)
     assert out.shape == img.shape
     assert out.dtype == np.float64
     assert out.min() >= 0.0 and out.max() <= 255.0
