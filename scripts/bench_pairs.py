@@ -13,8 +13,12 @@ a time.
 FILE holds one entry per workload; a call writes its workload's entry and
 keeps the others. An entry holds every run's JSON result and, for each
 metric that both sides report, each side's median and quartiles, the
-ratio of the medians (change over parent), and in how many pairs the
-change was better, worse or tied. "Better" follows BENCHMARK.json in the
+ratio of the medians (change over parent), the median and quartiles of
+the per-pair ratios, and in how many pairs the change was better, worse
+or tied. The host's speed drifts between pairs by more than most changes
+move a metric, so each side's median mixes drift with the change; a
+pair's two runs share one spell of the host, so the per-pair ratio is
+the figure that shows the change. "Better" follows BENCHMARK.json in the
 parent checkout; a metric it does not list counts as higher-is-better. A
 run that exits nonzero or prints no JSON result stops the script.
 """
@@ -77,12 +81,16 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
         diffs = [sign * (c - p)
                  for p, c in zip(values["parent"], values["change"])]
         parent, change = spread(values["parent"]), spread(values["change"])
+        pair_ratio = (spread([c / p for p, c in zip(values["parent"],
+                                                    values["change"])])
+                      if all(values["parent"]) else None)
         summary[name] = {
             "unit": pairs[0]["parent"]["metrics"][name]["unit"],
             "better": better.get(name, "higher"),
             "parent": parent, "change": change,
             "ratio": (change["median"] / parent["median"]
                       if parent["median"] else None),
+            "pair_ratio": pair_ratio,
             "change_better": sum(d > 0 for d in diffs),
             "change_worse": sum(d < 0 for d in diffs),
             "ties": sum(d == 0 for d in diffs),
@@ -135,9 +143,14 @@ def main(argv: list[str] | None = None) -> int:
     entries[args.workload] = result
     args.out.write_text(json.dumps(entries, indent=1, sort_keys=True) + "\n")
     for name, m in result["metrics"].items():
+        ratio = m["pair_ratio"]
+        per_pair = ("" if ratio is None else
+                    f", per-pair ratio {ratio['median']:.4g} "
+                    f"({ratio['q1']:.4g}-{ratio['q3']:.4g})")
         print(f"{name}: {m['parent']['median']:.6g} -> "
-              f"{m['change']['median']:.6g} {m['unit']}, change better in "
-              f"{m['change_better']} of {m['pairs']}", file=sys.stderr)
+              f"{m['change']['median']:.6g} {m['unit']}{per_pair}, change "
+              f"better in {m['change_better']} of {m['pairs']}",
+              file=sys.stderr)
     return 0
 
 

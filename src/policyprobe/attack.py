@@ -16,7 +16,9 @@ Two attacks against a Q-network, both constrained to an eps-ball measured on
 The Q-net is piecewise linear, so the margin's input gradient depends only
 on the runner-up action and the rectifier masks (see the `nn` determinism
 contract); each `cw_minimal` call differentiates every (runner, masks) pair
-once and reuses those exact bits for the rest of the call.
+once and reuses those exact bits for the rest of the call. A descent step
+that stalls returns the same iterate byte for byte, and the descent then
+reuses that iterate's forward pass instead of running it again.
 
 Inputs and outputs are raw [0, 255] observations; reported distances are on
 the [0, 1] scale.
@@ -87,12 +89,12 @@ def _project(delta: Array, p: float, eps: float) -> Array:
     if p == 2.0:
         n = norm_of(delta, 2.0)
         return delta if n <= eps else delta * (eps / n)
-    return np.clip(delta, -eps, eps)
+    return delta.clip(-eps, eps)
 
 
 def _greedy(net: nn.ParamSet, x: Array) -> tuple[int, Array]:
     q = nn.forward(net, x)[-1]
-    return int(np.argmax(q)), q
+    return int(q.argmax()), q
 
 
 def _surrogate_grad(net: nn.ParamSet, x: Array) -> tuple[int, Array]:
@@ -138,10 +140,10 @@ def _margin_and_grad(net: nn.ParamSet, x: Array, a_star: int,
     may be shared, so callers must not modify it in place."""
     tape: list = []
     q = nn.forward(net, x, tape)[-1]
-    flipped = int(np.argmax(q)) != a_star
+    flipped = int(q.argmax()) != a_star
     others = q.copy()
     others[a_star] = -np.inf
-    runner = int(np.argmax(others))
+    runner = int(others.argmax())
     margin = float(q[a_star] - others[runner])
     if margin <= 0.0:
         return margin, flipped, np.zeros_like(x)
@@ -168,9 +170,15 @@ def _cw_inner(net: nn.ParamSet, x: Array, a_star: int, c_pen: float,
               x_start: Array | None = None) -> tuple[Array | None, float]:
     """Projected descent for one penalty constant; returns the closest
     flipped iterate (scaled coords) and its distance, or (None, inf).
-    `grads` is the calling `cw_minimal`'s margin-gradient memo."""
+    `grads` is the calling `cw_minimal`'s margin-gradient memo.
+
+    A stalled step (projection and clipping give back the same point)
+    repeats the iterate byte for byte; its forward pass is then the last
+    one's, so the last evaluated iterate's bytes and result are kept and
+    reused. Bytes, not values: -0.0 and 0.0 compare equal but differ."""
     x_adv = x.copy() if x_start is None else x_start.copy()
     best, best_dist = None, math.inf
+    last_key, last = None, None
     for it in range(spec.cw_iterations):
         step = spec.cw_step * max(0.02, 1.0 - it / spec.cw_iterations)
         delta = x_adv - x
@@ -181,16 +189,20 @@ def _cw_inner(net: nn.ParamSet, x: Array, a_star: int, c_pen: float,
             # smooth proximity surrogate; the inf-ball projection and the
             # reported inf-norm keep the constraint and metric exact
             dist_grad = delta
-        margin, flipped, margin_grad = _margin_and_grad(net, x_adv, a_star,
-                                                         grads)
+        key = x_adv.tobytes()
+        if key != last_key:
+            last_key, last = key, _margin_and_grad(net, x_adv, a_star, grads)
+        _, flipped, margin_grad = last
         if flipped:
             d = norm_of(delta, spec.p)
             if d < best_dist:
                 best, best_dist = x_adv.copy(), d
         grad = dist_grad + c_pen * margin_grad
         x_adv = x + _project((x_adv - step * grad) - x, spec.p, spec.epsilon)
-        x_adv = np.clip(x_adv, 0.0, 1.0)
-    if _greedy(net, x_adv)[0] != a_star:
+        x_adv = x_adv.clip(0.0, 1.0)
+    flipped = (last[1] if x_adv.tobytes() == last_key
+               else _greedy(net, x_adv)[0] != a_star)
+    if flipped:
         d = norm_of(x_adv - x, spec.p)
         if d < best_dist:
             best, best_dist = x_adv.copy(), d

@@ -291,9 +291,14 @@ def save_checkpoint(path: Path | str, ck: Checkpoint) -> str:
 
 
 def load_checkpoint(path: Path | str) -> tuple[Checkpoint, str]:
-    """Read a checkpoint and its content id; rejects damage loudly."""
+    """Read a checkpoint and its content id; rejects damage loudly, naming
+    the file (a sweep loads one checkpoint per policy)."""
     text = Path(path).read_text()
-    return parse_checkpoint(text), checkpoint_id(text)
+    try:
+        ck = parse_checkpoint(text)
+    except CheckpointFormatError as exc:
+        raise CheckpointFormatError(f"{path}: {exc}") from None
+    return ck, checkpoint_id(text)
 
 
 # ---------------------------------------------------------------------------

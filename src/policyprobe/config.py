@@ -190,10 +190,31 @@ def build_run_config(raw: dict) -> RunConfig:
         spec_raw["directions"] = tuple(parse_direction(d) for d in directions)
         spectrum = SpectrumSettings(**spec_raw)
 
+    _check_frames(env, probe, sweep, spectrum)
     echo = json.dumps(raw, indent=2, sort_keys=True)
     return RunConfig(seed=seed, env=env, train=train, probe=probe,
                      sweep=sweep, spectrum=spectrum,
                      output_dir=str(raw.get("output_dir", "")), echo=echo)
+
+
+def _check_frames(env: EnvSpec, probe: ProbeSettings | None,
+                  sweep: SweepSettings | None,
+                  spectrum: SpectrumSettings | None) -> None:
+    """Refuse, before any work starts, a perturbation (the probe's, each
+    sweep point's, each spectrum direction's) that cannot apply to the
+    environment's frames."""
+    directions: list[Direction] = []
+    if probe is not None:
+        directions.append(probe.direction)
+    if sweep is not None:
+        directions += [perturb.spec_with(sweep.family, sweep.parameter, v)
+                       for v in sweep.values]
+    if spectrum is not None:
+        directions += spectrum.directions
+    h, w = env.obs_shape[:2]
+    for d in directions:
+        if isinstance(d, perturb.PerturbationSpec):
+            d.check_frame(h, w)
 
 
 def _set_path(raw: dict, dotted: str, value) -> None:

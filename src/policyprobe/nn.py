@@ -33,7 +33,10 @@ before it chooses the output gradient. `forward_batch` records only when
 it is handed a tape: each layer's input, its shapes and its rectifier
 mask, a bool array (g * mask gives the bits a 0/1 float mask gives).
 Without a tape it forms no mask, so forward-only callers pay nothing for
-a backward pass they never run.
+a backward pass they never run. Each layer's linear map returns a fresh
+product, so `_affine` adds the bias to it in place, and the rectifier then
+overwrites it in place once the mask has been taken: neither allocates an
+array. In place or not, an add or a maximum gives the same bits.
 
 Convolutions run as im2col plus one matrix product. The im2col matrix is
 one contiguous copy of a strided window view, an ndarray built directly
@@ -97,7 +100,7 @@ class NonFiniteError(ValueError):
 
 
 def require_finite(arr: Array, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite values in {what}")
 
 
@@ -201,8 +204,10 @@ def add_scaled(params: ParamSet, grads: ParamSet, scale: float) -> None:
 # ---------------------------------------------------------------------------
 
 def _act(pre: Array, tag: str) -> Array:
+    # in place: every caller hands over a fresh pre-activation it has
+    # already taken its mask from
     if tag == "relu":
-        return np.maximum(pre, 0.0)
+        return np.maximum(pre, 0.0, out=pre)
     return pre
 
 
@@ -313,7 +318,11 @@ def _check_layer_input(i: int, lay: Layer, x: Array) -> None:
             raise ShapeMismatchError(
                 f"layer {i} (conv): expected input (*, H, W, {lay.kernel.shape[2]}), "
                 f"got {x.shape}")
-        if min(conv_output_hw(x.shape[1], x.shape[2], lay)) < 1:
+        # conv_output_hw below 1 on either side, inline: this runs on
+        # every batch-1 forward
+        kh, kw = lay.kernel.shape[:2]
+        pad2 = 2 * lay.padding
+        if x.shape[1] + pad2 < kh or x.shape[2] + pad2 < kw:
             raise ShapeMismatchError(f"layer {i} (conv): input {x.shape} too small "
                                      f"for kernel {lay.kernel.shape[:2]}")
     else:
@@ -326,11 +335,15 @@ def _check_layer_input(i: int, lay: Layer, x: Array) -> None:
 
 def _affine(lay: Layer, x: Array, weight: Array, bias: Array | None) -> Array:
     """The layer's linear map with `weight` in place of its own (IBP sends
-    the radius through |weight| with no bias); dense flattens x first."""
+    the radius through |weight| with no bias); dense flattens x first. The
+    bias is added in place to the fresh product."""
     if isinstance(lay, ConvLayer):
-        return conv2d_forward(x, weight, bias, lay.stride, lay.padding)
-    y = x.reshape(x.shape[0], -1) @ weight.T
-    return y if bias is None else y + bias
+        y = conv2d_forward(x, weight, None, lay.stride, lay.padding)
+    else:
+        y = x.reshape(x.shape[0], -1) @ weight.T
+    if bias is not None:
+        y += bias
+    return y
 
 
 def _affine_grads(lay: Layer, x: Array, g: Array) -> tuple[Array, Array]:

@@ -39,7 +39,9 @@ class PerturbationSpec:
     """One perturbation family with its parameters.
 
     A field the family does not read (see FAMILIES) must keep its default.
-    `pt_seed` is used by the seeded perspective mode only.
+    `pt_seed` is used by the seeded perspective mode only, so the
+    deterministic mode refuses a nonzero one. `check_frame` refuses what
+    cannot apply to a given frame size.
     """
 
     family: str = "identity"
@@ -72,11 +74,23 @@ class PerturbationSpec:
                 raise ValueError("perspective norm must be >= 0")
             if self.pt_mode not in ("deterministic", "seeded"):
                 raise ValueError(f"unknown perspective mode {self.pt_mode!r}")
+            if self.pt_mode == "deterministic" and self.pt_seed != 0:
+                raise ValueError("pt_seed is read by the seeded perspective "
+                                 "mode only")
         if self.family == "dct_artifacts" and not 0.0 <= self.kappa <= 1.0:
             raise ValueError("kappa must lie in [0, 1]")
         if self.family == "brightness_contrast":
             if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
                 raise ValueError("alpha and beta must be finite")
+
+    def check_frame(self, h: int, w: int) -> None:
+        """Refuse, before any frame is seen, what `apply` would refuse on
+        every h x w frame: a blur kernel wider than the frame, or a shift
+        by the frame's size or more."""
+        if self.family == "median_blur":
+            _check_kernel_fits(self.kernel, h, w)
+        elif self.family == "shift":
+            _check_shift_fits(self.ti, self.tj, h, w)
 
     def label(self) -> str:
         _, reads, label = FAMILIES[self.family]
@@ -135,13 +149,17 @@ def brightness_contrast(s: Array, alpha: float, beta: float) -> Array:
     return np.clip(as_image(s) * alpha + beta, 0.0, 255.0)
 
 
+def _check_kernel_fits(kernel: int, h: int, w: int) -> None:
+    if kernel > min(h, w):
+        raise ValueError(f"blur kernel {kernel} exceeds image size {h}x{w}")
+
+
 def median_blur(s: Array, kernel: int) -> Array:
     """k-by-k per-channel median; borders handled by edge replication."""
     img = as_image(s)
     if kernel % 2 == 0 or kernel < 1:
         raise ValueError("blur kernel must be odd and >= 1")
-    if kernel > min(img.shape[0], img.shape[1]):
-        raise ValueError("blur kernel exceeds image size")
+    _check_kernel_fits(kernel, img.shape[0], img.shape[1])
     if kernel == 1:
         return img.copy()
     pad = kernel // 2
@@ -193,6 +211,11 @@ def rotate(s: Array, degrees: float) -> Array:
     return np.clip(_bilinear_sample(img, src_r, src_c), 0.0, 255.0)
 
 
+def _check_shift_fits(ti: int, tj: int, h: int, w: int) -> None:
+    if abs(ti) >= h or abs(tj) >= w:
+        raise ValueError(f"shift ({ti}, {tj}) too large for image {h}x{w}")
+
+
 def shift(s: Array, ti: int, tj: int, circular: bool = False) -> Array:
     """Integer translation by (ti, tj): pixel (i, j) moves to (i+ti, j+tj).
 
@@ -203,8 +226,7 @@ def shift(s: Array, ti: int, tj: int, circular: bool = False) -> Array:
     if ti != int(ti) or tj != int(tj):
         raise ValueError("shift distances must be integers")
     ti, tj = int(ti), int(tj)
-    if abs(ti) >= h or abs(tj) >= w:
-        raise ValueError(f"shift ({ti}, {tj}) too large for image {h}x{w}")
+    _check_shift_fits(ti, tj, h, w)
     if circular:
         return np.roll(img, (ti, tj), axis=(0, 1))
     out = np.zeros_like(img)

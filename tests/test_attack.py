@@ -10,7 +10,7 @@ import pytest
 
 from policyprobe import attack as atk
 from policyprobe import checkpoint as cp
-from policyprobe import nn
+from policyprobe import harness, nn
 from policyprobe import qlearning as ql
 from policyprobe.envs import make_env
 
@@ -317,6 +317,48 @@ def test_cw_runs_one_backward_per_runner_and_mask_pattern(radial_checkpoint,
     assert len(keys) > 1
     assert backwards[0] == len(keys)
     assert 10 * backwards[0] < spec.cw_binary_steps * spec.cw_iterations
+
+
+def test_cw_runs_one_forward_per_distinct_consecutive_iterate(
+        radial_checkpoint, monkeypatch):
+    """A stalled descent step gives back its iterate byte for byte, and C&W
+    reuses that iterate's forward pass. So each descent evaluates its
+    iterates (the start, then one per step) with byte-equal neighbours
+    merged, after the one clean pass that finds the greedy action. At
+    radius 5e-4 the descents on radial's first clean state stall often."""
+    ck, _ = radial_checkpoint
+    obs = harness.probe_episode(ck.params, ck.env_spec, harness.IDENTITY,
+                                0)[3][0][0]
+    x = np.asarray(obs, dtype=np.float64) / ql.OBS_SCALE
+    spec = atk.AttackSpec(method="cw", epsilon=5e-4)
+    forward, project = nn.forward, atk._project
+    evaluated, steps = [], []
+
+    def record_forward(net, x_eval, tape=None):
+        evaluated.append(x_eval.tobytes())
+        return forward(net, x_eval, tape)
+
+    def record_step(delta, p, eps):   # the descent's own next iterate
+        out = project(delta, p, eps)
+        steps.append((x + out).clip(0.0, 1.0).tobytes())
+        return out
+
+    monkeypatch.setattr(nn, "forward", record_forward)
+    monkeypatch.setattr(atk, "_project", record_step)
+    result = atk.cw_minimal(ck.params, obs, spec)
+    n = spec.cw_iterations
+    assert len(steps) == spec.cw_binary_steps * n
+    expected, merged = [x.tobytes()], 0
+    for k in range(0, len(steps), n):
+        iterates = [x.tobytes()] + steps[k:k + n]
+        for prev, cur in zip([None] + iterates, iterates):
+            if cur == prev:
+                merged += 1
+            else:
+                expected.append(cur)
+    assert merged > len(steps) // 2
+    assert not result.success    # else one more pass verifies the flip
+    assert evaluated == expected
 
 
 # ---------------------------------------------------------------------------

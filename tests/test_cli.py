@@ -198,6 +198,23 @@ def test_probe_rejects_missing_checkpoint_file(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_probe_names_the_damaged_checkpoint_file(tmp_path, capsys):
+    """A sweep loads one checkpoint per policy, so the error names the file
+    as well as the line; it used to read "bad value '1 oops' at line 36"."""
+    lines = (DATA_DIR / "vanilla_pixelgrid.txt").read_text().splitlines()
+    assert lines[35] == "1 -2"   # a curve row
+    lines[35] = "1 oops"
+    damaged = tmp_path / "damaged.txt"
+    damaged.write_text("\n".join(lines) + "\n")
+    cfgp = probe_manifest(tmp_path, {"family": "identity"})
+    out = tmp_path / "out"
+    assert main(["probe", "--config", cfgp, "--checkpoint", str(damaged),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {damaged}: bad value '1 oops' at line 36\n")
+    assert not out.exists()
+
+
 def test_probe_rejects_invalid_manifest(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
@@ -424,6 +441,42 @@ def test_sweep_refuses_a_parameter_its_family_does_not_read(tmp_path, capsys,
     assert err == ("error: invalid configuration or input: "
                    f"median_blur does not read {parameter}\n")
     assert not out.exists()
+
+
+# a direction that no 24x24 PixelGrid frame takes, the sweep grid that
+# reaches it along the named parameter, and the refusal
+FRAME_MISFITS = [({"family": "median_blur", "kernel": 31}, "kernel", [1, 31],
+                  "blur kernel 31 exceeds image size 24x24"),
+                 ({"family": "shift", "tj": -24}, "tj", [-24, 1],
+                  "shift (0, -24) too large for image 24x24")]
+
+
+@pytest.mark.parametrize("direction,parameter,values,message",
+                         FRAME_MISFITS, ids=["blur", "shift"])
+@pytest.mark.parametrize("command", ["probe", "spectrum", "sweep"])
+def test_manifest_refuses_a_perturbation_larger_than_the_frame(
+        tmp_path, capsys, monkeypatch, command, direction, parameter, values,
+        message):
+    """Refused while the manifest is read, before any checkpoint is loaded
+    or run directory made. The probe used to refuse the blur only at its
+    first perturbed step, after the clean baselines had run."""
+    loaded = []
+    monkeypatch.setattr(cp, "load_checkpoint", loaded.append)
+    args = ["--checkpoint", VANILLA] if command == "probe" else []
+    cfgp = manifest(tmp_path, {
+        "probe": {"probe": {"direction": direction, "runs": 2}},
+        "spectrum": {"spectrum": {
+            "directions": [{"family": "identity"}, direction],
+            "samples": 2}},
+        "sweep": {"sweep": {
+            "family": direction["family"], "parameter": parameter,
+            "values": values, "policies": {"vanilla": VANILLA},
+            "runs": 2}}}[command])
+    out = tmp_path / "out"
+    assert main([command, "--config", cfgp, "--out", str(out), *args]) == 2
+    assert capsys.readouterr().err == (
+        f"error: invalid configuration or input: {message}\n")
+    assert not out.exists() and not loaded
 
 
 def test_report_rerenders_probe_summary_without_drift(tmp_path, capsys):

@@ -333,6 +333,37 @@ def test_forward_without_a_tape_returns_the_taped_bits(rng, fnet):
         assert [a.tobytes() for a in plain] == [a.tobytes() for a in taped]
 
 
+def layerwise_forward(net, x):
+    """forward_batch spelled out a layer at a time and out of place: the
+    public conv2d_forward with its bias, or the dense product plus the
+    bias, then np.maximum for a rectifier."""
+    outs, cur = [], x
+    for lay in net.layers:
+        if isinstance(lay, nn.ConvLayer):
+            pre = nn.conv2d_forward(cur, lay.kernel, lay.bias, lay.stride,
+                                    lay.padding)
+        else:
+            pre = cur.reshape(len(cur), -1) @ lay.weight.T + lay.bias
+        cur = np.maximum(pre, 0.0) if lay.activation == "relu" else pre
+        outs.append(cur)
+    return outs
+
+
+@pytest.mark.parametrize("batch", [1, 32])
+def test_forward_matches_the_layerwise_reference(batch, rng, fnet):
+    """The in-place bias and rectifier give the out-of-place bits, with and
+    without a tape, at batch 1 (every single-observation caller) and 32
+    (training)."""
+    cases = [(net, rng.uniform(size=(batch, 24, 24, 1)))
+             for net in reference_nets()]
+    cases += [(small_net(), rng.normal(size=(batch, 9, 9, 1))),
+              (fnet, featurenet_inputs(fnet, batch)[0])]
+    for net, x in cases:
+        want = [a.tobytes() for a in layerwise_forward(net, x)]
+        assert [a.tobytes() for a in nn.forward_batch(net, x)] == want
+        assert [a.tobytes() for a in nn.forward_batch(net, x, [])] == want
+
+
 def test_shape_mismatch_rejected(rng):
     net = small_net()
     with pytest.raises(nn.ShapeMismatchError):
@@ -346,6 +377,15 @@ def test_non_finite_input_rejected():
     bad = np.full(10, np.nan)
     with pytest.raises(nn.NonFiniteError):
         nn.forward(net, bad)
+
+
+def test_non_finite_output_rejected():
+    """A finite input whose output overflows is refused by the same check
+    and message."""
+    net = nn.ParamSet([nn.DenseLayer(np.full((2, 10), 1e300), np.zeros(2))])
+    with np.errstate(over="ignore"), pytest.raises(
+            nn.NonFiniteError, match="^non-finite values in network output$"):
+        nn.forward(net, np.full(10, 1e10))
 
 
 # ---------------------------------------------------------------------------

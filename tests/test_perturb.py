@@ -3,6 +3,7 @@ geometry conventions, and range/shape guarantees."""
 from __future__ import annotations
 
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -328,13 +329,47 @@ def test_dispatch_matches_direct_calls(rng):
         assert np.array_equal(pb.apply(spec, img), expected), spec.label()
 
 
+def test_deterministic_perspective_refuses_a_seed():
+    """The deterministic mode never reads pt_seed: a sweep over pt_seed
+    used to give identical points and exit 0."""
+    with pytest.raises(ValueError, match="pt_seed is read by the seeded"):
+        pb.PerturbationSpec(family="perspective", pt_norm=2.0, pt_seed=1)
+    with pytest.raises(ValueError, match="pt_seed is read by the seeded"):
+        pb.spec_with("perspective", "pt_seed", 1.0)
+    seeded = pb.PerturbationSpec(family="perspective", pt_norm=2.0,
+                                 pt_mode="seeded", pt_seed=1)
+    assert seeded.label() == "pt[2,seeded]"
+
+
+@pytest.mark.parametrize("spec,h,w,fits", [
+    (pb.PerturbationSpec(family="median_blur", kernel=9), 9, 12, True),
+    (pb.PerturbationSpec(family="median_blur", kernel=9), 12, 8, False),
+    (pb.PerturbationSpec(family="shift", ti=-7, tj=3), 8, 4, True),
+    (pb.PerturbationSpec(family="shift", ti=-8, tj=0), 8, 20, False),
+    (pb.PerturbationSpec(family="shift", ti=0, tj=4, circular=True), 8, 4,
+     False),
+    (pb.PerturbationSpec(family="rotation", degrees=90.0), 1, 1, True),
+])
+def test_check_frame_refuses_what_apply_refuses(spec, h, w, fits, rng):
+    """check_frame refuses a spec exactly when apply refuses it on an
+    h x w frame, with the same message."""
+    img = noise_image(rng, h, w)
+    if fits:
+        spec.check_frame(h, w)
+        pb.apply(spec, img)
+        return
+    with pytest.raises(ValueError) as refused:
+        spec.check_frame(h, w)
+    with pytest.raises(ValueError, match=re.escape(str(refused.value))):
+        pb.apply(spec, img)
+
+
 def test_spec_with_casts_integer_fields(rng):
-    spec = pb.spec_with("perspective", "pt_seed", 3.0)
-    assert spec == pb.PerturbationSpec(family="perspective", pt_seed=3)
-    assert type(spec.pt_seed) is int
+    spec = pb.spec_with("shift", "ti", 3.0)
+    assert spec == pb.PerturbationSpec(family="shift", ti=3)
+    assert type(spec.ti) is int
     img = noise_image(rng)
-    assert np.array_equal(pb.apply(spec, img),
-                          pb.perspective(img, spec.pt_norm, spec.pt_mode, 3))
+    assert np.array_equal(pb.apply(spec, img), pb.shift(img, 3, 0))
     assert type(pb.spec_with("median_blur", "kernel", 3.0).kernel) is int
     assert type(pb.spec_with("dct_artifacts", "kappa", 0.5).kappa) is float
 

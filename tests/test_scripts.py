@@ -1,12 +1,15 @@
 """Smoke tests of the analysis scripts: each runs end to end on a small
 budget and writes the files it promises, and the spectrum suite writes
-what `policyprobe spectrum` writes for the same directions."""
+what `policyprobe spectrum` writes for the same directions; bench_pairs'
+summary arithmetic on hand values."""
 from __future__ import annotations
 
 import dataclasses
 import importlib.util
 import json
 from pathlib import Path
+
+import pytest
 
 from policyprobe import checkpoint as cp
 from policyprobe.cli import main
@@ -65,3 +68,40 @@ def test_spectrum_suite_writes_what_the_spectrum_command_writes(tmp_path):
     for path in written:
         assert (rundir / path.name).read_bytes() == path.read_bytes(), \
             path.name
+
+
+def test_bench_pairs_summarizes_per_pair_ratios():
+    """Hand values: each side's median and quartiles, the per-pair
+    change/parent ratios' median and quartiles, and the pair counts. A
+    metric one side lacks is left out; a zero parent value has no ratio."""
+    bench = load_script("bench_pairs")
+    parent = {"work_per_s": [10.0, 8.0, 12.0, 6.0],
+              "setup_s": [2.0, 4.0, 1.0, 2.0],
+              "idle": [0.0, 1.0, 1.0, 1.0],
+              "parent_only": [1.0, 1.0, 1.0, 1.0]}
+    change = {"work_per_s": [11.0, 10.0, 12.0, 3.0],
+              "setup_s": [1.0, 4.0, 2.0, 1.0],
+              "idle": [1.0, 1.0, 1.0, 1.0]}
+
+    def side(values, i):
+        return {"metrics": {name: {"value": v[i], "unit": "u"}
+                            for name, v in values.items()}}
+
+    pairs = [{"parent": side(parent, i), "change": side(change, i)}
+             for i in range(4)]
+    summary = bench.summarize(pairs, {"setup_s": "lower"})
+    assert sorted(summary) == ["idle", "setup_s", "work_per_s"]
+    work, setup = summary["work_per_s"], summary["setup_s"]
+    assert work["parent"] == {"median": 9.0, "q1": 7.5, "q3": 10.5}
+    assert work["ratio"] == pytest.approx(10.5 / 9.0)
+    # ratios 1.1, 1.25, 1.0, 0.5
+    assert work["pair_ratio"] == pytest.approx(
+        {"median": 1.05, "q1": 0.875, "q3": 1.1375})
+    assert (work["change_better"], work["change_worse"], work["ties"],
+            work["pairs"], work["better"]) == (2, 1, 1, 4, "higher")
+    # ratios 0.5, 1, 2, 0.5; lower is better
+    assert setup["pair_ratio"] == pytest.approx(
+        {"median": 0.75, "q1": 0.5, "q3": 1.25})
+    assert (setup["change_better"], setup["change_worse"],
+            setup["ties"], setup["better"]) == (2, 1, 1, "lower")
+    assert summary["idle"]["pair_ratio"] is None
