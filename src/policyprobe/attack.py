@@ -56,16 +56,18 @@ class AttackSpec:
             raise ValueError("norm order p must be 2 or inf")
         # fgm with radius 0 degenerates to the identity and is allowed;
         # the minimal-distance search needs a real ball
-        if self.epsilon < 0 or (self.method == "cw" and self.epsilon == 0):
-            raise ValueError("epsilon must be > 0 (>= 0 for fgm)")
+        if not 0 <= self.epsilon < math.inf \
+                or (self.method == "cw" and self.epsilon == 0):
+            raise ValueError("epsilon must be finite and > 0 (>= 0 for fgm)")
         if self.cw_iterations < 1 or self.cw_binary_steps < 1:
             raise ValueError("iteration counts must be >= 1")
         if self.cw_restarts < 0:
             raise ValueError("cw_restarts must be >= 0")
-        if not 0 < self.cw_penalty_lo < self.cw_penalty_hi:
-            raise ValueError("penalty search range must satisfy 0 < lo < hi")
-        if self.cw_step <= 0:
-            raise ValueError("cw_step must be positive")
+        if not 0 < self.cw_penalty_lo < self.cw_penalty_hi < math.inf:
+            raise ValueError("penalty search range must satisfy "
+                             "0 < lo < hi < inf")
+        if not 0 < self.cw_step < math.inf:
+            raise ValueError("cw_step must be positive and finite")
 
     def label(self) -> str:
         norm = "inf" if math.isinf(self.p) else "l2"

@@ -82,6 +82,8 @@ class SweepSettings:
     def __post_init__(self):
         if not self.values:
             raise ValueError("sweep grid must be non-empty")
+        if not all(math.isfinite(v) for v in self.values):
+            raise ValueError("sweep grid values must be finite")
         if any(b >= a for a, b in zip(self.values[1:], self.values)):
             raise ValueError("sweep grid must be strictly increasing")
         if not self.policies:

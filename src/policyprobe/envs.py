@@ -63,8 +63,8 @@ class EnvSpec:
             raise ValueError(f"unknown environment id {self.env_id!r}")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("discount must be in (0, 1]")
-        if not self.score_min < self.score_max:
-            raise ValueError("score bounds must satisfy min < max")
+        if not -math.inf < self.score_min < self.score_max < math.inf:
+            raise ValueError("score bounds must be finite with min < max")
         if self.episode_cap < 1:
             raise ValueError("episode cap must be positive")
 

@@ -70,8 +70,8 @@ class PerturbationSpec:
         if self.family == "rotation" and not math.isfinite(self.degrees):
             raise ValueError("rotation degrees must be finite")
         if self.family == "perspective":
-            if self.pt_norm < 0:
-                raise ValueError("perspective norm must be >= 0")
+            if not 0 <= self.pt_norm < math.inf:
+                raise ValueError("perspective norm must be finite and >= 0")
             if self.pt_mode not in ("deterministic", "seeded"):
                 raise ValueError(f"unknown perspective mode {self.pt_mode!r}")
             if self.pt_mode == "deterministic" and self.pt_seed != 0:

@@ -17,10 +17,21 @@ with no bootstrapping on terminal transitions; proportional prioritized
 replay follows P(i) ~ p_i^alpha_pr with importance weights
 (N*P(i))^(-beta_is) normalized by their max, priorities updated to
 |td error| + priority floor after each step.
+
+Acting memoizes the greedy action. The online net changes only in an
+optimizer step, so between two updates a greedy step on an observation
+the net has already scored reads the action back from a dict keyed on
+the observation's bytes. The dict is cleared after every update; a
+target sync leaves the online net alone. A repeat would run the same
+batch-1 forward on the same bits, so the memo changes no output, and
+the exploration draw comes first, so it moves no random draw. It holds
+the distinct observations of one parameter version; repeats are common
+because a fine-tune's warmup never updates the net.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,6 +85,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
+        for name in ("lr", "alpha_pr", "priority_floor", "eps_rob",
+                     "sa_hinge_cap", "adv_weight"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if self.adv_weight < 0:   # it would train the overlap in reverse
+            raise ValueError("adv_weight must be >= 0")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma must be in (0, 1]")
         if self.eps_rob < 0:
@@ -340,6 +357,10 @@ def train(spec: EnvSpec, config: TrainConfig,
     objectives only stay task-competent when fine-tuned this way, because
     their regularizers anchor on replay actions and need those to already
     be near-greedy.
+
+    Greedy actions are memoized per observation until the next optimizer
+    step clears the memo (see the module docstring); the result is the
+    same bits as scoring every greedy step.
     """
     env = make_env(spec)
     online = init_params.copy() if init_params is not None \
@@ -350,6 +371,8 @@ def train(spec: EnvSpec, config: TrainConfig,
                           config.beta_is_start, config.priority_floor,
                           config.seed)
     act_rng = np.random.default_rng([config.seed, 42])
+    # observation bytes -> online's greedy action, cleared by each update
+    greedy: dict[bytes, int] = {}
 
     curve: list[tuple[int, float]] = []
     episode_index = 0
@@ -360,7 +383,10 @@ def train(spec: EnvSpec, config: TrainConfig,
         if act_rng.random() < _exploration_eps(config, step):
             action = int(act_rng.integers(spec.n_actions))
         else:
-            action = greedy_action(online, obs)
+            key = obs.tobytes()
+            if key not in greedy:
+                greedy[key] = greedy_action(online, obs)
+            action = greedy[key]
         result = env.step(action)
         # cap truncation is not an absorbing state: bootstrap through it
         buffer.push(Transition(obs.astype(np.uint8), action, result.reward,
@@ -385,6 +411,7 @@ def train(spec: EnvSpec, config: TrainConfig,
                 delta, grads = _update_grads(online, target, batch, weights,
                                              config, step)
                 opt.step(online, grads)
+                greedy.clear()
             except nn.NonFiniteError as exc:
                 raise nn.NonFiniteError(
                     f"training diverged at step {step} "

@@ -92,8 +92,10 @@ def test_parse_rejects_lines_after_the_parameters():
     (r"^(curve \d+\n\d+) \S+$", r"\1", None),
     (r"^train\.objective = .*$", "train.objective = bogus",
      "invalid train fields: unknown objective 'bogus'"),
+    (r"^train\.lr = .*$", "train.lr = nan",
+     "invalid train fields: lr must be finite"),
 ], ids=["value", "layers", "stride", "activation", "batch_size",
-        "curve_row", "objective"])
+        "curve_row", "objective", "lr"])
 def test_parse_names_the_damaged_line(pattern, replacement, message):
     """Damage that a value parser or a constructor refuses is a
     CheckpointFormatError naming its line, or its fields where no single

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -125,6 +126,42 @@ def test_train_refuses_a_batch_larger_than_the_replay_buffer(tmp_path,
     assert "batch_size must not exceed replay_capacity" in \
         capsys.readouterr().err
     assert not out.exists()
+
+
+# a manifest section that names a value no run can use, and its refusal
+NON_FINITE = [
+    ("train", {"train": {"objective": "radial", "adv_weight": -1}},
+     "adv_weight must be >= 0"),
+    ("train", {"train": {"lr": math.nan}}, "lr must be finite"),
+    ("train", {"train": {"eps_rob": math.inf}}, "eps_rob must be finite"),
+    ("attack", {"probe": {"direction": {"method": "fgm",
+                                        "epsilon": math.nan}}},
+     "epsilon must be finite and > 0 (>= 0 for fgm)"),
+    ("probe", {"probe": {"direction": {"family": "perspective",
+                                       "pt_norm": math.inf}}},
+     "perspective norm must be finite and >= 0")]
+
+
+@pytest.mark.parametrize("command,section,message", NON_FINITE,
+                         ids=["adv_weight", "lr", "eps_rob", "epsilon",
+                              "pt_norm"])
+def test_manifest_refuses_values_no_run_can_use(tmp_path, capsys,
+                                                 monkeypatch, command,
+                                                 section, message):
+    """Refused while the manifest is read. A negative adv_weight used to
+    train the overlap term in reverse and exit 0; a NaN lr or an infinite
+    eps_rob ran the warmup, then failed as a diverged run; a NaN epsilon
+    failed at the first forward; an infinite pt_norm gave all-NaN
+    observations."""
+    loaded = []
+    monkeypatch.setattr(cp, "load_checkpoint", loaded.append)
+    args = [] if command == "train" else ["--checkpoint", VANILLA]
+    cfgp = manifest(tmp_path, section)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfgp, "--out", str(out), *args]) == 2
+    assert capsys.readouterr().err == (
+        f"error: invalid configuration or input: {message}\n")
+    assert not out.exists() and not loaded
 
 
 # ---------------------------------------------------------------------------

@@ -144,13 +144,15 @@ def test_section_values_hit_owning_validators():
 @pytest.mark.parametrize("field,value", [
     ("train_every", 0), ("target_sync", 0), ("eps_start", 3.0),
     ("eps_end", -0.1), ("beta_is_start", 1.5), ("beta_is_end", 7.0),
-    ("batch_size", 50_001), ("alpha_pr", -0.1), ("priority_floor", 0.0)])
+    ("batch_size", 50_001), ("alpha_pr", -0.1), ("priority_floor", 0.0),
+    ("adv_weight", -1.0)])
 def test_train_section_refuses_values_training_cannot_use(field, value):
     """A zero period used to raise ZeroDivisionError mid-training; an
     exploration rate or replay beta outside [0, 1] used to train anyway,
     and so did a batch larger than the buffer. A negative priority
     exponent or a nonpositive floor was refused only once training
-    built its buffer."""
+    built its buffer. A negative adv_weight trained the radial overlap
+    in reverse."""
     with pytest.raises(ValueError, match=field):
         cfg.build_run_config(dict(MINIMAL, train={field: value}))
 

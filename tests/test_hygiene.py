@@ -1,14 +1,18 @@
 """Source hygiene: every module-level import in the package and the
 scripts is used, no module reads another package module's private
-names, the on-disk formats live in checkpoint alone, and nn imports no
-other package module."""
+names, the on-disk formats live in checkpoint alone, nn imports no
+other package module, and every float a manifest sets is refused when
+it is not finite."""
 import ast
 import dataclasses
+import math
 from pathlib import Path
 
 import pytest
 
-from policyprobe import perturb
+from policyprobe import attack, config, perturb
+from policyprobe import qlearning as ql
+from policyprobe.envs import make_spec
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "policyprobe"
@@ -153,3 +157,49 @@ def test_every_manifest_field_is_read(module, name):
         return
     sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     assert unread_fields(sources, (SRC / module).read_text(), name) == []
+
+
+# A valid instance of each manifest dataclass, by name. PerturbationSpec
+# has one per family, since a spec refuses fields its family does not
+# read. The sweep runs over shift's circular flag, which no spec check
+# refuses at NaN: the grid's own check must.
+VALID = {"ProbeSettings": [config.ProbeSettings(perturb.PerturbationSpec())],
+         "SweepSettings": [config.SweepSettings(
+             "shift", "circular", (0.0,), (("vanilla", "v.txt"),))],
+         "SpectrumSettings": [config.SpectrumSettings(
+             (perturb.PerturbationSpec(),))],
+         "TrainConfig": [ql.TrainConfig()],
+         "AttackSpec": [attack.AttackSpec(method="cw")],
+         "PerturbationSpec": [perturb.PerturbationSpec(family)
+                              for family in perturb.FAMILIES],
+         "EnvSpec": [make_spec("pixelgrid")]}
+
+
+def non_finite_cases():
+    """(valid instance, float field, non-finite value) for every float
+    field of every manifest dataclass; a tuple field gets a one-value
+    tuple. The one non-finite value allowed is AttackSpec.p = inf, the
+    inf-norm."""
+    names = [n for names in SETTINGS.values() for n in names] + ["EnvSpec"]
+    for name in names:
+        for valid in VALID[name]:
+            reads = perturb.FAMILIES[valid.family][1] \
+                if name == "PerturbationSpec" else None
+            for f in dataclasses.fields(valid):
+                if "float" not in str(f.type) \
+                        or (reads is not None and f.name not in reads):
+                    continue
+                for value in (math.nan, math.inf, -math.inf):
+                    if (name, f.name, value) == ("AttackSpec", "p", math.inf):
+                        continue
+                    label = name if reads is None else valid.family
+                    yield pytest.param(
+                        valid, f.name,
+                        (value,) if "tuple" in str(f.type) else value,
+                        id=f"{label}.{f.name}={value}")
+
+
+@pytest.mark.parametrize("valid,name,value", list(non_finite_cases()))
+def test_manifest_floats_must_be_finite(valid, name, value):
+    with pytest.raises(ValueError):
+        dataclasses.replace(valid, **{name: value})

@@ -401,6 +401,48 @@ def test_training_update_forwards_the_batch_states_once(
     assert len(states) == 1 and sum(on_states) == 1
 
 
+@pytest.mark.parametrize("objective", ["vanilla", "sa-ddqn", "radial"])
+def test_training_scores_each_observation_once_per_parameter_version(
+        objective, vanilla_checkpoint, monkeypatch):
+    """Only an update changes the online net, so between two updates a
+    greedy step on an observation that net has already scored reuses its
+    action: no (parameter version, observation) pair is scored twice, and
+    every greedy step takes the action an unmemoized greedy_action gives
+    on that version's net."""
+    ck, _ = vanilla_checkpoint
+    nets = [ck.params.copy()]    # the online net of each parameter version
+    scored, acted = [], []       # (version, obs bytes), (version, transition)
+    greedy_action, opt_step = ql.greedy_action, nn.Optimizer.step
+    push = ql.ReplayBuffer.push
+
+    def scoring(net, obs):
+        scored.append((len(nets) - 1, obs.tobytes()))
+        return greedy_action(net, obs)
+
+    def stepping(self, params, grads):
+        params = opt_step(self, params, grads)
+        nets.append(params.copy())
+        return params
+
+    def pushing(self, tr):       # each step pushes before it may update
+        acted.append((len(nets) - 1, tr))
+        push(self, tr)
+
+    monkeypatch.setattr(ql, "greedy_action", scoring)
+    monkeypatch.setattr(nn.Optimizer, "step", stepping)
+    monkeypatch.setattr(ql.ReplayBuffer, "push", pushing)
+    # no exploration, so every step is greedy; updates from step 64 on
+    cfg = ql.TrainConfig(objective=objective, total_steps=120,
+                         warmup_steps=64, eps_start=0.0, eps_end=0.0,
+                         eps_rob=0.01, eps_ramp_start=0, eps_ramp_steps=1,
+                         seed=3)
+    ql.train(ck.env_spec, cfg, init_params=ck.params)
+    assert len(nets) == 1 + (120 - 64) // 4 and len(acted) == 120
+    assert len(set(scored)) == len(scored) < len(acted)
+    assert [tr.a for _, tr in acted] \
+        == [greedy_action(nets[v], tr.s) for v, tr in acted]
+
+
 def test_warm_start_changes_initial_parameters(pixelgrid_spec,
                                                vanilla_checkpoint):
     ck, _ = vanilla_checkpoint
