@@ -19,8 +19,15 @@ or tied. The host's speed drifts between pairs by more than most changes
 move a metric, so each side's median mixes drift with the change; a
 pair's two runs share one spell of the host, so the per-pair ratio is
 the figure that shows the change. "Better" follows BENCHMARK.json in the
-parent checkout; a metric it does not list counts as higher-is-better. A
-run that exits nonzero or prints no JSON result stops the script.
+parent checkout; a metric it does not list counts as higher-is-better.
+
+Each end-to-end metric that BENCHMARK.json gives a `bound` also gets a
+no-regression verdict: "within bound" when the change's median is worse
+than the parent's by at most that share of the parent's median, "beyond
+bound" when it is worse by more, and "unresolved" when the parent's own
+interquartile spread exceeds the bound, unless every change run beats
+every parent run. A run that exits nonzero or prints no JSON result stops
+the script.
 """
 
 from __future__ import annotations
@@ -69,7 +76,23 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+def verdict(parent: list[float], change: list[float], better: str,
+            bound: float) -> str:
+    """The no-regression verdict on one metric's runs (see the module
+    docstring)."""
+    sign = -1.0 if better == "lower" else 1.0
+    base = spread(parent)
+    allowed = bound * abs(base["median"])
+    if all(sign * c > sign * p for c in change for p in parent):
+        return "within bound"
+    if base["q3"] - base["q1"] > allowed:
+        return "unresolved"
+    worse = sign * (base["median"] - spread(change)["median"])
+    return "within bound" if worse <= allowed else "beyond bound"
+
+
+def summarize(pairs: list[dict], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> dict:
     names = [name for name in pairs[0]["parent"]["metrics"]
              if all(name in p[side]["metrics"]
                     for p in pairs for side in ("parent", "change"))]
@@ -94,7 +117,10 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
             "change_better": sum(d > 0 for d in diffs),
             "change_worse": sum(d < 0 for d in diffs),
             "ties": sum(d == 0 for d in diffs),
-            "pairs": len(pairs)}
+            "pairs": len(pairs),
+            "verdict": (verdict(values["parent"], values["change"],
+                                better.get(name, "higher"), bounds[name])
+                        if name in (bounds or {}) else None)}
     return summary
 
 
@@ -116,6 +142,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"{side} checkout {path} has no perfbench/run.py")
     declared = json.loads((sides["parent"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in declared["end_to_end"]}
 
     pairs = []
     for i, seed in enumerate(args.seeds):
@@ -137,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
                     "blas_threads": 1},   # perfbench/run.py refuses others
         "all_correct": all(p[s]["correct"] and not p[s]["failed"]
                            for p in pairs for s in ("parent", "change")),
-        "metrics": summarize(pairs, better),
+        "metrics": summarize(pairs, better, bounds),
         "pairs": pairs}
     entries = json.loads(args.out.read_text()) if args.out.exists() else {}
     entries[args.workload] = result
@@ -147,9 +174,10 @@ def main(argv: list[str] | None = None) -> int:
         per_pair = ("" if ratio is None else
                     f", per-pair ratio {ratio['median']:.4g} "
                     f"({ratio['q1']:.4g}-{ratio['q3']:.4g})")
+        judged = "" if m["verdict"] is None else f", {m['verdict']}"
         print(f"{name}: {m['parent']['median']:.6g} -> "
               f"{m['change']['median']:.6g} {m['unit']}{per_pair}, change "
-              f"better in {m['change_better']} of {m['pairs']}",
+              f"better in {m['change_better']} of {m['pairs']}{judged}",
               file=sys.stderr)
     return 0
 

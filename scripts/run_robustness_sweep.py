@@ -49,15 +49,15 @@ def main(argv=None) -> int:
     rundir.mkdir(parents=True, exist_ok=True)
 
     for family, parameter, values in GRIDS:
-        result = harness.sweep(loaded, env_spec, family, parameter, values,
-                               args.runs, checkpoint_ids=ids)
+        reports = harness.sweep(loaded, env_spec, family, parameter, values,
+                                args.runs, checkpoint_ids=ids)
         cp.atomic_write_text(rundir / f"sweep_{parameter}.csv",
-                             cp.sweep_csv(result))
+                             cp.sweep_csv(parameter, reports))
         print(f"{family} over {parameter} {values} "
               f"({args.runs} runs per point):")
         for label, _ in loaded:
             curve = " ".join(
-                f"{v:g}:{result.point(label, v).report.impact:+.3f}"
+                f"{v:g}:{reports[(label, v)].impact:+.3f}"
                 for v in values)
             print(f"  {label:<8} {curve}")
     print(f"raw rows -> {rundir}")

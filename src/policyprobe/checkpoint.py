@@ -33,7 +33,7 @@ from .envs import EnvSpec
 from .qlearning import Checkpoint, TrainConfig
 
 if TYPE_CHECKING:   # harness imports perceptual, which imports this module
-    from .harness import ProbeReport, SweepResult
+    from .harness import ProbeReport
     from .spectral import BandDelta
 
 CHECKPOINT_VERSION = "checkpoint v1"
@@ -131,11 +131,11 @@ def serialize_params(net: nn.ParamSet, kind: str = "qnet") -> str:
                          f"out {lay.out_features} activation {lay.activation}")
             _emit_array(lines, "weight", lay.weight)
         else:
-            kh, kw, cin, cout = lay.kernel.shape
+            kh, kw, cin, cout = lay.weight.shape
             lines.append(f"layer {i} conv kh {kh} kw {kw} cin {cin} "
                          f"cout {cout} stride {lay.stride} pad {lay.padding} "
                          f"activation {lay.activation}")
-            _emit_array(lines, "kernel", lay.kernel)
+            _emit_array(lines, "kernel", lay.weight)
         _emit_array(lines, "bias", lay.bias)
     lines.append("end")
     return "\n".join(lines) + "\n"
@@ -380,14 +380,15 @@ def summary_line(report: ProbeReport) -> str:
             f"(sem {report.sem_similarity:.5f})")
 
 
-def sweep_csv(result: SweepResult) -> str:
-    """One row per (policy, grid value, run), plus the point impact."""
+def sweep_csv(parameter: str,
+              reports: dict[tuple[str, float], ProbeReport]) -> str:
+    """One row per (policy, grid value, run) of a sweep's reports (see
+    harness.sweep), plus the point impact."""
     return csv_text(SWEEP_CSV_HEADER,
-                    [(pt.policy, result.parameter, pt.value, i,
-                      run.episode_seed, run.score, run.mean_similarity,
-                      pt.report.impact)
-                     for pt in result.points
-                     for i, run in enumerate(pt.report.runs)])
+                    [(policy, parameter, value, i, run.episode_seed,
+                      run.score, run.mean_similarity, report.impact)
+                     for (policy, value), report in reports.items()
+                     for i, run in enumerate(report.runs)])
 
 
 def spectrum_csv(delta: BandDelta) -> str:
@@ -405,6 +406,14 @@ def file_stem(label: str) -> str:
     """A direction label as a file-name stem: every character other than a
     letter, a digit, '.', '_' or '-' becomes '_'."""
     return "".join(c if c.isalnum() or c in "._-" else "_" for c in label)
+
+
+def write_probe(rundir: Path, report: ProbeReport, config_echo: str) -> Path:
+    """Writes a probe's report.txt (its path is returned) and runs.csv."""
+    path = atomic_write_text(rundir / "report.txt",
+                             report_text(report, config_echo))
+    atomic_write_text(rundir / "runs.csv", report_csv(report))
+    return path
 
 
 def write_spectrum(rundir: Path, label: str, delta: BandDelta,

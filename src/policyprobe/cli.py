@@ -94,12 +94,10 @@ def cmd_probe(cfg: config_mod.RunConfig, checkpoint_flag: str,
                                      or cfg.probe.checkpoint)
     report = harness.probe(ck.params, ck.env_spec, cfg.probe.direction,
                            cfg.probe.runs, checkpoint_id=ck_id)
-    rundir = _run_directory(cfg, "probe", out_flag)
-    cp.atomic_write_text(rundir / "report.txt",
-                         cp.report_text(report, cfg.echo))
-    cp.atomic_write_text(rundir / "runs.csv", cp.report_csv(report))
+    path = cp.write_probe(_run_directory(cfg, "probe", out_flag), report,
+                          cfg.echo)
     print(cp.summary_line(report))
-    print(f"report -> {rundir / 'report.txt'}")
+    print(f"report -> {path}")
     return 0
 
 
@@ -136,9 +134,7 @@ def cmd_attack(cfg: config_mod.RunConfig, checkpoint_flag: str,
         report = harness.probe(ck.params, ck.env_spec, direction,
                                cfg.probe.runs, checkpoint_id=ck_id,
                                views=views)
-        cp.atomic_write_text(rundir / "report.txt",
-                             cp.report_text(report, cfg.echo))
-        cp.atomic_write_text(rundir / "runs.csv", cp.report_csv(report))
+        cp.write_probe(rundir, report, cfg.echo)
         print(cp.summary_line(report))
     return 0
 
@@ -183,18 +179,19 @@ def cmd_sweep(cfg: config_mod.RunConfig, out_flag: str | None) -> int:
         ck, ck_id = _load_checkpoint_arg(cfg, path)
         policies.append((label, ck.params))
         ids[label] = ck_id
-    result = harness.sweep(policies, cfg.env, settings.family,
-                           settings.parameter, list(settings.values),
-                           settings.runs, checkpoint_ids=ids)
+    reports = harness.sweep(policies, cfg.env, settings.family,
+                            settings.parameter, list(settings.values),
+                            settings.runs, checkpoint_ids=ids)
     rundir = _run_directory(cfg, "sweep", out_flag)
-    cp.atomic_write_text(rundir / "sweep.csv", cp.sweep_csv(result))
+    cp.atomic_write_text(rundir / "sweep.csv",
+                         cp.sweep_csv(settings.parameter, reports))
     cp.atomic_write_text(rundir / "summary.csv",
                          _sweep_summary(rundir / "sweep.csv"))
-    for pt in result.points:
-        print(f"{pt.policy} {settings.parameter}={pt.value:g}: "
-              f"impact {pt.report.impact:+.4f} "
-              f"score {pt.report.mean_score:.4f} "
-              f"similarity {pt.report.mean_similarity:.5f}")
+    for (policy, value), report in reports.items():
+        print(f"{policy} {settings.parameter}={value:g}: "
+              f"impact {report.impact:+.4f} "
+              f"score {report.mean_score:.4f} "
+              f"similarity {report.mean_similarity:.5f}")
     print(f"sweep -> {rundir / 'sweep.csv'}")
     return 0
 

@@ -3,9 +3,10 @@
 Sections map one-to-one onto the owning modules' config dataclasses (env ->
 EnvSpec, train -> TrainConfig, probe/sweep/spectrum -> command settings), so
 every numeric field is validated by the owning module's own preconditions
-while the manifest is parsed — before any work starts. CLI flags are merged
-into the manifest first, which keeps the echoed config sufficient to re-run
-the command bit-identically.
+while the manifest is parsed — before any work starts. Before that, each
+value is checked once against its field's type (see `_typed`). CLI flags are
+merged into the manifest first, which keeps the echoed config sufficient to
+re-run the command bit-identically.
 """
 
 from __future__ import annotations
@@ -26,15 +27,38 @@ class ConfigError(ValueError):
     """Manifest is structurally wrong: unknown keys, missing sections."""
 
 
-def _check_keys(section: str, mapping: dict, allowed: set[str]) -> None:
-    unknown = set(mapping) - allowed
+def _cast(name: str, kind: str, value):
+    """A manifest value for a field of type `kind`: an int follows
+    perturb.as_int, a float is any number but a bool, a float tuple a list
+    of floats, and a bool, str or dict its own type; others pass as given."""
+    if kind == "int":
+        return perturb.as_int(name, value)
+    if kind == "tuple[float, ...]" and type(value) is list:
+        return tuple(_cast(name, "float", v) for v in value)
+    allowed = {"float": (int, float), "bool": (bool,), "str": (str,),
+               "dict": (dict,), "tuple[float, ...]": ()}.get(kind)
+    if allowed is not None and type(value) not in allowed:
+        raise ValueError(f"{name} must be a {kind}, got {value!r}")
+    return float(value) if kind == "float" else value
+
+
+def _typed(section: str, types: dict[str, str], mapping) -> dict:
+    """A manifest mapping, its keys checked against `types` (field name ->
+    type) and each value cast to its field's type."""
+    unknown = set(mapping) - set(types)
     if unknown:
         raise ConfigError(f"unknown keys in {section!r}: {sorted(unknown)}")
+    return {k: _cast(f"{section}.{k}", types[k], v) for k, v in mapping.items()}
 
 
-def _field_names(settings: type) -> set[str]:
-    """The keys of a manifest section: its dataclass's fields."""
-    return {f.name for f in fields(settings)}
+def _build(section: str, settings: type, mapping):
+    """The settings dataclass a manifest section describes (see _typed)."""
+    kwargs = _typed(section, {f.name: f.type for f in fields(settings)},
+                    mapping)
+    try:
+        return settings(**kwargs)
+    except TypeError as exc:   # a required field is missing
+        raise ConfigError(f"bad {section} section: {exc}") from exc
 
 
 def parse_direction(mapping: dict) -> Direction:
@@ -43,19 +67,12 @@ def parse_direction(mapping: dict) -> Direction:
     if not isinstance(mapping, dict):
         raise ConfigError("direction must be a mapping")
     if "family" in mapping:
-        kwargs = {k: perturb.cast_field(k, v) for k, v in mapping.items()}
-        try:
-            return perturb.PerturbationSpec(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(f"bad perturbation direction: {exc}") from exc
+        return _build("direction", perturb.PerturbationSpec, mapping)
     if "method" in mapping:
-        kwargs = dict(mapping)
-        p = kwargs.get("p", "inf")
-        kwargs["p"] = math.inf if p in ("inf", "Inf", "infinity") else float(p)
-        try:
-            return attack.AttackSpec(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(f"bad attack direction: {exc}") from exc
+        p = mapping.get("p", "inf")
+        inf = p in ("inf", "Inf", "infinity")   # strict JSON has no inf
+        kwargs = {**mapping, "p": math.inf if inf else p}
+        return _build("direction", attack.AttackSpec, kwargs)
     raise ConfigError("direction needs a 'family' or 'method' key")
 
 
@@ -132,71 +149,62 @@ class RunConfig:
     echo: str                      # effective manifest, pretty-printed JSON
 
 
-_TOP_KEYS = {"seed", "env", "train", "probe", "sweep", "spectrum",
-             "output_dir"}
-_ENV_KEYS = {"id", "size", "seed", "gamma"}
+_TOP_TYPES = {"seed": "int", "output_dir": "str", "env": "dict",
+              "train": "dict", "probe": "dict", "sweep": "dict",
+              "spectrum": "dict"}
+# the env section's keys: make_spec's arguments, with the env id as "id"
+_ENV_TYPES = {"id": "str", "size": "int", "seed": "int", "gamma": "float"}
 
 
 def build_run_config(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("manifest must be a JSON object")
-    _check_keys("<top level>", raw, _TOP_KEYS)
-    seed = int(raw.get("seed", 0))
-
-    env_raw = raw.get("env")
-    if not isinstance(env_raw, dict) or "id" not in env_raw:
+    top = _typed("manifest", _TOP_TYPES, raw)
+    seed = top.get("seed", 0)
+    if "id" not in top.get("env", {}):
         raise ConfigError("manifest needs an 'env' section with an 'id'")
-    _check_keys("env", env_raw, _ENV_KEYS)
-    env = make_spec(env_raw["id"], size=int(env_raw.get("size", 8)),
-                    seed=int(env_raw.get("seed", seed)),
-                    gamma=float(env_raw.get("gamma", 0.9)))
+    env_args = _typed("env", _ENV_TYPES, {"seed": seed, **top["env"]})
+    env = make_spec(env_args.pop("id"), **env_args)
 
     train_raw = dict(raw.get("train", {}))
-    _check_keys("train", train_raw, _field_names(TrainConfig))
     train_raw.setdefault("seed", seed)
     train_raw.setdefault("gamma", env.gamma)
-    try:
-        train = TrainConfig(**train_raw)
-    except TypeError as exc:
-        raise ConfigError(f"bad train section: {exc}") from exc
+    train = _build("train", TrainConfig, train_raw)
 
     probe = None
     if "probe" in raw:
         probe_raw = dict(raw["probe"])
-        _check_keys("probe", probe_raw, _field_names(ProbeSettings))
         if "direction" not in probe_raw:
             raise ConfigError("probe section needs a 'direction'")
         probe_raw["direction"] = parse_direction(probe_raw["direction"])
-        probe = ProbeSettings(**probe_raw)
+        probe = _build("probe", ProbeSettings, probe_raw)
 
     sweep = None
     if "sweep" in raw:
         sweep_raw = dict(raw["sweep"])
-        _check_keys("sweep", sweep_raw, _field_names(SweepSettings))
         policies = sweep_raw.get("policies")
         if not isinstance(policies, dict):
             raise ConfigError("sweep section needs a 'policies' mapping "
                               "of label -> checkpoint path")
-        sweep_raw["policies"] = tuple(sorted(policies.items()))
-        sweep_raw["values"] = tuple(float(v) for v in
-                                    sweep_raw.get("values", ()))
-        sweep = SweepSettings(**sweep_raw)
+        sweep_raw["policies"] = tuple(sorted(
+            (label, _cast(f"sweep.policies.{label}", "str", path))
+            for label, path in policies.items()))
+        sweep = _build("sweep", SweepSettings, sweep_raw)
 
     spectrum = None
     if "spectrum" in raw:
         spec_raw = dict(raw["spectrum"])
-        _check_keys("spectrum", spec_raw, _field_names(SpectrumSettings))
         directions = spec_raw.get("directions")
         if not isinstance(directions, list) or not directions:
             raise ConfigError("spectrum section needs a 'directions' list")
         spec_raw["directions"] = tuple(parse_direction(d) for d in directions)
-        spectrum = SpectrumSettings(**spec_raw)
+        spectrum = _build("spectrum", SpectrumSettings, spec_raw)
 
     _check_frames(env, probe, sweep, spectrum)
     echo = json.dumps(raw, indent=2, sort_keys=True)
     return RunConfig(seed=seed, env=env, train=train, probe=probe,
                      sweep=sweep, spectrum=spectrum,
-                     output_dir=str(raw.get("output_dir", "")), echo=echo)
+                     output_dir=top.get("output_dir", ""), echo=echo)
 
 
 def _check_frames(env: EnvSpec, probe: ProbeSettings | None,

@@ -14,7 +14,8 @@ probe on the same environment uses episode seed i, so clean and perturbed
 scores are always paired.
 
 Directions are either a PerturbationSpec (policy-independent, fixed) or an
-AttackSpec (recomputed against the policy at every step).
+AttackSpec (recomputed against the policy at every step). A `sweep` returns
+its reports in a dict keyed by (policy name, grid value).
 
 What the policy sees at an observation depends only on the direction and
 the observation, and for an attack on the policy too: perturbations are
@@ -36,7 +37,7 @@ episode_cap x policies entries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,28 +85,6 @@ class ProbeReport:
     score_clean: float                  # paired clean-run mean
     score_min_fixed: float
     impact: float
-
-
-@dataclass
-class SweepPoint:
-    policy: str
-    value: float
-    report: ProbeReport
-
-
-@dataclass
-class SweepResult:
-    family: str
-    parameter: str
-    values: list[float]
-    policies: list[str]
-    points: list[SweepPoint] = field(default_factory=list)
-
-    def point(self, policy: str, value: float) -> SweepPoint:
-        for pt in self.points:
-            if pt.policy == policy and pt.value == value:
-                return pt
-        raise KeyError(f"no sweep point for ({policy}, {value})")
 
 
 # ---------------------------------------------------------------------------
@@ -295,17 +274,18 @@ def clean_baseline(params: nn.ParamSet, spec: EnvSpec, runs: int) -> Array:
 def sweep(policies: list[tuple[str, nn.ParamSet]], spec: EnvSpec, family: str,
           parameter: str, values: list[float], runs: int = DEFAULT_RUNS,
           checkpoint_ids: dict[str, str] | None = None,
-          ) -> SweepResult:
+          ) -> dict[tuple[str, float], ProbeReport]:
     """Probe every (policy, grid value) pair: the Figure-2-style protocol.
+    Returns the reports keyed by (policy name, float(value)), in policy-major
+    order: policy by policy as given, each over the grid in order.
 
     The grid must be strictly increasing; integer-valued parameters (blur
     kernel, shift distances, perspective seed) take only integral grid
-    values (see perturb.cast_field). Clean baselines are rolled once per
+    values (see perturb.as_int). Clean baselines are rolled once per
     policy, in policy order, and shared across the grid; a policy whose
     clean baseline sits at the fixed minimum is refused by name before any
     grid point is probed. Policy names must be unique. The policies share
-    one views dict per grid value (see the module docstring). Points are
-    listed policy by policy.
+    one views dict per grid value (see the module docstring).
     """
     if any(b >= a for a, b in zip(values[1:], values)):
         raise ValueError("sweep grid must be strictly increasing")
@@ -329,7 +309,5 @@ def sweep(policies: list[tuple[str, nn.ParamSet]], spec: EnvSpec, family: str,
             reports[(name, value)] = probe(params, spec, direction, runs,
                                            ids.get(name, ""),
                                            clean_scores=clean, views=views)
-    result = SweepResult(family, parameter, list(values), names)
-    result.points = [SweepPoint(name, float(value), reports[(name, value)])
-                     for name in names for value in values]
-    return result
+    return {(name, float(value)): reports[(name, value)]
+            for name in names for value in values}

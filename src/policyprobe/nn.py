@@ -10,7 +10,8 @@ module is numerics only and imports no other package module; the
 parameters' text format lives in `checkpoint`.
 
 Conventions:
-  - conv inputs/outputs are (B, H, W, C), kernels are (kh, kw, cin, cout)
+  - conv inputs/outputs are (B, H, W, C); a conv layer's `weight` is its
+    kernel, (kh, kw, cin, cout)
   - dense weights are (out, in); a dense layer flattens its input row-major
   - parameter gradients come back as a ParamSet of the same shape as the
     parameters
@@ -82,7 +83,7 @@ composition; every single-observation caller uses B=1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -134,26 +135,22 @@ class DenseLayer:
 
 @dataclass
 class ConvLayer:
-    kernel: Array  # (kh, kw, cin, cout)
+    weight: Array  # the kernel, (kh, kw, cin, cout)
     bias: Array    # (cout,)
     stride: int = 1
     padding: int = 0
     activation: str = "identity"
 
     def __post_init__(self):
-        self.kernel = np.asarray(self.kernel, dtype=np.float64)
+        self.weight = np.asarray(self.weight, dtype=np.float64)
         self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.kernel.ndim != 4 or self.bias.shape != (self.kernel.shape[3],):
+        if self.weight.ndim != 4 or self.bias.shape != (self.weight.shape[3],):
             raise ShapeMismatchError(
-                f"conv layer: kernel {self.kernel.shape} / bias {self.bias.shape}")
+                f"conv layer: kernel {self.weight.shape} / bias {self.bias.shape}")
         if self.stride < 1 or self.padding < 0:
             raise ValueError("conv layer needs stride >= 1 and padding >= 0")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unsupported activation {self.activation!r}")
-
-    @property
-    def weight(self) -> Array:  # the kernel, as layer-generic code reads it
-        return self.kernel
 
 
 Layer = DenseLayer | ConvLayer
@@ -167,14 +164,8 @@ class ParamSet:
 
     def _map(self, fn) -> "ParamSet":
         """Same layers, with fn applied to every parameter array."""
-        out = []
-        for lay in self.layers:
-            if isinstance(lay, DenseLayer):
-                out.append(DenseLayer(fn(lay.weight), fn(lay.bias), lay.activation))
-            else:
-                out.append(ConvLayer(fn(lay.kernel), fn(lay.bias),
-                                     lay.stride, lay.padding, lay.activation))
-        return ParamSet(out)
+        return ParamSet([replace(lay, weight=fn(lay.weight), bias=fn(lay.bias))
+                         for lay in self.layers])
 
     def copy(self) -> "ParamSet":
         return self._map(np.copy)
@@ -185,12 +176,8 @@ class ParamSet:
     def arrays(self):
         """Yield (layer_index, field_name, array) for every parameter array."""
         for i, lay in enumerate(self.layers):
-            if isinstance(lay, DenseLayer):
-                yield i, "weight", lay.weight
-                yield i, "bias", lay.bias
-            else:
-                yield i, "kernel", lay.kernel
-                yield i, "bias", lay.bias
+            yield i, "weight", lay.weight
+            yield i, "bias", lay.bias
 
 
 def add_scaled(params: ParamSet, grads: ParamSet, scale: float) -> None:
@@ -314,17 +301,17 @@ def conv2d_input_grad(gout: Array, kernel: Array, stride: int, pad: int,
 
 def _check_layer_input(i: int, lay: Layer, x: Array) -> None:
     if isinstance(lay, ConvLayer):
-        if x.ndim != 4 or x.shape[3] != lay.kernel.shape[2]:
+        if x.ndim != 4 or x.shape[3] != lay.weight.shape[2]:
             raise ShapeMismatchError(
-                f"layer {i} (conv): expected input (*, H, W, {lay.kernel.shape[2]}), "
+                f"layer {i} (conv): expected input (*, H, W, {lay.weight.shape[2]}), "
                 f"got {x.shape}")
         # conv_output_hw below 1 on either side, inline: this runs on
         # every batch-1 forward
-        kh, kw = lay.kernel.shape[:2]
+        kh, kw = lay.weight.shape[:2]
         pad2 = 2 * lay.padding
         if x.shape[1] + pad2 < kh or x.shape[2] + pad2 < kw:
             raise ShapeMismatchError(f"layer {i} (conv): input {x.shape} too small "
-                                     f"for kernel {lay.kernel.shape[:2]}")
+                                     f"for kernel {lay.weight.shape[:2]}")
     else:
         flat = math.prod(x.shape[1:])
         if flat != lay.in_features:
@@ -349,7 +336,7 @@ def _affine(lay: Layer, x: Array, weight: Array, bias: Array | None) -> Array:
 def _affine_grads(lay: Layer, x: Array, g: Array) -> tuple[Array, Array]:
     """The weight and bias gradients at input x, summed over the batch."""
     if isinstance(lay, ConvLayer):
-        return (conv2d_kernel_grad(x, g, lay.kernel.shape, lay.stride,
+        return (conv2d_kernel_grad(x, g, lay.weight.shape, lay.stride,
                                    lay.padding), g.sum(axis=(0, 1, 2)))
     return g.T @ x.reshape(x.shape[0], -1), g.sum(axis=0)
 
@@ -543,7 +530,7 @@ def init_conv(rng: np.random.Generator, kh: int, kw: int, cin: int, cout: int,
 
 
 def conv_output_hw(h: int, w: int, lay: ConvLayer) -> tuple[int, int]:
-    kh, kw = lay.kernel.shape[:2]
+    kh, kw = lay.weight.shape[:2]
     return ((h + 2 * lay.padding - kh) // lay.stride + 1,
             (w + 2 * lay.padding - kw) // lay.stride + 1)
 

@@ -97,29 +97,31 @@ class PerturbationSpec:
         return label(*(getattr(self, name) for name in reads))
 
 
-# PerturbationSpec fields that are integers; manifests and sweep grids give
-# numbers as floats, so these are cast on the way in (see cast_field)
+# PerturbationSpec fields that are integers; sweep grids give numbers as
+# floats, so spec_with casts these (see as_int)
 INT_FIELDS = frozenset(f.name for f in fields(PerturbationSpec)
                        if f.type == "int")
 
 
-def cast_field(name: str, value):
-    """`value` for the PerturbationSpec field `name`; an integer field
-    takes an integral number as an int and refuses any other value."""
-    if name not in INT_FIELDS:
-        return value
-    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+def as_int(name: str, value) -> int:
+    """The one rule for an integer setting, in a manifest or a sweep grid:
+    an integral number becomes an int, and any other value, a bool
+    included, is refused."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                       and float(value).is_integer()):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
 def spec_with(family: str, parameter: str, value: float) -> PerturbationSpec:
     """The family's defaults with `parameter`, a field the family reads,
-    set to `value` (see cast_field)."""
+    set to `value`, cast if the field is an integer (see as_int)."""
     spec = PerturbationSpec(family=family)
     if parameter not in FAMILIES[family][1]:
         raise ValueError(f"{family} does not read {parameter}")
-    return replace(spec, **{parameter: cast_field(parameter, value)})
+    if parameter in INT_FIELDS:
+        value = as_int(parameter, value)
+    return replace(spec, **{parameter: value})
 
 
 def as_image(s: Array) -> Array:

@@ -125,17 +125,12 @@ class Checkpoint:
 # Replay
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Transition:
-    s: Array          # uint8 copy of the observation
-    a: int
-    r: float
-    s_next: Array
-    terminal: bool
-
-
 class ReplayBuffer:
-    """Ring buffer with proportional prioritized sampling."""
+    """Ring buffer of transitions with proportional prioritized sampling.
+    `push` keeps uint8 copies of a transition's observations. `sample`
+    returns (states, actions, rewards, next states, terminal flags) as
+    batch arrays, the states scaled to [0, 1], with the importance weights
+    and the drawn buffer indices."""
 
     def __init__(self, capacity: int, alpha_pr: float, beta_is: float,
                  priority_floor: float, seed: int):
@@ -146,7 +141,7 @@ class ReplayBuffer:
         self.alpha_pr = alpha_pr
         self.beta_is = beta_is
         self.priority_floor = priority_floor
-        self._items: list[Transition] = []
+        self._items: list[tuple] = []
         self._prio = np.zeros(capacity)
         self._next = 0
         self._rng = np.random.default_rng([seed, 41])
@@ -154,7 +149,9 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return len(self._items)
 
-    def push(self, tr: Transition) -> None:
+    def push(self, s: Array, a: int, r: float, s_next: Array,
+             terminal: bool) -> None:
+        tr = (s.astype(np.uint8), a, r, s_next.astype(np.uint8), terminal)
         prio = self._prio[:len(self._items)].max() if self._items else 1.0
         if len(self._items) < self.capacity:
             self._items.append(tr)
@@ -167,7 +164,7 @@ class ReplayBuffer:
         p = self._prio[:len(self._items)] ** self.alpha_pr
         return p / p.sum()
 
-    def sample(self, batch_size: int) -> tuple[list[Transition], Array, Array]:
+    def sample(self, batch_size: int) -> tuple[tuple[Array, ...], Array, Array]:
         n = len(self._items)
         if n < batch_size:
             raise ValueError(f"buffer holds {n} < batch size {batch_size}")
@@ -175,7 +172,10 @@ class ReplayBuffer:
         idx = self._rng.choice(n, size=batch_size, replace=True, p=probs)
         weights = (n * probs[idx]) ** (-self.beta_is)
         weights = weights / weights.max()
-        return [self._items[i] for i in idx], weights, idx
+        s, a, r, s_next, term = zip(*(self._items[i] for i in idx))
+        return ((np.stack(s).astype(np.float64) / OBS_SCALE, np.array(a),
+                 np.array(r), np.stack(s_next).astype(np.float64) / OBS_SCALE,
+                 np.array(term)), weights, idx)
 
     def update_priorities(self, indices: Array, td_errors: Array) -> None:
         self._prio[indices] = np.abs(td_errors) + self.priority_floor
@@ -218,15 +218,6 @@ def _huber(delta: Array) -> Array:
                     HUBER_THRESHOLD * (a - 0.5 * HUBER_THRESHOLD))
 
 
-def _batch_arrays(batch: list[Transition]) -> tuple[Array, Array, Array, Array, Array]:
-    s = np.stack([t.s for t in batch]).astype(np.float64) / OBS_SCALE
-    a = np.array([t.a for t in batch])
-    r = np.array([t.r for t in batch])
-    s_next = np.stack([t.s_next for t in batch]).astype(np.float64) / OBS_SCALE
-    term = np.array([t.terminal for t in batch])
-    return s, a, r, s_next, term
-
-
 def _dqn_targets(online: nn.ParamSet, target: nn.ParamSet,
                  r: Array, s_next: Array, term: Array, gamma: float) -> Array:
     q_next_online = nn.forward_batch(online, s_next)[-1]
@@ -239,7 +230,7 @@ def _dqn_targets(online: nn.ParamSet, target: nn.ParamSet,
 def _td_grads(online: nn.ParamSet, target: nn.ParamSet, arrays, gamma,
               weights) -> tuple[float, Array, nn.ParamSet, Array, list]:
     """TD loss, TD errors and parameter gradients for one batch's arrays
-    (see _batch_arrays), plus the online net's Q values on the batch's
+    (see ReplayBuffer.sample), plus the online net's Q values on the batch's
     states and the tape of that forward, which the regularizer gradients
     reuse (they only read it)."""
     s, a, r, s_next, term = arrays
@@ -328,14 +319,12 @@ def effective_eps_rob(config: TrainConfig, step: int) -> float:
     return config.eps_rob * min(1.0, max(0.0, frac))
 
 
-def _update_grads(online: nn.ParamSet, target: nn.ParamSet, batch,
+def _update_grads(online: nn.ParamSet, target: nn.ParamSet, arrays,
                   weights: Array, config: TrainConfig,
                   step: int) -> tuple[Array, nn.ParamSet]:
     """TD errors and the configured objective's parameter gradients for one
-    batch. The batch is stacked into arrays once, and the regularizers
-    reuse the TD loss's forward on its states, which is freed when this
-    returns."""
-    arrays = _batch_arrays(batch)
+    batch's arrays (see ReplayBuffer.sample). The regularizers reuse the
+    TD loss's forward on its states, which is freed when this returns."""
     _, delta, grads, q, tape = _td_grads(online, target, arrays, config.gamma,
                                          weights)
     s, a = arrays[0], arrays[1]
@@ -389,9 +378,8 @@ def train(spec: EnvSpec, config: TrainConfig,
             action = greedy[key]
         result = env.step(action)
         # cap truncation is not an absorbing state: bootstrap through it
-        buffer.push(Transition(obs.astype(np.uint8), action, result.reward,
-                               result.observation.astype(np.uint8),
-                               result.terminal and not result.truncated))
+        buffer.push(obs, action, result.reward, result.observation,
+                    result.terminal and not result.truncated)
         episode_rewards.append(result.reward)
         obs = result.observation
         if result.terminal:
@@ -406,9 +394,9 @@ def train(spec: EnvSpec, config: TrainConfig,
 
         if len(buffer) >= max(config.warmup_steps, config.batch_size) \
                 and step % config.train_every == 0:
-            batch, weights, idx = buffer.sample(config.batch_size)
+            arrays, weights, idx = buffer.sample(config.batch_size)
             try:
-                delta, grads = _update_grads(online, target, batch, weights,
+                delta, grads = _update_grads(online, target, arrays, weights,
                                              config, step)
                 opt.step(online, grads)
                 greedy.clear()

@@ -74,7 +74,7 @@ def _min_preactivation(net: nn.ParamSet, x: np.ndarray) -> float:
         if isinstance(lay, nn.DenseLayer):
             pre = h.reshape(-1) @ lay.weight.T + lay.bias
         else:
-            pre = nn.conv2d_forward(h[None], lay.kernel, lay.bias,
+            pre = nn.conv2d_forward(h[None], lay.weight, lay.bias,
                                     lay.stride, lay.padding)[0]
         if lay.activation == "relu":
             closest = min(closest, float(np.abs(pre).min()))

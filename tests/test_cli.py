@@ -129,7 +129,7 @@ def test_train_refuses_a_batch_larger_than_the_replay_buffer(tmp_path,
 
 
 # a manifest section that names a value no run can use, and its refusal
-NON_FINITE = [
+REFUSED = [
     ("train", {"train": {"objective": "radial", "adv_weight": -1}},
      "adv_weight must be >= 0"),
     ("train", {"train": {"lr": math.nan}}, "lr must be finite"),
@@ -139,12 +139,47 @@ NON_FINITE = [
      "epsilon must be finite and > 0 (>= 0 for fgm)"),
     ("probe", {"probe": {"direction": {"family": "perspective",
                                        "pt_norm": math.inf}}},
-     "perspective norm must be finite and >= 0")]
+     "perspective norm must be finite and >= 0"),
+    ("train", {"train": {"total_steps": True}},
+     "train.total_steps must be an integer, got True"),
+    ("train", {"train": {"total_steps": 10.5}},
+     "train.total_steps must be an integer, got 10.5"),
+    ("probe", {"probe": {"direction": {"family": "identity"}, "runs": 2.5}},
+     "probe.runs must be an integer, got 2.5"),
+    ("spectrum", {"spectrum": {"directions": [{"family": "identity"}],
+                               "samples": 1.5}},
+     "spectrum.samples must be an integer, got 1.5"),
+    ("attack", {"probe": {"direction": {"method": "cw",
+                                        "cw_iterations": 2.5}}},
+     "direction.cw_iterations must be an integer, got 2.5"),
+    ("train", {"env": {"id": "pixelgrid", "size": None}},
+     "env.size must be an integer, got None"),
+    ("train", {"env": {"id": "pixelgrid", "size": 8.9}},
+     "env.size must be an integer, got 8.9"),
+    ("train", {"env": {"id": "pixelgrid", "seed": 0.5}},
+     "env.seed must be an integer, got 0.5"),
+    ("attack", {"probe": {"direction": {"method": "fgm"}, "rollout": "yes"}},
+     "probe.rollout must be a bool, got 'yes'"),
+    ("attack", {"probe": {"direction": {"method": "fgm", "p": None}}},
+     "direction.p must be a float, got None"),
+    ("sweep", {"sweep": {"family": "shift", "parameter": "ti", "values": 5,
+                         "policies": {"vanilla": VANILLA}}},
+     "sweep.values must be a tuple[float, ...], got 5"),
+    ("sweep", {"sweep": {"family": "shift", "parameter": "ti",
+                         "values": [True], "policies": {"vanilla": VANILLA}}},
+     "sweep.values must be a float, got True"),
+    ("sweep", {"sweep": {"family": "shift", "parameter": "ti",
+                         "values": [0.0], "policies": {"vanilla": 3}}},
+     "sweep.policies.vanilla must be a str, got 3")]
 
 
-@pytest.mark.parametrize("command,section,message", NON_FINITE,
+@pytest.mark.parametrize("command,section,message", REFUSED,
                          ids=["adv_weight", "lr", "eps_rob", "epsilon",
-                              "pt_norm"])
+                              "pt_norm", "total_steps=true",
+                              "total_steps=10.5", "runs=2.5", "samples=1.5",
+                              "cw_iterations=2.5", "size=null", "size=8.9",
+                              "seed=0.5", "rollout=yes", "p=null",
+                              "values=5", "values=[true]", "policy_path=3"])
 def test_manifest_refuses_values_no_run_can_use(tmp_path, capsys,
                                                  monkeypatch, command,
                                                  section, message):
@@ -152,10 +187,16 @@ def test_manifest_refuses_values_no_run_can_use(tmp_path, capsys,
     train the overlap term in reverse and exit 0; a NaN lr or an infinite
     eps_rob ran the warmup, then failed as a diverged run; a NaN epsilon
     failed at the first forward; an infinite pt_norm gave all-NaN
-    observations."""
+    observations. A value of the wrong type is refused too: total_steps
+    true used to write a checkpoint that load_checkpoint refused, a
+    non-integral count or a null size failed with a traceback, a
+    non-integral size or seed was truncated, and rollout "yes" counted as
+    true. A null norm order, a sweep grid that is not a list and a policy
+    path that is not a string failed with a traceback, and a grid value
+    true counted as 1."""
     loaded = []
     monkeypatch.setattr(cp, "load_checkpoint", loaded.append)
-    args = [] if command == "train" else ["--checkpoint", VANILLA]
+    args = [] if command in ("train", "sweep") else ["--checkpoint", VANILLA]
     cfgp = manifest(tmp_path, section)
     out = tmp_path / "out"
     assert main([command, "--config", cfgp, "--out", str(out), *args]) == 2

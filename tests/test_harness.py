@@ -216,28 +216,23 @@ def test_aggregate_rejects_empty(pixelgrid_spec):
 
 def test_sweep_structure_and_identity_point(vanilla_checkpoint):
     ck, ck_id = vanilla_checkpoint
-    result = hz.sweep([("vanilla", ck.params)], ck.env_spec,
-                      family="median_blur", parameter="kernel",
-                      values=[1, 3], runs=3,
-                      checkpoint_ids={"vanilla": ck_id})
-    assert result.policies == ["vanilla"]
-    assert result.values == [1, 3]
-    assert len(result.points) == 2
-    neutral = result.point("vanilla", 1)
-    assert neutral.report.impact == 0.0       # kernel 1 is the identity
-    assert neutral.report.mean_similarity == 0.0
-    stressed = result.point("vanilla", 3)
-    assert isinstance(stressed.report.direction_spec.kernel, int)
-    assert stressed.report.checkpoint_id == ck_id
+    reports = hz.sweep([("vanilla", ck.params)], ck.env_spec,
+                       family="median_blur", parameter="kernel",
+                       values=[1, 3], runs=3,
+                       checkpoint_ids={"vanilla": ck_id})
+    # one report per (policy, grid value), the value keyed as a float
+    assert list(reports) == [("vanilla", 1.0), ("vanilla", 3.0)]
+    assert all(type(value) is float for _, value in reports)
+    neutral = reports[("vanilla", 1.0)]
+    assert neutral.impact == 0.0       # kernel 1 is the identity
+    assert neutral.mean_similarity == 0.0
+    stressed = reports[("vanilla", 3.0)]
+    assert isinstance(stressed.direction_spec.kernel, int)
+    assert stressed.checkpoint_id == ck_id
     # every point's impact is consistent with its own aggregates
-    for pt in result.points:
-        rep = pt.report
+    for rep in reports.values():
         assert rep.impact == pytest.approx(
             hz.impact(rep.score_clean, rep.mean_score, rep.score_min_fixed))
-    with pytest.raises(KeyError):
-        result.point("vanilla", 5)
-    with pytest.raises(KeyError):
-        result.point("radial", 1)
 
 
 def test_sweep_rejects_unsorted_grid(vanilla_checkpoint):
@@ -423,7 +418,10 @@ def test_sweep_computes_once_per_distinct_direction_and_observation(
         sims, perceptual.lpips, lambda f, a, b: (a.tobytes(), b.tobytes())))
     monkeypatch.setattr(hz, "greedy_action", _recording(
         acts, hz.greedy_action, lambda p, v: (id(p), v.tobytes())))
-    result = hz.sweep(policies, spec, **grid)
+    reports = hz.sweep(policies, spec, **grid)
+    # policy-major order: each policy over the whole grid in turn
+    assert list(reports) == [(name, value) for name, _ in policies
+                             for value in grid["values"]]
     # each policy's clean runs keep their own identity views
     views = [(d, obs) for d, obs in views if d.family != "identity"]
     # brightness views of distinct (direction, observation) pairs differ
@@ -432,8 +430,8 @@ def test_sweep_computes_once_per_distinct_direction_and_observation(
     assert len(views) == len(set(views)) > 0
     assert len(sims) == len(set(sims)) > 0
     assert len(acts) == len(set(acts))
-    steps = sum(run.episode_length for pt in result.points
-                for run in pt.report.runs)
+    steps = sum(run.episode_length for rep in reports.values()
+                for run in rep.runs)
     assert len(sims) < steps / 4      # the memo shares across the sweep
 
 

@@ -1,8 +1,9 @@
 """Source hygiene: every module-level import in the package and the
 scripts is used, no module reads another package module's private
 names, the on-disk formats live in checkpoint alone, nn imports no
-other package module, and every float a manifest sets is refused when
-it is not finite."""
+other package module, every float a manifest sets is refused when it
+is not finite, and every int, bool and str it sets is refused when it
+is of another type."""
 import ast
 import dataclasses
 import math
@@ -203,3 +204,70 @@ def non_finite_cases():
 def test_manifest_floats_must_be_finite(valid, name, value):
     with pytest.raises(ValueError):
         dataclasses.replace(valid, **{name: value})
+
+
+
+# Where each manifest dataclass's fields sit in a manifest: by name, the
+# section that sets key k to value v in an otherwise valid manifest, d
+# being a direction's family. EnvSpec's keys are the env section's.
+PLACED = {
+    "ProbeSettings": lambda k, v, d: {
+        "probe": {"direction": {"family": "identity"}, k: v}},
+    "SweepSettings": lambda k, v, d: {
+        "sweep": {"family": "shift", "parameter": "ti", "values": [0.0],
+                  "policies": {"vanilla": "v.txt"}, k: v}},
+    "SpectrumSettings": lambda k, v, d: {
+        "spectrum": {"directions": [{"family": "identity"}], k: v}},
+    "TrainConfig": lambda k, v, d: {"train": {k: v}},
+    "AttackSpec": lambda k, v, d: {
+        "probe": {"direction": {"method": "cw", k: v}}},
+    "PerturbationSpec": lambda k, v, d: {
+        "probe": {"direction": {"family": d, k: v}}},
+    "EnvSpec": lambda k, v, d: {"env": {"id": "pixelgrid", k: v}},
+    "manifest": lambda k, v, d: {k: v}}
+ENV_KEYS = {"env_id": "id", "size": "size", "seed": "seed"}
+SETTINGS_NAMES = [n for names in SETTINGS.values() for n in names]
+
+
+def typed_fields():
+    """(dataclass name, manifest key, field type, family) for every field a
+    manifest sets: a PerturbationSpec field under each family that reads
+    it (family itself once), and the top level's seed and output_dir."""
+    yield from [("manifest", "seed", "int", None),
+                ("manifest", "output_dir", "str", None)]
+    for name in SETTINGS_NAMES + ["EnvSpec"]:
+        for valid in VALID[name]:
+            family = valid.family if name == "PerturbationSpec" else None
+            if name == "EnvSpec":
+                settable = ENV_KEYS
+            elif family is not None:
+                settable = perturb.FAMILIES[family][1] \
+                    + ("family",) * (family == "identity")
+            else:
+                settable = [f.name for f in dataclasses.fields(valid)]
+            for f in dataclasses.fields(valid):
+                if f.name in settable:
+                    yield (name, ENV_KEYS.get(f.name, f.name), str(f.type),
+                           family)
+
+
+def wrong_type_cases():
+    """(manifest, key, value) setting 1.5, true, null and "3" on every int,
+    bool and str field of every manifest dataclass: each value but the
+    one of the field's own type."""
+    for name, key, kind, family in typed_fields():
+        if kind not in ("int", "bool", "str"):
+            continue
+        for value in (1.5, True, None, "3"):
+            if type(value).__name__ != kind:
+                raw = {"env": {"id": "pixelgrid"},
+                       **PLACED[name](key, value, family)}
+                yield pytest.param(raw, key, value,
+                                   id=f"{family or name}.{key}={value!r}")
+
+
+@pytest.mark.parametrize("raw,key,value", list(wrong_type_cases()))
+def test_manifest_values_must_have_their_fields_type(raw, key, value):
+    """Refused while the manifest is read, by a message naming the key."""
+    with pytest.raises(ValueError, match=f"{key} must be an? "):
+        config.build_run_config(raw)

@@ -117,8 +117,8 @@ def test_padded_conv_is_bit_equal_to_the_np_pad_form(batch, fnet):
         p = lay.padding
         assert p > 0
         padded = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
-        want = nn.conv2d_forward(padded, lay.kernel, lay.bias, lay.stride, 0)
-        got = nn.conv2d_forward(x, lay.kernel, lay.bias, lay.stride, p)
+        want = nn.conv2d_forward(padded, lay.weight, lay.bias, lay.stride, 0)
+        got = nn.conv2d_forward(x, lay.weight, lay.bias, lay.stride, p)
         assert got.tobytes() == want.tobytes()
 
 
@@ -168,12 +168,12 @@ def test_input_grad_is_bit_equal_to_the_dilated_correlation(
     decomposition returns the dilated correlation's bits."""
     lay = vanilla_checkpoint[0].params.layers[layer]
     in_hw = (24, 7)[layer]
-    x = rng.uniform(size=(batch, in_hw, in_hw, lay.kernel.shape[2]))
-    gout = sparse_gout(rng, nn.conv2d_forward(x, lay.kernel, None, lay.stride,
+    x = rng.uniform(size=(batch, in_hw, in_hw, lay.weight.shape[2]))
+    gout = sparse_gout(rng, nn.conv2d_forward(x, lay.weight, None, lay.stride,
                                               lay.padding).shape)
-    got = nn.conv2d_input_grad(gout, lay.kernel, lay.stride, lay.padding,
+    got = nn.conv2d_input_grad(gout, lay.weight, lay.stride, lay.padding,
                                in_hw, in_hw)
-    want = dilated_input_grad(gout, lay.kernel, lay.stride, lay.padding,
+    want = dilated_input_grad(gout, lay.weight, lay.stride, lay.padding,
                               in_hw, in_hw)
     assert np.array_equal(got, want)
 
@@ -340,7 +340,7 @@ def layerwise_forward(net, x):
     outs, cur = [], x
     for lay in net.layers:
         if isinstance(lay, nn.ConvLayer):
-            pre = nn.conv2d_forward(cur, lay.kernel, lay.bias, lay.stride,
+            pre = nn.conv2d_forward(cur, lay.weight, lay.bias, lay.stride,
                                     lay.padding)
         else:
             pre = cur.reshape(len(cur), -1) @ lay.weight.T + lay.bias
@@ -505,6 +505,25 @@ def test_qnet_architecture_and_determinism():
                in zip(a.arrays(), c.arrays()))
     out = nn.forward(a, np.zeros((24, 24, 1)))[-1]
     assert out.shape == (4,)
+
+
+def test_copy_and_zeros_like_keep_each_layers_settings():
+    """A copy holds equal, fresh arrays and zeros_like zero arrays of the
+    same shapes; both keep each layer's type, stride, padding and
+    activation."""
+    net = small_net(activation="identity")
+    net.layers[1].activation = "relu"   # the two conv layers differ
+    for other, fill in ((net.copy(), None), (net.zeros_like(), 0.0)):
+        for lay, got in zip(net.layers, other.layers, strict=True):
+            assert type(got) is type(lay)
+            if isinstance(lay, nn.ConvLayer):
+                assert (got.stride, got.padding) == (lay.stride, lay.padding)
+            assert got.activation == lay.activation
+            for mine, theirs in ((lay.weight, got.weight),
+                                 (lay.bias, got.bias)):
+                assert theirs is not mine and theirs.shape == mine.shape
+                assert np.array_equal(theirs, mine if fill is None
+                                      else np.zeros_like(mine))
 
 
 @given(h=st.integers(12, 40), w=st.integers(12, 40))

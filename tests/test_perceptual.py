@@ -23,7 +23,7 @@ def test_shipped_asset_matches_seed_regeneration(fnet):
     rebuilt = pc.build_reference_params()
     assert len(fnet.layers) == len(rebuilt.layers)
     for a, b in zip(fnet.layers, rebuilt.layers):
-        assert np.array_equal(a.kernel, b.kernel)
+        assert np.array_equal(a.weight, b.weight)
         assert np.array_equal(a.bias, b.bias)
         assert a.stride == b.stride and a.padding == b.padding
 

@@ -16,12 +16,20 @@ def obs_like(rng, spec):
 
 
 def tiny_transitions(rng, spec, n):
+    """n random (s, a, r, s_next, terminal) tuples, as push takes them."""
     out = []
     for _ in range(n):
-        out.append(ql.Transition(obs_like(rng, spec), int(rng.integers(4)),
-                                 float(rng.normal()), obs_like(rng, spec),
-                                 bool(rng.random() < 0.2)))
+        out.append((obs_like(rng, spec), int(rng.integers(4)),
+                    float(rng.normal()), obs_like(rng, spec),
+                    bool(rng.random() < 0.2)))
     return out
+
+
+def stacked(transitions):
+    """The batch arrays ReplayBuffer.sample returns for these rows."""
+    s, a, r, s_next, term = zip(*transitions)
+    return (np.stack(s) / ql.OBS_SCALE, np.array(a), np.array(r),
+            np.stack(s_next) / ql.OBS_SCALE, np.array(term))
 
 
 # ---------------------------------------------------------------------------
@@ -32,8 +40,8 @@ def test_replay_probabilities_match_spec_example(pixelgrid_spec, rng):
     buf = ql.ReplayBuffer(10, alpha_pr=1.0, beta_is=1.0,
                           priority_floor=1e-12, seed=0)
     t = tiny_transitions(rng, pixelgrid_spec, 2)
-    buf.push(t[0])
-    buf.push(t[1])
+    buf.push(*t[0])
+    buf.push(*t[1])
     buf.update_priorities(np.array([0, 1]), np.array([1.0, 3.0]))
     p = buf.probabilities()
     assert np.allclose(p, [0.25, 0.75], atol=1e-9)
@@ -43,7 +51,7 @@ def test_replay_uniform_when_alpha_zero(pixelgrid_spec, rng):
     buf = ql.ReplayBuffer(10, alpha_pr=0.0, beta_is=1.0,
                           priority_floor=1e-12, seed=0)
     for t in tiny_transitions(rng, pixelgrid_spec, 5):
-        buf.push(t)
+        buf.push(*t)
     buf.update_priorities(np.arange(5), np.array([0.1, 2.0, 5.0, 0.7, 1.3]))
     assert np.allclose(buf.probabilities(), 0.2)
 
@@ -52,8 +60,8 @@ def test_importance_weights_match_spec_example(pixelgrid_spec, rng):
     buf = ql.ReplayBuffer(10, alpha_pr=1.0, beta_is=1.0,
                           priority_floor=1e-12, seed=0)
     t = tiny_transitions(rng, pixelgrid_spec, 2)
-    buf.push(t[0])
-    buf.push(t[1])
+    buf.push(*t[0])
+    buf.push(*t[1])
     buf.update_priorities(np.array([0, 1]), np.array([1.0, 3.0]))
     # N=2, P=(0.25, 0.75): raw weights (2*P)^-1 = (2, 2/3) normalize to
     # (1, 1/3) once both indices are on the table.
@@ -74,7 +82,7 @@ def test_replay_probabilities_sum_to_one_and_weights_capped(pixelgrid_spec,
     buf = ql.ReplayBuffer(32, alpha_pr=0.6, beta_is=0.4,
                           priority_floor=1e-3, seed=1)
     for t in tiny_transitions(rng, pixelgrid_spec, 32):
-        buf.push(t)
+        buf.push(*t)
     buf.update_priorities(np.arange(32), rng.normal(size=32))
     assert abs(buf.probabilities().sum() - 1.0) < 1e-12
     _, weights, _ = buf.sample(16)
@@ -88,18 +96,19 @@ def test_replay_buffer_wraps_around_at_capacity(pixelgrid_spec, rng):
                           priority_floor=0.5, seed=0)
     t = tiny_transitions(rng, pixelgrid_spec, 9)
     for tr in t[:4]:
-        buf.push(tr)
+        buf.push(*tr)
     buf.update_priorities(np.arange(4), np.array([0.5, 2.0, 1.0, 3.0]))
-    buf.push(t[4])                       # overwrites slot 0 (t[0])
+    buf.push(*t[4])                      # overwrites slot 0 (t[0])
     assert buf._prio[0] == 3.5           # the maximum, 3.0 + floor
     buf.update_priorities(np.array([1]), np.array([9.5]))
-    buf.push(t[5])                       # slot 1
+    buf.push(*t[5])                      # slot 1
     assert buf._prio[1] == 10.0          # the raised maximum
     for tr in t[6:9]:                    # slots 2, 3 and 0 again
-        buf.push(tr)
+        buf.push(*tr)
     assert len(buf) == 4
-    assert [id(x) for x in buf._items] == [id(x) for x in
-                                           (t[8], t[5], t[6], t[7])]
+    # the random observations tell the transitions apart
+    assert all(np.array_equal(item[0], tr[0]) for item, tr in
+               zip(buf._items, (t[8], t[5], t[6], t[7]), strict=True))
     assert buf._prio.tolist() == [10.0] * 4
     assert abs(buf.probabilities().sum() - 1.0) < 1e-12
 
@@ -107,9 +116,39 @@ def test_replay_buffer_wraps_around_at_capacity(pixelgrid_spec, rng):
 def test_replay_rejects_oversized_sample(pixelgrid_spec, rng):
     buf = ql.ReplayBuffer(8, alpha_pr=0.6, beta_is=0.4,
                           priority_floor=1e-3, seed=1)
-    buf.push(tiny_transitions(rng, pixelgrid_spec, 1)[0])
+    buf.push(*tiny_transitions(rng, pixelgrid_spec, 1)[0])
     with pytest.raises(ValueError):
         buf.sample(2)
+
+
+def test_replay_sample_returns_exactly_the_pushed_rows(pixelgrid_spec, rng):
+    """Row i of every sampled array is transition idx[i] as pushed, with
+    the observations scaled to [0, 1]."""
+    buf = ql.ReplayBuffer(8, alpha_pr=0.6, beta_is=0.4,
+                          priority_floor=1e-3, seed=1)
+    t = tiny_transitions(rng, pixelgrid_spec, 6)
+    for tr in t:
+        buf.push(*tr)
+    arrays, _, idx = buf.sample(6)
+    assert len(set(idx.tolist())) > 1
+    want = stacked([t[i] for i in idx])
+    for got, expected in zip(arrays, want, strict=True):
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+
+def test_replay_push_copies_the_observations(pixelgrid_spec, rng):
+    """Changing an observation after push does not change the buffer."""
+    buf = ql.ReplayBuffer(4, alpha_pr=0.6, beta_is=0.4,
+                          priority_floor=1e-3, seed=1)
+    s, a, r, s_next, term = tiny_transitions(rng, pixelgrid_spec, 1)[0]
+    want = stacked([(s, a, r, s_next, term)])
+    buf.push(s, a, r, s_next, term)
+    s[:] = 255 - s
+    s_next[:] = 255 - s_next
+    arrays, _, _ = buf.sample(1)
+    for got, expected in zip(arrays, want, strict=True):
+        assert np.array_equal(got, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -153,14 +192,14 @@ def sa_regularizer(net, obs, eps_rob, c):
     return max(inner, -c)
 
 
-def radial_loss(net, batch, eps_rob):
+def radial_loss(net, arrays, eps_rob):
     """Value oracle for the overlap loss: mean over the batch of
     sum_a' OV(s, a', eps) * Qdiff(s, a')."""
-    s, a, _, _, _ = ql._batch_arrays(batch)
+    s, a, _, _, _ = arrays
     q = nn.forward_batch(net, s)[-1]
     lo, hi = ql.input_box(s, eps_rob)
     blo, bhi = nn.ibp_forward_batch(net, lo, hi)
-    rows = np.arange(len(batch))
+    rows = np.arange(len(s))
     qdiff = np.maximum(0.0, q - q[rows, a][:, None])
     ov = np.maximum(0.0, bhi - blo[rows, a][:, None] + 0.5 * qdiff)
     return float(np.mean((ov * qdiff).sum(axis=1)))
@@ -227,10 +266,10 @@ def test_radial_loss_zero_radius_identity(pixelgrid_spec, rng):
     """At radius zero the loss collapses to 1.5 * mean of sum Qdiff^2."""
     net = nn.qnet_params(pixelgrid_spec.obs_shape, 4, seed=3)
     batch = tiny_transitions(rng, pixelgrid_spec, 6)
-    got = radial_loss(net, batch, eps_rob=0.0)
-    s = np.stack([t.s for t in batch]).astype(float) / 255.0
+    got = radial_loss(net, stacked(batch), eps_rob=0.0)
+    s = np.stack([t[0] for t in batch]).astype(float) / 255.0
     q = nn.forward_batch(net, s)[-1]
-    a = np.array([t.a for t in batch])
+    a = np.array([t[1] for t in batch])
     qd = np.maximum(0.0, q - q[np.arange(6), a][:, None])
     want = float(1.5 * (qd ** 2).sum(axis=1).mean())
     assert abs(got - want) < 1e-12
@@ -242,8 +281,8 @@ def test_radial_loss_vanishes_when_taken_action_dominates(rng):
     net = nn.ParamSet([nn.DenseLayer(w, np.array([10.0, -10.0]),
                                      activation="identity")])
     obs = rng.integers(0, 256, size=4).astype(np.uint8)
-    batch = [ql.Transition(obs, 0, 0.0, obs, False)]
-    assert radial_loss(net, batch, eps_rob=0.001) == 0.0
+    arrays = stacked([(obs, 0, 0.0, obs, False)])
+    assert radial_loss(net, arrays, eps_rob=0.001) == 0.0
 
 
 def test_certification_predicate_monotone(vanilla_checkpoint, pixelgrid_spec):
@@ -262,13 +301,12 @@ def test_certification_predicate_monotone(vanilla_checkpoint, pixelgrid_spec):
 # Gradient checks away from kinks
 # ---------------------------------------------------------------------------
 
-def _loss_fn(kind, net, batch, target, weights):
+def _loss_fn(kind, net, arrays, target, weights):
+    s, a, r, s_next, term = arrays
     if kind == "td":
-        s, a, r, s_next, term = ql._batch_arrays(batch)
         y = ql._dqn_targets(net, target, r, s_next, term, 0.9)
-        q = nn.forward_batch(net, s)[-1][np.arange(len(batch)), a]
+        q = nn.forward_batch(net, s)[-1][np.arange(len(s)), a]
         return float(np.mean(weights * ql._huber(y - q)))
-    s, a, _, _, _ = ql._batch_arrays(batch)
     q, tape = _forward(net, s)
     if kind == "sa":
         value, _ = ql._sa_grads(net, s, q, 0.01, 1.0)
@@ -288,9 +326,8 @@ def _forward(net, s):
 def test_loss_gradients_match_finite_differences(kind, pixelgrid_spec, rng):
     net = nn.qnet_params(pixelgrid_spec.obs_shape, 4, seed=11)
     target = nn.qnet_params(pixelgrid_spec.obs_shape, 4, seed=12)
-    batch = tiny_transitions(rng, pixelgrid_spec, 4)
+    arrays = stacked(tiny_transitions(rng, pixelgrid_spec, 4))
     weights = rng.uniform(0.5, 1.0, size=4)
-    arrays = ql._batch_arrays(batch)
     s, a = arrays[0], arrays[1]
     if kind == "td":
         _, _, grads, _, _ = ql._td_grads(net, target, arrays, 0.9, weights)
@@ -305,14 +342,14 @@ def test_loss_gradients_match_finite_differences(kind, pixelgrid_spec, rng):
         for k in range(0, flat.size, max(1, flat.size // 4)):
             old = flat[k]
             flat[k] = old + h
-            up = _loss_fn(kind, net, batch, target, weights)
+            up = _loss_fn(kind, net, arrays, target, weights)
             flat[k] = old - h
-            down = _loss_fn(kind, net, batch, target, weights)
+            down = _loss_fn(kind, net, arrays, target, weights)
             flat[k] = old + h / 2
-            up_half = _loss_fn(kind, net, batch, target, weights)
+            up_half = _loss_fn(kind, net, arrays, target, weights)
             flat[k] = old
             central = (up - down) / (2 * h)
-            forward = (up_half - _loss_fn(kind, net, batch, target,
+            forward = (up_half - _loss_fn(kind, net, arrays, target,
                                           weights)) / (h / 2)
             # relu/hinge kinks make FD meaningless; check only where the
             # two difference schemes agree on a locally linear landscape
@@ -376,22 +413,22 @@ def test_training_update_forms_no_observation_gradient(
 @pytest.mark.parametrize("objective", ["vanilla", "sa-ddqn", "radial"])
 def test_training_update_forwards_the_batch_states_once(
         objective, pixelgrid_spec, monkeypatch):
-    """One update stacks its batch into arrays once, and the regularizer
+    """One update samples its batch's arrays once, and the regularizer
     gradients reuse the TD loss's forward on the batch's states, so the
     online net runs on those states once."""
     states, on_states = [], []
-    batch_arrays, forward_batch = ql._batch_arrays, nn.forward_batch
+    sample, forward_batch = ql.ReplayBuffer.sample, nn.forward_batch
 
-    def recording(batch):
-        arrays = batch_arrays(batch)
+    def recording(self, batch_size):
+        arrays, weights, idx = sample(self, batch_size)
         states.append(arrays[0])
-        return arrays
+        return arrays, weights, idx
 
     def counting(net, x, tape=None):
         on_states.append(any(x is s for s in states))
         return forward_batch(net, x, tape)
 
-    monkeypatch.setattr(ql, "_batch_arrays", recording)
+    monkeypatch.setattr(ql.ReplayBuffer, "sample", recording)
     monkeypatch.setattr(nn, "forward_batch", counting)
     # the one update falls on step 32, as above
     cfg = ql.TrainConfig(objective=objective, total_steps=33,
@@ -411,7 +448,7 @@ def test_training_scores_each_observation_once_per_parameter_version(
     on that version's net."""
     ck, _ = vanilla_checkpoint
     nets = [ck.params.copy()]    # the online net of each parameter version
-    scored, acted = [], []       # (version, obs bytes), (version, transition)
+    scored, acted = [], []       # (version, obs bytes), (version, obs, action)
     greedy_action, opt_step = ql.greedy_action, nn.Optimizer.step
     push = ql.ReplayBuffer.push
 
@@ -424,9 +461,9 @@ def test_training_scores_each_observation_once_per_parameter_version(
         nets.append(params.copy())
         return params
 
-    def pushing(self, tr):       # each step pushes before it may update
-        acted.append((len(nets) - 1, tr))
-        push(self, tr)
+    def pushing(self, s, a, *rest):   # each step pushes before it may update
+        acted.append((len(nets) - 1, s.copy(), a))
+        push(self, s, a, *rest)
 
     monkeypatch.setattr(ql, "greedy_action", scoring)
     monkeypatch.setattr(nn.Optimizer, "step", stepping)
@@ -439,8 +476,8 @@ def test_training_scores_each_observation_once_per_parameter_version(
     ql.train(ck.env_spec, cfg, init_params=ck.params)
     assert len(nets) == 1 + (120 - 64) // 4 and len(acted) == 120
     assert len(set(scored)) == len(scored) < len(acted)
-    assert [tr.a for _, tr in acted] \
-        == [greedy_action(nets[v], tr.s) for v, tr in acted]
+    assert [a for _, _, a in acted] \
+        == [greedy_action(nets[v], s) for v, s, _ in acted]
 
 
 def test_warm_start_changes_initial_parameters(pixelgrid_spec,

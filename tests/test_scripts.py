@@ -72,8 +72,9 @@ def test_spectrum_suite_writes_what_the_spectrum_command_writes(tmp_path):
 
 def test_bench_pairs_summarizes_per_pair_ratios():
     """Hand values: each side's median and quartiles, the per-pair
-    change/parent ratios' median and quartiles, and the pair counts. A
-    metric one side lacks is left out; a zero parent value has no ratio."""
+    change/parent ratios' median and quartiles, the pair counts and the
+    no-regression verdicts. A metric one side lacks is left out; a zero
+    parent value has no ratio, and a metric with no bound no verdict."""
     bench = load_script("bench_pairs")
     parent = {"work_per_s": [10.0, 8.0, 12.0, 6.0],
               "setup_s": [2.0, 4.0, 1.0, 2.0],
@@ -89,7 +90,8 @@ def test_bench_pairs_summarizes_per_pair_ratios():
 
     pairs = [{"parent": side(parent, i), "change": side(change, i)}
              for i in range(4)]
-    summary = bench.summarize(pairs, {"setup_s": "lower"})
+    summary = bench.summarize(pairs, {"setup_s": "lower"},
+                              {"work_per_s": 0.24, "setup_s": 0.25})
     assert sorted(summary) == ["idle", "setup_s", "work_per_s"]
     work, setup = summary["work_per_s"], summary["setup_s"]
     assert work["parent"] == {"median": 9.0, "q1": 7.5, "q3": 10.5}
@@ -105,3 +107,23 @@ def test_bench_pairs_summarizes_per_pair_ratios():
     assert (setup["change_better"], setup["change_worse"],
             setup["ties"], setup["better"]) == (2, 1, 1, "lower")
     assert summary["idle"]["pair_ratio"] is None
+    # No-regression verdicts. The parent's interquartile spreads, 3/9 of
+    # its work_per_s median and 0.75/2 of its setup_s median, exceed the
+    # bounds, and some parent run beats some change run.
+    assert (work["verdict"], setup["verdict"]) == ("unresolved",
+                                                   "unresolved")
+    assert summary["idle"]["verdict"] is None        # no bound declared
+    # inside a 0.5 bound, work_per_s gains: 10.5 against 9
+    assert bench.verdict(parent["work_per_s"], change["work_per_s"],
+                         "higher", 0.5) == "within bound"
+    # no spread: 8 is 20% below 10, inside 0.24 and beyond 0.1
+    assert bench.verdict([10.0] * 4, [8.0] * 4, "higher", 0.24) \
+        == "within bound"
+    assert bench.verdict([10.0] * 4, [8.0] * 4, "higher", 0.1) \
+        == "beyond bound"
+    # 2.4 s is 20% above 2 s, beyond 0.1 when lower is better
+    assert bench.verdict([2.0] * 4, [2.4] * 4, "lower", 0.1) \
+        == "beyond bound"
+    # a spread wider than the bound, but every change run is better
+    assert bench.verdict([1.0, 2.0, 3.0, 4.0], [0.5, 0.6, 0.7, 0.8],
+                         "lower", 0.1) == "within bound"
