@@ -26,8 +26,13 @@ no-regression verdict: "within bound" when the change's median is worse
 than the parent's by at most that share of the parent's median, "beyond
 bound" when it is worse by more, and "unresolved" when the parent's own
 interquartile spread exceeds the bound, unless every change run beats
-every parent run. A run that exits nonzero or prints no JSON result stops
-the script.
+every parent run.
+
+Every metric also gets a gain verdict: "gain shown" when the change is
+better in at least nine tenths of all pairs, a tie counting for neither
+side, and the change's median is better than the parent's by more than
+the parent's interquartile range; "no gain shown" otherwise. A run that
+exits nonzero or prints no JSON result stops the script.
 """
 
 from __future__ import annotations
@@ -91,6 +96,17 @@ def verdict(parent: list[float], change: list[float], better: str,
     return "within bound" if worse <= allowed else "beyond bound"
 
 
+def gain(parent: list[float], change: list[float], better: str) -> str:
+    """The gain verdict on one metric's paired runs (see the module
+    docstring)."""
+    sign = -1.0 if better == "lower" else 1.0
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    base = spread(parent)
+    margin = sign * (spread(change)["median"] - base["median"])
+    shown = 10 * wins >= 9 * len(parent) and margin > base["q3"] - base["q1"]
+    return "gain shown" if shown else "no gain shown"
+
+
 def summarize(pairs: list[dict], better: dict[str, str],
               bounds: dict[str, float] | None = None) -> dict:
     names = [name for name in pairs[0]["parent"]["metrics"]
@@ -118,6 +134,8 @@ def summarize(pairs: list[dict], better: dict[str, str],
             "change_worse": sum(d < 0 for d in diffs),
             "ties": sum(d == 0 for d in diffs),
             "pairs": len(pairs),
+            "gain": gain(values["parent"], values["change"],
+                         better.get(name, "higher")),
             "verdict": (verdict(values["parent"], values["change"],
                                 better.get(name, "higher"), bounds[name])
                         if name in (bounds or {}) else None)}
@@ -177,7 +195,8 @@ def main(argv: list[str] | None = None) -> int:
         judged = "" if m["verdict"] is None else f", {m['verdict']}"
         print(f"{name}: {m['parent']['median']:.6g} -> "
               f"{m['change']['median']:.6g} {m['unit']}{per_pair}, change "
-              f"better in {m['change_better']} of {m['pairs']}{judged}",
+              f"better in {m['change_better']} of {m['pairs']}{judged}, "
+              f"{m['gain']}",
               file=sys.stderr)
     return 0
 

@@ -7,7 +7,12 @@ training curve, and the parameters in one versioned file; loading is
 bit-exact (save -> load -> save reproduces the identical byte stream), and
 every damaged file read here is refused with a CheckpointFormatError. The
 parameter section is tagged "qnet" in a checkpoint and "featurenet" as the
-whole of the reference feature net's asset.
+whole of the reference feature net's asset. A parameter block's values are
+parsed in one numpy call and the curve in one pass over its rows; where
+numpy might read a token otherwise than float(), or a row or value is
+damaged, the block or the curve is read again line by line with float(),
+which names the damaged line. Either way a file loads exactly when
+float() (int() for an episode number) reads every value, with its bits.
 
 All writes go through an atomic write-to-temp-then-rename so a crashed run
 never leaves a half-written artifact. Output roots resolve through the
@@ -22,7 +27,7 @@ import hashlib
 import os
 import tempfile
 import time
-from itertools import chain
+import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -141,6 +146,15 @@ def serialize_params(net: nn.ParamSet, kind: str = "qnet") -> str:
     return "\n".join(lines) + "\n"
 
 
+def _floats(line: str) -> list[float]:
+    return [float(v) for v in line.split()]
+
+
+def _curve_row(row: str) -> tuple[int, float]:
+    episode, ret = row.split()
+    return int(episode), float(ret)
+
+
 def _parsed(parse, raw: str, n: int):
     """parse(raw), with a ValueError refused as damage at file line n."""
     try:
@@ -149,23 +163,38 @@ def _parsed(parse, raw: str, n: int):
         raise CheckpointFormatError(f"bad value {raw!r} at line {n}") from None
 
 
+def _bulk_floats(text: str) -> np.ndarray | None:
+    """The whitespace-separated numbers of text in one numpy call, or None
+    where that call might not read each token as float() does: numpy
+    refuses '1_0' and non-ASCII digits, which float() accepts, reads
+    'nan(1)', which float() refuses, drops the sign of '-nan', and reads
+    whitespace alone as [-1]. So text with an 'n' (nan, inf) is left to
+    float(), and so is whitespace alone."""
+    if "n" in text or "N" in text or text.isspace():
+        return None
+    try:
+        # older numpy only warns on unmatched data and returns what it read
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.fromstring(text, sep=" ")
+    except (ValueError, DeprecationWarning):
+        return None
+
+
 def _read_array(lines: list[str], pos: int, name: str,
                 shape: tuple) -> tuple[np.ndarray, int]:
     """The array `name` at lines[pos] and the position after its values."""
     count = int(np.prod(shape))
     end = pos + 1 + -(-count // _VALUES_PER_LINE)
     chunk = lines[pos + 1:end]
-    try:
-        # line by line, so no more than one line's tokens are alive at a time
-        values = list(map(float, chain.from_iterable(map(str.split, chunk))))
-    except ValueError:   # name the first line holding a non-number
-        for n, line in enumerate(chunk, pos + 2):
-            _parsed(lambda raw: [float(v) for v in raw.split()], line, n)
-        raise
-    if lines[pos] != f"{name} {count}" or len(values) != count:
+    values = _bulk_floats(" ".join(chunk))
+    if values is None:   # float() line by line, naming the first bad line
+        values = np.array([v for n, line in enumerate(chunk, pos + 2)
+                           for v in _parsed(_floats, line, n)])
+    if lines[pos] != f"{name} {count}" or values.size != count:
         raise CheckpointFormatError(
             f"expected '{name} {count}' and its values at line {pos + 1}")
-    return np.array(values).reshape(shape), end
+    return values.reshape(shape), end
 
 
 def parse_params(lines: list[str], pos: int,
@@ -226,11 +255,6 @@ def checkpoint_id(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _curve_row(row: str) -> tuple[int, float]:
-    episode, ret = row.split()
-    return int(episode), float(ret)
-
-
 _FIELD_PARSERS = {"int": int, "float": float, "str": str,
                   "tuple[int, int, int]": lambda raw: tuple(
                       int(v) for v in raw.strip("()").split(",") if v.strip())}
@@ -275,8 +299,14 @@ def parse_checkpoint(text: str) -> Checkpoint:
     if pos >= len(lines) or not lines[pos].startswith("curve "):
         raise CheckpointFormatError("missing curve section")
     end = pos + 1 + _parsed(int, lines[pos].removeprefix("curve "), pos + 1)
-    curve = [_parsed(_curve_row, row, n)
-             for n, row in enumerate(lines[pos + 1:end], pos + 2)]
+    rows = lines[pos + 1:end]
+    try:
+        curve = [(int(episode), float(ret))
+                 for episode, ret in map(str.split, rows)]
+    except ValueError:   # name the first damaged row
+        for n, row in enumerate(rows, pos + 2):
+            _parsed(_curve_row, row, n)
+        raise
     params, pos = parse_params(lines, end, "qnet")
     if pos != len(lines) - 1:
         raise CheckpointFormatError(f"line {pos + 1} follows the parameters")

@@ -53,14 +53,19 @@ def _run_directory(cfg: config_mod.RunConfig, command: str,
 
 def _load_checkpoint_arg(cfg: config_mod.RunConfig,
                          path: str) -> tuple[ql.Checkpoint, str]:
-    """The checkpoint at path and its id; it must exist and have been
-    trained on the manifest's environment."""
+    """The checkpoint at path and its id; it must be a readable file and
+    have been trained on the manifest's environment."""
     if not path:
         raise config_mod.ConfigError(
             "a checkpoint is required (--checkpoint or probe.checkpoint)")
-    if not Path(path).exists():
-        raise config_mod.ConfigError(f"checkpoint not found: {path}")
-    ck, ck_id = cp.load_checkpoint(path)
+    try:
+        ck, ck_id = cp.load_checkpoint(path)
+    except FileNotFoundError:
+        raise config_mod.ConfigError(f"checkpoint not found: {path}") \
+            from None
+    except OSError as exc:   # a directory, no read permission, ...
+        raise config_mod.ConfigError(
+            f"cannot read checkpoint {path}: {exc.strerror or exc}") from None
     have, want = ck.env_spec, cfg.env
     if (have.env_id, have.size, have.seed) != (want.env_id, want.size,
                                                want.seed):

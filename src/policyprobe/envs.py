@@ -10,7 +10,10 @@ A PixelGrid layout (walls, goal, start cells) depends on the spec alone,
 so it is drawn once per spec and cached: every env made from one spec
 shares its read-only arrays, and only the agent's position is per env.
 Frames are uint8 cell grids upscaled by repeating each cell 3x3, with no
-float intermediate.
+float intermediate. A PixelGrid frame depends only on the spec and the
+agent's cell, so each is rendered once, kept read-only with its layout,
+and handed out as a fresh writable copy; an episode's start cell depends
+only on the spec and the episode seed, so its seeded draw is cached too.
 
 Rewards:
   PixelGrid  +1 on the step that reaches the goal (terminal), -0.01 otherwise
@@ -24,7 +27,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -140,6 +143,18 @@ class _GridLayout:
     starts: tuple[tuple[int, int], ...]  # floor cells but the goal, row-major
     background: Array                    # (n, n) uint8 shades without the
                                          # agent, read-only
+    # agent cell -> its rendered frame, read-only; filled as cells are seen
+    frames: dict[tuple[int, int], Array] = field(default_factory=dict)
+
+    def frame(self, pos: tuple[int, int]) -> Array:
+        """The read-only frame with the agent at pos, rendered once."""
+        frame = self.frames.get(pos)
+        if frame is None:
+            cells = self.background.copy()
+            cells[pos] = SHADE_AGENT
+            frame = self.frames[pos] = _render_cells(cells)
+            frame.flags.writeable = False
+        return frame
 
 
 @functools.lru_cache(maxsize=None)
@@ -169,7 +184,11 @@ def _grid_layout(spec: EnvSpec) -> _GridLayout:
     raise RuntimeError("could not draw a connected wall layout")
 
 
+@functools.lru_cache(maxsize=4096)
 def _grid_start(spec: EnvSpec, episode_seed: int) -> tuple[int, int]:
+    """The episode's start cell: a seeded draw over the layout's starts,
+    cached because the seeded generator costs more to build than a short
+    episode takes to step."""
     starts = _grid_layout(spec).starts
     rng = np.random.default_rng([spec.seed, 13, episode_seed])
     return starts[rng.integers(len(starts))]
@@ -186,15 +205,13 @@ class PixelGridEnv:
         self.spec = spec
         layout = _grid_layout(spec)
         self.walls, self.goal = layout.walls, layout.goal
-        self._background = layout.background
+        self._layout = layout
         self.pos: tuple[int, int] | None = None
         self.step_index = 0
         self.terminal = True
 
     def _observe(self) -> Array:
-        cells = self._background.copy()
-        cells[self.pos] = SHADE_AGENT
-        return _render_cells(cells)
+        return self._layout.frame(self.pos).copy()
 
     def reset(self, episode_seed: int) -> Array:
         self.pos = _grid_start(self.spec, episode_seed)

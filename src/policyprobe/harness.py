@@ -32,6 +32,14 @@ repeat gets the very bits a recomputation would. A policy that loses its
 way loops over a few cells until the step cap, so most steps are repeats.
 A sweep keeps one grid value's views alive at a time, at most runs x
 episode_cap x policies entries.
+
+A view's similarity compares the reference featurenet's activations of
+the view and of the clean observation, and the clean side does not depend
+on the direction. So lpips reads it from a clean_features dict keyed on
+the observation's bytes, which one `sweep` call shares across its grid
+values and policies. It holds one entry per distinct clean observation
+the sweep scores, 34 kB each on an 8x8 PixelGrid, and lives as long as the
+call: it is not kept per process, where it would grow without bound.
 """
 
 from __future__ import annotations
@@ -131,11 +139,13 @@ Views = dict[bytes, tuple[Array, float, bool, float]]
 
 
 def view(params: nn.ParamSet, obs: Array, direction: Direction,
-         views: Views) -> tuple[Array, float, bool, float]:
+         views: Views, clean_features: perceptual.Features | None = None,
+         ) -> tuple[Array, float, bool, float]:
     """What the policy sees at one observation: the perturbed or attacked
     view, the attack's distance and success, and the view's similarity to
     the observation under the reference featurenet. Read from `views`, or
-    computed and stored there."""
+    computed and stored there. `clean_features` is lpips's memo of the
+    observation's features (see the module docstring)."""
     key = obs.tobytes()
     if key not in views:
         if isinstance(direction, perturb.PerturbationSpec):
@@ -150,7 +160,7 @@ def view(params: nn.ParamSet, obs: Array, direction: Direction,
                                      f"({dist} > {direction.epsilon})")
         sim = (0.0 if np.array_equal(viewed, obs)
                else perceptual.lpips(perceptual.reference_featurenet(),
-                                     obs, viewed))
+                                     obs, viewed, clean_features))
         views[key] = viewed, dist, success, sim
     return views[key]
 
@@ -158,16 +168,20 @@ def view(params: nn.ParamSet, obs: Array, direction: Direction,
 def probe_episode(params: nn.ParamSet, spec: EnvSpec, direction: Direction,
                   episode_seed: int, views: Views | None = None,
                   actions: dict[bytes, int] | None = None,
+                  clean_features: perceptual.Features | None = None,
                   ) -> tuple[float, float, int, list[tuple[Array, int]]]:
     """One rollout with the policy viewing perturbed observations.
 
     Returns (total reward, mean per-step similarity, env steps taken,
     trace), the trace being each step's (true observation, action); each
-    observation's view and scores are in `views`. `views` and `actions`
-    are the memos of the module docstring, keyed on observation bytes. A
-    caller may share them across episodes: `views` along one direction
-    (and, for an attack, one policy), `actions` for one policy along one
-    direction. Each defaults to a fresh dict for this episode.
+    observation's view and scores are in `views`. `views`, `actions` and
+    `clean_features` are the memos of the module docstring, keyed on
+    observation bytes. A caller may share them across episodes: `views`
+    along one direction (and, for an attack, one policy), `actions` for one
+    policy along one direction, `clean_features` across directions and
+    policies. `views` and `actions` default to a fresh dict for this
+    episode; without `clean_features`, each distinct observation's
+    features are computed once per direction, through `views`.
     """
     views = {} if views is None else views
     actions = {} if actions is None else actions
@@ -179,8 +193,11 @@ def probe_episode(params: nn.ParamSet, spec: EnvSpec, direction: Direction,
     first: dict[bytes, Array] = {}   # one array per state, shared by repeats
     terminal = False
     while not terminal:
-        viewed, _, _, sim = view(params, obs, direction, views)
         key = obs.tobytes()
+        seen = views.get(key)
+        if seen is None:
+            seen = view(params, obs, direction, views, clean_features)
+        viewed, _, _, sim = seen
         if key not in actions:
             actions[key] = greedy_action(params, viewed)
         action = actions[key]
@@ -229,6 +246,7 @@ def probe(params: nn.ParamSet, spec: EnvSpec, direction: Direction,
           checkpoint_id: str = "",
           clean_scores: Array | None = None,
           views: Views | None = None,
+          clean_features: perceptual.Features | None = None,
           ) -> ProbeReport:
     """Probe a policy along one direction with paired clean runs.
 
@@ -237,7 +255,8 @@ def probe(params: nn.ParamSet, spec: EnvSpec, direction: Direction,
     avoid re-rolling the baseline across many probes. Every run shares one
     views dict and one actions dict (see the module docstring); a caller
     may pass `views` it filled along the same direction, against the same
-    policy if the direction is an attack.
+    policy if the direction is an attack, and `clean_features` it shares
+    across directions.
     """
     if runs < 1:
         raise ValueError("need at least one run")
@@ -251,7 +270,7 @@ def probe(params: nn.ParamSet, spec: EnvSpec, direction: Direction,
     records = []
     for seed in seeds:
         score, sim, steps, _ = probe_episode(params, spec, direction, seed,
-                                             views, actions)
+                                             views, actions, clean_features)
         records.append(RunRecord(seed, score, sim, steps))
     return aggregate(direction, spec, records, float(np.mean(clean_scores)),
                      checkpoint_id)
@@ -285,7 +304,8 @@ def sweep(policies: list[tuple[str, nn.ParamSet]], spec: EnvSpec, family: str,
     policy, in policy order, and shared across the grid; a policy whose
     clean baseline sits at the fixed minimum is refused by name before any
     grid point is probed. Policy names must be unique. The policies share
-    one views dict per grid value (see the module docstring).
+    one views dict per grid value, and the whole sweep one clean_features
+    dict (see the module docstring).
     """
     if any(b >= a for a, b in zip(values[1:], values)):
         raise ValueError("sweep grid must be strictly increasing")
@@ -302,12 +322,14 @@ def sweep(policies: list[tuple[str, nn.ParamSet]], spec: EnvSpec, family: str,
         check_baseline(float(np.mean(clean)), spec.score_min, name)
         cleans.append(clean)
     reports: dict[tuple[str, float], ProbeReport] = {}
+    clean_features: perceptual.Features = {}
     for value in values:
         direction = perturb.spec_with(family, parameter, value)
         views: Views = {}
         for (name, params), clean in zip(policies, cleans):
             reports[(name, value)] = probe(params, spec, direction, runs,
                                            ids.get(name, ""),
-                                           clean_scores=clean, views=views)
+                                           clean_scores=clean, views=views,
+                                           clean_features=clean_features)
     return {(name, float(value)): reports[(name, value)]
             for name in names for value in values}

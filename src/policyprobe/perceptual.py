@@ -18,7 +18,9 @@ net read-only with every caller. Observations are
 area-resampled to the net's fixed 36x36 grayscale input; the resample
 visits only each output cell's few nonzero taps, in the order of the dense
 contraction, so it matches that contraction bit for bit (see
-area_resample).
+area_resample). A caller that scores many views of the same clean
+observations passes lpips a dict that memoizes the clean side's
+activations (see lpips and the harness module docstring).
 """
 
 from __future__ import annotations
@@ -157,13 +159,32 @@ def normalized_activations(fnet: nn.ParamSet, s: Array) -> list[Array]:
     return [_unit_normalize(a) for a in acts]
 
 
-def lpips(fnet: nn.ParamSet, s1: Array, s2: Array) -> float:
-    """The perceptual distance; symmetric, nonnegative, zero at identity."""
+# observation (shape, bytes) -> its normalized_activations under one fnet
+Features = dict[tuple[tuple[int, ...], bytes], list[Array]]
+
+
+def lpips(fnet: nn.ParamSet, s1: Array, s2: Array,
+          clean_features: Features | None = None) -> float:
+    """The perceptual distance; symmetric, nonnegative, zero at identity.
+
+    `clean_features`, when given, memoizes the first observation's
+    activations under `fnet`: they are read from it, or computed and stored
+    there. A caller that scores many views of few clean observations (see
+    harness) passes one dict for all of them, and only for this fnet. The
+    forward pass runs at batch size 1 either way, so a read-back holds the
+    very bits a recomputation would.
+    """
     s1 = np.asarray(s1, dtype=np.float64)
     s2 = np.asarray(s2, dtype=np.float64)
     if s1.shape != s2.shape:
         raise ValueError(f"shape mismatch: {s1.shape} vs {s2.shape}")
-    y1 = normalized_activations(fnet, s1)
+    if clean_features is None:
+        y1 = normalized_activations(fnet, s1)
+    else:
+        key = s1.shape, s1.tobytes()
+        y1 = clean_features.get(key)
+        if y1 is None:
+            y1 = clean_features[key] = normalized_activations(fnet, s1)
     y2 = normalized_activations(fnet, s2)
     total = 0.0
     for a1, a2 in zip(y1, y2):

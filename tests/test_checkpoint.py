@@ -7,6 +7,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from policyprobe import checkpoint as cp
 from policyprobe import harness as hz
@@ -108,6 +110,121 @@ def test_parse_names_the_damaged_line(pattern, replacement, message):
     with pytest.raises(cp.CheckpointFormatError,
                        match=re.escape(message or f"at line {n}")):
         cp.parse_checkpoint(damaged)
+
+
+# ---------------------------------------------------------------------------
+# The value grammar: exactly float()'s, in bulk or line by line
+# ---------------------------------------------------------------------------
+
+def with_first_value(text, head, token):
+    """text with the first value under the line `head` replaced by token;
+    and that line's number."""
+    lines = text.splitlines()
+    n = lines.index(head) + 2
+    lines[n - 1] = " ".join([token, *lines[n - 1].split()[1:]])
+    return "\n".join(lines) + "\n", n
+
+
+def first_kernel_head(text):
+    return next(ln for ln in text.splitlines() if ln.startswith("kernel "))
+
+
+@pytest.mark.parametrize("token,value", [
+    ("1_0", 10.0), ("\u0661\u0662", 12.0), ("-0.5e-1_0", -0.5e-10),
+    ("\u0665.\u0662", 5.2)])
+def test_tokens_float_reads_but_strtod_does_not_still_parse(token, value):
+    """float() reads digit-group underscores and non-ASCII digits, which a
+    C strtod (and so numpy's bulk parse) refuses: such a file still loads,
+    with float()'s value, as a parameter value or in a curve row."""
+    text = cp.serialize_checkpoint(tiny_checkpoint())
+    damaged, _ = with_first_value(text, first_kernel_head(text), token)
+    kernel = cp.parse_checkpoint(damaged).params.layers[0].weight
+    assert kernel.ravel()[0] == value
+    assert kernel.ravel()[1:].tobytes() == tiny_checkpoint().params.layers[
+        0].weight.ravel()[1:].tobytes()
+    row = text.replace("\n2 0.80000000000000004\n", f"\n2 {token}\n")
+    assert row != text
+    assert cp.parse_checkpoint(row).curve[2] == (2, value)
+    episode = text.replace("\n2 0.8", "\n\u0662 0.8")
+    assert cp.parse_checkpoint(episode).curve[2] == (2, 0.8)
+
+
+@pytest.mark.parametrize("token", ["0x10", "nan(1)", "1e", "1-2", "--1"])
+def test_tokens_float_refuses_are_refused_at_their_line(token):
+    """strtod reads '0x10' as 16 and numpy reads 'nan(1)' as nan; float()
+    refuses both, and so does the parser, naming the line."""
+    text = cp.serialize_checkpoint(tiny_checkpoint())
+    damaged, n = with_first_value(text, first_kernel_head(text), token)
+    with pytest.raises(cp.CheckpointFormatError, match=f"at line {n}$"):
+        cp.parse_checkpoint(damaged)
+
+
+def test_negative_nan_keeps_its_sign():
+    """numpy's bulk parse drops the sign of '-nan'; float() keeps it."""
+    text = cp.serialize_checkpoint(tiny_checkpoint())
+    damaged, _ = with_first_value(text, first_kernel_head(text), "-nan")
+    value = cp.parse_checkpoint(damaged).params.layers[0].weight.ravel()[0]
+    assert np.array([value]).tobytes() == np.array([float("-nan")]).tobytes()
+
+
+def test_a_blank_value_line_is_not_read_as_minus_one():
+    """numpy reads whitespace alone as [-1]; a one-value block whose value
+    line is blank is refused."""
+    net = nn.ParamSet([nn.DenseLayer(np.ones((1, 2)), np.zeros(1),
+                                     "identity")])
+    lines = cp.serialize_params(net).splitlines()
+    assert lines[-3:] == ["bias 1", "0", "end"]
+    lines[-2] = " "
+    with pytest.raises(cp.CheckpointFormatError, match="'bias 1'"):
+        cp.parse_params(lines, 0, "qnet")
+
+
+def test_curve_rows_are_refused_one_by_one():
+    """A 3-token row followed by a 1-token row keeps the section's token
+    count; the first of them is refused."""
+    text = cp.serialize_checkpoint(tiny_checkpoint())
+    lines = text.splitlines()
+    n = lines.index("1 0.25") + 1
+    assert lines[n] == "2 0.80000000000000004"
+    lines[n - 1], lines[n] = "1 0.25 2", "0.80000000000000004"
+    with pytest.raises(cp.CheckpointFormatError,
+                       match=f"bad value '1 0.25 2' at line {n}$"):
+        cp.parse_checkpoint("\n".join(lines) + "\n")
+
+
+TINY_TEXT = cp.serialize_checkpoint(tiny_checkpoint())
+TINY_LINES = tuple(TINY_TEXT.splitlines())
+
+
+def reference_values(chunk):
+    """The values float() reads token by token, or None if it refuses one."""
+    try:
+        return np.array([float(v) for line in chunk for v in line.split()])
+    except ValueError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(alphabet="0123456789.eE+-_ naifNIF()x\t\u0661",
+                        max_size=9), min_size=1, max_size=3))
+def test_bulk_values_agree_with_float_token_by_token(tokens):
+    """Any damage to a value line: the parser accepts exactly when float()
+    reads every token and the count holds, with float()'s bits."""
+    lines = list(TINY_LINES)
+    head = first_kernel_head(TINY_TEXT)
+    n = lines.index(head) + 2
+    rest = lines[n - 1].split()[len(tokens):]
+    lines[n - 1] = " ".join([*tokens, *rest])
+    count = int(head.split()[1])
+    chunk = lines[n - 1:n - 1 + -(-count // 8)]
+    expected = reference_values(chunk)
+    try:
+        got, _ = cp._read_array(lines, n - 2, "kernel", (count,))
+    except cp.CheckpointFormatError:
+        assert expected is None or expected.size != count
+    else:
+        assert expected is not None
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_parse_rejects_unknown_fields():

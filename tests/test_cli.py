@@ -276,6 +276,55 @@ def test_probe_rejects_missing_checkpoint_file(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def unreadable_checkpoint_run(tmp_path, command, ck_path):
+    """probe or sweep argv whose one checkpoint is ck_path."""
+    if command == "probe":
+        cfgp = probe_manifest(tmp_path, {"family": "identity"})
+        return ["probe", "--config", cfgp, "--checkpoint", ck_path]
+    cfgp = manifest(tmp_path, {"sweep": {
+        "family": "median_blur", "parameter": "kernel", "values": [1, 3],
+        "policies": {"vanilla": VANILLA, "other": ck_path}, "runs": 2}})
+    return ["sweep", "--config", cfgp]
+
+
+@pytest.mark.parametrize("command", ["probe", "sweep"])
+def test_a_directory_as_checkpoint_is_a_one_line_error(tmp_path, capsys,
+                                                       command):
+    """A directory passed the old exists() check: probe ended in an
+    IsADirectoryError traceback and sweep exited 1."""
+    folder = tmp_path / "ck_folder"
+    folder.mkdir()
+    out = tmp_path / "out"
+    argv = unreadable_checkpoint_run(tmp_path, command, str(folder))
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot read checkpoint {folder}: Is a directory\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["probe", "sweep"])
+def test_an_unreadable_checkpoint_is_a_one_line_error(tmp_path, capsys,
+                                                      monkeypatch, command):
+    """Any OSError of the read, here a refused permission, which a root
+    user would not meet with chmod."""
+    locked = tmp_path / "locked.txt"
+    locked.write_text("checkpoint v1\n")
+    read_text = type(locked).read_text
+
+    def refusing(path, *args, **kwargs):
+        if path == locked:
+            raise PermissionError(13, "Permission denied", str(path))
+        return read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(type(locked), "read_text", refusing)
+    out = tmp_path / "out"
+    argv = unreadable_checkpoint_run(tmp_path, command, str(locked))
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot read checkpoint {locked}: Permission denied\n")
+    assert not out.exists()
+
+
 def test_probe_names_the_damaged_checkpoint_file(tmp_path, capsys):
     """A sweep loads one checkpoint per policy, so the error names the file
     as well as the line; it used to read "bad value '1 oops' at line 36"."""

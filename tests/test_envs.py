@@ -180,6 +180,73 @@ def test_pixelgrid_layout_is_shared_and_read_only():
     assert_same_frame(b.step(0).observation, pixelgrid_reference(b))
 
 
+def rendered(spec, pos):
+    """The frame with the agent at pos, rendered directly."""
+    cells = envs._grid_layout(spec).background.copy()
+    cells[pos] = envs.SHADE_AGENT
+    return envs._render_cells(cells)
+
+
+def assert_fresh_frame(frame, spec, pos):
+    assert frame.flags.writeable
+    assert_same_frame(frame, rendered(spec, pos))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pixelgrid_frames_are_fresh_copies_of_each_cells_render(seed):
+    """Frames are rendered once per (spec, agent cell): reset and step
+    still hand out a writable array of their own, equal to a direct render,
+    on every floor cell: reset on every start, step on every cell one move
+    from a start (the goal included)."""
+    spec = make_spec("pixelgrid", size=8, seed=seed)
+    env = make_env(spec)
+    floor = {tuple(int(v) for v in p) for p in np.argwhere(~env.walls)}
+    starts = floor - {env.goal}
+    by_reset, by_step = set(), set()
+    for episode_seed in range(2000):
+        assert_fresh_frame(env.reset(episode_seed), spec, env.pos)
+        if env.pos in by_reset:
+            continue
+        by_reset.add(env.pos)
+        for action in range(spec.n_actions):
+            env.reset(episode_seed)
+            assert_fresh_frame(env.step(action).observation, spec, env.pos)
+            by_step.add(env.pos)
+        if by_reset == starts:
+            break
+    assert by_reset == starts and by_step == floor
+
+
+def test_writing_into_a_frame_leaves_the_next_frame_unchanged():
+    spec = make_spec("pixelgrid", size=8, seed=0)
+    env = make_env(spec)
+    first = env.reset(0)
+    start = env.pos
+    first[:] = 7
+    assert_fresh_frame(env.reset(0), spec, start)
+    assert_fresh_frame(make_env(spec).reset(0), spec, start)
+    # a step that stays on the cell, or one there and one back
+    for action in range(spec.n_actions):
+        obs = env.step(action).observation
+        obs[:] = 9
+        if env.pos != start:
+            back = {0: 1, 1: 0, 2: 3, 3: 2}[action]
+            env.step(back).observation[:] = 11
+        assert env.pos == start
+        assert_fresh_frame(env.step(action).observation, spec, env.pos)
+        env.reset(0)
+
+
+def test_grid_start_cache_matches_an_uncached_draw():
+    for spec_seed in (0, 3):
+        spec = make_spec("pixelgrid", size=8, seed=spec_seed)
+        uncached = [envs._grid_start.__wrapped__(spec, episode_seed)
+                    for episode_seed in range(500)]
+        for _ in range(2):    # the first draws, then the cached ones
+            assert [envs._grid_start(spec, episode_seed)
+                    for episode_seed in range(500)] == uncached
+
+
 # ---------------------------------------------------------------------------
 # PixelGrid
 # ---------------------------------------------------------------------------

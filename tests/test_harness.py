@@ -415,7 +415,8 @@ def test_sweep_computes_once_per_distinct_direction_and_observation(
     monkeypatch.setattr(perturb, "apply", _recording(
         views, perturb.apply, lambda d, obs: (d, obs.tobytes())))
     monkeypatch.setattr(perceptual, "lpips", _recording(
-        sims, perceptual.lpips, lambda f, a, b: (a.tobytes(), b.tobytes())))
+        sims, perceptual.lpips,
+        lambda f, a, b, clean_features: (a.tobytes(), b.tobytes())))
     monkeypatch.setattr(hz, "greedy_action", _recording(
         acts, hz.greedy_action, lambda p, v: (id(p), v.tobytes())))
     reports = hz.sweep(policies, spec, **grid)
@@ -433,6 +434,36 @@ def test_sweep_computes_once_per_distinct_direction_and_observation(
     steps = sum(run.episode_length for rep in reports.values()
                 for run in rep.runs)
     assert len(sims) < steps / 4      # the memo shares across the sweep
+
+
+def _f64_bytes(obs):
+    """An observation's bytes as lpips passes it to the featurenet."""
+    return np.asarray(obs, dtype=np.float64).tobytes()
+
+
+def test_sweep_computes_each_clean_observations_features_once(
+        vanilla_checkpoint, radial_checkpoint, monkeypatch):
+    """One clean_features memo serves the whole sweep: the featurenet runs
+    once per distinct clean observation, across grid values and policies,
+    and once per scored view."""
+    policies = [("vanilla", vanilla_checkpoint[0].params),
+                ("radial", radial_checkpoint[0].params)]
+    spec = vanilla_checkpoint[0].env_spec
+    passes, scored = [], []
+    monkeypatch.setattr(perceptual, "normalized_activations", _recording(
+        passes, perceptual.normalized_activations,
+        lambda f, s: s.tobytes()))
+    monkeypatch.setattr(perceptual, "lpips", _recording(
+        scored, perceptual.lpips, lambda f, a, b, clean_features: (
+            _f64_bytes(a), _f64_bytes(b), id(clean_features))))
+    hz.sweep(policies, spec, family="brightness_contrast", parameter="beta",
+             values=[10.0, 20.0, 30.0], runs=4)
+    clean = {a for a, _, _ in scored}
+    views = [b for _, b, _ in scored]
+    assert len({memo for _, _, memo in scored}) == 1
+    assert len(passes) == len(clean) + len(views)
+    assert sorted(passes) == sorted([*clean, *views])
+    assert len(clean) < len(scored) / 2   # most scores reuse a clean side
 
 
 def test_attack_views_stay_with_their_policy(vanilla_checkpoint,

@@ -130,6 +130,33 @@ def test_distance_rejects_shape_mismatch(fnet, rng):
         pc.lpips(fnet, noise(rng, 16, 16), noise(rng, 8, 8))
 
 
+def test_clean_features_memo_reads_back_the_same_bits(fnet, rng,
+                                                    monkeypatch):
+    """With a clean_features dict, the first observation's features are
+    computed on its first distance only and keyed by its shape and bytes;
+    every distance equals the memo-free one bit for bit."""
+    clean, views = noise(rng), [noise(rng) for _ in range(3)]
+    expected = [pc.lpips(fnet, clean, v) for v in views]
+    passes = []
+    forward = pc.normalized_activations
+
+    def recording(f, s):
+        passes.append(s.tobytes())
+        return forward(f, s)
+
+    monkeypatch.setattr(pc, "normalized_activations", recording)
+    memo: pc.Features = {}
+    got = [pc.lpips(fnet, clean, v, memo) for v in views]
+    assert np.array(got).tobytes() == np.array(expected).tobytes()
+    key = clean.shape, np.asarray(clean, dtype=np.float64).tobytes()
+    assert list(memo) == [key]
+    assert passes == [key[1], *(v.tobytes() for v in views)]
+    # the same bytes in another shape are another observation
+    flat = clean.reshape(1, -1, 1)
+    pc.lpips(fnet, flat, views[0].reshape(1, -1, 1), memo)
+    assert len(memo) == 2
+
+
 def test_unit_normalization_properties(rng):
     act = rng.normal(size=(5, 5, 7))
     unit = pc._unit_normalize(act)

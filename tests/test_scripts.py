@@ -72,9 +72,10 @@ def test_spectrum_suite_writes_what_the_spectrum_command_writes(tmp_path):
 
 def test_bench_pairs_summarizes_per_pair_ratios():
     """Hand values: each side's median and quartiles, the per-pair
-    change/parent ratios' median and quartiles, the pair counts and the
-    no-regression verdicts. A metric one side lacks is left out; a zero
-    parent value has no ratio, and a metric with no bound no verdict."""
+    change/parent ratios' median and quartiles, the pair counts, the
+    no-regression verdicts and the gain verdicts. A metric one side lacks
+    is left out; a zero parent value has no ratio, and a metric with no
+    bound no no-regression verdict."""
     bench = load_script("bench_pairs")
     parent = {"work_per_s": [10.0, 8.0, 12.0, 6.0],
               "setup_s": [2.0, 4.0, 1.0, 2.0],
@@ -127,3 +128,24 @@ def test_bench_pairs_summarizes_per_pair_ratios():
     # a spread wider than the bound, but every change run is better
     assert bench.verdict([1.0, 2.0, 3.0, 4.0], [0.5, 0.6, 0.7, 0.8],
                          "lower", 0.1) == "within bound"
+    # Gain verdicts, on every metric: the change wins 2, 2 and 1 of 4
+    # pairs here
+    assert [summary[name]["gain"] for name in ("work_per_s", "setup_s",
+                                               "idle")] == ["no gain shown"] * 3
+    # parent median 12, quartiles 11 and 13: a spread of 2
+    base = [10.0, 11.0, 12.0, 13.0, 14.0] * 2
+    assert bench.spread(base) == {"median": 12.0, "q1": 11.0, "q3": 13.0}
+    up = [v + 3.0 for v in base]     # wins 10 of 10, by 3 at the median
+    assert bench.gain(base, up, "higher") == "gain shown"
+    assert bench.gain(up, base, "lower") == "gain shown"
+    assert bench.gain(base, up, "lower") == "no gain shown"
+    # every pair won, but by 2 at the median: not beyond the spread
+    assert bench.gain(base, [v + 2.0 for v in base], "higher") \
+        == "no gain shown"
+    # 9 of 10 won, one tie: shown; 8 of 10 won, two ties or a loss: not
+    one_tie = [base[0], *up[1:]]
+    assert bench.gain(base, one_tie, "higher") == "gain shown"
+    assert bench.gain(base, [*base[:2], *up[2:]], "higher") \
+        == "no gain shown"
+    assert bench.gain(base, [0.0, base[1], *up[2:]], "higher") \
+        == "no gain shown"
