@@ -2,10 +2,13 @@
 
 The similarity metric reads fixed random conv weights from
 src/policyprobe/assets/featurenet_v1.txt so that every install computes
-identical distances.  This script rebuilds that file from the seed and
-verifies it matches what is already shipped (use --force to overwrite a
-mismatch on purpose, e.g. after changing the architecture and bumping
-the version string).
+identical distances.  The file is a `paramset v2` section of kind
+featurenet (see the checkpoint module): a header per layer and one line
+of base64 little-endian float64 bytes per array.  This script rebuilds
+the weights from the seed, serializes them, and compares that text with
+the shipped file byte for byte, so equal text means bit-equal weights
+(use --force to overwrite a mismatch on purpose, e.g. after changing the
+architecture and bumping the version string).
 
 Usage: python scripts/make_featurenet_asset.py [--force]
 """

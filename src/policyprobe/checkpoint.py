@@ -1,18 +1,20 @@
 """On-disk formats: checkpoints and their parameter section, reports, CSV
 tables, PGM dumps. This module both writes and reads each of them.
 
-Everything is plain text; every value goes through `_format_value`.
 Checkpoints embed the environment spec, the full training config, the
 training curve, and the parameters in one versioned file; loading is
 bit-exact (save -> load -> save reproduces the identical byte stream), and
 every damaged file read here is refused with a CheckpointFormatError. The
+config lines are decimal text, as is every value of the other files (see
+`_format_value`). Every array is one block line,
+
+    <name> <count> <base64 of its little-endian float64 bytes>
+
+with the curve's episode numbers as int64; shapes come from the layer
+headers. A block loads when its base64 is valid, its bytes hold count
+values and each is finite; otherwise the error names its line. The
 parameter section is tagged "qnet" in a checkpoint and "featurenet" as the
-whole of the reference feature net's asset. A parameter block's values are
-parsed in one numpy call and the curve in one pass over its rows; where
-numpy might read a token otherwise than float(), or a row or value is
-damaged, the block or the curve is read again line by line with float(),
-which names the damaged line. Either way a file loads exactly when
-float() (int() for an episode number) reads every value, with its bits.
+whole of the reference feature net's asset.
 
 All writes go through an atomic write-to-temp-then-rename so a crashed run
 never leaves a half-written artifact. Output roots resolve through the
@@ -22,12 +24,12 @@ repeated commands never collide or overwrite.
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import hashlib
 import os
 import tempfile
 import time
-import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -41,9 +43,8 @@ if TYPE_CHECKING:   # harness imports perceptual, which imports this module
     from .harness import ProbeReport
     from .spectral import BandDelta
 
-CHECKPOINT_VERSION = "checkpoint v1"
-PARAMSET_FORMAT_VERSION = 1
-_VALUES_PER_LINE = 8
+CHECKPOINT_VERSION = "checkpoint v2"
+PARAMSET_FORMAT_VERSION = 2
 OUTPUT_ROOT_ENV = "POLICYPROBE_OUT"
 DEFAULT_OUTPUT_ROOT = "runs"
 
@@ -109,8 +110,8 @@ def run_directory(command: str, root: Path | None = None) -> Path:
 # ---------------------------------------------------------------------------
 
 def _format_value(value) -> str:
-    """One value of any file written here: floats at 17 significant digits,
-    which round-trip (inf is "inf"), and bools as 0/1."""
+    """One decimal value of any file written here: floats at 17 significant
+    digits, which round-trip (inf is "inf"), and bools as 0/1."""
     if isinstance(value, (bool, np.bool_)):
         return str(int(value))
     if isinstance(value, float):
@@ -118,83 +119,55 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _emit_array(lines: list[str], name: str, arr: np.ndarray) -> None:
-    flat = arr.ravel()
-    lines.append(f"{name} {flat.size}")
-    for i in range(0, flat.size, _VALUES_PER_LINE):
-        lines.append(" ".join(map(_format_value,
-                                  flat[i:i + _VALUES_PER_LINE].tolist())))
+def _block_line(name: str, arr, dtype: str = "<f8") -> str:
+    """One array as a block line: its name, its size and the base64 of its
+    little-endian bytes."""
+    data = np.ascontiguousarray(arr, dtype).tobytes()
+    return f"{name} {np.size(arr)} {base64.b64encode(data).decode()}"
+
+
+def _read_block(lines: list[str], pos: int, name: str, shape: tuple | None,
+                dtype: str = "<f8") -> np.ndarray:
+    """The array on the block line lines[pos], writable and native, of the
+    given shape (None: 1-d, of the size the line states). Refuses another
+    name, damaged base64, a size the bytes or the shape do not match, and
+    non-finite values, naming the line."""
+    count = None if shape is None else int(np.prod(shape))
+    try:
+        head, size, data = lines[pos].split(" ", 2)
+        values = np.frombuffer(base64.b64decode(data, validate=True), dtype)
+    except (IndexError, ValueError):
+        values = None
+    if values is None or (head, size) != (name, str(values.size)) \
+            or count not in (None, values.size):
+        of_count = "" if count is None else f" of {count} values"
+        raise CheckpointFormatError(
+            f"expected the {name} block{of_count} at line {pos + 1}")
+    if not np.isfinite(values).all():
+        raise CheckpointFormatError(
+            f"non-finite {name} value at line {pos + 1}")
+    return values.astype(dtype[1:]).reshape(shape or -1)
 
 
 def serialize_params(net: nn.ParamSet, kind: str = "qnet") -> str:
-    """Row-major decimal text encoding; round-trips bit-exactly."""
+    """A layer header per layer, then one block line per array; row-major,
+    round-trips bit-exactly."""
     lines = [f"paramset v{PARAMSET_FORMAT_VERSION} kind={kind}",
              f"layers {len(net.layers)}"]
     for i, lay in enumerate(net.layers):
         if isinstance(lay, nn.DenseLayer):
             lines.append(f"layer {i} dense in {lay.in_features} "
                          f"out {lay.out_features} activation {lay.activation}")
-            _emit_array(lines, "weight", lay.weight)
+            lines.append(_block_line("weight", lay.weight))
         else:
             kh, kw, cin, cout = lay.weight.shape
             lines.append(f"layer {i} conv kh {kh} kw {kw} cin {cin} "
                          f"cout {cout} stride {lay.stride} pad {lay.padding} "
                          f"activation {lay.activation}")
-            _emit_array(lines, "kernel", lay.weight)
-        _emit_array(lines, "bias", lay.bias)
+            lines.append(_block_line("kernel", lay.weight))
+        lines.append(_block_line("bias", lay.bias))
     lines.append("end")
     return "\n".join(lines) + "\n"
-
-
-def _floats(line: str) -> list[float]:
-    return [float(v) for v in line.split()]
-
-
-def _curve_row(row: str) -> tuple[int, float]:
-    episode, ret = row.split()
-    return int(episode), float(ret)
-
-
-def _parsed(parse, raw: str, n: int):
-    """parse(raw), with a ValueError refused as damage at file line n."""
-    try:
-        return parse(raw)
-    except ValueError:
-        raise CheckpointFormatError(f"bad value {raw!r} at line {n}") from None
-
-
-def _bulk_floats(text: str) -> np.ndarray | None:
-    """The whitespace-separated numbers of text in one numpy call, or None
-    where that call might not read each token as float() does: numpy
-    refuses '1_0' and non-ASCII digits, which float() accepts, reads
-    'nan(1)', which float() refuses, drops the sign of '-nan', and reads
-    whitespace alone as [-1]. So text with an 'n' (nan, inf) is left to
-    float(), and so is whitespace alone."""
-    if "n" in text or "N" in text or text.isspace():
-        return None
-    try:
-        # older numpy only warns on unmatched data and returns what it read
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            return np.fromstring(text, sep=" ")
-    except (ValueError, DeprecationWarning):
-        return None
-
-
-def _read_array(lines: list[str], pos: int, name: str,
-                shape: tuple) -> tuple[np.ndarray, int]:
-    """The array `name` at lines[pos] and the position after its values."""
-    count = int(np.prod(shape))
-    end = pos + 1 + -(-count // _VALUES_PER_LINE)
-    chunk = lines[pos + 1:end]
-    values = _bulk_floats(" ".join(chunk))
-    if values is None:   # float() line by line, naming the first bad line
-        values = np.array([v for n, line in enumerate(chunk, pos + 2)
-                           for v in _parsed(_floats, line, n)])
-    if lines[pos] != f"{name} {count}" or values.size != count:
-        raise CheckpointFormatError(
-            f"expected '{name} {count}' and its values at line {pos + 1}")
-    return values.reshape(shape), end
 
 
 def parse_params(lines: list[str], pos: int,
@@ -205,7 +178,7 @@ def parse_params(lines: list[str], pos: int,
     if lines[pos:pos + 1] != [head]:
         raise CheckpointFormatError(f"expected {head!r} at line {pos + 1}")
     layers: list[nn.Layer] = []
-    at = pos + 1     # the line a damaged value is reported at
+    at = pos + 1     # the line a damaged header is reported at
     try:
         pos += 2
         for i in range(int(lines[at].removeprefix("layers "))):
@@ -214,18 +187,19 @@ def parse_params(lines: list[str], pos: int,
             f = dict(zip(toks[3::2], toks[4::2]))
             if toks[:3] == ["layer", str(i), "dense"]:
                 shape = (int(f["out"]), int(f["in"]))
-                w, pos = _read_array(lines, pos + 1, "weight", shape)
-                b, pos = _read_array(lines, pos, "bias", shape[:1])
+                w = _read_block(lines, pos + 1, "weight", shape)
+                b = _read_block(lines, pos + 2, "bias", shape[:1])
                 layers.append(nn.DenseLayer(w, b, f["activation"]))
             elif toks[:3] == ["layer", str(i), "conv"]:
                 shape = tuple(int(f[k]) for k in ("kh", "kw", "cin", "cout"))
-                k, pos = _read_array(lines, pos + 1, "kernel", shape)
-                b, pos = _read_array(lines, pos, "bias", shape[3:])
+                k = _read_block(lines, pos + 1, "kernel", shape)
+                b = _read_block(lines, pos + 2, "bias", shape[3:])
                 layers.append(nn.ConvLayer(k, b, int(f["stride"]),
                                            int(f["pad"]), f["activation"]))
             else:
                 raise CheckpointFormatError(
                     f"bad layer header at line {pos + 1}")
+            pos += 3
     except CheckpointFormatError:
         raise
     except (IndexError, KeyError, ValueError):
@@ -244,8 +218,9 @@ def _config_lines(prefix: str, obj) -> list[str]:
 def serialize_checkpoint(ck: Checkpoint) -> str:
     lines = [CHECKPOINT_VERSION, f"trained_steps = {ck.trained_steps}",
              *_config_lines("env", ck.env_spec),
-             *_config_lines("train", ck.config), f"curve {len(ck.curve)}"]
-    lines += [" ".join(map(_format_value, row)) for row in ck.curve]
+             *_config_lines("train", ck.config),
+             _block_line("episodes", [e for e, _ in ck.curve], "<i8"),
+             _block_line("returns", [r for _, r in ck.curve])]
     return ("\n".join(lines) + "\n"
             + serialize_params(ck.params, kind="qnet") + "end checkpoint\n")
 
@@ -253,6 +228,14 @@ def serialize_checkpoint(ck: Checkpoint) -> str:
 def checkpoint_id(text: str) -> str:
     """Content hash naming the checkpoint; stable across save/load cycles."""
     return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _parsed(parse, raw: str, n: int):
+    """parse(raw), with a ValueError refused as damage at file line n."""
+    try:
+        return parse(raw)
+    except ValueError:
+        raise CheckpointFormatError(f"bad value {raw!r} at line {n}") from None
 
 
 _FIELD_PARSERS = {"int": int, "float": float, "str": str,
@@ -277,6 +260,11 @@ def _parse_config(cls, prefix: str, fields: dict[str, tuple[str, int]]):
 
 def parse_checkpoint(text: str) -> Checkpoint:
     lines = text.splitlines()
+    if lines[:1] == ["checkpoint v1"]:
+        raise CheckpointFormatError(
+            "checkpoint v1 is no longer read; write a checkpoint v2 file "
+            "with `policyprobe train`, or pass a v1 reader's Checkpoint to "
+            "save_checkpoint")
     if not lines or lines[0] != CHECKPOINT_VERSION:
         head = lines[0] if lines else "<empty>"
         raise CheckpointFormatError(
@@ -296,18 +284,10 @@ def parse_checkpoint(text: str) -> Checkpoint:
     config = _parse_config(TrainConfig, "train", fields)
     if fields:
         raise CheckpointFormatError(f"unrecognized fields {sorted(fields)}")
-    if pos >= len(lines) or not lines[pos].startswith("curve "):
-        raise CheckpointFormatError("missing curve section")
-    end = pos + 1 + _parsed(int, lines[pos].removeprefix("curve "), pos + 1)
-    rows = lines[pos + 1:end]
-    try:
-        curve = [(int(episode), float(ret))
-                 for episode, ret in map(str.split, rows)]
-    except ValueError:   # name the first damaged row
-        for n, row in enumerate(rows, pos + 2):
-            _parsed(_curve_row, row, n)
-        raise
-    params, pos = parse_params(lines, end, "qnet")
+    episodes = _read_block(lines, pos, "episodes", None, "<i8")
+    returns = _read_block(lines, pos + 1, "returns", episodes.shape)
+    curve = list(zip(episodes.tolist(), returns.tolist()))
+    params, pos = parse_params(lines, pos + 2, "qnet")
     if pos != len(lines) - 1:
         raise CheckpointFormatError(f"line {pos + 1} follows the parameters")
     return Checkpoint(params, env_spec, config, curve, trained_steps)

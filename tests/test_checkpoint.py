@@ -1,19 +1,23 @@
 """On-disk formats: bit-exact checkpoint round trips, damage rejection,
-CSV schemas, atomic writes, and run-directory hygiene."""
+the bundled files' arrays, CSV schemas, atomic writes, and run-directory
+hygiene."""
 from __future__ import annotations
 
+import base64
+import hashlib
 import math
 import re
+from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from policyprobe import checkpoint as cp
 from policyprobe import harness as hz
-from policyprobe import nn, qlearning as ql, spectral
+from policyprobe import nn, perceptual, qlearning as ql, spectral
 from policyprobe.envs import make_spec
+
+from conftest import DATA_DIR
 
 
 def tiny_checkpoint(seed=3):
@@ -59,9 +63,10 @@ def test_checkpoint_id_tracks_content(tmp_path):
 
 def test_parse_rejects_version_mismatch():
     text = cp.serialize_checkpoint(tiny_checkpoint())
-    wrong = text.replace("checkpoint v1", "checkpoint v2", 1)
-    with pytest.raises(cp.CheckpointFormatError):
-        cp.parse_checkpoint(wrong)
+    with pytest.raises(cp.CheckpointFormatError, match="v1 is no longer"):
+        cp.parse_checkpoint(text.replace("checkpoint v2", "checkpoint v1"))
+    with pytest.raises(cp.CheckpointFormatError, match="not a checkpoint v2"):
+        cp.parse_checkpoint(text.replace("checkpoint v2", "checkpoint v3"))
     with pytest.raises(cp.CheckpointFormatError):
         cp.parse_checkpoint("")
 
@@ -86,12 +91,12 @@ def test_parse_rejects_lines_after_the_parameters():
 
 
 @pytest.mark.parametrize("pattern,replacement,message", [
-    (r"^(bias \d+\n)\S+", r"\1zero", None),
+    (r"^(bias \d+ )\S+", r"\1zero", None),
     (r"^layers \d+$", "layers four", None),
     (r" stride \d+ ", " stride x ", None),
     (r" activation relu$", " activation tanh", None),
     (r"^train\.batch_size = .*$", "train.batch_size = many", None),
-    (r"^(curve \d+\n\d+) \S+$", r"\1", None),
+    (r"^(returns \d+ )\S+$", r"\1", None),
     (r"^train\.objective = .*$", "train.objective = bogus",
      "invalid train fields: unknown objective 'bogus'"),
     (r"^train\.lr = .*$", "train.lr = nan",
@@ -113,118 +118,124 @@ def test_parse_names_the_damaged_line(pattern, replacement, message):
 
 
 # ---------------------------------------------------------------------------
-# The value grammar: exactly float()'s, in bulk or line by line
+# Block lines: each damage is refused at its line
 # ---------------------------------------------------------------------------
 
-def with_first_value(text, head, token):
-    """text with the first value under the line `head` replaced by token;
-    and that line's number."""
+def b64(values):
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode()
+
+
+def with_block(text, name, damage):
+    """text with its first `name` block line replaced by damage(count,
+    values), and that line's number."""
     lines = text.splitlines()
-    n = lines.index(head) + 2
-    lines[n - 1] = " ".join([token, *lines[n - 1].split()[1:]])
+    n = next(i for i, ln in enumerate(lines, 1) if ln.startswith(name + " "))
+    _, count, data = lines[n - 1].split(" ")
+    values = np.frombuffer(base64.b64decode(data), "<f8")
+    lines[n - 1] = f"{name} {damage(int(count), values)}"
     return "\n".join(lines) + "\n", n
 
 
-def first_kernel_head(text):
-    return next(ln for ln in text.splitlines() if ln.startswith("kernel "))
-
-
-@pytest.mark.parametrize("token,value", [
-    ("1_0", 10.0), ("\u0661\u0662", 12.0), ("-0.5e-1_0", -0.5e-10),
-    ("\u0665.\u0662", 5.2)])
-def test_tokens_float_reads_but_strtod_does_not_still_parse(token, value):
-    """float() reads digit-group underscores and non-ASCII digits, which a
-    C strtod (and so numpy's bulk parse) refuses: such a file still loads,
-    with float()'s value, as a parameter value or in a curve row."""
-    text = cp.serialize_checkpoint(tiny_checkpoint())
-    damaged, _ = with_first_value(text, first_kernel_head(text), token)
-    kernel = cp.parse_checkpoint(damaged).params.layers[0].weight
-    assert kernel.ravel()[0] == value
-    assert kernel.ravel()[1:].tobytes() == tiny_checkpoint().params.layers[
-        0].weight.ravel()[1:].tobytes()
-    row = text.replace("\n2 0.80000000000000004\n", f"\n2 {token}\n")
-    assert row != text
-    assert cp.parse_checkpoint(row).curve[2] == (2, value)
-    episode = text.replace("\n2 0.8", "\n\u0662 0.8")
-    assert cp.parse_checkpoint(episode).curve[2] == (2, 0.8)
-
-
-@pytest.mark.parametrize("token", ["0x10", "nan(1)", "1e", "1-2", "--1"])
-def test_tokens_float_refuses_are_refused_at_their_line(token):
-    """strtod reads '0x10' as 16 and numpy reads 'nan(1)' as nan; float()
-    refuses both, and so does the parser, naming the line."""
-    text = cp.serialize_checkpoint(tiny_checkpoint())
-    damaged, n = with_first_value(text, first_kernel_head(text), token)
-    with pytest.raises(cp.CheckpointFormatError, match=f"at line {n}$"):
-        cp.parse_checkpoint(damaged)
-
-
-def test_negative_nan_keeps_its_sign():
-    """numpy's bulk parse drops the sign of '-nan'; float() keeps it."""
-    text = cp.serialize_checkpoint(tiny_checkpoint())
-    damaged, _ = with_first_value(text, first_kernel_head(text), "-nan")
-    value = cp.parse_checkpoint(damaged).params.layers[0].weight.ravel()[0]
-    assert np.array([value]).tobytes() == np.array([float("-nan")]).tobytes()
-
-
-def test_a_blank_value_line_is_not_read_as_minus_one():
-    """numpy reads whitespace alone as [-1]; a one-value block whose value
-    line is blank is refused."""
-    net = nn.ParamSet([nn.DenseLayer(np.ones((1, 2)), np.zeros(1),
-                                     "identity")])
-    lines = cp.serialize_params(net).splitlines()
-    assert lines[-3:] == ["bias 1", "0", "end"]
-    lines[-2] = " "
-    with pytest.raises(cp.CheckpointFormatError, match="'bias 1'"):
-        cp.parse_params(lines, 0, "qnet")
-
-
-def test_curve_rows_are_refused_one_by_one():
-    """A 3-token row followed by a 1-token row keeps the section's token
-    count; the first of them is refused."""
-    text = cp.serialize_checkpoint(tiny_checkpoint())
-    lines = text.splitlines()
-    n = lines.index("1 0.25") + 1
-    assert lines[n] == "2 0.80000000000000004"
-    lines[n - 1], lines[n] = "1 0.25 2", "0.80000000000000004"
+@pytest.mark.parametrize("damage", [
+    lambda count, v: f"{count} {b64(v)[:8]}!{b64(v)[8:]}",
+    lambda count, v: f"{count} {b64([*v, 0.0])}",
+    lambda count, v: f"{count - 1} {b64(v)}",
+    lambda count, v: f"{count} {b64(v)[:len(b64(v)) // 2]}",
+    lambda count, v: f"{count}",
+    lambda count, v: f"{count - 1} {b64(v[1:])}",
+], ids=["outside_the_alphabet", "wrong_length", "count_not_its_bytes",
+        "cut_short", "no_data", "count_not_the_headers"])
+def test_damaged_blocks_are_refused_at_their_line(damage):
+    """A character outside the base64 alphabet, bytes for another count
+    than the line or the header states, a line cut short, and a block that
+    holds what it states but not what its layer header asks for."""
+    text, n = with_block(cp.serialize_checkpoint(tiny_checkpoint()),
+                         "kernel", damage)
+    count = tiny_checkpoint().params.layers[0].weight.size
     with pytest.raises(cp.CheckpointFormatError,
-                       match=f"bad value '1 0.25 2' at line {n}$"):
-        cp.parse_checkpoint("\n".join(lines) + "\n")
+                       match=f"kernel block of {count} values at line {n}$"):
+        cp.parse_checkpoint(text)
 
 
-TINY_TEXT = cp.serialize_checkpoint(tiny_checkpoint())
-TINY_LINES = tuple(TINY_TEXT.splitlines())
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_are_refused_at_their_line(value):
+    text, n = with_block(cp.serialize_checkpoint(tiny_checkpoint()), "bias",
+                         lambda count, v: f"{count} {b64([value, *v[1:]])}")
+    with pytest.raises(cp.CheckpointFormatError,
+                       match=f"non-finite bias value at line {n}$"):
+        cp.parse_checkpoint(text)
 
 
-def reference_values(chunk):
-    """The values float() reads token by token, or None if it refuses one."""
-    try:
-        return np.array([float(v) for line in chunk for v in line.split()])
-    except ValueError:
-        return None
+def test_an_empty_curve_round_trips():
+    ck = tiny_checkpoint()
+    ck = ql.Checkpoint(ck.params, ck.env_spec, ck.config, [], 0)
+    text = cp.serialize_checkpoint(ck)
+    assert "\nepisodes 0 \nreturns 0 \n" in text
+    loaded = cp.parse_checkpoint(text)
+    assert loaded.curve == []
+    assert cp.serialize_checkpoint(loaded) == text
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.text(alphabet="0123456789.eE+-_ naifNIF()x\t\u0661",
-                        max_size=9), min_size=1, max_size=3))
-def test_bulk_values_agree_with_float_token_by_token(tokens):
-    """Any damage to a value line: the parser accepts exactly when float()
-    reads every token and the count holds, with float()'s bits."""
-    lines = list(TINY_LINES)
-    head = first_kernel_head(TINY_TEXT)
-    n = lines.index(head) + 2
-    rest = lines[n - 1].split()[len(tokens):]
-    lines[n - 1] = " ".join([*tokens, *rest])
-    count = int(head.split()[1])
-    chunk = lines[n - 1:n - 1 + -(-count // 8)]
-    expected = reference_values(chunk)
-    try:
-        got, _ = cp._read_array(lines, n - 2, "kernel", (count,))
-    except cp.CheckpointFormatError:
-        assert expected is None or expected.size != count
+def test_the_curve_blocks_must_agree_in_length():
+    text, n = with_block(cp.serialize_checkpoint(tiny_checkpoint()),
+                         "returns", lambda count, v: f"2 {b64(v[:2])}")
+    with pytest.raises(cp.CheckpointFormatError,
+                       match=f"the returns block of 3 values at line {n}$"):
+        cp.parse_checkpoint(text)
+
+
+def test_parsed_arrays_are_writable_native_float64():
+    params = cp.parse_checkpoint(
+        cp.serialize_checkpoint(tiny_checkpoint())).params
+    for _, _, arr in params.arrays():
+        assert arr.dtype == np.float64 and arr.dtype.isnative
+        assert arr.flags.writeable and arr.flags.c_contiguous
+
+
+# ---------------------------------------------------------------------------
+# The bundled files: the same arrays, bit for bit, whatever their format
+# ---------------------------------------------------------------------------
+
+# sha256 of each bundled file's parameter arrays as little-endian float64
+# bytes, in params.arrays() order, then of its curve's episodes as <i8 and
+# returns as <f8; recorded from the decimal files of checkpoint v1
+BUNDLED_ARRAY_DIGESTS = {"radial": "ff2edb6ceeb88542",
+                         "sa": "ee12694d85f88800",
+                         "vanilla": "8ba82e8fb4db98f4",
+                         "featurenet": "e8bb1343dc5ee5d2"}
+
+
+def bundled(name):
+    """A bundled file's text, its parameters and its curve (none for the
+    featurenet asset)."""
+    if name == "featurenet":
+        text = resources.files("policyprobe").joinpath(
+            f"assets/{perceptual.FEATURENET_VERSION}.txt").read_text()
+        return text, cp.parse_params(text.splitlines(), 0,
+                                     "featurenet")[0], []
+    text = (DATA_DIR / f"{name}_pixelgrid.txt").read_text()
+    ck = cp.parse_checkpoint(text)
+    return text, ck.params, ck.curve
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_ARRAY_DIGESTS))
+def test_bundled_arrays_hold_bit_for_bit(name):
+    _, params, curve = bundled(name)
+    digest = hashlib.sha256()
+    for _, _, arr in params.arrays():
+        digest.update(np.ascontiguousarray(arr, "<f8").tobytes())
+    digest.update(np.array([e for e, _ in curve], "<i8").tobytes())
+    digest.update(np.array([r for _, r in curve], "<f8").tobytes())
+    assert digest.hexdigest()[:16] == BUNDLED_ARRAY_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_ARRAY_DIGESTS))
+def test_bundled_files_round_trip_byte_for_byte(name):
+    text, params, _ = bundled(name)
+    if name == "featurenet":
+        assert cp.serialize_params(params, kind="featurenet") == text
     else:
-        assert expected is not None
-        assert got.tobytes() == expected.tobytes()
+        assert cp.serialize_checkpoint(cp.parse_checkpoint(text)) == text
 
 
 def test_parse_rejects_unknown_fields():

@@ -2,6 +2,7 @@
 error reporting, and the report command's re-render checks."""
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import math
@@ -308,7 +309,7 @@ def test_an_unreadable_checkpoint_is_a_one_line_error(tmp_path, capsys,
     """Any OSError of the read, here a refused permission, which a root
     user would not meet with chmod."""
     locked = tmp_path / "locked.txt"
-    locked.write_text("checkpoint v1\n")
+    locked.write_text("checkpoint v2\n")
     read_text = type(locked).read_text
 
     def refusing(path, *args, **kwargs):
@@ -325,21 +326,53 @@ def test_an_unreadable_checkpoint_is_a_one_line_error(tmp_path, capsys,
     assert not out.exists()
 
 
-def test_probe_names_the_damaged_checkpoint_file(tmp_path, capsys):
-    """A sweep loads one checkpoint per policy, so the error names the file
-    as well as the line; it used to read "bad value '1 oops' at line 36"."""
-    lines = (DATA_DIR / "vanilla_pixelgrid.txt").read_text().splitlines()
-    assert lines[35] == "1 -2"   # a curve row
-    lines[35] = "1 oops"
+def refused_checkpoint_run(tmp_path, capsys, lines):
+    """Probe a checkpoint file of the given lines; its path and the error
+    output, after checking the exit code and that no run directory was
+    made."""
     damaged = tmp_path / "damaged.txt"
     damaged.write_text("\n".join(lines) + "\n")
     cfgp = probe_manifest(tmp_path, {"family": "identity"})
     out = tmp_path / "out"
     assert main(["probe", "--config", cfgp, "--checkpoint", str(damaged),
                  "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        f"error: {damaged}: bad value '1 oops' at line 36\n")
     assert not out.exists()
+    return damaged, capsys.readouterr().err
+
+
+def test_probe_names_the_damaged_checkpoint_file(tmp_path, capsys):
+    """A sweep loads one checkpoint per policy, so the error names the file
+    as well as the line."""
+    lines = (DATA_DIR / "vanilla_pixelgrid.txt").read_text().splitlines()
+    assert lines[34].startswith("returns 3330 ")
+    lines[34] = "returns 3330 oops"
+    damaged, err = refused_checkpoint_run(tmp_path, capsys, lines)
+    assert err == (f"error: {damaged}: expected the returns block of 3330 "
+                   "values at line 35\n")
+
+
+def test_probe_refuses_a_non_finite_parameter(tmp_path, capsys):
+    """It used to load, and the probe stopped only at the first forward
+    pass, without naming the file."""
+    lines = (DATA_DIR / "vanilla_pixelgrid.txt").read_text().splitlines()
+    n = next(i for i, ln in enumerate(lines) if ln.startswith("kernel "))
+    name, count, data = lines[n].split(" ")
+    values = np.frombuffer(base64.b64decode(data), "<f8").copy()
+    values[0] = np.nan
+    lines[n] = f"{name} {count} {base64.b64encode(values.tobytes()).decode()}"
+    damaged, err = refused_checkpoint_run(tmp_path, capsys, lines)
+    assert err == (f"error: {damaged}: non-finite kernel value "
+                   f"at line {n + 1}\n")
+
+
+def test_probe_refuses_a_v1_checkpoint_saying_how_to_get_v2(tmp_path,
+                                                              capsys):
+    damaged, err = refused_checkpoint_run(
+        tmp_path, capsys, ["checkpoint v1", "trained_steps = 1", "curve 0",
+                           "end checkpoint"])
+    assert err.startswith(f"error: {damaged}: checkpoint v1 is no longer "
+                          "read; write a checkpoint v2 file with")
+    assert err.count("\n") == 1
 
 
 def test_probe_rejects_invalid_manifest(tmp_path, capsys):
@@ -833,7 +866,7 @@ def report_aggregates(text: str) -> str:
     return text.split("config_echo:\n", 1)[0]
 
 
-CW_ROLLOUT_DIGEST = "c32304a282804525"
+CW_ROLLOUT_DIGEST = "2dc09e6b864d0e6a"
 
 
 def test_attack_rollout_outputs_match_their_pinned_digest(tmp_path):

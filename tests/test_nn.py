@@ -589,7 +589,7 @@ def test_serialization_round_trip_bit_exact(rng):
 def test_parse_rejects_damage():
     text = cp.serialize_params(dense_net(), kind="qnet")
     with pytest.raises(cp.CheckpointFormatError):
-        cp.parse_params(text.replace("paramset v1", "paramset v2")
+        cp.parse_params(text.replace("paramset v2", "paramset v1")
                         .splitlines(), 0, "qnet")
     with pytest.raises(cp.CheckpointFormatError):
         cp.parse_params(text[: len(text) // 2].splitlines(), 0, "qnet")

@@ -1,7 +1,9 @@
 """Smoke tests of the analysis scripts: each runs end to end on a small
 budget and writes the files it promises, and the spectrum suite writes
-what `policyprobe spectrum` writes for the same directions; bench_pairs'
-summary arithmetic on hand values."""
+what `policyprobe spectrum` writes for the same directions; the shipped
+featurenet asset is its seeded regeneration, and the reference-policy
+script writes checkpoint v2; bench_pairs' summary arithmetic on hand
+values."""
 from __future__ import annotations
 
 import dataclasses
@@ -13,6 +15,7 @@ import pytest
 
 from policyprobe import checkpoint as cp
 from policyprobe.cli import main
+from policyprobe.envs import make_spec
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -68,6 +71,32 @@ def test_spectrum_suite_writes_what_the_spectrum_command_writes(tmp_path):
     for path in written:
         assert (rundir / path.name).read_bytes() == path.read_bytes(), \
             path.name
+
+
+def test_featurenet_asset_is_up_to_date_and_left_unwritten(monkeypatch,
+                                                          capsys):
+    """The shipped asset is the seeded regeneration, byte for byte, so the
+    script reports it up to date and writes nothing."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the asset was written")
+
+    monkeypatch.setattr(Path, "write_text", refuse)
+    assert load_script("make_featurenet_asset").main([]) == 0
+    assert "featurenet_v1.txt: already up to date" in capsys.readouterr().out
+
+
+def test_reference_policy_script_writes_checkpoint_v2(tmp_path, capsys,
+                                                      monkeypatch):
+    script = load_script("train_reference_policies")
+    monkeypatch.setattr(script, "report", lambda *args: None)
+    config = dataclasses.replace(script.reference_configs()["vanilla"],
+                                 total_steps=40, warmup_steps=20)
+    spec = make_spec("pixelgrid", size=8, seed=0)
+    ck = script.train_and_save("vanilla", spec, config, tmp_path)
+    path = tmp_path / "vanilla_pixelgrid.txt"
+    assert path.read_text() == cp.serialize_checkpoint(ck)
+    assert path.read_text().startswith("checkpoint v2\n")
+    assert f"id {cp.load_checkpoint(path)[1]}" in capsys.readouterr().out
 
 
 def test_bench_pairs_summarizes_per_pair_ratios():
