@@ -41,7 +41,7 @@ DIRECTIONS = [
     PerturbationSpec(family="shift", ti=1, tj=0),
     PerturbationSpec(family="shift", ti=0, tj=2),
     PerturbationSpec(family="perspective", pt_norm=1.5),
-    PerturbationSpec(family="perspective", pt_norm=3.0, pt_mode="seeded"),
+    PerturbationSpec(family="perspective", pt_norm=3.0),
     PerturbationSpec(family="dct_artifacts", kappa=0.3),
     PerturbationSpec(family="dct_artifacts", kappa=0.7),
     AttackSpec(method="fgm", p=float("inf"), epsilon=2 / 255),

@@ -1,18 +1,23 @@
 """Command-line surface.
 
     policyprobe train    --config run.json [--steps N] [--objective NAME]
-    policyprobe probe    --config run.json --checkpoint ck.txt [--runs N]
-    policyprobe attack   --config run.json --checkpoint ck.txt [--runs N]
+    policyprobe probe    --config run.json [--checkpoint ck.txt] [--runs N]
+    policyprobe attack   --config run.json [--checkpoint ck.txt] [--runs N]
     policyprobe spectrum --config run.json [--checkpoint ck.txt]
     policyprobe sweep    --config run.json
     policyprobe report   --dir RUNDIR
 
-Each command reads one JSON manifest (see config.py), writes its artifacts
-into a fresh timestamped directory under the output root (flag --out, else
-$POLICYPROBE_OUT, else ./runs), echoes the effective config next to them,
-and prints where everything went. `report` re-renders summaries from the
-raw per-run rows stored by earlier commands. Exit status is nonzero on any
-validation or runtime failure, with the diagnostic on stderr.
+Each command reads only its JSON manifest (see config.py). Every other flag
+overrides one manifest key before the manifest is validated: --out sets
+output_dir, --seed seed, --checkpoint probe.checkpoint (spectrum.checkpoint
+for spectrum), --runs probe.runs, --steps train.total_steps and --objective
+train.objective. A command writes its artifacts into a fresh timestamped
+directory under the output root (output_dir, else $POLICYPROBE_OUT, else
+./runs), next to config_echo.json, the effective manifest, which given as
+--config re-runs the command. It prints where everything went. `report`
+re-renders summaries from the raw per-run rows stored by earlier commands.
+Exit status is nonzero on any validation or runtime failure, with the
+diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -41,18 +46,17 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _run_directory(cfg: config_mod.RunConfig, command: str,
-                   out_flag: str | None) -> Path:
-    """A fresh run directory under --out, else the manifest's output_dir,
-    else the default root, holding the effective config's echo."""
-    root = out_flag or cfg.output_dir
-    rundir = cp.run_directory(command, Path(root) if root else None)
+def _run_directory(cfg: config_mod.RunConfig, command: str) -> Path:
+    """A fresh run directory under the manifest's output_dir, else the
+    default root, holding the effective config's echo."""
+    root = Path(cfg.output_dir) if cfg.output_dir else None
+    rundir = cp.run_directory(command, root)
     cp.atomic_write_text(rundir / "config_echo.json", cfg.echo + "\n")
     return rundir
 
 
-def _load_checkpoint_arg(cfg: config_mod.RunConfig,
-                         path: str) -> tuple[ql.Checkpoint, str]:
+def _load_checkpoint(cfg: config_mod.RunConfig,
+                     path: str) -> tuple[ql.Checkpoint, str]:
     """The checkpoint at path and its id; it must be a readable file and
     have been trained on the manifest's environment."""
     if not path:
@@ -80,9 +84,9 @@ def _load_checkpoint_arg(cfg: config_mod.RunConfig,
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_train(cfg: config_mod.RunConfig, out_flag: str | None) -> int:
+def cmd_train(cfg: config_mod.RunConfig) -> int:
     ck = ql.train(cfg.env, cfg.train)
-    rundir = _run_directory(cfg, "train", out_flag)
+    rundir = _run_directory(cfg, "train")
     ck_id = cp.save_checkpoint(rundir / "checkpoint.txt", ck)
     cp.atomic_write_text(rundir / "curve.csv",
                          cp.csv_text(cp.CURVE_CSV_HEADER, ck.curve))
@@ -91,23 +95,19 @@ def cmd_train(cfg: config_mod.RunConfig, out_flag: str | None) -> int:
     return 0
 
 
-def cmd_probe(cfg: config_mod.RunConfig, checkpoint_flag: str,
-              out_flag: str | None) -> int:
+def cmd_probe(cfg: config_mod.RunConfig) -> int:
     if cfg.probe is None:
         raise config_mod.ConfigError("manifest has no probe section")
-    ck, ck_id = _load_checkpoint_arg(cfg, checkpoint_flag
-                                     or cfg.probe.checkpoint)
+    ck, ck_id = _load_checkpoint(cfg, cfg.probe.checkpoint)
     report = harness.probe(ck.params, ck.env_spec, cfg.probe.direction,
                            cfg.probe.runs, checkpoint_id=ck_id)
-    path = cp.write_probe(_run_directory(cfg, "probe", out_flag), report,
-                          cfg.echo)
+    path = cp.write_probe(_run_directory(cfg, "probe"), report, cfg.echo)
     print(cp.summary_line(report))
     print(f"report -> {path}")
     return 0
 
 
-def cmd_attack(cfg: config_mod.RunConfig, checkpoint_flag: str,
-               out_flag: str | None) -> int:
+def cmd_attack(cfg: config_mod.RunConfig) -> int:
     if cfg.probe is None:
         raise config_mod.ConfigError("manifest has no probe section")
     direction = cfg.probe.direction
@@ -115,8 +115,7 @@ def cmd_attack(cfg: config_mod.RunConfig, checkpoint_flag: str,
         raise config_mod.ConfigError(
             "the attack command needs an attack direction "
             "(probe.direction with a 'method')")
-    ck, ck_id = _load_checkpoint_arg(cfg, checkpoint_flag
-                                     or cfg.probe.checkpoint)
+    ck, ck_id = _load_checkpoint(cfg, cfg.probe.checkpoint)
     # the rollout probe below reads the table's views, so each distinct
     # state is attacked once across the table and the rollout
     views: harness.Views = {}
@@ -129,7 +128,7 @@ def cmd_attack(cfg: config_mod.RunConfig, checkpoint_flag: str,
                                                       direction, views)
             a_adv = ql.greedy_action(ck.params, viewed)
             rows.append((len(rows), action, a_adv, dist, success, sim))
-    rundir = _run_directory(cfg, "attack", out_flag)
+    rundir = _run_directory(cfg, "attack")
     cp.atomic_write_text(rundir / "states.csv",
                          cp.csv_text(cp.ATTACK_CSV_HEADER, rows))
     n_success = sum(1 for r in rows if r[4])
@@ -144,16 +143,13 @@ def cmd_attack(cfg: config_mod.RunConfig, checkpoint_flag: str,
     return 0
 
 
-def cmd_spectrum(cfg: config_mod.RunConfig, checkpoint_flag: str,
-                 out_flag: str | None) -> int:
+def cmd_spectrum(cfg: config_mod.RunConfig) -> int:
     if cfg.spectrum is None:
         raise config_mod.ConfigError("manifest has no spectrum section")
     settings = cfg.spectrum
-    ck = None
-    ck_path = checkpoint_flag or settings.checkpoint
-    if settings.source == "rollout" or ck_path:
-        ck, _ = _load_checkpoint_arg(cfg, ck_path)
-    params = ck.params if ck else None
+    params = None
+    if settings.checkpoint:   # always set for a rollout source
+        params = _load_checkpoint(cfg, settings.checkpoint)[0].params
     if settings.source == "rollout":
         observations = [
             obs for seed in range(settings.samples)
@@ -162,7 +158,7 @@ def cmd_spectrum(cfg: config_mod.RunConfig, checkpoint_flag: str,
     else:
         env = make_env(cfg.env)
         observations = [env.reset(seed) for seed in range(settings.samples)]
-    rundir = _run_directory(cfg, "spectrum", out_flag)
+    rundir = _run_directory(cfg, "spectrum")
     for direction in settings.directions:
         views: harness.Views = {}
         pairs = [(obs, harness.view(params, obs, direction, views)[0])
@@ -175,19 +171,19 @@ def cmd_spectrum(cfg: config_mod.RunConfig, checkpoint_flag: str,
     return 0
 
 
-def cmd_sweep(cfg: config_mod.RunConfig, out_flag: str | None) -> int:
+def cmd_sweep(cfg: config_mod.RunConfig) -> int:
     if cfg.sweep is None:
         raise config_mod.ConfigError("manifest has no sweep section")
     settings = cfg.sweep
     policies, ids = [], {}
     for label, path in settings.policies:
-        ck, ck_id = _load_checkpoint_arg(cfg, path)
+        ck, ck_id = _load_checkpoint(cfg, path)
         policies.append((label, ck.params))
         ids[label] = ck_id
     reports = harness.sweep(policies, cfg.env, settings.family,
                             settings.parameter, list(settings.values),
                             settings.runs, checkpoint_ids=ids)
-    rundir = _run_directory(cfg, "sweep", out_flag)
+    rundir = _run_directory(cfg, "sweep")
     cp.atomic_write_text(rundir / "sweep.csv",
                          cp.sweep_csv(settings.parameter, reports))
     cp.atomic_write_text(rundir / "summary.csv",
@@ -276,37 +272,43 @@ def cmd_report(rundir: str) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each flag but --config and --dir stores its value under the manifest
+    key it overrides, the key being its dest."""
     parser = argparse.ArgumentParser(
         prog="policyprobe",
         description="Probe pixel-observation policies for sensitivity "
                     "along perturbation and attack directions.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, checkpoint=False):
+    def common(p, checkpoint_key=None):
         p.add_argument("--config", required=True,
                        help="JSON run manifest (see config.py)")
-        p.add_argument("--out", help="output root (else $POLICYPROBE_OUT, "
-                                     "else ./runs)")
+        p.add_argument("--out", dest="output_dir",
+                       help="override output_dir, the output root (else "
+                            "$POLICYPROBE_OUT, else ./runs)")
         p.add_argument("--seed", type=int, help="override manifest seed")
-        if checkpoint:
-            p.add_argument("--checkpoint",
-                           help="path to a saved checkpoint", default="")
+        if checkpoint_key:
+            p.add_argument("--checkpoint", dest=checkpoint_key,
+                           help=f"override {checkpoint_key}, the path to a "
+                                "saved checkpoint")
 
     p = sub.add_parser("train", help="train a policy")
     common(p)
-    p.add_argument("--steps", type=int, help="override train.total_steps")
-    p.add_argument("--objective", help="override train.objective")
+    p.add_argument("--steps", type=int, dest="train.total_steps",
+                   help="override train.total_steps")
+    p.add_argument("--objective", dest="train.objective",
+                   help="override train.objective")
 
-    p = sub.add_parser("probe", help="probe a policy along one direction")
-    common(p, checkpoint=True)
-    p.add_argument("--runs", type=int, help="override probe.runs")
-
-    p = sub.add_parser("attack", help="attack every state of clean rollouts")
-    common(p, checkpoint=True)
-    p.add_argument("--runs", type=int, help="override probe.runs")
+    for command, help_text in (
+            ("probe", "probe a policy along one direction"),
+            ("attack", "attack every state of clean rollouts")):
+        p = sub.add_parser(command, help=help_text)
+        common(p, "probe.checkpoint")
+        p.add_argument("--runs", type=int, dest="probe.runs",
+                       help="override probe.runs")
 
     p = sub.add_parser("spectrum", help="band-energy deltas per direction")
-    common(p, checkpoint=True)
+    common(p, "spectrum.checkpoint")
 
     p = sub.add_parser("sweep", help="probe a parameter grid per policy")
     common(p)
@@ -316,33 +318,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+COMMANDS = {"train": cmd_train, "probe": cmd_probe, "attack": cmd_attack,
+            "spectrum": cmd_spectrum, "sweep": cmd_sweep}
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    command = args.pop("command")
     try:
-        if args.command == "report":
-            return cmd_report(args.dir)
-        overrides: dict[str, object] = {"seed": args.seed}
-        if args.command == "train":
-            overrides["train.total_steps"] = args.steps
-            overrides["train.objective"] = args.objective
-        if args.command in ("probe", "attack"):
-            overrides["probe.runs"] = args.runs
-        cfg = config_mod.load_run_config(args.config, overrides)
-        if args.command == "train":
-            return cmd_train(cfg, args.out)
-        if args.command == "probe":
-            return cmd_probe(cfg, args.checkpoint, args.out)
-        if args.command == "attack":
-            return cmd_attack(cfg, args.checkpoint, args.out)
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg, args.checkpoint, args.out)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args.out)
+        if command == "report":
+            return cmd_report(args["dir"])
+        cfg = config_mod.load_run_config(args.pop("config"), args)
+        return COMMANDS[command](cfg)
     except (config_mod.ConfigError, cp.CheckpointFormatError) as exc:
         return _fail(str(exc))
     except ValueError as exc:
         return _fail(f"invalid configuration or input: {exc}")
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":

@@ -116,7 +116,7 @@ class SpectrumSettings:
     directions: tuple[Direction, ...]
     source: str = "reset"          # "reset" | "rollout"
     samples: int = 10
-    checkpoint: str = ""           # needed when source == "rollout"
+    checkpoint: str = ""    # needed by a rollout source or an attack
 
     def __post_init__(self):
         if self.source not in ("reset", "rollout"):
@@ -125,11 +125,13 @@ class SpectrumSettings:
             raise ValueError("spectrum needs at least one sample")
         if not self.directions:
             raise ValueError("spectrum needs at least one direction")
-        for d in self.directions:
-            if isinstance(d, attack.AttackSpec) and not self.checkpoint \
-                    and self.source == "reset":
-                raise ValueError("attack directions in a spectrum run "
-                                 "need a checkpoint")
+        if not self.checkpoint and self.source == "rollout":
+            raise ValueError("a rollout spectrum needs a checkpoint "
+                             "(--checkpoint or spectrum.checkpoint)")
+        if not self.checkpoint and any(isinstance(d, attack.AttackSpec)
+                                       for d in self.directions):
+            raise ValueError("attack directions in a spectrum run need a "
+                             "checkpoint (--checkpoint or spectrum.checkpoint)")
         labels = [d.label() for d in self.directions]
         for i, label in enumerate(labels):
             if label in labels[:i]:  # their output files would collide
@@ -227,26 +229,26 @@ def _check_frames(env: EnvSpec, probe: ProbeSettings | None,
             d.check_frame(h, w)
 
 
-def _set_path(raw: dict, dotted: str, value) -> None:
-    head, _, rest = dotted.partition(".")
-    if rest:
-        raw.setdefault(head, {})
-        _set_path(raw[head], rest, value)
-    else:
-        raw[head] = value
-
-
 def load_run_config(path: Path | str,
                     overrides: dict[str, object] | None = None) -> RunConfig:
-    """Parse a manifest file, apply dotted-path CLI overrides (e.g.
-    "train.total_steps"), and validate everything."""
+    """Parse a manifest file, apply the overrides that are not None, each
+    a top-level key or a "section.key" (e.g. "train.total_steps"), and
+    validate everything."""
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read manifest {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"manifest {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("manifest must be a JSON object")
     for dotted, value in (overrides or {}).items():
-        if value is not None:
-            _set_path(raw, dotted, value)
+        if value is None:
+            continue
+        head, _, key = dotted.rpartition(".")
+        section = raw.setdefault(head, {}) if head else raw
+        if not isinstance(section, dict):
+            raise ConfigError(f"manifest section {head!r} must be a JSON "
+                              f"object, got {section!r}")
+        section[key] = value
     return build_run_config(raw)

@@ -299,9 +299,9 @@ def sweep(policies: list[tuple[str, nn.ParamSet]], spec: EnvSpec, family: str,
     order: policy by policy as given, each over the grid in order.
 
     The grid must be strictly increasing; integer-valued parameters (blur
-    kernel, shift distances, perspective seed) take only integral grid
-    values (see perturb.as_int). Clean baselines are rolled once per
-    policy, in policy order, and shared across the grid; a policy whose
+    kernel, shift distances) take only integral grid values (see
+    perturb.as_int). Clean baselines are rolled once per policy, in
+    policy order, and shared across the grid; a policy whose
     clean baseline sits at the fixed minimum is refused by name before any
     grid point is probed. Policy names must be unique. The policies share
     one views dict per grid value, and the whole sweep one clean_features

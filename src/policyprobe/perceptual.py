@@ -60,11 +60,15 @@ def build_reference_params(seed: int = FEATURENET_SEED) -> nn.ParamSet:
 @functools.lru_cache(maxsize=None)
 def reference_featurenet() -> nn.ParamSet:
     """The shipped, versioned net, parsed once per process. Its arrays are
-    read-only, because every caller shares them."""
+    read-only, because every caller shares them. Damage is refused naming
+    the asset's file, as load_checkpoint names a checkpoint's."""
     asset = resources.files("policyprobe").joinpath(
         f"assets/{FEATURENET_VERSION}.txt")
-    params, _ = checkpoint.parse_params(asset.read_text().splitlines(), 0,
-                                        "featurenet")
+    try:
+        params, _ = checkpoint.parse_params(asset.read_text().splitlines(),
+                                            0, "featurenet")
+    except checkpoint.CheckpointFormatError as exc:
+        raise checkpoint.CheckpointFormatError(f"{asset}: {exc}") from None
     for _, _, arr in params.arrays():
         arr.flags.writeable = False
     return params

@@ -39,9 +39,7 @@ class PerturbationSpec:
     """One perturbation family with its parameters.
 
     A field the family does not read (see FAMILIES) must keep its default.
-    `pt_seed` is used by the seeded perspective mode only, so the
-    deterministic mode refuses a nonzero one. `check_frame` refuses what
-    cannot apply to a given frame size.
+    `check_frame` refuses what cannot apply to a given frame size.
     """
 
     family: str = "identity"
@@ -53,8 +51,6 @@ class PerturbationSpec:
     tj: int = 0
     circular: bool = False
     pt_norm: float = 0.0
-    pt_mode: str = "deterministic"   # "deterministic" | "seeded"
-    pt_seed: int = 0
     kappa: float = 0.0
 
     def __post_init__(self):
@@ -69,14 +65,8 @@ class PerturbationSpec:
                 raise ValueError("blur kernel must be odd and >= 1")
         if self.family == "rotation" and not math.isfinite(self.degrees):
             raise ValueError("rotation degrees must be finite")
-        if self.family == "perspective":
-            if not 0 <= self.pt_norm < math.inf:
-                raise ValueError("perspective norm must be finite and >= 0")
-            if self.pt_mode not in ("deterministic", "seeded"):
-                raise ValueError(f"unknown perspective mode {self.pt_mode!r}")
-            if self.pt_mode == "deterministic" and self.pt_seed != 0:
-                raise ValueError("pt_seed is read by the seeded perspective "
-                                 "mode only")
+        if self.family == "perspective" and not 0 <= self.pt_norm < math.inf:
+            raise ValueError("perspective norm must be finite and >= 0")
         if self.family == "dct_artifacts" and not 0.0 <= self.kappa <= 1.0:
             raise ValueError("kappa must lie in [0, 1]")
         if self.family == "brightness_contrast":
@@ -240,24 +230,11 @@ def shift(s: Array, ti: int, tj: int, circular: bool = False) -> Array:
     return out
 
 
-def _corner_offsets(n: float, mode: str, seed: int) -> Array:
-    """(row, col) displacement per corner, clockwise from top-left; the
-    largest corner displacement has Euclidean norm exactly n."""
-    if mode == "deterministic":
-        return np.array([[n, 0.0], [0.0, n], [-n, 0.0], [0.0, -n]])
-    rng = np.random.default_rng([seed, 31])
-    off = rng.uniform(-1.0, 1.0, size=(4, 2))
-    norms = np.sqrt((off ** 2).sum(axis=1))
-    peak = norms.max()
-    if peak == 0.0:
-        return np.zeros((4, 2))
-    return off * (n / peak)
-
-
-def perspective_matrix(h: int, w: int, n: float, mode: str = "deterministic",
-                       seed: int = 0) -> Array:
+def perspective_matrix(h: int, w: int, n: float) -> Array:
     """3x3 homogeneous matrix mapping output (destination) pixel coordinates
-    to source coordinates, built from the four corner correspondences.
+    to source coordinates, built from the four corner correspondences. Each
+    destination corner is its source corner moved n pixels along one axis,
+    clockwise from top-left: down, right, up, left.
 
     Coordinates are (x, y) = (column, row) homogeneous triples.
     """
@@ -265,7 +242,7 @@ def perspective_matrix(h: int, w: int, n: float, mode: str = "deterministic",
         return np.eye(3)
     src = np.array([[0.0, 0.0], [0.0, w - 1.0],
                     [h - 1.0, w - 1.0], [h - 1.0, 0.0]])  # (row, col), clockwise
-    dst = src + _corner_offsets(n, mode, seed)
+    dst = src + np.array([[n, 0.0], [0.0, n], [-n, 0.0], [0.0, -n]])
     # unknowns: a..h with gamma = [[a,b,c],[d,e,f],[g,h,1]], dst->src
     mat = np.zeros((8, 8))
     rhs = np.zeros(8)
@@ -310,12 +287,11 @@ def apply_homography(s: Array, gamma: Array) -> Array:
     return np.clip(_bilinear_sample(img, src_y, src_x), 0.0, 255.0)
 
 
-def perspective(s: Array, pt_norm: float, pt_mode: str = "deterministic",
-                pt_seed: int = 0) -> Array:
-    """Perspective warp whose largest corner displacement is pt_norm pixels."""
+def perspective(s: Array, pt_norm: float) -> Array:
+    """Perspective warp that moves each corner pt_norm pixels (see
+    perspective_matrix)."""
     img = as_image(s)
-    gamma = perspective_matrix(img.shape[0], img.shape[1], pt_norm,
-                               pt_mode, pt_seed)
+    gamma = perspective_matrix(img.shape[0], img.shape[1], pt_norm)
     if pt_norm == 0:
         return img.copy()
     return apply_homography(img, gamma)
@@ -382,8 +358,7 @@ FAMILIES = {
     "rotation": (rotate, ("degrees",), lambda d: f"rot[{d:g}]"),
     "shift": (shift, ("ti", "tj", "circular"),
               lambda i, j, c: f"shift[{i},{j}]" + ("c" if c else "")),
-    "perspective": (perspective, ("pt_norm", "pt_mode", "pt_seed"),
-                    lambda n, mode, _: f"pt[{n:g},{mode}]"),
+    "perspective": (perspective, ("pt_norm",), lambda n: f"pt[{n:g}]"),
     "dct_artifacts": (dct_artifacts, ("kappa",), lambda k: f"dct[{k:g}]"),
 }
 

@@ -206,6 +206,86 @@ def test_manifest_refuses_values_no_run_can_use(tmp_path, capsys,
     assert not out.exists() and not loaded
 
 
+# a manifest that is not a JSON object, or has a section that is not one,
+# and the flags whose overrides would be set in it
+NOT_OBJECTS = [
+    ([], ["train"], "manifest must be a JSON object"),
+    ([], ["train", "--seed", "3"], "manifest must be a JSON object"),
+    ({"env": ENV_SECTION, "probe": 3},
+     ["probe", "--runs", "2", "--checkpoint", VANILLA],
+     "manifest section 'probe' must be a JSON object, got 3")]
+
+
+@pytest.mark.parametrize("raw,argv,message", NOT_OBJECTS,
+                         ids=["list-out", "list-seed", "probe=3-runs"])
+def test_overrides_refuse_a_manifest_or_section_that_is_not_an_object(
+        tmp_path, capsys, raw, argv, message):
+    """Every command sets --out in the manifest. With --seed or --runs, such
+    a manifest used to end in a TypeError traceback."""
+    cfgp = tmp_path / "run.json"
+    cfgp.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main([argv[0], "--config", str(cfgp), "--out", str(out),
+                 *argv[1:]]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [("pt_mode", "seeded"),
+                                       ("pt_seed", 1)])
+def test_the_removed_perspective_keys_are_unknown(tmp_path, capsys, key,
+                                                  value):
+    cfgp = probe_manifest(tmp_path, {"family": "perspective",
+                                     "pt_norm": 3.0, key: value})
+    out = tmp_path / "out"
+    assert main(["probe", "--config", cfgp, "--checkpoint", VANILLA,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: unknown keys in 'direction': ['{key}']\n")
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# Echo: each flag lands in config_echo.json, which re-runs the command
+# ---------------------------------------------------------------------------
+
+# a command, its manifest section and the checkpoint its flag names; each
+# flag used to reach the command past the manifest, so the echo of probe
+# and attack had no checkpoint and spectrum refused the FGM direction
+ECHO_RUNS = [
+    ("probe", {"probe": {"direction": {"family": "median_blur", "kernel": 3},
+                         "runs": 2}}, VANILLA),
+    ("attack", {"probe": {"direction": {"method": "fgm", "p": "inf",
+                                        "epsilon": 0.05},
+                          "runs": 2, "rollout": True}}, RADIAL),
+    ("spectrum", {"spectrum": {"directions": [
+        {"family": "median_blur", "kernel": 3},
+        {"method": "fgm", "p": "inf", "epsilon": 0.05}], "samples": 3}},
+     VANILLA)]
+
+
+@pytest.mark.parametrize("command,section,checkpoint", ECHO_RUNS,
+                         ids=[run[0] for run in ECHO_RUNS])
+def test_the_config_echo_alone_reruns_the_command(tmp_path, command,
+                                                  section, checkpoint):
+    out = tmp_path / "out"
+    assert main([command, "--config", manifest(tmp_path, section),
+                 "--checkpoint", checkpoint, "--out", str(out)]) == 0
+    first = only_dir(out)
+    assert main([command, "--config", str(first / "config_echo.json")]) == 0
+    (second,) = [p for p in out.iterdir() if p != first]
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in second.iterdir())
+    wanted = {"probe": {"runs.csv"}, "attack": {"runs.csv", "states.csv"},
+              "spectrum": set()}[command]
+    assert wanted <= set(names)
+    if command == "spectrum":
+        assert len([n for n in names if n.startswith("spectrum_")]) == 2
+        assert len([n for n in names if n.endswith(".pgm")]) == 4
+    for name in names:
+        assert (second / name).read_bytes() == (first / name).read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # probe
 # ---------------------------------------------------------------------------
@@ -510,24 +590,28 @@ def test_spectrum_reset_writes_per_direction_files(tmp_path, capsys):
 
 
 def test_spectrum_refuses_directions_that_share_a_label(tmp_path, capsys):
-    """Two seeded perspectives share the label pt[3,seeded] and would write
-    the same files; the command refuses them before making a directory."""
+    """Two directions of one label would write the same files; the command
+    refuses them before making a directory."""
     cfgp = manifest(tmp_path, {"spectrum": {"directions": [
-        {"family": "perspective", "pt_norm": 3.0, "pt_mode": "seeded",
-         "pt_seed": seed} for seed in (0, 1)], "samples": 2}})
+        {"family": "median_blur", "kernel": 3}] * 2, "samples": 2}})
     out = tmp_path / "out"
     assert main(["spectrum", "--config", cfgp, "--out", str(out)]) == 2
-    assert "pt[3,seeded]" in capsys.readouterr().err
+    assert "blur[k=3]" in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_spectrum_rollout_needs_checkpoint(tmp_path, capsys):
+    """Refused while the manifest is read, naming the spectrum section's
+    key; the refusal used to name probe.checkpoint."""
     cfgp = manifest(tmp_path, {"spectrum": {
         "directions": [{"family": "median_blur", "kernel": 3}],
         "source": "rollout", "samples": 2}})
     assert main(["spectrum", "--config", cfgp,
                  "--out", str(tmp_path / "o1")]) == 2
-    assert "checkpoint" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: invalid configuration or input: a rollout spectrum needs a "
+        "checkpoint (--checkpoint or spectrum.checkpoint)\n")
+    assert not (tmp_path / "o1").exists()
     assert main(["spectrum", "--config", cfgp, "--checkpoint", VANILLA,
                  "--out", str(tmp_path / "o2")]) == 0
 

@@ -2,6 +2,9 @@
 axioms that make similarity scores comparable across runs."""
 from __future__ import annotations
 
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 
 from policyprobe import nn
 from policyprobe import perceptual as pc
+from policyprobe.checkpoint import CheckpointFormatError
 
 
 def noise(rng, h=16, w=16):
@@ -42,6 +46,26 @@ def test_cached_reference_net_is_read_only(fresh_reference_net):
     for _, _, arr in fnet.arrays():
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0.0
+
+
+def test_a_damaged_asset_is_refused_naming_its_file(tmp_path, monkeypatch,
+                                                    fresh_reference_net):
+    """The error used to name the line alone, so through the CLI it read
+    as a fault in the --checkpoint file."""
+    name = f"{pc.FEATURENET_VERSION}.txt"
+    lines = (Path(pc.__file__).parent / "assets" / name).read_text() \
+        .splitlines()
+    assert lines[3].startswith("kernel 72 ")
+    lines[3] = lines[3][:-8] + "!" + lines[3][-7:]
+    asset = tmp_path / "assets" / name
+    asset.parent.mkdir()
+    asset.write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr(pc, "resources",
+                        SimpleNamespace(files=lambda package: tmp_path))
+    with pytest.raises(CheckpointFormatError) as refused:
+        pc.reference_featurenet()
+    assert str(refused.value) == (
+        f"{asset}: expected the kernel block of 72 values at line 4")
 
 
 # ---------------------------------------------------------------------------

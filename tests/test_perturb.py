@@ -183,7 +183,7 @@ def test_perspective_zero_norm_gives_identity_matrix():
 def test_perspective_matrix_maps_destination_corners_to_source():
     h = w = 12
     n = 1.5
-    gamma = pb.perspective_matrix(h, w, n, mode="deterministic")
+    gamma = pb.perspective_matrix(h, w, n)
     src = np.array([[0.0, 0.0], [0.0, w - 1.0],
                     [h - 1.0, w - 1.0], [h - 1.0, 0.0]])
     dst = src + np.array([[n, 0.0], [0.0, n], [-n, 0.0], [0.0, -n]])
@@ -191,16 +191,6 @@ def test_perspective_matrix_maps_destination_corners_to_source():
         vec = gamma @ np.array([dc, dr, 1.0])  # (x, y, 1) = (col, row, 1)
         assert abs(vec[0] / vec[2] - sc) < 1e-9
         assert abs(vec[1] / vec[2] - sr) < 1e-9
-
-
-def test_perspective_seeded_offsets_hit_requested_norm():
-    off = pb._corner_offsets(2.5, "seeded", seed=11)
-    norms = np.sqrt((off ** 2).sum(axis=1))
-    assert abs(norms.max() - 2.5) < 1e-12
-    again = pb._corner_offsets(2.5, "seeded", seed=11)
-    assert np.array_equal(off, again)
-    other = pb._corner_offsets(2.5, "seeded", seed=12)
-    assert not np.array_equal(off, other)
 
 
 def test_homography_scale_invariance(rng):
@@ -329,18 +319,6 @@ def test_dispatch_matches_direct_calls(rng):
         assert np.array_equal(pb.apply(spec, img), expected), spec.label()
 
 
-def test_deterministic_perspective_refuses_a_seed():
-    """The deterministic mode never reads pt_seed: a sweep over pt_seed
-    used to give identical points and exit 0."""
-    with pytest.raises(ValueError, match="pt_seed is read by the seeded"):
-        pb.PerturbationSpec(family="perspective", pt_norm=2.0, pt_seed=1)
-    with pytest.raises(ValueError, match="pt_seed is read by the seeded"):
-        pb.spec_with("perspective", "pt_seed", 1.0)
-    seeded = pb.PerturbationSpec(family="perspective", pt_norm=2.0,
-                                 pt_mode="seeded", pt_seed=1)
-    assert seeded.label() == "pt[2,seeded]"
-
-
 @pytest.mark.parametrize("spec,h,w,fits", [
     (pb.PerturbationSpec(family="median_blur", kernel=9), 9, 12, True),
     (pb.PerturbationSpec(family="median_blur", kernel=9), 12, 8, False),
@@ -414,8 +392,7 @@ def test_every_family_preserves_shape_and_range(family, seed):
         "rotation": lambda: dict(degrees=float(rng.uniform(-180, 180))),
         "shift": lambda: dict(ti=int(rng.integers(-5, 6)),
                               tj=int(rng.integers(-5, 6))),
-        "perspective": lambda: dict(pt_norm=float(rng.uniform(0, 3)),
-                                    pt_mode="seeded", pt_seed=int(seed % 1000)),
+        "perspective": lambda: dict(pt_norm=float(rng.uniform(0, 3))),
         "dct_artifacts": lambda: dict(kappa=float(rng.uniform(0, 1))),
     }[family]()
     out = pb.apply(pb.PerturbationSpec(family=family, **fields), img)
