@@ -3,7 +3,8 @@
 Runs the probe harness over every perturbation family at a few strengths
 plus both gradient attacks, prints one summary line per direction, and
 writes the per-run CSVs into the output directory.  This is the per-policy
-half of the robustness story; run_robustness_sweep.py compares policies.
+half of the robustness story; the sweep manifests in scripts/manifests/
+compare policies.
 
 Usage: python scripts/run_probe_suite.py [--checkpoint PATH] [--runs N]
                                          [--out DIR]

@@ -109,8 +109,7 @@ def _surrogate_grad(net: nn.ParamSet, x: Array) -> tuple[int, Array]:
     soft = np.exp(z) / np.exp(z).sum()
     gout = soft.copy()
     gout[a_star] -= 1.0
-    return a_star, nn.backprop_batch(net, x[None], gout[None], "input",
-                                     tape)[0]
+    return a_star, nn.backprop_batch(net, gout[None], "input", tape)[0]
 
 
 def fgm(net: nn.ParamSet, obs: Array, spec: AttackSpec) -> AttackResult:
@@ -155,8 +154,8 @@ def _margin_and_grad(net: nn.ParamSet, x: Array, a_star: int,
         gout = np.zeros_like(q)
         gout[a_star] = 1.0
         gout[runner] = -1.0
-        grad = grads[key] = nn.backprop_batch(
-            net, x[None], gout[None], "input", tape)[0]
+        grad = grads[key] = nn.backprop_batch(net, gout[None], "input",
+                                              tape)[0]
     return margin, flipped, grad
 
 

@@ -11,11 +11,14 @@ Each command reads only its JSON manifest (see config.py). Every other flag
 overrides one manifest key before the manifest is validated: --out sets
 output_dir, --seed seed, --checkpoint probe.checkpoint (spectrum.checkpoint
 for spectrum), --runs probe.runs, --steps train.total_steps and --objective
-train.objective. A command writes its artifacts into a fresh timestamped
-directory under the output root (output_dir, else $POLICYPROBE_OUT, else
-./runs), next to config_echo.json, the effective manifest, which given as
---config re-runs the command. It prints where everything went. `report`
-re-renders summaries from the raw per-run rows stored by earlier commands.
+train.objective. A relative path is read against the manifest's directory
+when the manifest sets it, and against the working directory when a flag
+does. A command writes its artifacts into a fresh timestamped directory
+under the output root (output_dir, else $POLICYPROBE_OUT, else ./runs),
+next to config_echo.json, the effective manifest with every path absolute,
+which given as --config re-runs the command from any directory. It prints
+where everything went. `report` re-renders summaries from the raw per-run
+rows stored by earlier commands.
 Exit status is nonzero on any validation or runtime failure, with the
 diagnostic on stderr.
 """

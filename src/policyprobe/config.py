@@ -7,12 +7,18 @@ while the manifest is parsed — before any work starts. Before that, each
 value is checked once against its field's type (see `_typed`). CLI flags are
 merged into the manifest first, which keeps the echoed config sufficient to
 re-run the command bit-identically.
+
+A relative path a manifest sets (output_dir, probe.checkpoint,
+spectrum.checkpoint, each sweep.policies value) is read against the
+manifest file's directory, and one a flag sets against the working
+directory. Both are stored absolute, so the echo re-runs from anywhere.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -105,6 +111,10 @@ class SweepSettings:
             raise ValueError("sweep grid must be strictly increasing")
         if not self.policies:
             raise ValueError("sweep needs at least one policy")
+        for label, path in self.policies:
+            if not path:
+                raise ValueError(f"sweep.policies.{label} must name a "
+                                 "checkpoint file")
         if self.runs < 1:
             raise ValueError("sweep runs must be >= 1")
         for value in self.values:   # surface bad grid points before any work
@@ -229,11 +239,28 @@ def _check_frames(env: EnvSpec, probe: ProbeSettings | None,
             d.check_frame(h, w)
 
 
+def _absolute_paths(raw: dict, base: Path | str) -> None:
+    """Make each relative path raw sets absolute against base, in place.
+    An empty path stays empty, and a value that is not a string is left
+    for the type checks to name."""
+    slots = [(raw, "output_dir")]
+    slots += [(raw[name], "checkpoint") for name in ("probe", "spectrum")
+              if isinstance(raw.get(name), dict)]
+    sweep = raw.get("sweep")
+    policies = sweep.get("policies") if isinstance(sweep, dict) else None
+    if isinstance(policies, dict):
+        slots += [(policies, label) for label in policies]
+    for mapping, key in slots:
+        value = mapping.get(key)
+        if isinstance(value, str) and value:
+            mapping[key] = os.path.abspath(os.path.join(base, value))
+
+
 def load_run_config(path: Path | str,
                     overrides: dict[str, object] | None = None) -> RunConfig:
     """Parse a manifest file, apply the overrides that are not None, each
     a top-level key or a "section.key" (e.g. "train.total_steps"), and
-    validate everything."""
+    validate everything. Paths resolve as the module docstring says."""
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -242,6 +269,7 @@ def load_run_config(path: Path | str,
         raise ConfigError(f"manifest {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("manifest must be a JSON object")
+    _absolute_paths(raw, Path(path).parent)
     for dotted, value in (overrides or {}).items():
         if value is None:
             continue
@@ -251,4 +279,5 @@ def load_run_config(path: Path | str,
             raise ConfigError(f"manifest section {head!r} must be a JSON "
                               f"object, got {section!r}")
         section[key] = value
+    _absolute_paths(raw, Path.cwd())   # the flags' paths; others are absolute
     return build_run_config(raw)

@@ -62,34 +62,40 @@ class EnvSpec:
     seed: int
 
     def __post_init__(self):
-        if self.env_id not in ("pixelgrid", "minipong"):
-            raise ValueError(f"unknown environment id {self.env_id!r}")
+        for name, value in derived_fields(self.env_id, self.size).items():
+            if getattr(self, name) != value:
+                raise ValueError(f"{self.env_id} size {self.size} has "
+                                 f"{name} {value!r}, not "
+                                 f"{getattr(self, name)!r}")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("discount must be in (0, 1]")
-        if not -math.inf < self.score_min < self.score_max < math.inf:
-            raise ValueError("score bounds must be finite with min < max")
-        if self.episode_cap < 1:
-            raise ValueError("episode cap must be positive")
+
+
+def derived_fields(env_id: str, size: int) -> dict:
+    """The spec fields an environment id and size fix: obs_shape,
+    n_actions, episode_cap, score_min and score_max."""
+    if env_id == "pixelgrid":
+        if size < 4:
+            raise ValueError("pixelgrid needs size >= 4")
+        actions, cap, score_max = PIXELGRID_ACTIONS, 200, 1.0
+        score_min = -0.01 * cap    # every step of a capped episode costs
+    elif env_id == "minipong":
+        if size != 12:
+            raise ValueError("minipong is defined on a 12x12 board")
+        actions, cap = MINIPONG_ACTIONS, 1000
+        score_min, score_max = -float(POINTS_TO_WIN), float(POINTS_TO_WIN)
+    else:
+        raise ValueError(f"unknown environment id {env_id!r}")
+    return {"obs_shape": (CELL * size, CELL * size, 1), "n_actions": actions,
+            "episode_cap": cap, "score_min": score_min,
+            "score_max": score_max}
 
 
 def make_spec(env_id: str, size: int = 8, seed: int = 0,
               gamma: float = 0.9) -> EnvSpec:
     """Canonical spec for an environment; derived fields are filled in."""
-    if env_id == "pixelgrid":
-        if size < 4:
-            raise ValueError("pixelgrid needs size >= 4")
-        cap = 200
-        return EnvSpec(env_id, size, (CELL * size, CELL * size, 1),
-                       PIXELGRID_ACTIONS, gamma, cap,
-                       score_min=-0.01 * cap, score_max=1.0, seed=seed)
-    if env_id == "minipong":
-        if size != 12:
-            raise ValueError("minipong is defined on a 12x12 board")
-        return EnvSpec(env_id, size, (CELL * size, CELL * size, 1),
-                       MINIPONG_ACTIONS, gamma, episode_cap=1000,
-                       score_min=-float(POINTS_TO_WIN),
-                       score_max=float(POINTS_TO_WIN), seed=seed)
-    raise ValueError(f"unknown environment id {env_id!r}")
+    return EnvSpec(env_id=env_id, size=size, gamma=gamma, seed=seed,
+                   **derived_fields(env_id, size))
 
 
 def episode_return(rewards: list[float]) -> float:

@@ -27,7 +27,7 @@ its caller consumes:
   - with wrt="input" it returns the input gradient (shaped like the input)
     and forms no parameter gradient; attacks use this
   - `ibp_backprop_batch` returns parameter gradients only
-Every backward pass reads its activations from the `tape` list that the
+Every backward pass reads its input and activations from the `tape` list the
 matching forward pass (`forward_batch` / `ibp_forward_batch`) filled, so
 each gradient costs one forward pass, and a caller can inspect the outputs
 before it chooses the output gradient. `forward_batch` records only when
@@ -235,15 +235,11 @@ def _conv_windows(x: Array, kh: int, kw: int, stride: int, pad: int) -> Array:
     return cols.reshape(b * oh * ow, -1), (b, oh, ow)
 
 
-def conv2d_forward(x: Array, kernel: Array, bias: Array | None,
-                   stride: int, pad: int) -> Array:
+def conv2d_forward(x: Array, kernel: Array, stride: int, pad: int) -> Array:
     kh, kw, cin, cout = kernel.shape
     cols, (b, oh, ow) = _conv_windows(x, kh, kw, stride, pad)
     k2 = kernel.reshape(kh * kw * cin, cout)
-    y = (cols @ k2).reshape(b, oh, ow, cout)
-    if bias is not None:
-        y = y + bias
-    return y
+    return (cols @ k2).reshape(b, oh, ow, cout)
 
 
 def conv2d_kernel_grad(x: Array, gout: Array, kernel_shape: tuple,
@@ -325,7 +321,7 @@ def _affine(lay: Layer, x: Array, weight: Array, bias: Array | None) -> Array:
     the radius through |weight| with no bias); dense flattens x first. The
     bias is added in place to the fresh product."""
     if isinstance(lay, ConvLayer):
-        y = conv2d_forward(x, weight, None, lay.stride, lay.padding)
+        y = conv2d_forward(x, weight, lay.stride, lay.padding)
     else:
         y = x.reshape(x.shape[0], -1) @ weight.T
     if bias is not None:
@@ -406,32 +402,30 @@ def _backward(net: ParamSet, tape: list[dict], g: Array,
     return g
 
 
-def _check_tape(tape: list[dict], x_shape: tuple, *gout_shapes: tuple) -> None:
-    """A backward pass reads its activations from the tape alone, so the
-    tape must come from a forward pass over inputs of x's shape."""
+def _check_tape(tape: list[dict], *gout_shapes: tuple) -> None:
+    """A backward pass reads its input and activations from the tape
+    alone, so the output gradients must match the tape's output."""
     if not tape:
         raise ValueError("empty tape: run the forward pass with a tape first")
-    if tape[0]["in_shape"] != x_shape:
-        raise ShapeMismatchError(
-            f"tape was recorded for input {tape[0]['in_shape']}, not {x_shape}")
     for shape in gout_shapes:
         if shape != tape[-1]["out_shape"]:
             raise ShapeMismatchError(
-                f"output grad shape {shape} != output shape {tape[-1]['out_shape']}")
+                f"output grad shape {shape} != the tape's output shape "
+                f"{tape[-1]['out_shape']}")
 
 
-def backprop_batch(net: ParamSet, x: Array, gout: Array, wrt: str,
+def backprop_batch(net: ParamSet, gout: Array, wrt: str,
                    tape: list) -> Array | ParamSet:
-    """Exact reverse-mode gradient of <output, gout> for a batch of inputs.
+    """Exact reverse-mode gradient of <output, gout> at the batch of inputs
+    whose forward pass filled `tape` (see forward_batch); the backward pass
+    reads the inputs and activations from it.
 
     wrt="params" returns the parameter gradients summed over the batch;
-    wrt="input" returns the input gradient, shaped like x. `tape` is the
-    list forward_batch filled when it ran this same x; the backward pass
-    reads the activations from it instead of running the forward again.
+    wrt="input" returns the input gradient, shaped like the input.
     """
     if wrt not in ("params", "input"):
         raise ValueError(f"wrt must be one of ('params', 'input'), got {wrt!r}")
-    _check_tape(tape, np.shape(x), np.shape(gout))
+    _check_tape(tape, np.shape(gout))
     return _backward(net, tape, np.asarray(gout, dtype=np.float64), wrt)
 
 
@@ -478,16 +472,16 @@ def ibp_forward_batch(net: ParamSet, lo: Array, hi: Array,
     return lo, hi
 
 
-def ibp_backprop_batch(net: ParamSet, lo: Array, hi: Array,
-                       glo: Array, ghi: Array, tape: list) -> ParamSet:
+def ibp_backprop_batch(net: ParamSet, glo: Array, ghi: Array,
+                       tape: list) -> ParamSet:
     """Parameter gradients of <lower, glo> + <upper, ghi> for the IBP pass.
 
     The bounds are piecewise-linear in the parameters; at |W| the subgradient
     sign(W) is used. The walk ends with layer 0's parameter gradients: the
     input box itself takes no gradient. `tape` is the list ibp_forward_batch
-    filled when it ran these same bounds.
+    filled, and the bounds are the ones it ran.
     """
-    _check_tape(tape, np.shape(lo), np.shape(glo), np.shape(ghi))
+    _check_tape(tape, np.shape(glo), np.shape(ghi))
     grads = net.zeros_like()
     gl, gu = np.asarray(glo, dtype=np.float64), np.asarray(ghi, dtype=np.float64)
     for i in range(len(net.layers) - 1, -1, -1):

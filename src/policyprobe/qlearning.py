@@ -243,7 +243,7 @@ def _td_grads(online: nn.ParamSet, target: nn.ParamSet, arrays, gamma,
     gout = np.zeros_like(q_all)
     gout[rows, a] = weights * (-np.clip(delta, -HUBER_THRESHOLD,
                                         HUBER_THRESHOLD)) / len(s)
-    grads = nn.backprop_batch(online, s, gout, "params", tape)
+    grads = nn.backprop_batch(online, gout, "params", tape)
     return td_value, delta, grads, q_all, tape
 
 
@@ -267,7 +267,7 @@ def _sa_grads(net: nn.ParamSet, s: Array, q: Array, eps_rob,
     scale = 1.0 / len(s)
     glo[rows[active], a_star[active]] = -scale
     ghi[rows[active], worst[active]] = scale
-    grads = nn.ibp_backprop_batch(net, lo, hi, glo, ghi, bound_tape)
+    grads = nn.ibp_backprop_batch(net, glo, ghi, bound_tape)
     return value, grads
 
 
@@ -295,8 +295,8 @@ def _radial_grads(net: nn.ParamSet, s: Array, a: Array, q: Array,
     dterm_dqdiff = scale * (ov + 0.5 * qdiff * ov_on)
     gq = dterm_dqdiff * qd_on
     np.add.at(gq, (rows, a), -(dterm_dqdiff * qd_on).sum(axis=1))
-    grads_q = nn.backprop_batch(net, s, gq, "params", tape)
-    grads_b = nn.ibp_backprop_batch(net, lo, hi, glo, ghi, bound_tape)
+    grads_q = nn.backprop_batch(net, gq, "params", tape)
+    grads_b = nn.ibp_backprop_batch(net, glo, ghi, bound_tape)
     nn.add_scaled(grads_q, grads_b, 1.0)
     return value, grads_q
 

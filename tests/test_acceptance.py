@@ -74,8 +74,8 @@ def _min_preactivation(net: nn.ParamSet, x: np.ndarray) -> float:
         if isinstance(lay, nn.DenseLayer):
             pre = h.reshape(-1) @ lay.weight.T + lay.bias
         else:
-            pre = nn.conv2d_forward(h[None], lay.weight, lay.bias,
-                                    lay.stride, lay.padding)[0]
+            pre = nn.conv2d_forward(h[None], lay.weight, lay.stride,
+                                    lay.padding)[0] + lay.bias
         if lay.activation == "relu":
             closest = min(closest, float(np.abs(pre).min()))
             h = np.maximum(pre, 0.0)
@@ -113,8 +113,8 @@ def test_c02_backprop_matches_central_differences():
 
         tape = []
         nn.forward(net, x, tape)
-        grads = nn.backprop_batch(net, x[None], gout[None], "params", tape)
-        gin = nn.backprop_batch(net, x[None], gout[None], "input", tape)[0]
+        grads = nn.backprop_batch(net, gout[None], "params", tape)
+        gin = nn.backprop_batch(net, gout[None], "input", tape)[0]
         for (_, name, arr), (_, _, garr) in zip(net.arrays(), grads.arrays()):
             flat, gflat = arr.reshape(-1), garr.reshape(-1)
             for k in range(flat.size):

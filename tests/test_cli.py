@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,6 +287,28 @@ def test_the_config_echo_alone_reruns_the_command(tmp_path, command,
         assert (second / name).read_bytes() == (first / name).read_bytes()
 
 
+def test_the_echo_reruns_a_relative_checkpoint_probe_from_elsewhere(
+        tmp_path, monkeypatch):
+    """A relative --checkpoint is read against the working directory and
+    echoed absolute; the echo once kept it relative, and run from the
+    parent directory it exited 2 with "checkpoint not found: ck.txt"."""
+    work = tmp_path / "work"
+    work.mkdir()
+    (work / "ck.txt").write_bytes(Path(VANILLA).read_bytes())
+    cfgp = manifest(work, {"probe": {"direction": {"family": "median_blur",
+                                                   "kernel": 3}, "runs": 2}})
+    monkeypatch.chdir(work)
+    assert main(["probe", "--config", cfgp, "--checkpoint", "ck.txt",
+                 "--out", "o"]) == 0
+    first = only_dir(work / "o")
+    monkeypatch.chdir(tmp_path)
+    echo = first.relative_to(tmp_path) / "config_echo.json"
+    assert main(["probe", "--config", str(echo)]) == 0
+    (second,) = [p for p in (work / "o").iterdir() if p != first]
+    assert (second / "runs.csv").read_bytes() == \
+        (first / "runs.csv").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # probe
 # ---------------------------------------------------------------------------
@@ -452,6 +475,20 @@ def test_probe_refuses_a_v1_checkpoint_saying_how_to_get_v2(tmp_path,
                            "end checkpoint"])
     assert err.startswith(f"error: {damaged}: checkpoint v1 is no longer "
                           "read; write a checkpoint v2 file with")
+    assert err.count("\n") == 1
+
+
+def test_probe_refuses_a_checkpoint_whose_env_lines_were_edited(tmp_path,
+                                                                capsys):
+    """A shorter cap and a higher score minimum used to load, and a
+    five-run bc[1,40] probe then read impact +1.0 against +0.80."""
+    lines = (DATA_DIR / "vanilla_pixelgrid.txt").read_text().splitlines()
+    for key, value in (("env.episode_cap", "5"), ("env.score_min", "-0.05")):
+        n = lines.index(next(ln for ln in lines if ln.startswith(key)))
+        lines[n] = f"{key} = {value}"
+    damaged, err = refused_checkpoint_run(tmp_path, capsys, lines)
+    assert err.startswith(f"error: {damaged}: invalid env fields: "
+                          "pixelgrid size 8 has episode_cap 200, not 5")
     assert err.count("\n") == 1
 
 
@@ -658,6 +695,19 @@ def test_sweep_writes_rows_and_summary(tmp_path, capsys):
     assert summary[0].startswith("schema=sweep_summary_v1")
     assert len(summary) == 3
     assert "kernel=1" in capsys.readouterr().out
+
+
+def test_sweep_refuses_an_empty_policy_path_naming_its_key(tmp_path, capsys):
+    """It used to name --checkpoint and probe.checkpoint, which a sweep
+    never reads."""
+    cfgp = manifest(tmp_path, {"sweep": {
+        "family": "median_blur", "parameter": "kernel", "values": [1, 3],
+        "policies": {"radial": RADIAL, "vanilla": ""}}})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfgp, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "sweep.policies.vanilla" in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_probe_refuses_a_field_its_family_does_not_read(tmp_path, capsys):

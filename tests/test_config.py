@@ -242,6 +242,37 @@ def test_load_run_config_applies_dotted_overrides(tmp_path):
     assert rc.train.lr == cfg.TrainConfig().lr
 
 
+def test_manifest_paths_resolve_against_the_manifest_and_flags_the_cwd(
+        tmp_path, monkeypatch):
+    """Each is stored absolute, so the echo names the same files from any
+    directory; an empty path stays unset."""
+    home, cwd = tmp_path / "manifests", tmp_path / "cwd"
+    home.mkdir()
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    path = write_manifest(home, {
+        "output_dir": "out", "env": {"id": "pixelgrid"},
+        "probe": {"direction": {"family": "identity"}, "checkpoint": "ck.txt"},
+        "spectrum": {"directions": [{"family": "identity"}],
+                     "checkpoint": ""},
+        "sweep": {"family": "shift", "parameter": "ti", "values": [0.0],
+                  "policies": {"a": "../a.txt", "b": str(tmp_path / "b")}}})
+    rc = cfg.load_run_config(path)
+    assert rc.output_dir == str(home / "out")
+    assert rc.probe.checkpoint == str(home / "ck.txt")
+    assert rc.spectrum.checkpoint == ""
+    assert rc.sweep.policies == (("a", str(tmp_path / "a.txt")),
+                                 ("b", str(tmp_path / "b")))
+    flagged = cfg.load_run_config(path, {"output_dir": "o",
+                                         "probe.checkpoint": "../ck.txt",
+                                         "spectrum.checkpoint": "s.txt"})
+    assert flagged.output_dir == str(cwd / "o")
+    assert flagged.probe.checkpoint == str(tmp_path / "ck.txt")
+    assert flagged.spectrum.checkpoint == str(cwd / "s.txt")
+    assert json.loads(flagged.echo)["probe"]["checkpoint"] == \
+        str(tmp_path / "ck.txt")
+
+
 def test_load_run_config_rejects_missing_and_invalid_files(tmp_path):
     with pytest.raises(cfg.ConfigError):
         cfg.load_run_config(tmp_path / "absent.json")

@@ -1,6 +1,7 @@
 """Environments: determinism, reachability, reward accounting, rendering
 levels, episode caps, and the shortest-path oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,29 @@ from policyprobe import envs
 from policyprobe.envs import (EpisodeOverError, MiniPongEnv, PixelGridEnv,
                               make_env, make_spec, oracle_return,
                               shortest_path_actions)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("obs_shape", (24, 24, 3)), ("n_actions", 5), ("episode_cap", 5),
+    ("score_min", -0.05), ("score_max", 2.0), ("score_min", math.nan),
+    ("score_max", math.inf)])
+def test_a_spec_refuses_fields_its_id_and_size_do_not_fix(field, value):
+    """A checkpoint stores every spec field, and an edited one used to
+    change a probe's scores or impact silently."""
+    spec = make_spec("pixelgrid", size=8, seed=0)
+    with pytest.raises(ValueError, match=f"pixelgrid size 8 has {field} "):
+        dataclasses.replace(spec, **{field: value})
+
+
+def test_make_spec_fills_the_fixed_fields():
+    assert envs.derived_fields("pixelgrid", 8) == {
+        "obs_shape": (24, 24, 1), "n_actions": 4, "episode_cap": 200,
+        "score_min": -2.0, "score_max": 1.0}
+    spec = make_spec("minipong", size=12, seed=3, gamma=0.5)
+    assert (spec.obs_shape, spec.n_actions, spec.episode_cap,
+            spec.score_min, spec.score_max) == ((36, 36, 1), 3, 1000,
+                                                -5.0, 5.0)
+    assert (spec.gamma, spec.seed) == (0.5, 3)
 
 
 def rollout(env, seed, actions):

@@ -119,7 +119,7 @@ def test_ibp_backprop_matches_finite_differences(rng):
     ghi = rng.normal(size=(2, 3))
     tape = []
     nn.ibp_forward_batch(net, lo, hi, tape)
-    grads = nn.ibp_backprop_batch(net, lo, hi, glo, ghi, tape)
+    grads = nn.ibp_backprop_batch(net, glo, ghi, tape)
     h = 1e-6
     for (_, name, arr), (_, _, garr) in zip(net.arrays(), grads.arrays()):
         flat = arr.reshape(-1)
@@ -142,7 +142,7 @@ def test_ibp_backprop_conv_matches_finite_differences(rng):
     ghi = rng.normal(size=(2, 5))
     tape = []
     nn.ibp_forward_batch(net, lo, hi, tape)
-    grads = nn.ibp_backprop_batch(net, lo, hi, glo, ghi, tape)
+    grads = nn.ibp_backprop_batch(net, glo, ghi, tape)
     h = 1e-6
     for (_, name, arr), (_, _, garr) in zip(net.arrays(), grads.arrays()):
         flat = arr.reshape(-1)

@@ -71,7 +71,7 @@ def test_conv_forward_matches_direct_loop(stride, pad, rng):
     x = rng.normal(size=(2, 9, 8, 3))
     kernel = rng.normal(size=(3, 4, 3, 5))
     bias = rng.normal(size=5)
-    got = nn.conv2d_forward(x, kernel, bias, stride, pad)
+    got = nn.conv2d_forward(x, kernel, stride, pad) + bias
     want = direct_conv(x, kernel, bias, stride, pad)
     assert np.allclose(got, want, atol=1e-12)
 
@@ -80,10 +80,10 @@ def test_conv_gradients_match_finite_differences(rng):
     x = rng.normal(size=(1, 7, 7, 2))
     kernel = rng.normal(size=(3, 3, 2, 4))
     bias = rng.normal(size=4)
-    gout = rng.normal(size=nn.conv2d_forward(x, kernel, bias, 2, 1).shape)
+    gout = rng.normal(size=nn.conv2d_forward(x, kernel, 2, 1).shape)
 
     def value(xv, kv):
-        return float((nn.conv2d_forward(xv, kv, bias, 2, 1) * gout).sum())
+        return float(((nn.conv2d_forward(xv, kv, 2, 1) + bias) * gout).sum())
 
     gk = nn.conv2d_kernel_grad(x, gout, kernel.shape, 2, 1)
     gx = nn.conv2d_input_grad(gout, kernel, 2, 1, x.shape[1], x.shape[2])
@@ -117,8 +117,8 @@ def test_padded_conv_is_bit_equal_to_the_np_pad_form(batch, fnet):
         p = lay.padding
         assert p > 0
         padded = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
-        want = nn.conv2d_forward(padded, lay.weight, lay.bias, lay.stride, 0)
-        got = nn.conv2d_forward(x, lay.weight, lay.bias, lay.stride, p)
+        want = nn.conv2d_forward(padded, lay.weight, lay.stride, 0) + lay.bias
+        got = nn.conv2d_forward(x, lay.weight, lay.stride, p) + lay.bias
         assert got.tobytes() == want.tobytes()
 
 
@@ -147,7 +147,7 @@ def dilated_input_grad(gout, kernel, stride, pad, in_h, in_w):
     gd = np.zeros((b, hd + 2 * (kh - 1), wd + 2 * (kw - 1), cout))
     gd[:, kh - 1:kh - 1 + hd:stride, kw - 1:kw - 1 + wd:stride] = gout
     kf = np.ascontiguousarray(kernel[::-1, ::-1].transpose(0, 1, 3, 2))
-    full = nn.conv2d_forward(gd, kf, None, 1, 0)
+    full = nn.conv2d_forward(gd, kf, 1, 0)
     dxp = np.zeros((b, in_h + 2 * pad, in_w + 2 * pad, cin))
     dxp[:, :full.shape[1], :full.shape[2]] = full
     return dxp[:, pad:pad + in_h, pad:pad + in_w]
@@ -169,7 +169,7 @@ def test_input_grad_is_bit_equal_to_the_dilated_correlation(
     lay = vanilla_checkpoint[0].params.layers[layer]
     in_hw = (24, 7)[layer]
     x = rng.uniform(size=(batch, in_hw, in_hw, lay.weight.shape[2]))
-    gout = sparse_gout(rng, nn.conv2d_forward(x, lay.weight, None, lay.stride,
+    gout = sparse_gout(rng, nn.conv2d_forward(x, lay.weight, lay.stride,
                                               lay.padding).shape)
     got = nn.conv2d_input_grad(gout, lay.weight, lay.stride, lay.padding,
                                in_hw, in_hw)
@@ -196,8 +196,7 @@ def test_input_grad_is_ulp_close_to_the_dilated_correlation(
     agree to a few ulps of the largest gradient entry."""
     kernel = rng.normal(size=kshape)
     x = rng.normal(size=(batch, *in_hw, kshape[2]))
-    gout = sparse_gout(rng, nn.conv2d_forward(x, kernel, None, stride,
-                                              pad).shape)
+    gout = sparse_gout(rng, nn.conv2d_forward(x, kernel, stride, pad).shape)
     got = nn.conv2d_input_grad(gout, kernel, stride, pad, *in_hw)
     want = dilated_input_grad(gout, kernel, stride, pad, *in_hw)
     assert got.shape == x.shape
@@ -211,7 +210,7 @@ def test_input_grad_is_the_adjoint_of_the_forward(kshape, stride, pad, in_hw,
     non-square kernels check that each axis is padded by its own size."""
     kernel = rng.normal(size=kshape)
     x = rng.normal(size=(2, *in_hw, kshape[2]))
-    y = nn.conv2d_forward(x, kernel, None, stride, pad)
+    y = nn.conv2d_forward(x, kernel, stride, pad)
     gout = rng.normal(size=y.shape)
     gx = nn.conv2d_input_grad(gout, kernel, stride, pad, *in_hw)
     assert np.isclose((y * gout).sum(), (x * gx).sum(), rtol=1e-12)
@@ -247,7 +246,7 @@ def test_backprop_matches_finite_differences_dense(rng):
     gout = rng.normal(size=3)
     tape = []
     nn.forward(net, x, tape)
-    grads = nn.backprop_batch(net, x[None], gout[None], "params", tape)
+    grads = nn.backprop_batch(net, gout[None], "params", tape)
     fd = fd_param_grads(net, x, gout)
     for (_, name, g), (_, _, f) in zip(grads.arrays(), fd.arrays()):
         assert np.allclose(g, f, atol=2e-5), name
@@ -259,7 +258,7 @@ def test_backprop_matches_finite_differences_conv(rng):
     gout = rng.normal(size=5)
     tape = []
     nn.forward(net, x, tape)
-    grads = nn.backprop_batch(net, x[None], gout[None], "params", tape)
+    grads = nn.backprop_batch(net, gout[None], "params", tape)
     fd = fd_param_grads(net, x, gout)
     for (_, name, g), (_, _, f) in zip(grads.arrays(), fd.arrays()):
         assert np.allclose(g, f, atol=2e-5), name
@@ -271,7 +270,7 @@ def test_input_gradient_matches_finite_differences(rng):
     gout = rng.normal(size=5)
     tape = []
     nn.forward(net, x, tape)
-    gin = nn.backprop_batch(net, x[None], gout[None], "input", tape)[0]
+    gin = nn.backprop_batch(net, gout[None], "input", tape)[0]
     h = 1e-6
     for idx in [(0, 0, 0), (4, 5, 0), (8, 8, 0)]:
         xp = x.copy(); xp[idx] += h
@@ -286,28 +285,27 @@ def test_backprop_names_one_product(rng):
     tape = []
     nn.forward(net, x, tape)
     with pytest.raises(ValueError, match="wrt"):
-        nn.backprop_batch(net, x[None], rng.normal(size=(1, 5)), "both",
-                          tape)
+        nn.backprop_batch(net, rng.normal(size=(1, 5)), "both", tape)
     with pytest.raises(nn.ShapeMismatchError):
-        nn.backprop_batch(net, x[None], rng.normal(size=(1, 4)), "input",
-                          tape)
+        nn.backprop_batch(net, rng.normal(size=(1, 4)), "input", tape)
 
 
 def test_backprop_rejects_a_tape_from_another_input(rng):
+    """The backward passes take their input from the tape, so an output
+    gradient for another batch than the tape's is refused, naming it."""
     net = small_net()
     xs = rng.uniform(0.1, 0.9, size=(3, 9, 9, 1))
     gout = rng.normal(size=(2, 5))
     tape = []
     nn.forward_batch(net, xs, tape)
     with pytest.raises(nn.ShapeMismatchError, match="tape"):
-        nn.backprop_batch(net, xs[:2], gout, "params", tape)
+        nn.backprop_batch(net, gout, "params", tape)
     with pytest.raises(ValueError, match="empty tape"):
-        nn.backprop_batch(net, xs[:2], gout, "input", [])
+        nn.backprop_batch(net, gout, "input", [])
     box_tape = []
     nn.ibp_forward_batch(net, xs - 0.01, xs + 0.01, box_tape)
     with pytest.raises(nn.ShapeMismatchError, match="tape"):
-        nn.ibp_backprop_batch(net, xs[:2] - 0.01, xs[:2] + 0.01, gout, gout,
-                              box_tape)
+        nn.ibp_backprop_batch(net, gout, gout, box_tape)
 
 
 def test_batch_forward_agrees_with_single(rng):
@@ -340,8 +338,8 @@ def layerwise_forward(net, x):
     outs, cur = [], x
     for lay in net.layers:
         if isinstance(lay, nn.ConvLayer):
-            pre = nn.conv2d_forward(cur, lay.weight, lay.bias, lay.stride,
-                                    lay.padding)
+            pre = nn.conv2d_forward(cur, lay.weight, lay.stride,
+                                    lay.padding) + lay.bias
         else:
             pre = cur.reshape(len(cur), -1) @ lay.weight.T + lay.bias
         cur = np.maximum(pre, 0.0) if lay.activation == "relu" else pre
@@ -426,8 +424,7 @@ def contract_outputs() -> bytes:
                 q = nn.forward_batch(net, x[i:i + size], tape)[-1]
                 gout = np.linspace(-1.0, 1.0, q.size).reshape(q.shape)
                 out.append(q)
-                out.append(nn.backprop_batch(net, x[i:i + size], gout,
-                                             "input", tape))
+                out.append(nn.backprop_batch(net, gout, "input", tape))
                 out.extend(nn.ibp_forward_batch(
                     net, *ql.input_box(x[i:i + size], 0.01)))
     return b"".join(a.tobytes() for a in out)
@@ -475,8 +472,7 @@ def test_input_gradient_reads_only_the_rectifier_masks(rng):
     def pattern_and_grad(obs):
         tape = []
         q = nn.forward(ck.params, obs, tape)[-1]
-        grad = nn.backprop_batch(ck.params, obs[None], gout[None], "input",
-                                 tape)[0]
+        grad = nn.backprop_batch(ck.params, gout[None], "input", tape)[0]
         return q, nn.rectifier_pattern(tape), grad
 
     q0, m0, g0 = pattern_and_grad(x)

@@ -1,23 +1,26 @@
-"""Smoke tests of the analysis scripts: each runs end to end on a small
-budget and writes the files it promises, and the spectrum suite writes
-what `policyprobe spectrum` writes for the same directions; the shipped
-featurenet asset is its seeded regeneration, and the reference-policy
-script writes checkpoint v2; bench_pairs' summary arithmetic on hand
-values."""
+"""The analysis scripts and the committed run manifests: the probe suite
+runs end to end on a small budget and writes the files it promises; each
+manifest under scripts/manifests loads from any working directory and
+names checkpoints that exist, and the spectrum and sweep manifests write
+what the scripts they replaced wrote; the shipped featurenet asset is its
+seeded regeneration, and the reference-policy script writes checkpoint
+v2; bench_pairs' summary arithmetic on hand values."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import importlib.util
-import json
 from pathlib import Path
 
 import pytest
 
 from policyprobe import checkpoint as cp
 from policyprobe.cli import main
+from policyprobe.config import load_run_config
 from policyprobe.envs import make_spec
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+MANIFESTS = SCRIPTS / "manifests"
 
 
 def load_script(name: str):
@@ -39,38 +42,61 @@ def test_probe_suite_writes_one_runs_csv_per_direction(tmp_path, capsys):
     assert "per-run CSVs" in capsys.readouterr().out
 
 
-def test_robustness_sweep_writes_one_sweep_csv_per_grid(tmp_path, capsys):
-    sweep = load_script("run_robustness_sweep")
-    assert sweep.main(["--runs", "1", "--out", str(tmp_path)]) == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        f"sweep_{parameter}.csv" for _, parameter, _ in sweep.GRIDS]
-    for _, parameter, values in sweep.GRIDS:
-        lines = (tmp_path / f"sweep_{parameter}.csv").read_text().splitlines()
-        assert lines[0] == cp.SWEEP_CSV_HEADER
-        assert len(lines) == 1 + len(sweep.POLICIES) * len(values)
-    assert "raw rows" in capsys.readouterr().out
+def manifest_checkpoints(cfg) -> list[str]:
+    """Every checkpoint path a loaded manifest names."""
+    paths = [s.checkpoint for s in (cfg.probe, cfg.spectrum)
+             if s is not None and s.checkpoint]
+    if cfg.sweep is not None:
+        paths += [path for _, path in cfg.sweep.policies]
+    return paths
 
 
-def test_spectrum_suite_writes_what_the_spectrum_command_writes(tmp_path):
-    suite = load_script("run_spectrum_suite")
-    script_dir = tmp_path / "script"
-    assert suite.main(["--samples", "2", "--out", str(script_dir)]) == 0
-    written = sorted(script_dir.iterdir())
-    assert len(written) == 3 * len(suite.DIRECTIONS)  # CSV and two PGMs each
+@pytest.mark.parametrize("path", sorted(MANIFESTS.glob("*.json")),
+                         ids=lambda p: p.name)
+def test_committed_manifests_load_and_name_existing_checkpoints(
+        path, tmp_path, monkeypatch):
+    """From any working directory: a manifest's paths are its own."""
+    monkeypatch.chdir(tmp_path)
+    for ck_path in manifest_checkpoints(load_run_config(path)):
+        assert Path(ck_path).is_absolute() and Path(ck_path).is_file()
 
-    manifest = tmp_path / "run.json"
-    manifest.write_text(json.dumps({
-        "env": {"id": "pixelgrid", "size": 8, "seed": 0},
-        "spectrum": {"directions": [dataclasses.asdict(d)
-                                    for d in suite.DIRECTIONS],
-                     "samples": 2}}))
-    out = tmp_path / "cli"
-    assert main(["spectrum", "--config", str(manifest),
-                 "--out", str(out)]) == 0
-    (rundir,) = out.iterdir()
-    for path in written:
-        assert (rundir / path.name).read_bytes() == path.read_bytes(), \
-            path.name
+
+def digest(files) -> str:
+    return hashlib.sha256(b"".join(p.name.encode() + b"\0" + p.read_bytes()
+                                   for p in files)).hexdigest()[:16]
+
+
+# recorded from the retired scripts/run_spectrum_suite.py, whose 27 files
+# (a band CSV and two PGMs per direction) the manifest writes byte for byte
+SPECTRUM_SUITE_DIGEST = "a1fff66020c65299"
+
+
+def test_spectrum_manifest_writes_the_retired_suites_files(tmp_path,
+                                                           monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["spectrum", "--config",
+                 str(MANIFESTS / "spectrum_suite.json"), "--out", "out"]) == 0
+    (rundir,) = (tmp_path / "out").iterdir()
+    files = sorted(p for p in rundir.iterdir()
+                   if p.name != "config_echo.json")
+    assert len(files) == 27
+    assert digest(files) == SPECTRUM_SUITE_DIGEST
+
+
+# the sweep.csv of the retired scripts/run_robustness_sweep.py's brightness
+# grid, its rows ordered by policy label as the sweep command orders them
+SWEEP_BETA_DIGEST = "f99ddfec79c56c1e"
+
+
+def test_sweep_manifest_writes_the_retired_scripts_rows(tmp_path,
+                                                        monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--config", str(MANIFESTS / "sweep_beta.json"),
+                 "--out", "out"]) == 0
+    (rundir,) = (tmp_path / "out").iterdir()
+    rows = (rundir / "sweep.csv").read_text()
+    assert len(rows.splitlines()) == 1 + 3 * 5 * 5  # policies, values, runs
+    assert hashlib.sha256(rows.encode()).hexdigest()[:16] == SWEEP_BETA_DIGEST
 
 
 def test_featurenet_asset_is_up_to_date_and_left_unwritten(monkeypatch,
