@@ -122,6 +122,7 @@ def cmd_attack(cfg: config_mod.RunConfig) -> int:
     # the rollout probe below reads the table's views, so each distinct
     # state is attacked once across the table and the rollout
     views: harness.Views = {}
+    actions: dict[bytes, int] = {}   # view bytes -> greedy action
     rows = []
     for seed in range(cfg.probe.runs):
         # the trajectory follows the clean policy
@@ -129,8 +130,10 @@ def cmd_attack(cfg: config_mod.RunConfig) -> int:
                                                  harness.IDENTITY, seed)[3]:
             viewed, dist, success, sim = harness.view(ck.params, obs,
                                                       direction, views)
-            a_adv = ql.greedy_action(ck.params, viewed)
-            rows.append((len(rows), action, a_adv, dist, success, sim))
+            key = viewed.tobytes()
+            if key not in actions:
+                actions[key] = ql.greedy_action(ck.params, viewed)
+            rows.append((len(rows), action, actions[key], dist, success, sim))
     rundir = _run_directory(cfg, "attack")
     cp.atomic_write_text(rundir / "states.csv",
                          cp.csv_text(cp.ATTACK_CSV_HEADER, rows))
@@ -337,6 +340,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(str(exc))
     except ValueError as exc:
         return _fail(f"invalid configuration or input: {exc}")
+    except OSError as exc:   # e.g. a run directory that cannot be made
+        return _fail(f"file system error: {exc}")
 
 
 if __name__ == "__main__":

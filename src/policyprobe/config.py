@@ -213,10 +213,13 @@ def build_run_config(raw: dict) -> RunConfig:
         spectrum = _build("spectrum", SpectrumSettings, spec_raw)
 
     _check_frames(env, probe, sweep, spectrum)
+    output_dir = top.get("output_dir", "")
+    if os.path.exists(output_dir) and not os.path.isdir(output_dir):
+        raise ConfigError(f"output_dir {output_dir} is not a directory")
     echo = json.dumps(raw, indent=2, sort_keys=True)
     return RunConfig(seed=seed, env=env, train=train, probe=probe,
                      sweep=sweep, spectrum=spectrum,
-                     output_dir=top.get("output_dir", ""), echo=echo)
+                     output_dir=output_dir, echo=echo)
 
 
 def _check_frames(env: EnvSpec, probe: ProbeSettings | None,

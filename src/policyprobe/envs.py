@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -219,6 +219,10 @@ class PixelGridEnv:
     def _observe(self) -> Array:
         return self._layout.frame(self.pos).copy()
 
+    def state_key(self) -> tuple[int, int]:
+        """The agent's cell: the whole state but the step count."""
+        return self.pos
+
     def reset(self, episode_seed: int) -> Array:
         self.pos = _grid_start(self.spec, episode_seed)
         self.step_index = 0
@@ -360,6 +364,11 @@ class MiniPongEnv:
         self.state = _PongState(ball=(0, 0), vel=(1, 1), player_top=0, opp_top=0)
         self._serve()
         return self._observe()
+
+    def state_key(self) -> tuple:
+        """Every _PongState field, and the seed that draws later serves:
+        the whole state but the step count."""
+        return (*astuple(self.state), self.episode_seed)
 
     def tracker_action(self) -> int:
         """Scripted reference player: chase the ball's current row."""

@@ -28,10 +28,15 @@ a `sweep` at one grid value, by `policyprobe attack`'s table and its
 rollout probe, and across the states of one `policyprobe spectrum`
 direction. The greedy action on the view is memoized the same way in an
 actions dict, one per `probe` call. Every call runs at batch size 1, so a
-repeat gets the very bits a recomputation would. A policy that loses its
-way loops over a few cells until the step cap, so most steps are repeats.
-A sweep keeps one grid value's views alive at a time, at most runs x
-episode_cap x policies entries.
+repeat gets the very bits a recomputation would. A sweep keeps one grid
+value's views alive at a time, at most runs x episode_cap x policies
+entries.
+
+A policy that loses its way loops over a few states until the step cap.
+A step depends only on the env's `state_key`, which fixes the observation
+and so the action: once a state repeats, every later step repeats the
+loop, which no terminal step can end. So `probe_episode` stops stepping
+there and replays the loop's records, in step order, up to the cap.
 
 A view's similarity compares the reference featurenet's activations of
 the view and of the clean observation, and the clean side does not depend
@@ -40,6 +45,8 @@ the observation's bytes, which one `sweep` call shares across its grid
 values and policies. It holds one entry per distinct clean observation
 the sweep scores, 34 kB each on an 8x8 PixelGrid, and lives as long as the
 call: it is not kept per process, where it would grow without bound.
+A coefficients dict of dct_artifacts's forward transforms, 4.6 kB each,
+is shared and scoped the same way: the transform ignores kappa.
 """
 
 from __future__ import annotations
@@ -140,16 +147,18 @@ Views = dict[bytes, tuple[Array, float, bool, float]]
 
 def view(params: nn.ParamSet, obs: Array, direction: Direction,
          views: Views, clean_features: perceptual.Features | None = None,
+         coefficients: perturb.Coefficients | None = None,
          ) -> tuple[Array, float, bool, float]:
     """What the policy sees at one observation: the perturbed or attacked
     view, the attack's distance and success, and the view's similarity to
     the observation under the reference featurenet. Read from `views`, or
-    computed and stored there. `clean_features` is lpips's memo of the
-    observation's features (see the module docstring)."""
+    computed and stored there. `clean_features` and `coefficients` are
+    lpips's and dct_artifacts's memos of the observation's features and
+    forward DCT (see the module docstring)."""
     key = obs.tobytes()
     if key not in views:
         if isinstance(direction, perturb.PerturbationSpec):
-            viewed = perturb.apply(direction, obs)
+            viewed = perturb.apply(direction, obs, coefficients)
             dist, success = 0.0, False
         else:
             result = attack_mod.run_attack(params, obs, direction)
@@ -169,46 +178,56 @@ def probe_episode(params: nn.ParamSet, spec: EnvSpec, direction: Direction,
                   episode_seed: int, views: Views | None = None,
                   actions: dict[bytes, int] | None = None,
                   clean_features: perceptual.Features | None = None,
+                  coefficients: perturb.Coefficients | None = None,
                   ) -> tuple[float, float, int, list[tuple[Array, int]]]:
     """One rollout with the policy viewing perturbed observations.
 
     Returns (total reward, mean per-step similarity, env steps taken,
     trace), the trace being each step's (true observation, action); each
-    observation's view and scores are in `views`. `views`, `actions` and
-    `clean_features` are the memos of the module docstring, keyed on
-    observation bytes. A caller may share them across episodes: `views`
-    along one direction (and, for an attack, one policy), `actions` for one
-    policy along one direction, `clean_features` across directions and
-    policies. `views` and `actions` default to a fresh dict for this
-    episode; without `clean_features`, each distinct observation's
-    features are computed once per direction, through `views`.
+    observation's view and scores are in `views`. `views`, `actions`,
+    `clean_features` and `coefficients` are the memos of the module
+    docstring, keyed on observation bytes. A caller may share them across
+    episodes: `views` along one direction (and, for an attack, one
+    policy), `actions` for one policy along one direction, the last two
+    across directions and policies. `views` and `actions` default to a
+    fresh dict for this episode; without the last two, their values are
+    computed once per direction, through `views`.
     """
     views = {} if views is None else views
     actions = {} if actions is None else actions
     env = make_env(spec)
     obs = env.reset(episode_seed)
-    rewards: list[float] = []
-    sim_sum, steps = 0.0, 0
     trace: list[tuple[Array, int]] = []
-    first: dict[bytes, Array] = {}   # one array per state, shared by repeats
+    rewards: list[float] = []
+    sims: list[float] = []
+    visited: dict = {}   # env state key -> index of the step taken from it
     terminal = False
     while not terminal:
+        t = len(trace)
+        loop = t - visited.setdefault(env.state_key(), t)
+        if loop:   # the state repeats: replay the loop up to the cap
+            for i in range(t, spec.episode_cap):
+                for record in (trace, rewards, sims):
+                    record.append(record[i - loop])
+            break
         key = obs.tobytes()
         seen = views.get(key)
         if seen is None:
-            seen = view(params, obs, direction, views, clean_features)
+            seen = view(params, obs, direction, views, clean_features,
+                        coefficients)
         viewed, _, _, sim = seen
         if key not in actions:
             actions[key] = greedy_action(params, viewed)
         action = actions[key]
         step = env.step(action)
-        trace.append((first.setdefault(key, obs), action))
+        trace.append((obs, action))
         rewards.append(step.reward)
-        sim_sum += sim
-        steps += 1
+        sims.append(sim)
         obs, terminal = step.observation, step.terminal
-    return (episode_return(rewards), sim_sum / steps if steps else 0.0,
-            steps, trace)
+    sim_sum = 0.0
+    for sim in sims:
+        sim_sum += sim
+    return episode_return(rewards), sim_sum / len(sims), len(sims), trace
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +266,7 @@ def probe(params: nn.ParamSet, spec: EnvSpec, direction: Direction,
           clean_scores: Array | None = None,
           views: Views | None = None,
           clean_features: perceptual.Features | None = None,
+          coefficients: perturb.Coefficients | None = None,
           ) -> ProbeReport:
     """Probe a policy along one direction with paired clean runs.
 
@@ -255,8 +275,8 @@ def probe(params: nn.ParamSet, spec: EnvSpec, direction: Direction,
     avoid re-rolling the baseline across many probes. Every run shares one
     views dict and one actions dict (see the module docstring); a caller
     may pass `views` it filled along the same direction, against the same
-    policy if the direction is an attack, and `clean_features` it shares
-    across directions.
+    policy if the direction is an attack, and `clean_features` and
+    `coefficients` it shares across directions.
     """
     if runs < 1:
         raise ValueError("need at least one run")
@@ -270,7 +290,8 @@ def probe(params: nn.ParamSet, spec: EnvSpec, direction: Direction,
     records = []
     for seed in seeds:
         score, sim, steps, _ = probe_episode(params, spec, direction, seed,
-                                             views, actions, clean_features)
+                                             views, actions, clean_features,
+                                             coefficients)
         records.append(RunRecord(seed, score, sim, steps))
     return aggregate(direction, spec, records, float(np.mean(clean_scores)),
                      checkpoint_id)
@@ -305,7 +326,7 @@ def sweep(policies: list[tuple[str, nn.ParamSet]], spec: EnvSpec, family: str,
     clean baseline sits at the fixed minimum is refused by name before any
     grid point is probed. Policy names must be unique. The policies share
     one views dict per grid value, and the whole sweep one clean_features
-    dict (see the module docstring).
+    and one coefficients dict (see the module docstring).
     """
     if any(b >= a for a, b in zip(values[1:], values)):
         raise ValueError("sweep grid must be strictly increasing")
@@ -323,6 +344,7 @@ def sweep(policies: list[tuple[str, nn.ParamSet]], spec: EnvSpec, family: str,
         cleans.append(clean)
     reports: dict[tuple[str, float], ProbeReport] = {}
     clean_features: perceptual.Features = {}
+    coefficients: perturb.Coefficients = {}
     for value in values:
         direction = perturb.spec_with(family, parameter, value)
         views: Views = {}
@@ -330,6 +352,7 @@ def sweep(policies: list[tuple[str, nn.ParamSet]], spec: EnvSpec, family: str,
             reports[(name, value)] = probe(params, spec, direction, runs,
                                            ids.get(name, ""),
                                            clean_scores=clean, views=views,
-                                           clean_features=clean_features)
+                                           clean_features=clean_features,
+                                           coefficients=coefficients)
     return {(name, float(value)): reports[(name, value)]
             for name in names for value in values}

@@ -31,7 +31,7 @@ from importlib import resources
 import numpy as np
 
 from . import checkpoint, nn
-from .perturb import as_image
+from .perturb import as_image, memoized
 
 Array = np.ndarray
 
@@ -90,7 +90,6 @@ def _overlap_matrix(n_out: int, n_in: int) -> Array:
     return mat
 
 
-@functools.lru_cache(maxsize=None)
 def _taps(n_out: int, n_in: int) -> tuple[Array, Array]:
     """The nonzero entries of each `_overlap_matrix` row, in column order,
     as (n_out, k) index and weight arrays. Shorter rows are padded with
@@ -107,6 +106,24 @@ def _taps(n_out: int, n_in: int) -> tuple[Array, Array]:
     return index, weight
 
 
+@functools.lru_cache(maxsize=None)
+def _gather(h: int, w: int, size: int) -> list:
+    """area_resample's plan for an h x w input, one entry per row tap: the
+    output rows whose einsum pass ends before the tap (None if none), the
+    tap's weights as a column, then for each column tap the flat input
+    index of each output cell and the tap's weights as a row."""
+    row_i, row_w = _taps(size, h)
+    col_i, col_w = _taps(size, w)
+    passes = row_i // max(1, _EINSUM_BUFFER // w)
+    plan = []
+    for t, (i, rw) in enumerate(zip(row_i.T, row_w.T)):
+        done = passes[:, t] != passes[:, max(t - 1, 0)]
+        plan.append((done if done.any() else None, rw[:, None],
+                     [(i[:, None] * w + j, cw[None, :])
+                      for j, cw in zip(col_i.T, col_w.T)]))
+    return plan
+
+
 def area_resample(obs: Array, size: int = INPUT_SIZE) -> Array:
     """Box-overlap (area-average) resample of (H, W, C) to (size, size, C).
 
@@ -118,31 +135,27 @@ def area_resample(obs: Array, size: int = INPUT_SIZE) -> Array:
     as numpy runs it unoptimized: output (r, s) sums the products
     (rows[r, i] * obs[i, j]) * cols[s, j], i in the outer and j in the
     inner loop, starting from zero. The sum here takes the same taps in the
-    same order but skips the zero weights, which add nothing. numpy sums
-    in passes of whole input rows, at most _EINSUM_BUFFER products each,
-    and adds each pass's sum to the output; so does this loop, so the two
-    agree on any input narrower than _EINSUM_BUFFER pixels.
+    same order but skips the zero weights, which add nothing, gathering
+    each term's pixels by a flat index (see _gather). numpy sums in passes
+    of whole input rows, at most _EINSUM_BUFFER products each, and adds
+    each pass's sum to the output; so does this loop, so the two agree on
+    any input narrower than _EINSUM_BUFFER pixels.
     """
     obs = as_image(obs)
     if obs.shape[2] > 1:
         obs = obs.mean(axis=2, keepdims=True)
     if obs.shape[:2] == (size, size):
         return obs
-    row_i, row_w = _taps(size, obs.shape[0])
-    col_i, col_w = _taps(size, obs.shape[1])
-    rows_per_pass = max(1, _EINSUM_BUFFER // obs.shape[1])
-    out = np.zeros((size, size, 1))
+    flat = obs.ravel()
+    out = np.zeros((size, size))
     part = np.zeros_like(out)
-    pass_of = row_i[:, 0] // rows_per_pass
-    for i, w in zip(row_i.T, row_w.T):
-        done = i // rows_per_pass != pass_of
-        out[done] += part[done]
-        part[done] = 0.0
-        pass_of = i // rows_per_pass
-        row = w[:, None, None] * obs[i]
-        for j, v in zip(col_i.T, col_w.T):
-            part += row[:, j] * v[None, :, None]
-    return out + part
+    for done, w, cols in _gather(obs.shape[0], obs.shape[1], size):
+        if done is not None:
+            out[done] += part[done]
+            part[done] = 0.0
+        for index, v in cols:
+            part += w * flat.take(index) * v
+    return (out + part)[:, :, None]
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +195,8 @@ def lpips(fnet: nn.ParamSet, s1: Array, s2: Array,
     s2 = np.asarray(s2, dtype=np.float64)
     if s1.shape != s2.shape:
         raise ValueError(f"shape mismatch: {s1.shape} vs {s2.shape}")
-    if clean_features is None:
-        y1 = normalized_activations(fnet, s1)
-    else:
-        key = s1.shape, s1.tobytes()
-        y1 = clean_features.get(key)
-        if y1 is None:
-            y1 = clean_features[key] = normalized_activations(fnet, s1)
+    y1 = memoized(clean_features, s1,
+                  lambda s: normalized_activations(fnet, s))
     y2 = normalized_activations(fnet, s2)
     total = 0.0
     for a1, a2 in zip(y1, y2):

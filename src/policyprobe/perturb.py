@@ -316,31 +316,54 @@ def dct_quant_table(kappa: float) -> Array:
     return 1.0 + kappa * DCT_LAMBDA * (u + v)
 
 
-def dct_artifacts(s: Array, kappa: float) -> Array:
+# frame (shape, bytes) -> its dct_forward coefficients
+Coefficients = dict[tuple[tuple[int, ...], bytes], Array]
+
+
+def memoized(memo: dict | None, frame: Array, compute):
+    """compute(frame), read from memo by the frame's shape and bytes, or
+    computed and stored there; computed afresh when memo is None."""
+    if memo is None:
+        return compute(frame)
+    key = frame.shape, frame.tobytes()
+    if key not in memo:
+        memo[key] = compute(frame)
+    return memo[key]
+
+
+def dct_forward(img: Array) -> Array:
+    """The orthonormal DCT-II of each 8x8 block of an (H, W, C) float64
+    frame, edge blocks padded by replication, as (H/8, W/8, C, 8, 8)."""
+    ph, pw = (-img.shape[0]) % DCT_BLOCK, (-img.shape[1]) % DCT_BLOCK
+    padded = np.pad(img, ((0, ph), (0, pw), (0, 0)), mode="edge")
+    hh, ww, c = padded.shape
+    blocks = padded.reshape(hh // DCT_BLOCK, DCT_BLOCK, ww // DCT_BLOCK,
+                            DCT_BLOCK, c).transpose(0, 2, 4, 1, 3)
+    return np.einsum("ui,abcij,vj->abcuv", _DCT, blocks, _DCT)
+
+
+def dct_artifacts(s: Array, kappa: float, *,
+                  coefficients: Coefficients | None = None) -> Array:
     """Blockwise DCT quantization artifacts.
 
-    Each 8x8 block is transformed (orthonormal DCT-II), coefficients with a
-    quantization step above 1 are rounded to their step grid, and the block
-    is transformed back. Unit steps pass coefficients through untouched, so
-    kappa=0 is an exact round-trip up to float error. Edge blocks are padded
-    by replication and cropped after.
+    Each 8x8 block is transformed (orthonormal DCT-II, see dct_forward),
+    coefficients with a quantization step above 1 are rounded to their step
+    grid, and the block is transformed back. Unit steps pass coefficients
+    through untouched, so kappa=0 is an exact round-trip up to float error.
+    Edge blocks are padded by replication and cropped after. The forward
+    transform does not depend on kappa, so a caller applying many kappas
+    to few frames (see harness) passes a `coefficients` memo of it (see
+    memoized): a read-back holds the very bits a recomputation would.
     """
     if not 0.0 <= kappa <= 1.0:
         raise ValueError("kappa must lie in [0, 1]")
     img = as_image(s)
     h, w, c = img.shape
-    ph = (-h) % DCT_BLOCK
-    pw = (-w) % DCT_BLOCK
-    padded = np.pad(img, ((0, ph), (0, pw), (0, 0)), mode="edge")
-    hh, ww = padded.shape[:2]
-    a, b = hh // DCT_BLOCK, ww // DCT_BLOCK
-    blocks = padded.reshape(a, DCT_BLOCK, b, DCT_BLOCK, c).transpose(0, 2, 4, 1, 3)
-    coef = np.einsum("ui,abcij,vj->abcuv", _DCT, blocks, _DCT)
+    coef = memoized(coefficients, img, dct_forward)
     q = dct_quant_table(kappa)
-    mask = q > 1.0
-    coef = np.where(mask, np.round(coef / q) * q, coef)
+    coef = np.where(q > 1.0, np.round(coef / q) * q, coef)
     rec = np.einsum("ui,abcuv,vj->abcij", _DCT, coef, _DCT)
-    out = rec.transpose(0, 3, 1, 4, 2).reshape(hh, ww, c)
+    out = rec.transpose(0, 3, 1, 4, 2).reshape(len(rec) * DCT_BLOCK, -1, c)
     return np.clip(out[:h, :w], 0.0, 255.0)
 
 
@@ -363,7 +386,11 @@ FAMILIES = {
 }
 
 
-def apply(spec: PerturbationSpec, s: Array) -> Array:
-    """Apply one perturbation spec to one observation."""
+def apply(spec: PerturbationSpec, s: Array,
+          coefficients: Coefficients | None = None) -> Array:
+    """Apply one perturbation spec to one observation. `coefficients` is
+    dct_artifacts's memo of forward transforms; other families ignore it."""
+    if spec.family == "dct_artifacts":
+        return dct_artifacts(s, spec.kappa, coefficients=coefficients)
     fn, reads, _ = FAMILIES[spec.family]
     return fn(s, *(getattr(spec, name) for name in reads))

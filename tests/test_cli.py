@@ -566,6 +566,26 @@ def test_attack_attacks_each_distinct_state_once(tmp_path, monkeypatch):
         assert first.setdefault(key, fields) == fields
 
 
+def test_attack_table_acts_once_per_distinct_view(tmp_path, monkeypatch):
+    """A clean episode that loops repeats its rows up to the cap; the
+    table's greedy action on each distinct view is computed once."""
+    acted = []
+    greedy_action = ql.greedy_action
+
+    def counting(params, viewed):
+        acted.append(viewed.tobytes())
+        return greedy_action(params, viewed)
+
+    monkeypatch.setattr(ql, "greedy_action", counting)
+    cfgp = probe_manifest(tmp_path, {"method": "fgm", "p": "inf",
+                                     "epsilon": 0.05}, runs=4)
+    out = tmp_path / "out"
+    assert main(["attack", "--config", cfgp, "--checkpoint", VANILLA,
+                 "--out", str(out)]) == 0
+    rows = (only_dir(out) / "states.csv").read_text().splitlines()[1:]
+    assert len(acted) == len(set(acted)) < len(rows)
+
+
 def test_attack_rollout_flag_adds_probe_report(tmp_path):
     cfgp = probe_manifest(tmp_path, {"method": "fgm", "p": "inf",
                                      "epsilon": 0.05}, runs=2, rollout=True)
@@ -708,6 +728,43 @@ def test_sweep_refuses_an_empty_policy_path_naming_its_key(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "sweep.policies.vanilla" in err and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["flag", "manifest"])
+def test_an_output_root_that_is_a_file_is_refused_before_any_work(
+        tmp_path, capsys, monkeypatch, where):
+    """A regular file as the output root used to run the whole sweep and
+    then end in a NotADirectoryError traceback from run_directory."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(harness, "sweep", refuse)
+    root = tmp_path / "F"
+    root.write_text("a file\n")
+    cfgp = sweep_manifest(tmp_path)
+    flags = ["--out", str(root)]
+    if where == "manifest":
+        raw = json.loads(Path(cfgp).read_text())
+        Path(cfgp).write_text(json.dumps({**raw, "output_dir": "F"}))
+        flags = []
+    assert main(["sweep", "--config", cfgp, *flags]) == 2
+    assert capsys.readouterr().err == (
+        f"error: output_dir {root} is not a directory\n")
+    assert root.read_text() == "a file\n"
+
+
+def test_an_output_root_that_cannot_be_made_is_a_one_line_error(tmp_path,
+                                                                capsys):
+    """A root inside a regular file passes the manifest checks; making
+    the run directory fails, and that OSError is one line, exit 2."""
+    blocker = tmp_path / "F"
+    blocker.write_text("a file\n")
+    cfgp = probe_manifest(tmp_path, {"family": "identity"}, runs=1)
+    assert main(["probe", "--config", cfgp, "--checkpoint", VANILLA,
+                 "--out", str(blocker / "runs")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: file system error: ")
+    assert str(blocker) in err and err.count("\n") == 1
 
 
 def test_probe_refuses_a_field_its_family_does_not_read(tmp_path, capsys):

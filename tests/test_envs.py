@@ -1,6 +1,7 @@
 """Environments: determinism, reachability, reward accounting, rendering
 levels, episode caps, and the shortest-path oracle."""
 
+import copy
 import dataclasses
 import math
 
@@ -416,3 +417,70 @@ def test_minipong_requires_size_12():
 def test_unknown_env_rejected():
     with pytest.raises(ValueError):
         make_spec("atari")
+
+
+# ---------------------------------------------------------------------------
+# State keys: what the probe's loop replay relies on
+# ---------------------------------------------------------------------------
+
+def _copy(env):
+    """An independent copy of an env; a PixelGrid layout is read-only and
+    shared."""
+    env = copy.copy(env)
+    if isinstance(env, MiniPongEnv):
+        env.state = copy.copy(env.state)
+    return env
+
+
+def _random_walks(spec, episodes, seed=5):
+    """Each state of random-action episodes, as a copy of the env in it.
+    A MiniPong player tracks the ball on half of its steps, so rallies
+    last and states recur."""
+    rng = np.random.default_rng(seed)
+    for episode in range(episodes):
+        env = make_env(spec)
+        env.reset(episode % 2)
+        while not env.terminal:
+            yield _copy(env)
+            action = int(rng.integers(spec.n_actions))
+            if spec.env_id == "minipong" and rng.random() < 0.5:
+                action = env.tracker_action()
+            env.step(action)
+
+
+def _step_copy(env, action, step_index):
+    env = _copy(env)
+    env.step_index = step_index
+    result = env.step(action)
+    return (result.observation.tobytes(), result.reward, result.terminal,
+            result.step_index, result.truncated), env.state_key()
+
+
+@pytest.mark.parametrize("env_id,size", [("pixelgrid", 8), ("minipong", 12)])
+def test_equal_state_keys_step_alike(env_id, size):
+    """Two envs whose state keys are equal, reached by different histories,
+    give identical StepResults for every action once their step counts
+    agree, and land on equal keys again."""
+    spec = make_spec(env_id, size=size, seed=0)
+    first, pairs = {}, 0
+    for env in _random_walks(spec, episodes=6):
+        other = first.setdefault(env.state_key(), env)
+        if other.step_index == env.step_index:
+            continue
+        pairs += 1
+        for action in range(spec.n_actions):
+            assert _step_copy(env, action, env.step_index) == \
+                _step_copy(other, action, env.step_index)
+    assert pairs > 20
+
+
+def test_a_minipong_frame_alone_does_not_fix_the_next_step(minipong_spec):
+    """Equal frames with unequal keys (the ball's velocity is not drawn)
+    can step to different frames: the key must hold the whole state."""
+    first, differ = {}, 0
+    for env in _random_walks(minipong_spec, episodes=6):
+        other = first.setdefault(env._observe().tobytes(), env)
+        if other.state_key() != env.state_key():
+            differ += _step_copy(env, 0, 0)[0][0] != \
+                _step_copy(other, 0, 0)[0][0]
+    assert differ > 0

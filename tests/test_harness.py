@@ -315,6 +315,39 @@ def _explicit_rollout(net, spec, direction, seed, fnet):
     return steps
 
 
+def check_against_rollout(result, views, expected):
+    """A probe_episode result and its views memo hold, bit for bit, what
+    `_explicit_rollout` recorded step by step."""
+    total, mean_sim, steps, trace = result
+    rewards = [reward for _, _, _, reward, *_ in expected]
+    sim_sum = 0.0
+    for _, _, _, _, sim, _, _ in expected:
+        sim_sum += sim
+    assert total == envs.episode_return(rewards)
+    assert mean_sim == sim_sum / len(expected)
+    assert steps == len(trace) == len(expected)
+    for (base, taken), (obs, viewed, action, _, sim, dist, success) in \
+            zip(trace, expected):
+        assert taken == action
+        assert np.array_equal(base, obs)
+        memo_view, *memo_scores = views[base.tobytes()]
+        assert np.array_equal(memo_view, viewed)
+        assert memo_scores == [dist, success, sim]
+
+
+def count_steps(monkeypatch, env_class):
+    """A list that grows by one on every env_class.step call."""
+    calls = []
+    step = env_class.step
+
+    def counting(self, action):
+        calls.append(action)
+        return step(self, action)
+
+    monkeypatch.setattr(env_class, "step", counting)
+    return calls
+
+
 @pytest.mark.parametrize("direction", [
     perturb.PerturbationSpec(family="brightness_contrast", beta=30.0),
     attack.AttackSpec(method="fgm", p=math.inf, epsilon=0.02),
@@ -322,13 +355,17 @@ def _explicit_rollout(net, spec, direction, seed, fnet):
 def test_probe_episode_computes_once_per_distinct_observation(
         direction, pixelgrid_spec, fnet, monkeypatch):
     """A looping policy repeats a few observations until the cap. Each one
-    is perturbed or attacked, scored and acted on once, and the episode
-    equals a loop that recomputes every step."""
+    is perturbed or attacked, scored and acted on once, the env steps only
+    up to the first repeated state, and the episode equals a loop that
+    recomputes every step."""
     spec = pixelgrid_spec
     net = _looping_net(spec)
     expected = _explicit_rollout(net, spec, direction, 0, fnet)
     distinct = {obs.tobytes() for obs, *_ in expected}
     assert len(expected) == spec.episode_cap > 10 * len(distinct)
+    # a PixelGrid frame shows the whole state, the agent's cell
+    keys = [obs.tobytes() for obs, *_ in expected]
+    first_repeat = next(t for t, key in enumerate(keys) if key in keys[:t])
 
     seen = {"view": [], "lpips": [], "action": []}
 
@@ -348,27 +385,61 @@ def test_probe_episode_computes_once_per_distinct_observation(
                         counting("lpips", perceptual.lpips, 1))
     monkeypatch.setattr(hz, "greedy_action",
                         counting("action", hz.greedy_action, 1))
+    steps = count_steps(monkeypatch, envs.PixelGridEnv)
     views = {}
-    total, mean_sim, steps, trace = hz.probe_episode(net, spec, direction, 0,
-                                                     views)
+    result = hz.probe_episode(net, spec, direction, 0, views)
     assert sorted(seen["view"]) == sorted(distinct)
     assert sorted(seen["lpips"]) == sorted(distinct)
     assert len(seen["action"]) == len(distinct)
+    assert len(steps) == first_repeat == len(distinct)
+    assert result[1] > 0.0
+    check_against_rollout(result, views, expected)
 
-    rewards = [reward for _, _, _, reward, *_ in expected]
-    sim_sum = 0.0
-    for _, _, _, _, sim, _, _ in expected:
-        sim_sum += sim
-    assert total == envs.episode_return(rewards)
-    assert mean_sim == sim_sum / len(expected) > 0.0
-    assert steps == len(trace) == len(expected)
-    for (base, taken), (obs, viewed, action, _, sim, dist, success) in \
-            zip(trace, expected):
-        assert taken == action
-        assert np.array_equal(base, obs)
-        memo_view, *memo_scores = views[base.tobytes()]
-        assert np.array_equal(memo_view, viewed)
-        assert memo_scores == [dist, success, sim]
+
+def pixel_tracker(params, obs):
+    """MiniPong's scripted tracker read off a frame, as a policy: chase
+    the ball, the brightest cell, with the paddle in the last column."""
+    cells = np.asarray(obs)[1::3, 1::3, 0]
+    ball_row = np.argwhere(cells == cells.max())[0][0]
+    paddle = np.flatnonzero(cells[:, -1] == cells[:, -1].max())
+    return 1 if ball_row < paddle[1] else 2 if ball_row > paddle[1] else 0
+
+
+def test_minipong_probe_replays_its_rally_as_the_explicit_rollout(
+        minipong_spec, fnet, monkeypatch):
+    """A tracking player rallies to the cap, so its state repeats: the env
+    steps up to the first repeated state, and the episode equals the loop
+    that steps every time."""
+    monkeypatch.setattr(ql, "greedy_action", pixel_tracker)
+    monkeypatch.setattr(hz, "greedy_action", pixel_tracker)
+    direction = perturb.PerturbationSpec(family="brightness_contrast",
+                                         beta=20.0)
+    expected = _explicit_rollout(None, minipong_spec, direction, 0, fnet)
+    assert len(expected) == minipong_spec.episode_cap
+    env, states = make_env(minipong_spec), []
+    env.reset(0)
+    for _, _, action, *_ in expected:
+        states.append(env.state_key())
+        env.step(action)
+    first_repeat = next(t for t, key in enumerate(states)
+                        if key in states[:t])
+    steps = count_steps(monkeypatch, envs.MiniPongEnv)
+    views = {}
+    result = hz.probe_episode(None, minipong_spec, direction, 0, views)
+    assert len(steps) == first_repeat < len(expected) / 4
+    check_against_rollout(result, views, expected)
+
+
+def test_capped_replay_keeps_the_fixed_minimum(pixelgrid_spec, monkeypatch):
+    """The stuck policy's replayed episodes still sum to score_min."""
+    steps = count_steps(monkeypatch, envs.PixelGridEnv)
+    for seed in range(10):
+        total, _, length, _ = hz.probe_episode(_stuck_net(pixelgrid_spec),
+                                               pixelgrid_spec, IDENTITY,
+                                               seed)
+        assert (total, length) == (pixelgrid_spec.score_min,
+                                   pixelgrid_spec.episode_cap)
+    assert len(steps) < pixelgrid_spec.episode_cap
 
 
 def test_sweep_names_the_policy_with_a_degenerate_baseline(
@@ -413,7 +484,8 @@ def test_sweep_computes_once_per_distinct_direction_and_observation(
                 values=[10.0, 30.0], runs=4)
     views, sims, acts = [], [], []
     monkeypatch.setattr(perturb, "apply", _recording(
-        views, perturb.apply, lambda d, obs: (d, obs.tobytes())))
+        views, perturb.apply,
+        lambda d, obs, coefficients: (d, obs.tobytes())))
     monkeypatch.setattr(perceptual, "lpips", _recording(
         sims, perceptual.lpips,
         lambda f, a, b, clean_features: (a.tobytes(), b.tobytes())))
@@ -434,6 +506,31 @@ def test_sweep_computes_once_per_distinct_direction_and_observation(
     steps = sum(run.episode_length for rep in reports.values()
                 for run in rep.runs)
     assert len(sims) < steps / 4      # the memo shares across the sweep
+
+
+def test_a_kappa_sweep_transforms_each_distinct_frame_once(
+        vanilla_checkpoint, radial_checkpoint, monkeypatch):
+    """One coefficients memo serves a sweep's grid values and policies:
+    each distinct frame a DCT view is made of is forward-transformed once.
+    The memo lives as long as the call, so a second sweep transforms the
+    same frames again."""
+    policies = [("vanilla", vanilla_checkpoint[0].params),
+                ("radial", radial_checkpoint[0].params)]
+    spec = vanilla_checkpoint[0].env_spec
+    applied, transformed = [], []
+    monkeypatch.setattr(perturb, "apply", _recording(
+        applied, perturb.apply,
+        lambda d, obs, coefficients: (d.family, _f64_bytes(obs))))
+    monkeypatch.setattr(perturb, "dct_forward", _recording(
+        transformed, perturb.dct_forward, lambda img: img.tobytes()))
+    grid = dict(family="dct_artifacts", parameter="kappa",
+                values=[0.2, 0.5, 0.8], runs=3)
+    hz.sweep(policies, spec, **grid)
+    frames = [obs for family, obs in applied if family == "dct_artifacts"]
+    assert len(frames) > len(set(frames))   # frames recur across kappas
+    assert sorted(transformed) == sorted(set(frames))
+    hz.sweep(policies, spec, **grid)
+    assert sorted(transformed) == sorted(2 * list(set(frames)))
 
 
 def _f64_bytes(obs):

@@ -109,6 +109,8 @@ def test_resample_multichannel_averages_to_gray(rng):
 
 @pytest.mark.parametrize("h,w,c,size", [
     (24, 24, 1, 36),     # the PixelGrid frame, upsampled
+    (20, 28, 1, 36),     # non-square, upsampled by two ratios
+    (24, 24, 3, 36),     # multichannel, upsampled
     (13, 29, 1, 36),     # non-square, upsampled
     (36, 36, 1, 20),     # square, downsampled
     (50, 17, 3, 9),      # non-square, downsampled, multichannel

@@ -251,6 +251,42 @@ def test_dct_single_block_matches_direct_computation(rng):
     assert np.allclose(out[:, :, 0], ref, atol=1e-9)
 
 
+def _dct_in_one_piece(img, kappa):
+    """dct_artifacts as one function, forward transform included: the
+    oracle the memoized split must match bit for bit."""
+    h, w, c = img.shape
+    padded = np.pad(img, ((0, -h % 8), (0, -w % 8), (0, 0)), mode="edge")
+    hh, ww = padded.shape[:2]
+    blocks = padded.reshape(hh // 8, 8, ww // 8, 8, c).transpose(
+        0, 2, 4, 1, 3)
+    d = pb._dct_matrix()
+    coef = np.einsum("ui,abcij,vj->abcuv", d, blocks, d)
+    q = pb.dct_quant_table(kappa)
+    coef = np.where(q > 1.0, np.round(coef / q) * q, coef)
+    rec = np.einsum("ui,abcuv,vj->abcij", d, coef, d)
+    out = rec.transpose(0, 3, 1, 4, 2).reshape(hh, ww, c)
+    return np.clip(out[:h, :w], 0.0, 255.0)
+
+
+@pytest.mark.parametrize("shape", [(24, 24, 1), (36, 36, 1), (20, 28, 1),
+                                   (24, 24, 3)])
+def test_dct_memo_gives_the_same_bytes_at_every_kappa(shape, rng):
+    """One coefficients memo serves every kappa: each result is the bytes
+    of a call without the memo and of the one-piece transform, and the
+    memo holds the one frame's coefficients."""
+    img = rng.integers(0, 256, size=shape).astype(np.float64)
+    memo = {}
+    for kappa in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0):
+        fresh = pb.dct_artifacts(img, kappa).tobytes()
+        assert fresh == _dct_in_one_piece(img, kappa).tobytes()
+        assert pb.dct_artifacts(img, kappa,
+                                coefficients=memo).tobytes() == fresh
+        spec = pb.PerturbationSpec(family="dct_artifacts", kappa=kappa)
+        assert pb.apply(spec, img.astype(np.uint8), memo).tobytes() == fresh
+    assert list(memo) == [(shape, img.tobytes())]
+    assert np.array_equal(memo[shape, img.tobytes()], pb.dct_forward(img))
+
+
 def test_dct_rejects_kappa_outside_unit_interval(rng):
     img = noise_image(rng)
     with pytest.raises(ValueError):
@@ -275,9 +311,15 @@ def test_unknown_family_rejected():
 @pytest.mark.parametrize("family", sorted(pb.FAMILIES))
 def test_each_family_takes_the_fields_it_declares(family):
     """A family's function takes the observation, then exactly the spec
-    fields its FAMILIES entry names, in that order."""
+    fields its FAMILIES entry names, in that order. Only dct_artifacts
+    takes more: its memo, keyword-only and optional, which apply passes by
+    name."""
     fn, reads, _ = pb.FAMILIES[family]
-    assert list(inspect.signature(fn).parameters)[1:] == list(reads)
+    params = list(inspect.signature(fn).parameters.values())
+    by_name = [p for p in params if p.kind is p.KEYWORD_ONLY]
+    assert [p.name for p in params if p not in by_name][1:] == list(reads)
+    assert [(p.name, p.default) for p in by_name] == (
+        [("coefficients", None)] if family == "dct_artifacts" else [])
 
 
 def test_spec_refuses_a_field_its_family_does_not_read():
