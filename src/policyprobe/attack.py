@@ -20,6 +20,14 @@ once and reuses those exact bits for the rest of the call. A descent step
 that stalls returns the same iterate byte for byte, and the descent then
 reuses that iterate's forward pass instead of running it again.
 
+The penalty search speculates: it guesses that every remaining step fails
+and runs up to CW_ROWS of them, at the penalties that guess gives, as the
+rows of one lockstep descent. Once a row has a flipped iterate it succeeds,
+and the rows after it, off the search's path, are dropped. The kept rows
+are walked in step order with the sequential bookkeeping, restarts after a
+failed row included, and the search guesses again after them. Rows hold
+batch-1 bits, so every output is the step-by-step search's, byte for byte.
+
 Inputs and outputs are raw [0, 255] observations; reported distances are on
 the [0, 1] scale.
 """
@@ -27,7 +35,7 @@ the [0, 1] scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -35,6 +43,8 @@ from . import nn
 from .qlearning import OBS_SCALE
 
 Array = np.ndarray
+
+CW_ROWS = 8  # most penalty steps one lockstep descent runs as rows
 
 
 @dataclass(frozen=True)
@@ -69,9 +79,13 @@ class AttackSpec:
         if not 0 < self.cw_step < math.inf:
             raise ValueError("cw_step must be positive and finite")
 
-    def label(self) -> str:
+    def label(self) -> str:  # a C&W label adds each cw_* field off its default
         norm = "inf" if math.isinf(self.p) else "l2"
-        return f"{self.method}[p={norm},eps={self.epsilon:g}]"
+        search = "".join(f",{f.name[3:]}={getattr(self, f.name):g}"
+                         for f in fields(self) if self.method == "cw"
+                         and f.name.startswith("cw_")
+                         and getattr(self, f.name) != f.default)
+        return f"{self.method}[p={norm},eps={self.epsilon:g}{search}]"
 
 
 @dataclass
@@ -94,9 +108,8 @@ def _project(delta: Array, p: float, eps: float) -> Array:
     return delta.clip(-eps, eps)
 
 
-def _greedy(net: nn.ParamSet, x: Array) -> tuple[int, Array]:
-    q = nn.forward(net, x)[-1]
-    return int(q.argmax()), q
+def _greedy(net: nn.ParamSet, x: Array) -> int:
+    return int(nn.forward(net, x)[-1].argmax())
 
 
 def _surrogate_grad(net: nn.ParamSet, x: Array) -> tuple[int, Array]:
@@ -126,37 +139,33 @@ def fgm(net: nn.ParamSet, obs: Array, spec: AttackSpec) -> AttackResult:
     x_adv = np.clip(x + delta, 0.0, 1.0)
     adv = x_adv * OBS_SCALE
     dist = norm_of(x_adv - x, spec.p)
-    flipped = _greedy(net, x_adv)[0] != a_star
+    flipped = _greedy(net, x_adv) != a_star
     return AttackResult(adv, dist, flipped)
 
 
-def _margin_and_grad(net: nn.ParamSet, x: Array, a_star: int,
-                     grads: dict) -> tuple[float, bool, Array]:
-    """Hinge margin of the original greedy action, whether the greedy action
-    has strictly flipped, and the margin's input gradient (one forward
-    pass; no backward pass once the margin is closed).
-
-    `grads` memoizes the gradient by (runner, rectifier masks), the only
-    inputs besides the fixed a* that it depends on; the array it returns
-    may be shared, so callers must not modify it in place."""
-    tape: list = []
-    q = nn.forward(net, x, tape)[-1]
-    flipped = int(q.argmax()) != a_star
+def _flips_and_grads(net: nn.ParamSet, q: Array, a_star: int, grads: dict,
+                     tape: list | None) -> tuple[list, list]:
+    """Per row of outputs q: has the greedy action strictly flipped, and the
+    margin's input gradient from the row's batch-1 slice of `tape` (0.0 if
+    the margin is closed or there is no tape). `grads` memoizes gradients
+    by (runner, rectifier masks), all they depend on besides the fixed a*;
+    they may be shared, so callers must not modify them."""
     others = q.copy()
-    others[a_star] = -np.inf
-    runner = int(others.argmax())
-    margin = float(q[a_star] - others[runner])
-    if margin <= 0.0:
-        return margin, flipped, np.zeros_like(x)
-    key = (runner, nn.rectifier_pattern(tape))
-    grad = grads.get(key)
-    if grad is None:
-        gout = np.zeros_like(q)
-        gout[a_star] = 1.0
-        gout[runner] = -1.0
-        grad = grads[key] = nn.backprop_batch(net, gout[None], "input",
-                                              tape)[0]
-    return margin, flipped, grad
+    others[:, a_star] = -np.inf
+    runners = others.argmax(axis=1)
+    margins = q[:, a_star] - others.max(axis=1)
+    out = [0.0] * len(q)
+    opened = [] if tape is None else np.flatnonzero(margins > 0.0).tolist()
+    patterns = nn.rectifier_patterns(tape) if opened else []
+    for r in opened:
+        key = (int(runners[r]), patterns[r])
+        if (grad := grads.get(key)) is None:
+            gout = np.zeros((1, q.shape[1]))
+            gout[0, a_star], gout[0, key[0]] = 1.0, -1.0
+            grad = grads[key] = nn.backprop_batch(net, gout, "input",
+                                                  nn.tape_row(tape, r))[0]
+        out[r] = grad
+    return (q.argmax(axis=1) != a_star).tolist(), out
 
 
 def _restart_point(x: Array, spec: AttackSpec, k: int) -> Array:
@@ -166,82 +175,87 @@ def _restart_point(x: Array, spec: AttackSpec, k: int) -> Array:
     return np.clip(x + _project(delta, spec.p, spec.epsilon), 0.0, 1.0)
 
 
-def _cw_inner(net: nn.ParamSet, x: Array, a_star: int, c_pen: float,
-              spec: AttackSpec, grads: dict,
-              x_start: Array | None = None) -> tuple[Array | None, float]:
-    """Projected descent for one penalty constant; returns the closest
-    flipped iterate (scaled coords) and its distance, or (None, inf).
-    `grads` is the calling `cw_minimal`'s margin-gradient memo.
-
-    A stalled step (projection and clipping give back the same point)
-    repeats the iterate byte for byte; its forward pass is then the last
-    one's, so the last evaluated iterate's bytes and result are kept and
-    reused. Bytes, not values: -0.0 and 0.0 compare equal but differ."""
-    x_adv = x.copy() if x_start is None else x_start.copy()
-    best, best_dist = None, math.inf
-    last_key, last = None, None
-    for it in range(spec.cw_iterations):
-        step = spec.cw_step * max(0.02, 1.0 - it / spec.cw_iterations)
-        delta = x_adv - x
+def _descend(net: nn.ParamSet, x: Array, a_star: int, pens: list[float],
+             spec: AttackSpec, grads: dict, start: Array) -> list[tuple]:
+    """Projected descent from `start`, one lockstep row per penalty in
+    `pens`, each with its own l2 norm and projection; returns each kept
+    row's closest flipped iterate (scaled coords) and its distance, or
+    (None, inf). Rows after the first row with a flipped iterate are
+    dropped. `grads` is `cw_minimal`'s margin-gradient memo. Each row reuses
+    its last evaluated iterate's result while its bytes repeat (a stalled
+    step); bytes, not values: -0.0 and 0.0 compare equal but differ."""
+    n_it, n = spec.cw_iterations, len(pens)
+    xs = np.repeat(start[None], n, axis=0)
+    col = np.array(pens).reshape(n, *[1] * x.ndim)
+    zero = np.zeros_like(x)
+    best = [(None, math.inf)] * n
+    keys, flips, margin = [None] * n, [False] * n, np.zeros_like(xs)
+    for it in range(n_it + 1):  # the last pass only checks the final iterate
+        now = [row.tobytes() for row in xs]
+        todo = [r for r in range(n) if now[r] != keys[r]]
+        if todo:
+            tape = [] if it < n_it else None
+            q = nn.forward_rows(net, xs[todo], tape)[-1]
+            nn.require_finite(q, "network output")
+            for r, flip, grad in zip(todo, *_flips_and_grads(
+                    net, q, a_star, grads, tape)):
+                keys[r], flips[r], margin[r] = now[r], flip, grad
+        delta = xs - x
+        for r in range(n):
+            if flips[r] and (d := norm_of(delta[r], spec.p)) < best[r][1]:
+                best[r] = (xs[r].copy(), d)
+        n = next((r + 1 for r in range(n) if best[r][0] is not None), n)
+        if it == n_it:
+            return best[:n]
+        step = spec.cw_step * max(0.02, 1.0 - it / n_it)
+        delta = delta[:n]
         if spec.p == 2.0:
-            n = norm_of(delta, 2.0)
-            dist_grad = np.zeros_like(delta) if n == 0.0 else delta / n
+            dist_grad = np.stack([zero if m == 0.0 else d / m for d, m in
+                                  ((d, norm_of(d, 2.0)) for d in delta)])
         else:
             # smooth proximity surrogate; the inf-ball projection and the
             # reported inf-norm keep the constraint and metric exact
             dist_grad = delta
-        key = x_adv.tobytes()
-        if key != last_key:
-            last_key, last = key, _margin_and_grad(net, x_adv, a_star, grads)
-        _, flipped, margin_grad = last
-        if flipped:
-            d = norm_of(delta, spec.p)
-            if d < best_dist:
-                best, best_dist = x_adv.copy(), d
-        grad = dist_grad + c_pen * margin_grad
-        x_adv = x + _project((x_adv - step * grad) - x, spec.p, spec.epsilon)
-        x_adv = x_adv.clip(0.0, 1.0)
-    flipped = (last[1] if x_adv.tobytes() == last_key
-               else _greedy(net, x_adv)[0] != a_star)
-    if flipped:
-        d = norm_of(x_adv - x, spec.p)
-        if d < best_dist:
-            best, best_dist = x_adv.copy(), d
-    return best, best_dist
+        grad = dist_grad + col[:n] * margin[:n]
+        moved = (xs[:n] - step * grad) - x
+        # the l2 projection is per row; the inf one is elementwise
+        moved = (np.stack([_project(m, 2.0, spec.epsilon) for m in moved])
+                 if spec.p == 2.0 else _project(moved, spec.p, spec.epsilon))
+        xs = (x + moved).clip(0.0, 1.0)
 
 
 def cw_minimal(net: nn.ParamSet, obs: Array, spec: AttackSpec) -> AttackResult:
     """Minimal-distance action flip inside the ball, or failure."""
     obs = np.asarray(obs, dtype=np.float64)
     x = obs / OBS_SCALE
-    a_star, _ = _greedy(net, x)
+    a_star = _greedy(net, x)
     grads: dict = {}  # (runner, masks) -> margin gradient, for this call only
     best, best_dist = None, math.inf
-    lo, hi = spec.cw_penalty_lo, spec.cw_penalty_hi
-    c_pen = math.sqrt(lo * hi)
-    for _ in range(spec.cw_binary_steps):
-        cand, dist = _cw_inner(net, x, a_star, c_pen, spec, grads)
-        if cand is None:
+    lo, hi, left = spec.cw_penalty_lo, spec.cw_penalty_hi, spec.cw_binary_steps
+    while left:
+        # guess that every remaining step fails, each raising lo to its c
+        pens = [math.sqrt(lo * hi)]
+        while len(pens) < min(left, CW_ROWS):
+            pens.append(math.sqrt(pens[-1] * hi))
+        for c_pen, (cand, dist) in zip(pens, _descend(net, x, a_star, pens,
+                                                      spec, grads, x)):
+            left -= 1
             # The clean start can stall on a flat hinge (dead relu paths
             # give a zero margin gradient); seeded restarts inside the ball
             # escape it.  They only contribute candidates — the penalty
             # search keeps following the clean-start outcome.
-            for k in range(1, spec.cw_restarts + 1):
-                r_cand, r_dist = _cw_inner(net, x, a_star, c_pen, spec,
-                                           grads, _restart_point(x, spec, k))
-                if r_cand is not None and r_dist < best_dist:
-                    best, best_dist = r_cand, r_dist
-        if cand is not None:
-            if dist < best_dist:
-                best, best_dist = cand, dist
-            hi = c_pen     # success: try a gentler penalty for a closer point
-        else:
-            lo = c_pen     # failure: push harder
-        c_pen = math.sqrt(lo * hi)
+            found = [(cand, dist)] if cand is not None else [
+                _descend(net, x, a_star, [c_pen], spec, grads,
+                         _restart_point(x, spec, k))[0]
+                for k in range(1, spec.cw_restarts + 1)]
+            for cand_k, dist_k in found:
+                if cand_k is not None and dist_k < best_dist:
+                    best, best_dist = cand_k, dist_k
+            # success: a gentler penalty for a closer point; failure: harder
+            lo, hi = (lo, c_pen) if cand is not None else (c_pen, hi)
     if best is None:
         return AttackResult(obs.copy(), math.inf, False)
-    flipped = _greedy(net, best)[0] != a_star
-    if not flipped:  # pragma: no cover - guarded by margin bookkeeping
+    if _greedy(net, best) == a_star:  # pragma: no cover - margin bookkeeping
         raise AssertionError("recorded attack does not flip the greedy action")
     return AttackResult(best * OBS_SCALE, best_dist, True)
 

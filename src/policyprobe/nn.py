@@ -67,17 +67,20 @@ order follows the shapes it is handed:
     so checkpoint ids and attack outputs do not depend on which of the two
     forms runs. On other shapes BLAS may group the same products
     differently, and the two agree to a few ulps only.
-  - Across batch sizes, a row's values are not bit-stable: the same state
-    at B=1 and inside a batch of 32 may differ in the last bits. They agree
-    to within 16 * np.spacing of the row's largest |Q|, and the greedy
-    argmax agrees on every distinct state the bundled reference policies
-    visit on their clean episodes.
+  - Across batch sizes, a `forward_batch` row's values are not bit-stable:
+    the same state at B=1 and inside a batch of 32 may differ in the last
+    bits, because numpy runs a dense layer's one-row product as gemv and a
+    wider one as gemm. They agree to within 16 * np.spacing of the row's
+    largest |Q|, and the greedy argmax agrees on every distinct state the
+    bundled reference policies visit on their clean episodes.
+  - `forward_rows` rows hold the B=1 bits: matmul over a leading stack
+    axis makes each row's own BLAS call, the one that row gets alone.
   - The input gradient of `backprop_batch` reads gout, the tape's
     rectifier masks, the weights and the shapes, never the activation
     values, so two inputs with equal masks get the same bits for the same
     gout.
 So any output that is compared bit for bit must come from one fixed batch
-composition; every single-observation caller uses B=1.
+composition; every single-observation caller uses B=1 or forward_rows.
 """
 
 from __future__ import annotations
@@ -235,11 +238,12 @@ def _conv_windows(x: Array, kh: int, kw: int, stride: int, pad: int) -> Array:
     return cols.reshape(b * oh * ow, -1), (b, oh, ow)
 
 
-def conv2d_forward(x: Array, kernel: Array, stride: int, pad: int) -> Array:
+def conv2d_forward(x: Array, kernel: Array, stride: int, pad: int,
+                   stack: int = 1) -> Array:
     kh, kw, cin, cout = kernel.shape
     cols, (b, oh, ow) = _conv_windows(x, kh, kw, stride, pad)
     k2 = kernel.reshape(kh * kw * cin, cout)
-    return (cols @ k2).reshape(b, oh, ow, cout)
+    return (cols.reshape(stack, -1, k2.shape[0]) @ k2).reshape(b, oh, ow, cout)
 
 
 def conv2d_kernel_grad(x: Array, gout: Array, kernel_shape: tuple,
@@ -316,14 +320,16 @@ def _check_layer_input(i: int, lay: Layer, x: Array) -> None:
                 f"got {flat} from shape {x.shape}")
 
 
-def _affine(lay: Layer, x: Array, weight: Array, bias: Array | None) -> Array:
+def _affine(lay: Layer, x: Array, weight: Array, bias: Array | None,
+            stack: int = 1) -> Array:
     """The layer's linear map with `weight` in place of its own (IBP sends
-    the radius through |weight| with no bias); dense flattens x first. The
-    bias is added in place to the fresh product."""
+    the radius through |weight| with no bias), one matrix product for
+    each of `stack` equal row blocks (see forward_rows); dense flattens x
+    first. The bias is added in place to the fresh product."""
     if isinstance(lay, ConvLayer):
-        y = conv2d_forward(x, weight, lay.stride, lay.padding)
+        y = conv2d_forward(x, weight, lay.stride, lay.padding, stack)
     else:
-        y = x.reshape(x.shape[0], -1) @ weight.T
+        y = (x.reshape(stack, -1, lay.in_features) @ weight.T).reshape(len(x), -1)
     if bias is not None:
         y += bias
     return y
@@ -353,11 +359,23 @@ def forward_batch(net: ParamSet, x: Array, tape: list | None = None) -> list[Arr
     (see backprop_batch): each layer's input, shapes and rectifier mask.
     Without a tape nothing is recorded and no mask is formed.
     """
+    return _forward(net, x, tape, 1)
+
+
+def forward_rows(net: ParamSet, xs: Array, tape: list | None = None) -> list[Array]:
+    """forward_batch as len(xs) stacked batch-1 passes: each layer's matrix
+    product runs once per row, so row r of every output and tape entry has
+    the bits forward_batch(net, xs[r:r + 1]) gives (determinism contract);
+    `tape_row` cuts one row's batch-1 tape out of the tape."""
+    return _forward(net, xs, tape, len(xs))
+
+
+def _forward(net: ParamSet, x: Array, tape: list | None, stack: int) -> list[Array]:
     outs, entries = [], []
     cur = np.asarray(x, dtype=np.float64)
     for i, lay in enumerate(net.layers):
         _check_layer_input(i, lay, cur)
-        pre = _affine(lay, cur, lay.weight, lay.bias)
+        pre = _affine(lay, cur, lay.weight, lay.bias, stack)
         if tape is not None:
             entries.append({"input": cur, "in_shape": cur.shape,
                             "mask": _act_mask(pre, lay.activation),
@@ -429,11 +447,19 @@ def backprop_batch(net: ParamSet, gout: Array, wrt: str,
     return _backward(net, tape, np.asarray(gout, dtype=np.float64), wrt)
 
 
-def rectifier_pattern(tape: list[dict]) -> bytes:
-    """The rectifier masks a forward pass recorded on its tape, as one key.
-    Inputs with equal patterns get the same input-gradient bits for the
-    same gout (see the determinism contract)."""
-    return b"".join(e["mask"].tobytes() for e in tape if e["mask"] is not None)
+def tape_row(tape: list[dict], r: int) -> list[dict]:
+    """Row r of a forward_rows tape as the tape its batch-1 pass fills."""
+    return [{"input": e["input"][r:r + 1], "in_shape": (1, *e["in_shape"][1:]),
+             "mask": None if e["mask"] is None else e["mask"][r:r + 1],
+             "out_shape": (1, *e["out_shape"][1:])} for e in tape]
+
+
+def rectifier_patterns(tape: list[dict]) -> list[bytes]:
+    """Each row's rectifier masks on a forward tape, as one key per row: equal
+    keys give equal batch-1 input-gradient bits (determinism contract)."""
+    rows = np.empty((tape[0]["in_shape"][0], 0), bool)
+    masks = [e["mask"].reshape(len(rows), -1) for e in tape if e["mask"] is not None]
+    return [m.tobytes() for m in np.concatenate([rows, *masks], axis=1)]
 
 
 # ---------------------------------------------------------------------------

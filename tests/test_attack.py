@@ -53,6 +53,19 @@ def test_spec_rejects_bad_settings():
     atk.AttackSpec(method="fgm", epsilon=0.0)
 
 
+def test_labels_name_the_search_settings_off_their_defaults():
+    assert atk.AttackSpec(method="cw", epsilon=0.05).label() \
+        == "cw[p=inf,eps=0.05]"
+    assert atk.AttackSpec(method="cw", p=2.0, epsilon=0.5, cw_iterations=60,
+                          cw_binary_steps=4, cw_restarts=2).label() \
+        == "cw[p=l2,eps=0.5,iterations=60,binary_steps=4,restarts=2]"
+    assert atk.AttackSpec(method="cw", cw_step=0.01, cw_penalty_lo=1e-4,
+                          cw_penalty_hi=1e4).label() \
+        == "cw[p=inf,eps=0.1,step=0.01,penalty_lo=0.0001,penalty_hi=10000]"
+    # fgm never reads the search settings, so its label leaves them out
+    assert atk.AttackSpec(cw_restarts=2).label() == "fgm[p=inf,eps=0.1]"
+
+
 # ---------------------------------------------------------------------------
 # Norms and projection
 # ---------------------------------------------------------------------------
@@ -282,11 +295,150 @@ def test_attacks_form_no_parameter_gradient(vanilla_checkpoint,
     assert calls["obs_input"] >= 2
 
 
+# ---------------------------------------------------------------------------
+# The lockstep search against the sequential one it replaces
+# ---------------------------------------------------------------------------
+
+def reference_inner(net, x, a_star, c_pen, spec, grads, x_start, trace=None):
+    """One penalty step's descent as C&W ran it before the lockstep, one
+    batch-1 forward pass per distinct consecutive iterate. A `trace` list
+    receives each iterate's bytes and flip, the final iterate included."""
+    x_adv = x_start.copy()
+    best, best_dist = None, math.inf
+    last_key, last = None, None
+    for it in range(spec.cw_iterations + 1):
+        key = x_adv.tobytes()
+        if key != last_key:
+            tape = [] if it < spec.cw_iterations else None
+            q = nn.forward(net, x_adv, tape)[-1]
+            others = q.copy()
+            others[a_star] = -np.inf
+            runner = int(others.argmax())
+            grad = np.zeros_like(x)
+            if tape is not None and q[a_star] - others[runner] > 0.0:
+                mkey = (runner, nn.rectifier_patterns(tape)[0])
+                if mkey not in grads:
+                    gout = np.zeros_like(q)
+                    gout[a_star], gout[runner] = 1.0, -1.0
+                    grads[mkey] = nn.backprop_batch(net, gout[None], "input",
+                                                    tape)[0]
+                grad = grads[mkey]
+            last_key, last = key, (int(q.argmax()) != a_star, grad)
+        flipped, margin_grad = last
+        if trace is not None:
+            trace.append((key, flipped))
+        delta = x_adv - x
+        if flipped:
+            d = atk.norm_of(delta, spec.p)
+            if d < best_dist:
+                best, best_dist = x_adv.copy(), d
+        if it == spec.cw_iterations:
+            return best, best_dist
+        step = spec.cw_step * max(0.02, 1.0 - it / spec.cw_iterations)
+        if spec.p == 2.0:
+            n = atk.norm_of(delta, 2.0)
+            dist_grad = np.zeros_like(delta) if n == 0.0 else delta / n
+        else:
+            dist_grad = delta
+        grad = dist_grad + c_pen * margin_grad
+        x_adv = x + atk._project((x_adv - step * grad) - x, spec.p,
+                                 spec.epsilon)
+        x_adv = x_adv.clip(0.0, 1.0)
+
+
+def reference_cw(net, obs, spec):
+    """cw_minimal as it ran before the lockstep: each penalty step's
+    descent, then its restarts if it failed, one after another."""
+    x = np.asarray(obs, dtype=np.float64) / ql.OBS_SCALE
+    a_star = int(nn.forward(net, x)[-1].argmax())
+    grads, best, best_dist = {}, None, math.inf
+    lo, hi = spec.cw_penalty_lo, spec.cw_penalty_hi
+    c_pen = math.sqrt(lo * hi)
+    for _ in range(spec.cw_binary_steps):
+        cand, dist = reference_inner(net, x, a_star, c_pen, spec, grads, x)
+        if cand is None:
+            for k in range(1, spec.cw_restarts + 1):
+                r_cand, r_dist = reference_inner(net, x, a_star, c_pen, spec,
+                                                 grads,
+                                                 atk._restart_point(x, spec, k))
+                if r_cand is not None and r_dist < best_dist:
+                    best, best_dist = r_cand, r_dist
+        if cand is not None:
+            if dist < best_dist:
+                best, best_dist = cand, dist
+            hi = c_pen
+        else:
+            lo = c_pen
+        c_pen = math.sqrt(lo * hi)
+    if best is None:
+        return atk.AttackResult(np.asarray(obs, dtype=np.float64).copy(),
+                                math.inf, False)
+    return atk.AttackResult(best * ql.OBS_SCALE, best_dist, True)
+
+
+def first_states(path, count):
+    ck, _ = cp.load_checkpoint(path)
+    env, states = make_env(ck.env_spec), []
+    obs = env.reset(0)
+    for _ in range(count):
+        states.append(obs)
+        obs = env.step(ql.greedy_action(ck.params, obs)).observation
+    return ck.params, states
+
+
+SEARCHES = [  # p, restarts, iterations, binary steps
+    (math.inf, 0, 15, 8), (math.inf, 2, 15, 11), (math.inf, 0, 50, 11),
+    (2.0, 0, 50, 8), (2.0, 2, 15, 3), (2.0, 0, 15, 11)]
+
+
+@pytest.mark.parametrize("p,restarts,iterations,steps", SEARCHES)
+def test_cw_is_byte_equal_to_the_sequential_search(p, restarts, iterations,
+                                                  steps):
+    """Same view, distance and success bytes as the sequential search, on
+    states of the bundled policies and of small dense nets, at radii where
+    the search fails, succeeds early and succeeds late; eleven steps take
+    two lockstep descents."""
+    cases = []
+    for name in ("vanilla", "radial"):
+        net, states = first_states(DATA_DIR / f"{name}_pixelgrid.txt", 3)
+        cases += [(net, obs) for obs in states]
+    cases += [(dense_net(seed), np.random.default_rng(900 + seed).uniform(
+        0, 255, size=10)) for seed in range(3)]
+    radii = (1e-3, 2 / 255, 0.05) if math.isinf(p) else (0.05, 0.5)
+    outcomes = set()
+    for net, obs in cases:
+        for eps in radii:
+            spec = atk.AttackSpec(method="cw", p=p, epsilon=eps,
+                                  cw_iterations=iterations,
+                                  cw_binary_steps=steps, cw_restarts=restarts)
+            got, want = atk.cw_minimal(net, obs, spec), reference_cw(net, obs,
+                                                                     spec)
+            assert got.observation.tobytes() == want.observation.tobytes()
+            assert np.float64(got.distance).tobytes() \
+                == np.float64(want.distance).tobytes()
+            assert got.success == want.success
+            outcomes.add(got.success)
+    assert outcomes == {False, True}
+
+
+def record_rows(monkeypatch, record):
+    """Hand record(xs, tape, outs) every forward_rows call."""
+    forward_rows = nn.forward_rows
+
+    def recording(net, xs, tape=None):
+        outs = forward_rows(net, xs, tape)
+        record(xs, tape, outs)
+        return outs
+
+    monkeypatch.setattr(nn, "forward_rows", recording)
+
+
 def test_cw_runs_one_backward_per_runner_and_mask_pattern(radial_checkpoint,
                                                           monkeypatch):
     """C&W's margin gradient depends only on the runner-up action and the
     rectifier masks, so one call runs one backward pass per distinct
-    (runner, masks) key among its open-margin iterates, and no more."""
+    (runner, masks) key among the open-margin iterates of its descent
+    rows, and no more."""
     ck, _ = radial_checkpoint
     env = make_env(ck.env_spec)
     obs = env.reset(0)
@@ -294,23 +446,22 @@ def test_cw_runs_one_backward_per_runner_and_mask_pattern(radial_checkpoint,
         obs = env.step(ql.greedy_action(ck.params, obs)).observation
     a_star = ql.greedy_action(ck.params, obs)
     keys, backwards = set(), [0]
-    forward, backprop = nn.forward, nn.backprop_batch
+    backprop = nn.backprop_batch
 
-    def record_key(net, x, tape=None):
-        outs = forward(net, x, tape)
+    def record_keys(xs, tape, outs):
         if tape is not None:
-            q = outs[-1].copy()
-            top, q[a_star] = q[a_star], -np.inf
-            runner = int(np.argmax(q))
-            if top - q[runner] > 0.0:
-                keys.add((runner, nn.rectifier_pattern(tape)))
-        return outs
+            for q, pattern in zip(outs[-1].copy(),
+                                  nn.rectifier_patterns(tape)):
+                top, q[a_star] = q[a_star], -np.inf
+                runner = int(np.argmax(q))
+                if top - q[runner] > 0.0:
+                    keys.add((runner, pattern))
 
     def count_backward(*args):
         backwards[0] += 1
         return backprop(*args)
 
-    monkeypatch.setattr(nn, "forward", record_key)
+    record_rows(monkeypatch, record_keys)
     monkeypatch.setattr(nn, "backprop_batch", count_backward)
     spec = atk.AttackSpec(method="cw", epsilon=2 / 255)
     atk.cw_minimal(ck.params, obs, spec)
@@ -321,11 +472,13 @@ def test_cw_runs_one_backward_per_runner_and_mask_pattern(radial_checkpoint,
 
 def test_cw_runs_one_forward_per_distinct_consecutive_iterate(
         radial_checkpoint, monkeypatch):
-    """A stalled descent step gives back its iterate byte for byte, and C&W
-    reuses that iterate's forward pass. So each descent evaluates its
+    """A stalled descent step gives back a row's iterate byte for byte,
+    and C&W reuses that row's forward pass. So each row evaluates its
     iterates (the start, then one per step) with byte-equal neighbours
     merged, after the one clean pass that finds the greedy action. At
-    radius 5e-4 the descents on radial's first clean state stall often."""
+    radius 5e-4 every step fails on radial's first clean state, so its
+    eight steps run as the eight rows of one descent, and they stall
+    often."""
     ck, _ = radial_checkpoint
     obs = harness.probe_episode(ck.params, ck.env_spec, harness.IDENTITY,
                                 0)[3][0][0]
@@ -338,27 +491,77 @@ def test_cw_runs_one_forward_per_distinct_consecutive_iterate(
         evaluated.append(x_eval.tobytes())
         return forward(net, x_eval, tape)
 
-    def record_step(delta, p, eps):   # the descent's own next iterate
+    def record_step(delta, p, eps):   # the rows' own next iterates
         out = project(delta, p, eps)
-        steps.append((x + out).clip(0.0, 1.0).tobytes())
+        steps.append([(x + row).clip(0.0, 1.0).tobytes() for row in out])
         return out
 
     monkeypatch.setattr(nn, "forward", record_forward)
+    record_rows(monkeypatch, lambda xs, tape, outs: evaluated.extend(
+        row.tobytes() for row in xs))
     monkeypatch.setattr(atk, "_project", record_step)
     result = atk.cw_minimal(ck.params, obs, spec)
     n = spec.cw_iterations
-    assert len(steps) == spec.cw_binary_steps * n
+    assert len(steps) == n
+    assert sum(map(len, steps)) == spec.cw_binary_steps * n
+    rows = [[x.tobytes()] + [s[r] for s in steps]
+            for r in range(spec.cw_binary_steps)]
     expected, merged = [x.tobytes()], 0
-    for k in range(0, len(steps), n):
-        iterates = [x.tobytes()] + steps[k:k + n]
-        for prev, cur in zip([None] + iterates, iterates):
-            if cur == prev:
+    for it in range(n + 1):
+        for iterates in rows:
+            if it and iterates[it] == iterates[it - 1]:
                 merged += 1
             else:
-                expected.append(cur)
-    assert merged > len(steps) // 2
+                expected.append(iterates[it])
+    assert merged > sum(map(len, steps)) // 2
     assert not result.success    # else one more pass verifies the flip
     assert evaluated == expected
+
+
+def test_rows_past_the_first_flipped_row_are_never_evaluated_again(
+        vanilla_checkpoint, monkeypatch):
+    """Row r of a descent is penalty step r, guessed to follow r failed
+    steps. Once row j has a flipped iterate, rows after j are off the
+    search's path, and no later forward pass evaluates them. Each
+    descent's forward passes are rebuilt here from the sequential
+    descents of its rows: every call evaluates exactly the kept rows whose
+    iterate changed."""
+    params, states = first_states(DATA_DIR / "vanilla_pixelgrid.txt", 3)
+    spec = atk.AttackSpec(method="cw", epsilon=2 / 255)
+    descend, calls, descents = atk._descend, [], []
+
+    def record_descent(net, x, a_star, pens, spec, grads, start):
+        first = len(calls)
+        out = descend(net, x, a_star, pens, spec, grads, start)
+        descents.append((x, a_star, list(pens), start, calls[first:]))
+        return out
+
+    record_rows(monkeypatch, lambda xs, tape, outs: calls.append(
+        [row.tobytes() for row in xs]))
+    monkeypatch.setattr(atk, "_descend", record_descent)
+    for obs in states:
+        atk.cw_minimal(params, obs, spec)
+    dropped = 0
+    for x, a_star, pens, start, got in descents:
+        traces = []
+        for c_pen in pens:
+            traces.append([])
+            reference_inner(params, x, a_star, c_pen, spec, {}, start,
+                            traces[-1])
+        kept, prev, want = len(pens), [None] * len(pens), []
+        for it in range(spec.cw_iterations + 1):
+            rows = [r for r in range(kept) if traces[r][it][0] != prev[r]]
+            for r in rows:
+                prev[r] = traces[r][it][0]
+            if rows:
+                want.append([traces[r][it][0] for r in rows])
+            flipped = [r for r in range(kept)
+                       if any(f for _, f in traces[r][:it + 1])]
+            if flipped and flipped[0] + 1 < kept:
+                kept = flipped[0] + 1
+                dropped += it < spec.cw_iterations
+        assert got == want
+    assert dropped > 0   # some descent dropped rows with steps to go
 
 
 # ---------------------------------------------------------------------------

@@ -657,6 +657,23 @@ def test_spectrum_refuses_directions_that_share_a_label(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_spectrum_runs_cw_directions_that_differ_in_search_settings(
+        tmp_path, capsys):
+    """Plain C&W and C&W with two restarts used to share the label
+    cw[p=inf,eps=0.05] and be refused as one direction given twice."""
+    cfgp = manifest(tmp_path, {"spectrum": {"directions": [
+        {"method": "cw", "epsilon": 0.05},
+        {"method": "cw", "epsilon": 0.05, "cw_restarts": 2}],
+        "samples": 1}})
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", cfgp, "--checkpoint", VANILLA,
+                 "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "cw[p=inf,eps=0.05]: " in printed
+    assert "cw[p=inf,eps=0.05,restarts=2]: " in printed
+    assert len(list(only_dir(out).glob("spectrum_*.csv"))) == 2
+
+
 def test_spectrum_rollout_needs_checkpoint(tmp_path, capsys):
     """Refused while the manifest is read, naming the spectrum section's
     key; the refusal used to name probe.checkpoint."""

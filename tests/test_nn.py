@@ -459,6 +459,41 @@ def test_batch_size_moves_q_values_by_ulps_only():
             assert np.all(np.abs(q - single).max(axis=1) <= bound)
 
 
+def test_forward_rows_hold_the_batch_1_bits(rng):
+    """Each row of forward_rows, layer by layer with its tape entry and
+    rectifier pattern, has the bits of its own batch-1 forward_batch, on
+    real and random frames, for each bundled Q-net. Dense layers are why
+    forward_batch's rows may not: numpy runs a one-row product as gemv
+    and a wider one as gemm."""
+    nets = reference_nets()
+    real = reference_states(nets)
+    for net in nets:
+        for rows in (1, 2, 3, 8):
+            starts = rng.choice(len(real) - rows, 3, replace=False)
+            frames = [real[i:i + rows] for i in starts]
+            frames.append(rng.uniform(size=(rows, *real.shape[1:])))
+            for xs in frames:
+                tape: list = []
+                outs = nn.forward_rows(net, xs, tape)
+                patterns = nn.rectifier_patterns(tape)
+                for r in range(rows):
+                    one: list = []
+                    want = nn.forward_batch(net, xs[r:r + 1], one)
+                    assert [o[r:r + 1].tobytes() for o in outs] \
+                        == [o.tobytes() for o in want]
+                    cut = nn.tape_row(tape, r)
+                    for got_entry, want_entry in zip(cut, one, strict=True):
+                        for k in ("input", "mask"):
+                            got_k, want_k = got_entry[k], want_entry[k]
+                            assert (got_k is None) == (want_k is None)
+                            if got_k is not None:
+                                assert got_k.shape == want_k.shape
+                                assert got_k.tobytes() == want_k.tobytes()
+                        for k in ("in_shape", "out_shape"):
+                            assert got_entry[k] == want_entry[k]
+                    assert patterns[r] == nn.rectifier_patterns(one)[0]
+
+
 def test_input_gradient_reads_only_the_rectifier_masks(rng):
     """Two observations with equal rectifier patterns get bit-identical
     input gradients for the same output gradient, although their
@@ -473,7 +508,7 @@ def test_input_gradient_reads_only_the_rectifier_masks(rng):
         tape = []
         q = nn.forward(ck.params, obs, tape)[-1]
         grad = nn.backprop_batch(ck.params, gout[None], "input", tape)[0]
-        return q, nn.rectifier_pattern(tape), grad
+        return q, nn.rectifier_patterns(tape)[0], grad
 
     q0, m0, g0 = pattern_and_grad(x)
     # scaling keeps blank pixels at zero, so the pre-activations that sit
