@@ -38,15 +38,8 @@ and so the action: once a state repeats, every later step repeats the
 loop, which no terminal step can end. So `probe_episode` stops stepping
 there and replays the loop's records, in step order, up to the cap.
 
-A view's similarity compares the reference featurenet's activations of
-the view and of the clean observation, and the clean side does not depend
-on the direction. So lpips reads it from a clean_features dict keyed on
-the observation's bytes, which one `sweep` call shares across its grid
-values and policies. It holds one entry per distinct clean observation
-the sweep scores, 34 kB each on an 8x8 PixelGrid, and lives as long as the
-call: it is not kept per process, where it would grow without bound.
-A coefficients dict of dct_artifacts's forward transforms, 4.6 kB each,
-is shared and scoped the same way: the transform ignores kappa.
+The clean observation's activations and forward DCT do not depend on the
+direction, so perceptual and perturb cache them per process.
 """
 
 from __future__ import annotations
@@ -146,19 +139,15 @@ Views = dict[bytes, tuple[Array, float, bool, float]]
 
 
 def view(params: nn.ParamSet, obs: Array, direction: Direction,
-         views: Views, clean_features: perceptual.Features | None = None,
-         coefficients: perturb.Coefficients | None = None,
-         ) -> tuple[Array, float, bool, float]:
+         views: Views) -> tuple[Array, float, bool, float]:
     """What the policy sees at one observation: the perturbed or attacked
     view, the attack's distance and success, and the view's similarity to
     the observation under the reference featurenet. Read from `views`, or
-    computed and stored there. `clean_features` and `coefficients` are
-    lpips's and dct_artifacts's memos of the observation's features and
-    forward DCT (see the module docstring)."""
+    computed and stored there."""
     key = obs.tobytes()
     if key not in views:
         if isinstance(direction, perturb.PerturbationSpec):
-            viewed = perturb.apply(direction, obs, coefficients)
+            viewed = perturb.apply(direction, obs)
             dist, success = 0.0, False
         else:
             result = attack_mod.run_attack(params, obs, direction)
@@ -169,7 +158,7 @@ def view(params: nn.ParamSet, obs: Array, direction: Direction,
                                      f"({dist} > {direction.epsilon})")
         sim = (0.0 if np.array_equal(viewed, obs)
                else perceptual.lpips(perceptual.reference_featurenet(),
-                                     obs, viewed, clean_features))
+                                     obs, viewed))
         views[key] = viewed, dist, success, sim
     return views[key]
 
@@ -177,21 +166,16 @@ def view(params: nn.ParamSet, obs: Array, direction: Direction,
 def probe_episode(params: nn.ParamSet, spec: EnvSpec, direction: Direction,
                   episode_seed: int, views: Views | None = None,
                   actions: dict[bytes, int] | None = None,
-                  clean_features: perceptual.Features | None = None,
-                  coefficients: perturb.Coefficients | None = None,
                   ) -> tuple[float, float, int, list[tuple[Array, int]]]:
     """One rollout with the policy viewing perturbed observations.
 
     Returns (total reward, mean per-step similarity, env steps taken,
     trace), the trace being each step's (true observation, action); each
-    observation's view and scores are in `views`. `views`, `actions`,
-    `clean_features` and `coefficients` are the memos of the module
-    docstring, keyed on observation bytes. A caller may share them across
-    episodes: `views` along one direction (and, for an attack, one
-    policy), `actions` for one policy along one direction, the last two
-    across directions and policies. `views` and `actions` default to a
-    fresh dict for this episode; without the last two, their values are
-    computed once per direction, through `views`.
+    observation's view and scores are in `views`. `views` and `actions`
+    are the memos of the module docstring, keyed on observation bytes. A
+    caller may share them across episodes: `views` along one direction
+    (and, for an attack, one policy), `actions` for one policy along one
+    direction. Each defaults to a fresh dict for this episode.
     """
     views = {} if views is None else views
     actions = {} if actions is None else actions
@@ -213,8 +197,7 @@ def probe_episode(params: nn.ParamSet, spec: EnvSpec, direction: Direction,
         key = obs.tobytes()
         seen = views.get(key)
         if seen is None:
-            seen = view(params, obs, direction, views, clean_features,
-                        coefficients)
+            seen = view(params, obs, direction, views)
         viewed, _, _, sim = seen
         if key not in actions:
             actions[key] = greedy_action(params, viewed)
@@ -264,10 +247,7 @@ def probe(params: nn.ParamSet, spec: EnvSpec, direction: Direction,
           runs: int = DEFAULT_RUNS,
           checkpoint_id: str = "",
           clean_scores: Array | None = None,
-          views: Views | None = None,
-          clean_features: perceptual.Features | None = None,
-          coefficients: perturb.Coefficients | None = None,
-          ) -> ProbeReport:
+          views: Views | None = None) -> ProbeReport:
     """Probe a policy along one direction with paired clean runs.
 
     Episode seeds are 0 .. runs-1 for both the clean baseline and the
@@ -275,8 +255,7 @@ def probe(params: nn.ParamSet, spec: EnvSpec, direction: Direction,
     avoid re-rolling the baseline across many probes. Every run shares one
     views dict and one actions dict (see the module docstring); a caller
     may pass `views` it filled along the same direction, against the same
-    policy if the direction is an attack, and `clean_features` and
-    `coefficients` it shares across directions.
+    policy if the direction is an attack.
     """
     if runs < 1:
         raise ValueError("need at least one run")
@@ -290,8 +269,7 @@ def probe(params: nn.ParamSet, spec: EnvSpec, direction: Direction,
     records = []
     for seed in seeds:
         score, sim, steps, _ = probe_episode(params, spec, direction, seed,
-                                             views, actions, clean_features,
-                                             coefficients)
+                                             views, actions)
         records.append(RunRecord(seed, score, sim, steps))
     return aggregate(direction, spec, records, float(np.mean(clean_scores)),
                      checkpoint_id)
@@ -325,8 +303,7 @@ def sweep(policies: list[tuple[str, nn.ParamSet]], spec: EnvSpec, family: str,
     policy order, and shared across the grid; a policy whose
     clean baseline sits at the fixed minimum is refused by name before any
     grid point is probed. Policy names must be unique. The policies share
-    one views dict per grid value, and the whole sweep one clean_features
-    and one coefficients dict (see the module docstring).
+    one views dict per grid value (see the module docstring).
     """
     if any(b >= a for a, b in zip(values[1:], values)):
         raise ValueError("sweep grid must be strictly increasing")
@@ -343,16 +320,12 @@ def sweep(policies: list[tuple[str, nn.ParamSet]], spec: EnvSpec, family: str,
         check_baseline(float(np.mean(clean)), spec.score_min, name)
         cleans.append(clean)
     reports: dict[tuple[str, float], ProbeReport] = {}
-    clean_features: perceptual.Features = {}
-    coefficients: perturb.Coefficients = {}
     for value in values:
         direction = perturb.spec_with(family, parameter, value)
         views: Views = {}
         for (name, params), clean in zip(policies, cleans):
             reports[(name, value)] = probe(params, spec, direction, runs,
                                            ids.get(name, ""),
-                                           clean_scores=clean, views=views,
-                                           clean_features=clean_features,
-                                           coefficients=coefficients)
+                                           clean_scores=clean, views=views)
     return {(name, float(value)): reports[(name, value)]
             for name in names for value in values}

@@ -18,9 +18,8 @@ net read-only with every caller. Observations are
 area-resampled to the net's fixed 36x36 grayscale input; the resample
 visits only each output cell's few nonzero taps, in the order of the dense
 contraction, so it matches that contraction bit for bit (see
-area_resample). A caller that scores many views of the same clean
-observations passes lpips a dict that memoizes the clean side's
-activations (see lpips and the harness module docstring).
+area_resample). The reference net's activations of lpips's first
+observation are cached per process (see _reference_activations).
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from importlib import resources
 import numpy as np
 
 from . import checkpoint, nn
-from .perturb import as_image, memoized
+from .perturb import FRAME_CACHE, as_image
 
 Array = np.ndarray
 
@@ -176,27 +175,33 @@ def normalized_activations(fnet: nn.ParamSet, s: Array) -> list[Array]:
     return [_unit_normalize(a) for a in acts]
 
 
-# observation (shape, bytes) -> its normalized_activations under one fnet
-Features = dict[tuple[tuple[int, ...], bytes], list[Array]]
+@functools.lru_cache(maxsize=FRAME_CACHE)
+def _reference_activations(shape: tuple, data: bytes) -> tuple[Array, ...]:
+    """normalized_activations under reference_featurenet() of the float64
+    observation with these shape and bytes, kept read-only for every later
+    caller. Clearing reference_featurenet's cache must clear this one."""
+    acts = normalized_activations(reference_featurenet(),
+                                  np.frombuffer(data).reshape(shape))
+    for a in acts:
+        a.flags.writeable = False
+    return tuple(acts)
 
 
-def lpips(fnet: nn.ParamSet, s1: Array, s2: Array,
-          clean_features: Features | None = None) -> float:
+def lpips(fnet: nn.ParamSet, s1: Array, s2: Array) -> float:
     """The perceptual distance; symmetric, nonnegative, zero at identity.
 
-    `clean_features`, when given, memoizes the first observation's
-    activations under `fnet`: they are read from it, or computed and stored
-    there. A caller that scores many views of few clean observations (see
-    harness) passes one dict for all of them, and only for this fnet. The
-    forward pass runs at batch size 1 either way, so a read-back holds the
-    very bits a recomputation would.
+    Under the reference net, s1's activations come from a per-process
+    cache (see _reference_activations); any other net computes both sides
+    afresh. The forward pass runs at batch size 1 either way, so a
+    read-back holds the very bits a recomputation would.
     """
     s1 = np.asarray(s1, dtype=np.float64)
     s2 = np.asarray(s2, dtype=np.float64)
     if s1.shape != s2.shape:
         raise ValueError(f"shape mismatch: {s1.shape} vs {s2.shape}")
-    y1 = memoized(clean_features, s1,
-                  lambda s: normalized_activations(fnet, s))
+    y1 = (_reference_activations(s1.shape, s1.tobytes())
+          if fnet is reference_featurenet()
+          else normalized_activations(fnet, s1))
     y2 = normalized_activations(fnet, s2)
     total = 0.0
     for a1, a2 in zip(y1, y2):

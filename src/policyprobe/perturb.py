@@ -17,6 +17,7 @@ to [0, 255].
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
@@ -28,6 +29,9 @@ Array = np.ndarray
 
 DCT_BLOCK = 8
 DCT_LAMBDA = 8.0  # frequency slope of the quantization law
+# Entries in each per-process frame cache (here and in perceptual): every
+# frame of a PixelGrid layout up to size 16
+FRAME_CACHE = 256
 
 
 class DegenerateGeometryError(ValueError):
@@ -316,21 +320,6 @@ def dct_quant_table(kappa: float) -> Array:
     return 1.0 + kappa * DCT_LAMBDA * (u + v)
 
 
-# frame (shape, bytes) -> its dct_forward coefficients
-Coefficients = dict[tuple[tuple[int, ...], bytes], Array]
-
-
-def memoized(memo: dict | None, frame: Array, compute):
-    """compute(frame), read from memo by the frame's shape and bytes, or
-    computed and stored there; computed afresh when memo is None."""
-    if memo is None:
-        return compute(frame)
-    key = frame.shape, frame.tobytes()
-    if key not in memo:
-        memo[key] = compute(frame)
-    return memo[key]
-
-
 def dct_forward(img: Array) -> Array:
     """The orthonormal DCT-II of each 8x8 block of an (H, W, C) float64
     frame, edge blocks padded by replication, as (H/8, W/8, C, 8, 8)."""
@@ -342,8 +331,16 @@ def dct_forward(img: Array) -> Array:
     return np.einsum("ui,abcij,vj->abcuv", _DCT, blocks, _DCT)
 
 
-def dct_artifacts(s: Array, kappa: float, *,
-                  coefficients: Coefficients | None = None) -> Array:
+@functools.lru_cache(maxsize=FRAME_CACHE)
+def _coefficients(shape: tuple, data: bytes) -> Array:
+    """dct_forward of the float64 frame with these shape and bytes, kept
+    read-only for every later caller."""
+    coef = dct_forward(np.frombuffer(data).reshape(shape))
+    coef.flags.writeable = False
+    return coef
+
+
+def dct_artifacts(s: Array, kappa: float) -> Array:
     """Blockwise DCT quantization artifacts.
 
     Each 8x8 block is transformed (orthonormal DCT-II, see dct_forward),
@@ -351,15 +348,14 @@ def dct_artifacts(s: Array, kappa: float, *,
     grid, and the block is transformed back. Unit steps pass coefficients
     through untouched, so kappa=0 is an exact round-trip up to float error.
     Edge blocks are padded by replication and cropped after. The forward
-    transform does not depend on kappa, so a caller applying many kappas
-    to few frames (see harness) passes a `coefficients` memo of it (see
-    memoized): a read-back holds the very bits a recomputation would.
+    transform does not depend on kappa, so it is cached per frame (see
+    _coefficients): a read-back holds the very bits a recomputation would.
     """
     if not 0.0 <= kappa <= 1.0:
         raise ValueError("kappa must lie in [0, 1]")
     img = as_image(s)
     h, w, c = img.shape
-    coef = memoized(coefficients, img, dct_forward)
+    coef = _coefficients(img.shape, img.tobytes())
     q = dct_quant_table(kappa)
     coef = np.where(q > 1.0, np.round(coef / q) * q, coef)
     rec = np.einsum("ui,abcuv,vj->abcij", _DCT, coef, _DCT)
@@ -386,11 +382,7 @@ FAMILIES = {
 }
 
 
-def apply(spec: PerturbationSpec, s: Array,
-          coefficients: Coefficients | None = None) -> Array:
-    """Apply one perturbation spec to one observation. `coefficients` is
-    dct_artifacts's memo of forward transforms; other families ignore it."""
-    if spec.family == "dct_artifacts":
-        return dct_artifacts(s, spec.kappa, coefficients=coefficients)
+def apply(spec: PerturbationSpec, s: Array) -> Array:
+    """Apply one perturbation spec to one observation."""
     fn, reads, _ = FAMILIES[spec.family]
     return fn(s, *(getattr(spec, name) for name in reads))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from policyprobe import checkpoint as cp
-from policyprobe import perceptual
+from policyprobe import perceptual, perturb
 from policyprobe.envs import make_spec
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -56,13 +56,32 @@ def fnet():
     return perceptual.reference_featurenet()
 
 
+def _clear(*caches):
+    for cache in caches:
+        cache.cache_clear()
+
+
 @pytest.fixture()
 def fresh_reference_net():
     """An empty reference-featurenet cache, emptied again on teardown so no
-    other test sees what this one cached."""
-    perceptual.reference_featurenet.cache_clear()
+    other test sees what this one cached. The activations cached under the
+    net go with it."""
+    caches = (perceptual.reference_featurenet,
+              perceptual._reference_activations)
+    _clear(*caches)
     yield
-    perceptual.reference_featurenet.cache_clear()
+    _clear(*caches)
+
+
+@pytest.fixture()
+def fresh_frame_caches():
+    """Empty per-frame caches of the forward DCT and of the reference
+    net's activations, emptied again on teardown, so a test that counts
+    transforms or forward passes sees none that an earlier test cached."""
+    caches = (perturb._coefficients, perceptual._reference_activations)
+    _clear(*caches)
+    yield
+    _clear(*caches)
 
 
 @pytest.fixture()

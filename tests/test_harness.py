@@ -473,7 +473,8 @@ def _recording(seen, fn, key):
 
 
 def test_sweep_computes_once_per_distinct_direction_and_observation(
-        vanilla_checkpoint, radial_checkpoint, monkeypatch):
+        vanilla_checkpoint, radial_checkpoint, fresh_frame_caches,
+        monkeypatch):
     """Every run and every policy shares a grid value's views: each
     (direction, observation) is perturbed and scored once in the sweep, and
     each (policy, direction, observation) acted on once."""
@@ -484,11 +485,9 @@ def test_sweep_computes_once_per_distinct_direction_and_observation(
                 values=[10.0, 30.0], runs=4)
     views, sims, acts = [], [], []
     monkeypatch.setattr(perturb, "apply", _recording(
-        views, perturb.apply,
-        lambda d, obs, coefficients: (d, obs.tobytes())))
+        views, perturb.apply, lambda d, obs: (d, obs.tobytes())))
     monkeypatch.setattr(perceptual, "lpips", _recording(
-        sims, perceptual.lpips,
-        lambda f, a, b, clean_features: (a.tobytes(), b.tobytes())))
+        sims, perceptual.lpips, lambda f, a, b: (a.tobytes(), b.tobytes())))
     monkeypatch.setattr(hz, "greedy_action", _recording(
         acts, hz.greedy_action, lambda p, v: (id(p), v.tobytes())))
     reports = hz.sweep(policies, spec, **grid)
@@ -509,18 +508,19 @@ def test_sweep_computes_once_per_distinct_direction_and_observation(
 
 
 def test_a_kappa_sweep_transforms_each_distinct_frame_once(
-        vanilla_checkpoint, radial_checkpoint, monkeypatch):
-    """One coefficients memo serves a sweep's grid values and policies:
-    each distinct frame a DCT view is made of is forward-transformed once.
-    The memo lives as long as the call, so a second sweep transforms the
-    same frames again."""
+        vanilla_checkpoint, radial_checkpoint, fresh_frame_caches,
+        monkeypatch):
+    """The forward-DCT cache serves a sweep's grid values and policies:
+    each distinct frame a DCT view is made of is forward-transformed once,
+    and every other view of it is a cache hit. The cache lives as long as
+    the process and holds every frame of the layout, so a second sweep
+    transforms nothing."""
     policies = [("vanilla", vanilla_checkpoint[0].params),
                 ("radial", radial_checkpoint[0].params)]
     spec = vanilla_checkpoint[0].env_spec
     applied, transformed = [], []
     monkeypatch.setattr(perturb, "apply", _recording(
-        applied, perturb.apply,
-        lambda d, obs, coefficients: (d.family, _f64_bytes(obs))))
+        applied, perturb.apply, lambda d, obs: (d.family, _f64_bytes(obs))))
     monkeypatch.setattr(perturb, "dct_forward", _recording(
         transformed, perturb.dct_forward, lambda img: img.tobytes()))
     grid = dict(family="dct_artifacts", parameter="kappa",
@@ -529,8 +529,12 @@ def test_a_kappa_sweep_transforms_each_distinct_frame_once(
     frames = [obs for family, obs in applied if family == "dct_artifacts"]
     assert len(frames) > len(set(frames))   # frames recur across kappas
     assert sorted(transformed) == sorted(set(frames))
+    info = perturb._coefficients.cache_info()
+    assert (info.misses, info.hits) == (len(set(frames)),
+                                        len(frames) - len(set(frames)))
+    assert len(set(frames)) <= perturb.FRAME_CACHE
     hz.sweep(policies, spec, **grid)
-    assert sorted(transformed) == sorted(2 * list(set(frames)))
+    assert sorted(transformed) == sorted(set(frames))
 
 
 def _f64_bytes(obs):
@@ -539,10 +543,12 @@ def _f64_bytes(obs):
 
 
 def test_sweep_computes_each_clean_observations_features_once(
-        vanilla_checkpoint, radial_checkpoint, monkeypatch):
-    """One clean_features memo serves the whole sweep: the featurenet runs
-    once per distinct clean observation, across grid values and policies,
-    and once per scored view."""
+        vanilla_checkpoint, radial_checkpoint, fresh_frame_caches,
+        monkeypatch):
+    """The reference-activation cache serves the whole sweep: every score
+    is under the reference net, and the featurenet runs once per distinct
+    clean observation, across grid values and policies, and once per
+    scored view."""
     policies = [("vanilla", vanilla_checkpoint[0].params),
                 ("radial", radial_checkpoint[0].params)]
     spec = vanilla_checkpoint[0].env_spec
@@ -551,13 +557,14 @@ def test_sweep_computes_each_clean_observations_features_once(
         passes, perceptual.normalized_activations,
         lambda f, s: s.tobytes()))
     monkeypatch.setattr(perceptual, "lpips", _recording(
-        scored, perceptual.lpips, lambda f, a, b, clean_features: (
-            _f64_bytes(a), _f64_bytes(b), id(clean_features))))
+        scored, perceptual.lpips, lambda f, a, b: (
+            _f64_bytes(a), _f64_bytes(b), f)))
     hz.sweep(policies, spec, family="brightness_contrast", parameter="beta",
              values=[10.0, 20.0, 30.0], runs=4)
     clean = {a for a, _, _ in scored}
     views = [b for _, b, _ in scored]
-    assert len({memo for _, _, memo in scored}) == 1
+    assert all(net is perceptual.reference_featurenet()
+               for _, _, net in scored)
     assert len(passes) == len(clean) + len(views)
     assert sorted(passes) == sorted([*clean, *views])
     assert len(clean) < len(scored) / 2   # most scores reuse a clean side

@@ -156,13 +156,24 @@ def test_distance_rejects_shape_mismatch(fnet, rng):
         pc.lpips(fnet, noise(rng, 16, 16), noise(rng, 8, 8))
 
 
-def test_clean_features_memo_reads_back_the_same_bits(fnet, rng,
+def _uncached_lpips(fnet, s1, s2):
+    """lpips written out over normalized_activations, with no cache."""
+    total = 0.0
+    for a1, a2 in zip(pc.normalized_activations(fnet, s1),
+                      pc.normalized_activations(fnet, s2)):
+        h, w = a1.shape[:2]
+        total += float(((a1 - a2) ** 2).sum() / (h * w))
+    return total
+
+
+def test_clean_features_memo_reads_back_the_same_bits(rng, fresh_frame_caches,
                                                     monkeypatch):
-    """With a clean_features dict, the first observation's features are
-    computed on its first distance only and keyed by its shape and bytes;
-    every distance equals the memo-free one bit for bit."""
+    """Under the reference net, the first observation's activations are
+    computed on its first distance only and cached by its shape and bytes;
+    every distance equals the cache-free one bit for bit."""
+    fnet = pc.reference_featurenet()
     clean, views = noise(rng), [noise(rng) for _ in range(3)]
-    expected = [pc.lpips(fnet, clean, v) for v in views]
+    expected = [_uncached_lpips(fnet, clean, v) for v in views]
     passes = []
     forward = pc.normalized_activations
 
@@ -171,16 +182,48 @@ def test_clean_features_memo_reads_back_the_same_bits(fnet, rng,
         return forward(f, s)
 
     monkeypatch.setattr(pc, "normalized_activations", recording)
-    memo: pc.Features = {}
-    got = [pc.lpips(fnet, clean, v, memo) for v in views]
+    got = [pc.lpips(fnet, clean, v) for v in views]
     assert np.array(got).tobytes() == np.array(expected).tobytes()
     key = clean.shape, np.asarray(clean, dtype=np.float64).tobytes()
-    assert list(memo) == [key]
+    info = pc._reference_activations.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
     assert passes == [key[1], *(v.tobytes() for v in views)]
+    pc._reference_activations(*key)
+    assert pc._reference_activations.cache_info().hits == 3
     # the same bytes in another shape are another observation
     flat = clean.reshape(1, -1, 1)
-    pc.lpips(fnet, flat, views[0].reshape(1, -1, 1), memo)
-    assert len(memo) == 2
+    pc.lpips(fnet, flat, views[0].reshape(1, -1, 1))
+    assert pc._reference_activations.cache_info().currsize == 2
+
+
+def test_cached_activations_are_read_only(rng, fresh_frame_caches):
+    """Every later distance from the same observation shares its cached
+    activations, so no caller may change them under the others."""
+    clean = noise(rng)
+    pc.lpips(pc.reference_featurenet(), clean, noise(rng))
+    acts = pc._reference_activations(clean.shape, clean.tobytes())
+    assert pc._reference_activations.cache_info().hits == 1
+    for act in acts:
+        with pytest.raises(ValueError, match="read-only"):
+            act[...] = 0.0
+
+
+def test_another_net_never_reads_the_cached_activations(rng,
+                                                        fresh_frame_caches):
+    """A net that differs from the reference net in one weight scores the
+    first observation with its own activations, even with the reference
+    net's cached: its distance is the cache-free one under that net, not
+    the reference net's."""
+    ref = pc.reference_featurenet()
+    other = pc.build_reference_params()
+    other.layers[0].weight.flat[0] += 0.5
+    clean, view = noise(rng), noise(rng)
+    reference = pc.lpips(ref, clean, view)
+    assert pc._reference_activations.cache_info().currsize == 1
+    got = pc.lpips(other, clean, view)
+    assert got == _uncached_lpips(other, clean, view)
+    assert got != reference
+    assert pc._reference_activations.cache_info().hits == 0
 
 
 def test_unit_normalization_properties(rng):

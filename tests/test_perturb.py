@@ -270,21 +270,33 @@ def _dct_in_one_piece(img, kappa):
 
 @pytest.mark.parametrize("shape", [(24, 24, 1), (36, 36, 1), (20, 28, 1),
                                    (24, 24, 3)])
-def test_dct_memo_gives_the_same_bytes_at_every_kappa(shape, rng):
-    """One coefficients memo serves every kappa: each result is the bytes
-    of a call without the memo and of the one-piece transform, and the
-    memo holds the one frame's coefficients."""
+def test_dct_memo_gives_the_same_bytes_at_every_kappa(shape, rng,
+                                                      fresh_frame_caches):
+    """One cached forward transform serves every kappa: each result is the
+    bytes of the one-piece transform, whether it computed the transform or
+    read it back, and the cache holds the one frame's coefficients."""
     img = rng.integers(0, 256, size=shape).astype(np.float64)
-    memo = {}
     for kappa in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0):
-        fresh = pb.dct_artifacts(img, kappa).tobytes()
-        assert fresh == _dct_in_one_piece(img, kappa).tobytes()
-        assert pb.dct_artifacts(img, kappa,
-                                coefficients=memo).tobytes() == fresh
+        fresh = _dct_in_one_piece(img, kappa).tobytes()
+        assert pb.dct_artifacts(img, kappa).tobytes() == fresh
         spec = pb.PerturbationSpec(family="dct_artifacts", kappa=kappa)
-        assert pb.apply(spec, img.astype(np.uint8), memo).tobytes() == fresh
-    assert list(memo) == [(shape, img.tobytes())]
-    assert np.array_equal(memo[shape, img.tobytes()], pb.dct_forward(img))
+        assert pb.apply(spec, img.astype(np.uint8)).tobytes() == fresh
+    info = pb._coefficients.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 11, 1)
+    assert np.array_equal(pb._coefficients(shape, img.tobytes()),
+                          pb.dct_forward(img))
+    assert pb._coefficients.cache_info().hits == 12
+
+
+def test_cached_coefficients_are_read_only(rng, fresh_frame_caches):
+    """Every later DCT view of the same frame shares its cached forward
+    transform, so no caller may change it under the others."""
+    img = noise_image(rng)
+    pb.dct_artifacts(img, 0.5)
+    coef = pb._coefficients(img.shape, img.tobytes())
+    assert pb._coefficients.cache_info().hits == 1
+    with pytest.raises(ValueError, match="read-only"):
+        coef[...] = 0.0
 
 
 def test_dct_rejects_kappa_outside_unit_interval(rng):
@@ -311,15 +323,9 @@ def test_unknown_family_rejected():
 @pytest.mark.parametrize("family", sorted(pb.FAMILIES))
 def test_each_family_takes_the_fields_it_declares(family):
     """A family's function takes the observation, then exactly the spec
-    fields its FAMILIES entry names, in that order. Only dct_artifacts
-    takes more: its memo, keyword-only and optional, which apply passes by
-    name."""
+    fields its FAMILIES entry names, in that order, and nothing else."""
     fn, reads, _ = pb.FAMILIES[family]
-    params = list(inspect.signature(fn).parameters.values())
-    by_name = [p for p in params if p.kind is p.KEYWORD_ONLY]
-    assert [p.name for p in params if p not in by_name][1:] == list(reads)
-    assert [(p.name, p.default) for p in by_name] == (
-        [("coefficients", None)] if family == "dct_artifacts" else [])
+    assert list(inspect.signature(fn).parameters)[1:] == list(reads)
 
 
 def test_spec_refuses_a_field_its_family_does_not_read():
