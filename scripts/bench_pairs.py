@@ -32,7 +32,8 @@ Every metric also gets a gain verdict: "gain shown" when the change is
 better in at least nine tenths of all pairs, a tie counting for neither
 side, and the change's median is better than the parent's by more than
 the parent's interquartile range; "no gain shown" otherwise. A run that
-exits nonzero or prints no JSON result stops the script.
+exits nonzero or prints no JSON result stops the script, and a workload
+that either checkout's BENCHMARK.json does not declare is refused.
 """
 
 from __future__ import annotations
@@ -147,7 +148,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", required=True,
-                        choices=("sweep", "attack", "train"))
+                        help="a workload both BENCHMARK.json files declare")
     parser.add_argument("--seeds", type=parse_seeds, required=True,
                         help="inclusive range A-B, or one seed")
     parser.add_argument("--seconds", type=float, required=True)
@@ -155,12 +156,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    declared = {}
     for side, path in sides.items():
         if not (path / "perfbench" / "run.py").is_file():
             parser.error(f"{side} checkout {path} has no perfbench/run.py")
-    declared = json.loads((sides["parent"] / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in declared["end_to_end"]}
-    bounds = {m["name"]: m["bound"] for m in declared["end_to_end"]}
+        declared[side] = json.loads((path / "BENCHMARK.json").read_text())
+        names = [w["name"] for w in declared[side]["workloads"]]
+        if args.workload not in names:
+            parser.error(f"{side} checkout {path} declares no workload "
+                         f"{args.workload!r}; it declares {', '.join(names)}")
+    metrics = declared["parent"]["end_to_end"]
+    better = {m["name"]: m["better"] for m in metrics}
+    bounds = {m["name"]: m["bound"] for m in metrics}
 
     pairs = []
     for i, seed in enumerate(args.seeds):

@@ -51,8 +51,7 @@ def main(argv=None) -> int:
             print(f"{asset.name} differs from the seeded regeneration; "
                   "rerun with --force to replace it", file=sys.stderr)
             return 1
-    asset.parent.mkdir(parents=True, exist_ok=True)
-    asset.write_text(text)
+    cp.atomic_write_text(asset, text)
     print(f"wrote {asset} ({len(text.splitlines())} lines, "
           f"seed {perceptual.FEATURENET_SEED})")
     return 0

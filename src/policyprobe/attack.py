@@ -21,12 +21,12 @@ that stalls returns the same iterate byte for byte, and the descent then
 reuses that iterate's forward pass instead of running it again.
 
 The penalty search speculates: it guesses that every remaining step fails
-and runs up to CW_ROWS of them, at the penalties that guess gives, as the
-rows of one lockstep descent. Once a row has a flipped iterate it succeeds,
-and the rows after it, off the search's path, are dropped. The kept rows
-are walked in step order with the sequential bookkeeping, restarts after a
-failed row included, and the search guesses again after them. Rows hold
-batch-1 bits, so every output is the step-by-step search's, byte for byte.
+and runs up to CW_ROWS of them, at the penalties that guess gives, as one
+lockstep descent with a row per (penalty, start), clean start first, then
+the seeded restarts. Once a clean row flips, its step succeeds, and the
+rows after it, off the search's path, are dropped. The kept rows are walked
+in step order with the sequential bookkeeping, and the search guesses
+again. Rows hold batch-1 bits, so outputs equal the sequential search's bytes.
 
 Inputs and outputs are raw [0, 255] observations; reported distances are on
 the [0, 1] scale.
@@ -108,21 +108,15 @@ def _project(delta: Array, p: float, eps: float) -> Array:
     return delta.clip(-eps, eps)
 
 
+def _q(net: nn.ParamSet, xs: Array, tape: list | None = None) -> Array:
+    """The net's outputs on the rows xs, each row's batch-1 bits."""
+    q = nn.forward_rows(net, xs, tape)[-1]
+    nn.require_finite(q, "network output")
+    return q
+
+
 def _greedy(net: nn.ParamSet, x: Array) -> int:
-    return int(nn.forward(net, x)[-1].argmax())
-
-
-def _surrogate_grad(net: nn.ParamSet, x: Array) -> tuple[int, Array]:
-    """Greedy action a* at x and the input gradient of
-    J = -log softmax(Q)[a*] = logsumexp(Q) - Q[a*], from one forward pass."""
-    tape: list = []
-    q = nn.forward(net, x, tape)[-1]
-    a_star = int(np.argmax(q))
-    z = q - q.max()
-    soft = np.exp(z) / np.exp(z).sum()
-    gout = soft.copy()
-    gout[a_star] -= 1.0
-    return a_star, nn.backprop_batch(net, gout[None], "input", tape)[0]
+    return int(_q(net, x[None])[0].argmax())
 
 
 def fgm(net: nn.ParamSet, obs: Array, spec: AttackSpec) -> AttackResult:
@@ -130,7 +124,14 @@ def fgm(net: nn.ParamSet, obs: Array, spec: AttackSpec) -> AttackResult:
     zero radius) returns the input unchanged."""
     obs = np.asarray(obs, dtype=np.float64)
     x = obs / OBS_SCALE
-    a_star, g = _surrogate_grad(net, x)
+    tape: list = []
+    q = _q(net, x[None], tape)[0]
+    a_star = int(np.argmax(q))
+    # input gradient of J = -log softmax(Q)[a*] = logsumexp(Q) - Q[a*]
+    soft = np.exp(q - q.max())
+    gout = soft / soft.sum()
+    gout[a_star] -= 1.0
+    g = nn.backprop_batch(net, gout[None], "input", tape)[0]
     if spec.p == 2.0:
         gn = norm_of(g, 2.0)
         delta = np.zeros_like(x) if gn == 0.0 else spec.epsilon * g / gn
@@ -176,17 +177,19 @@ def _restart_point(x: Array, spec: AttackSpec, k: int) -> Array:
 
 
 def _descend(net: nn.ParamSet, x: Array, a_star: int, pens: list[float],
-             spec: AttackSpec, grads: dict, start: Array) -> list[tuple]:
-    """Projected descent from `start`, one lockstep row per penalty in
-    `pens`, each with its own l2 norm and projection; returns each kept
-    row's closest flipped iterate (scaled coords) and its distance, or
-    (None, inf). Rows after the first row with a flipped iterate are
-    dropped. `grads` is `cw_minimal`'s margin-gradient memo. Each row reuses
-    its last evaluated iterate's result while its bytes repeat (a stalled
-    step); bytes, not values: -0.0 and 0.0 compare equal but differ."""
-    n_it, n = spec.cw_iterations, len(pens)
-    xs = np.repeat(start[None], n, axis=0)
-    col = np.array(pens).reshape(n, *[1] * x.ndim)
+             spec: AttackSpec, grads: dict, starts: Array) -> list[tuple]:
+    """Projected descent, one lockstep row per (penalty, start) in
+    penalty-major order, starts[0] the clean start x, each row with its own
+    l2 norm and projection; returns each kept row's closest flipped iterate
+    (scaled coords) and its distance, or (None, inf). The first clean row
+    with a flipped iterate drops every later row, its own restarts
+    included; a restart row's flip drops nothing. `grads` is `cw_minimal`'s
+    margin-gradient memo. Each row reuses its last evaluated iterate's
+    result while its bytes repeat (a stalled step); bytes, not values: -0.0
+    and 0.0 compare equal but differ."""
+    n_it, k, n = spec.cw_iterations, len(starts), len(pens) * len(starts)
+    xs = np.tile(starts, (len(pens),) + (1,) * x.ndim)
+    col = np.repeat(pens, k).reshape(n, *[1] * x.ndim)
     zero = np.zeros_like(x)
     best = [(None, math.inf)] * n
     keys, flips, margin = [None] * n, [False] * n, np.zeros_like(xs)
@@ -195,8 +198,7 @@ def _descend(net: nn.ParamSet, x: Array, a_star: int, pens: list[float],
         todo = [r for r in range(n) if now[r] != keys[r]]
         if todo:
             tape = [] if it < n_it else None
-            q = nn.forward_rows(net, xs[todo], tape)[-1]
-            nn.require_finite(q, "network output")
+            q = _q(net, xs[todo], tape)
             for r, flip, grad in zip(todo, *_flips_and_grads(
                     net, q, a_star, grads, tape)):
                 keys[r], flips[r], margin[r] = now[r], flip, grad
@@ -204,7 +206,7 @@ def _descend(net: nn.ParamSet, x: Array, a_star: int, pens: list[float],
         for r in range(n):
             if flips[r] and (d := norm_of(delta[r], spec.p)) < best[r][1]:
                 best[r] = (xs[r].copy(), d)
-        n = next((r + 1 for r in range(n) if best[r][0] is not None), n)
+        n = next((r + 1 for r in range(0, n, k) if best[r][0] is not None), n)
         if it == n_it:
             return best[:n]
         step = spec.cw_step * max(0.02, 1.0 - it / n_it)
@@ -230,6 +232,10 @@ def cw_minimal(net: nn.ParamSet, obs: Array, spec: AttackSpec) -> AttackResult:
     x = obs / OBS_SCALE
     a_star = _greedy(net, x)
     grads: dict = {}  # (runner, masks) -> margin gradient, for this call only
+    # seeded in-ball restarts escape a clean start stalled on a flat hinge
+    # (dead relu paths give a zero margin gradient); they only add candidates
+    starts = np.stack([x] + [_restart_point(x, spec, k)
+                             for k in range(1, spec.cw_restarts + 1)])
     best, best_dist = None, math.inf
     lo, hi, left = spec.cw_penalty_lo, spec.cw_penalty_hi, spec.cw_binary_steps
     while left:
@@ -237,22 +243,16 @@ def cw_minimal(net: nn.ParamSet, obs: Array, spec: AttackSpec) -> AttackResult:
         pens = [math.sqrt(lo * hi)]
         while len(pens) < min(left, CW_ROWS):
             pens.append(math.sqrt(pens[-1] * hi))
-        for c_pen, (cand, dist) in zip(pens, _descend(net, x, a_star, pens,
-                                                      spec, grads, x)):
+        rows = _descend(net, x, a_star, pens, spec, grads, starts)
+        for c_pen, i in zip(pens, range(0, len(rows), len(starts))):
             left -= 1
-            # The clean start can stall on a flat hinge (dead relu paths
-            # give a zero margin gradient); seeded restarts inside the ball
-            # escape it.  They only contribute candidates — the penalty
-            # search keeps following the clean-start outcome.
-            found = [(cand, dist)] if cand is not None else [
-                _descend(net, x, a_star, [c_pen], spec, grads,
-                         _restart_point(x, spec, k))[0]
-                for k in range(1, spec.cw_restarts + 1)]
-            for cand_k, dist_k in found:
-                if cand_k is not None and dist_k < best_dist:
-                    best, best_dist = cand_k, dist_k
+            # a clean success is the last kept row, so a step's candidates
+            # are its clean row's or, after a clean failure, its restarts'
+            for cand, dist in rows[i:i + len(starts)]:
+                if cand is not None and dist < best_dist:
+                    best, best_dist = cand, dist
             # success: a gentler penalty for a closer point; failure: harder
-            lo, hi = (lo, c_pen) if cand is not None else (c_pen, hi)
+            lo, hi = (lo, c_pen) if rows[i][0] is not None else (c_pen, hi)
     if best is None:
         return AttackResult(obs.copy(), math.inf, False)
     if _greedy(net, best) == a_star:  # pragma: no cover - margin bookkeeping

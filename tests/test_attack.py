@@ -388,7 +388,7 @@ def first_states(path, count):
 
 SEARCHES = [  # p, restarts, iterations, binary steps
     (math.inf, 0, 15, 8), (math.inf, 2, 15, 11), (math.inf, 0, 50, 11),
-    (2.0, 0, 50, 8), (2.0, 2, 15, 3), (2.0, 0, 15, 11)]
+    (2.0, 0, 50, 8), (2.0, 2, 15, 3), (2.0, 0, 15, 11), (2.0, 3, 15, 8)]
 
 
 @pytest.mark.parametrize("p,restarts,iterations,steps", SEARCHES)
@@ -484,19 +484,13 @@ def test_cw_runs_one_forward_per_distinct_consecutive_iterate(
                                 0)[3][0][0]
     x = np.asarray(obs, dtype=np.float64) / ql.OBS_SCALE
     spec = atk.AttackSpec(method="cw", epsilon=5e-4)
-    forward, project = nn.forward, atk._project
-    evaluated, steps = [], []
-
-    def record_forward(net, x_eval, tape=None):
-        evaluated.append(x_eval.tobytes())
-        return forward(net, x_eval, tape)
+    project, evaluated, steps = atk._project, [], []
 
     def record_step(delta, p, eps):   # the rows' own next iterates
         out = project(delta, p, eps)
         steps.append([(x + row).clip(0.0, 1.0).tobytes() for row in out])
         return out
 
-    monkeypatch.setattr(nn, "forward", record_forward)
     record_rows(monkeypatch, lambda xs, tape, outs: evaluated.extend(
         row.tobytes() for row in xs))
     monkeypatch.setattr(atk, "_project", record_step)
@@ -520,48 +514,87 @@ def test_cw_runs_one_forward_per_distinct_consecutive_iterate(
 
 def test_rows_past_the_first_flipped_row_are_never_evaluated_again(
         vanilla_checkpoint, monkeypatch):
-    """Row r of a descent is penalty step r, guessed to follow r failed
-    steps. Once row j has a flipped iterate, rows after j are off the
-    search's path, and no later forward pass evaluates them. Each
-    descent's forward passes are rebuilt here from the sequential
-    descents of its rows: every call evaluates exactly the kept rows whose
-    iterate changed."""
+    """Row (r, k) of a descent is penalty step r from start k (k = 0 the
+    clean start, then the seeded restarts), guessed to follow r failed
+    steps. Once a clean row has a flipped iterate, its step succeeds and
+    every later row, its own restarts included, is off the search's path:
+    no later forward pass evaluates them. A restart row's flip drops
+    nothing. Each descent's forward passes are rebuilt here from the
+    sequential descents of its rows: every call evaluates exactly the kept
+    rows whose iterate changed."""
     params, states = first_states(DATA_DIR / "vanilla_pixelgrid.txt", 3)
-    spec = atk.AttackSpec(method="cw", epsilon=2 / 255)
     descend, calls, descents = atk._descend, [], []
 
-    def record_descent(net, x, a_star, pens, spec, grads, start):
+    def record_descent(net, x, a_star, pens, spec, grads, starts):
         first = len(calls)
-        out = descend(net, x, a_star, pens, spec, grads, start)
-        descents.append((x, a_star, list(pens), start, calls[first:]))
+        out = descend(net, x, a_star, pens, spec, grads, starts)
+        descents.append((x, a_star, list(pens), starts, calls[first:]))
         return out
 
     record_rows(monkeypatch, lambda xs, tape, outs: calls.append(
         [row.tobytes() for row in xs]))
     monkeypatch.setattr(atk, "_descend", record_descent)
-    for obs in states:
-        atk.cw_minimal(params, obs, spec)
-    dropped = 0
-    for x, a_star, pens, start, got in descents:
-        traces = []
-        for c_pen in pens:
-            traces.append([])
-            reference_inner(params, x, a_star, c_pen, spec, {}, start,
-                            traces[-1])
-        kept, prev, want = len(pens), [None] * len(pens), []
-        for it in range(spec.cw_iterations + 1):
-            rows = [r for r in range(kept) if traces[r][it][0] != prev[r]]
-            for r in rows:
-                prev[r] = traces[r][it][0]
-            if rows:
-                want.append([traces[r][it][0] for r in rows])
-            flipped = [r for r in range(kept)
-                       if any(f for _, f in traces[r][:it + 1])]
-            if flipped and flipped[0] + 1 < kept:
-                kept = flipped[0] + 1
-                dropped += it < spec.cw_iterations
-        assert got == want
-    assert dropped > 0   # some descent dropped rows with steps to go
+    for restarts in (0, 2):
+        spec = atk.AttackSpec(method="cw", epsilon=2 / 255,
+                              cw_restarts=restarts)
+        descents.clear()
+        for obs in states:
+            atk.cw_minimal(params, obs, spec)
+        dropped = kept_past_restart_flips = 0
+        for x, a_star, pens, starts, got in descents:
+            assert len(starts) == 1 + restarts
+            assert starts[0].tobytes() == x.tobytes()
+            traces = []
+            for c_pen in pens:
+                for start in starts:
+                    traces.append([])
+                    reference_inner(params, x, a_star, c_pen, spec, {}, start,
+                                    traces[-1])
+            kept, prev, want = len(traces), [None] * len(traces), []
+            for it in range(spec.cw_iterations + 1):
+                rows = [r for r in range(kept) if traces[r][it][0] != prev[r]]
+                for r in rows:
+                    prev[r] = traces[r][it][0]
+                if rows:
+                    want.append([traces[r][it][0] for r in rows])
+                flipped = [r for r in range(kept)
+                           if any(f for _, f in traces[r][:it + 1])]
+                clean = [r for r in flipped if r % len(starts) == 0]
+                if clean and clean[0] + 1 < kept:
+                    kept = clean[0] + 1
+                    dropped += it < spec.cw_iterations
+                kept_past_restart_flips += any(
+                    r % len(starts) and r + 1 < kept for r in flipped)
+            assert got == want
+        assert dropped > 0   # some descent dropped rows with steps to go
+        assert kept_past_restart_flips > 0 or not restarts
+
+
+def test_one_descent_runs_every_failing_step_and_its_restarts(
+        radial_checkpoint, monkeypatch):
+    """At radius 5e-4 every step fails on radial's first clean state. With
+    no more steps than CW_ROWS and two restarts, the whole search is one
+    descent whose rows are the steps times their three starts."""
+    ck, _ = radial_checkpoint
+    obs = harness.probe_episode(ck.params, ck.env_spec, harness.IDENTITY,
+                                0)[3][0][0]
+    spec = atk.AttackSpec(method="cw", epsilon=5e-4, cw_iterations=20,
+                          cw_restarts=2)
+    assert spec.cw_binary_steps <= atk.CW_ROWS
+    descend, descents, widths = atk._descend, [], []
+
+    def record_descent(*args):
+        widths.clear()
+        out = descend(*args)
+        descents.append((len(out), list(widths)))
+        return out
+
+    monkeypatch.setattr(atk, "_descend", record_descent)
+    record_rows(monkeypatch, lambda xs, tape, outs: widths.append(len(xs)))
+    assert not atk.cw_minimal(ck.params, obs, spec).success
+    (kept, passes), = descents
+    # the first pass evaluates every row, and none is dropped
+    assert passes[0] == kept == spec.cw_binary_steps * 3
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Source hygiene: every module-level import in the package and the
 scripts is used, no module reads another package module's private
 names, the on-disk formats live in checkpoint alone, nn imports no
-other package module, every float a manifest sets is refused when it
-is not finite, and every int, bool and str it sets is refused when it
-is of another type."""
+other package module, attack runs the net only through nn.forward_rows,
+every float a manifest sets is refused when it is not finite, and every
+int, bool and str it sets is refused when it is of another type."""
 import ast
 import dataclasses
 import math
@@ -110,6 +110,15 @@ def test_nn_imports_no_other_package_module():
     named = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
              for a in node.names if a.name.startswith("policyprobe")]
     assert relative + named == []
+
+
+def test_attack_runs_the_net_only_through_forward_rows():
+    """Every attack pass is a stack of batch-1 rows, one row included."""
+    tree = ast.parse((SRC / "attack.py").read_text())
+    passes = {node.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and "forward" in node.attr
+              and isinstance(node.value, ast.Name) and node.value.id == "nn"}
+    assert passes == {"forward_rows"}
 
 
 # Manifest-settable dataclasses, by defining module: a field no expression

@@ -3,13 +3,16 @@ runs end to end on a small budget and writes the files it promises; each
 manifest under scripts/manifests loads from any working directory and
 names checkpoints that exist, and the spectrum and sweep manifests write
 what the scripts they replaced wrote; the shipped featurenet asset is its
-seeded regeneration, and the reference-policy script writes checkpoint
-v2; bench_pairs' summary arithmetic on hand values."""
+seeded regeneration and is only ever replaced atomically, and the
+reference-policy script writes checkpoint v2; bench_pairs' summary
+arithmetic on hand values, and it runs the workloads both checkouts'
+BENCHMARK.json declare."""
 from __future__ import annotations
 
 import dataclasses
 import hashlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -107,8 +110,32 @@ def test_featurenet_asset_is_up_to_date_and_left_unwritten(monkeypatch,
         raise AssertionError("the asset was written")
 
     monkeypatch.setattr(Path, "write_text", refuse)
+    monkeypatch.setattr(cp, "atomic_write_text", refuse)
     assert load_script("make_featurenet_asset").main([]) == 0
     assert "featurenet_v1.txt: already up to date" in capsys.readouterr().out
+
+
+def test_featurenet_asset_is_replaced_atomically(monkeypatch, capsys):
+    """A mismatching asset is left alone without --force, and with it the
+    regeneration goes through checkpoint.atomic_write_text, so an
+    interrupted run never leaves a truncated asset behind."""
+    serialize, writes = cp.serialize_params, []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the asset was written in place")
+
+    monkeypatch.setattr(Path, "write_text", refuse)
+    monkeypatch.setattr(cp, "serialize_params",
+                        lambda *args, **kw: serialize(*args, **kw) + "#\n")
+    monkeypatch.setattr(cp, "atomic_write_text",
+                        lambda path, text: writes.append((path, text)))
+    script = load_script("make_featurenet_asset")
+    assert script.main([]) == 1 and writes == []
+    assert "rerun with --force" in capsys.readouterr().err
+    assert script.main(["--force"]) == 0
+    ((path, text),) = writes
+    assert path.name == "featurenet_v1.txt" and path.is_file()
+    assert text == path.read_text() + "#\n"
 
 
 def test_reference_policy_script_writes_checkpoint_v2(tmp_path, capsys,
@@ -123,6 +150,54 @@ def test_reference_policy_script_writes_checkpoint_v2(tmp_path, capsys,
     assert path.read_text() == cp.serialize_checkpoint(ck)
     assert path.read_text().startswith("checkpoint v2\n")
     assert f"id {cp.load_checkpoint(path)[1]}" in capsys.readouterr().out
+
+
+STUB_RUN = """import json
+print("stub run")
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": {
+    "work_per_s": {"value": 2.0, "unit": "1/s"}}}))
+"""
+
+
+def stub_checkout(path: Path, workloads: list[str]) -> Path:
+    """A checkout whose benchmark declares `workloads` and whose run
+    prints one JSON result line."""
+    (path / "perfbench").mkdir(parents=True)
+    (path / "perfbench" / "run.py").write_text(STUB_RUN)
+    (path / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": name} for name in workloads],
+        "end_to_end": [{"name": "work_per_s", "better": "higher",
+                        "bound": 0.24}]}))
+    return path
+
+
+def test_bench_pairs_runs_the_workloads_both_checkouts_declare(tmp_path,
+                                                                capsys):
+    """The workload list is BENCHMARK.json's: a newly declared workload
+    runs, and one that either checkout does not declare is refused with
+    the declared names."""
+    bench = load_script("bench_pairs")
+    parent = stub_checkout(tmp_path / "parent", ["sweep", "probe"])
+    change = stub_checkout(tmp_path / "change", ["sweep", "probe", "new"])
+    out = tmp_path / "pairs.json"
+    args = [str(parent), str(change), "--seeds", "1-2", "--seconds", "1",
+            "--out", str(out)]
+    assert bench.main(args + ["--workload", "probe"]) == 0
+    entry = json.loads(out.read_text())["probe"]
+    assert [p["seed"] for p in entry["pairs"]] == [1, 2]
+    assert entry["metrics"]["work_per_s"]["verdict"] == "within bound"
+    capsys.readouterr()
+    for workload in ("new", "attack"):   # declared by one side; by neither
+        with pytest.raises(SystemExit):
+            bench.main(args + ["--workload", workload])
+        assert (f"parent checkout {parent} declares no workload "
+                f"'{workload}'; it declares sweep, probe"
+                in capsys.readouterr().err)
+    with pytest.raises(SystemExit):
+        bench.main([str(change), str(parent)] + args[2:]
+                   + ["--workload", "new"])
+    assert "change checkout" in capsys.readouterr().err
+    assert list(json.loads(out.read_text())) == ["probe"]
 
 
 def test_bench_pairs_summarizes_per_pair_ratios():
