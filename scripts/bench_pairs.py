@@ -31,9 +31,13 @@ every parent run.
 Every metric also gets a gain verdict: "gain shown" when the change is
 better in at least nine tenths of all pairs, a tie counting for neither
 side, and the change's median is better than the parent's by more than
-the parent's interquartile range; "no gain shown" otherwise. A run that
-exits nonzero or prints no JSON result stops the script, and a workload
-that either checkout's BENCHMARK.json does not declare is refused.
+the parent's interquartile range; "no gain shown" otherwise. An entry also
+holds each side's failed share, its runs' failed operations over their
+attempted ones, and every gain verdict reads "no gain shown" when the
+change's share is the larger: a faster run that fails more operations
+shows no gain. A run that exits nonzero or prints no JSON result stops
+the script, and a workload that either checkout's BENCHMARK.json does not
+declare is refused.
 """
 
 from __future__ import annotations
@@ -108,8 +112,17 @@ def gain(parent: list[float], change: list[float], better: str) -> str:
     return "gain shown" if shown else "no gain shown"
 
 
+def failed_share(pairs: list[dict], side: str) -> float:
+    """One side's failed operations over its attempted ones, all runs
+    summed; 0 when it attempted none."""
+    attempted = sum(p[side]["attempted"] for p in pairs)
+    return sum(p[side]["failed"] for p in pairs) / attempted if attempted \
+        else 0.0
+
+
 def summarize(pairs: list[dict], better: dict[str, str],
               bounds: dict[str, float] | None = None) -> dict:
+    fails_more = failed_share(pairs, "change") > failed_share(pairs, "parent")
     names = [name for name in pairs[0]["parent"]["metrics"]
              if all(name in p[side]["metrics"]
                     for p in pairs for side in ("parent", "change"))]
@@ -135,8 +148,9 @@ def summarize(pairs: list[dict], better: dict[str, str],
             "change_worse": sum(d < 0 for d in diffs),
             "ties": sum(d == 0 for d in diffs),
             "pairs": len(pairs),
-            "gain": gain(values["parent"], values["change"],
-                         better.get(name, "higher")),
+            "gain": ("no gain shown" if fails_more else
+                     gain(values["parent"], values["change"],
+                          better.get(name, "higher"))),
             "verdict": (verdict(values["parent"], values["change"],
                                 better.get(name, "higher"), bounds[name])
                         if name in (bounds or {}) else None)}
@@ -189,11 +203,15 @@ def main(argv: list[str] | None = None) -> int:
                     "blas_threads": 1},   # perfbench/run.py refuses others
         "all_correct": all(p[s]["correct"] and not p[s]["failed"]
                            for p in pairs for s in ("parent", "change")),
+        "failed_share": {side: failed_share(pairs, side)
+                         for side in ("parent", "change")},
         "metrics": summarize(pairs, better, bounds),
         "pairs": pairs}
     entries = json.loads(args.out.read_text()) if args.out.exists() else {}
     entries[args.workload] = result
     args.out.write_text(json.dumps(entries, indent=1, sort_keys=True) + "\n")
+    print("failed share: parent {parent:.4g}, change {change:.4g}".format(
+        **result["failed_share"]), file=sys.stderr)
     for name, m in result["metrics"].items():
         ratio = m["pair_ratio"]
         per_pair = ("" if ratio is None else

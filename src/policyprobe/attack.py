@@ -28,6 +28,13 @@ rows after it, off the search's path, are dropped. The kept rows are walked
 in step order with the sequential bookkeeping, and the search guesses
 again. Rows hold batch-1 bits, so outputs equal the sequential search's bytes.
 
+Before any descent, C&W bounds Q(a*) - Q(a) from below for every rival a
+over the box `input_box(x, epsilon)`, which holds every iterate, restart and
+l2 ball the search can reach (`nn.margin_lower_bounds`, a CROWN bound). When
+every bound clears BOUND_SLACK, no point the search can reach flips the
+action, so it returns its failure result at once. Such a search would have
+found no flip and returned that same result, so no output moves.
+
 Inputs and outputs are raw [0, 255] observations; reported distances are on
 the [0, 1] scale.
 """
@@ -40,11 +47,21 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import nn
-from .qlearning import OBS_SCALE
+from .qlearning import OBS_SCALE, input_box
 
 Array = np.ndarray
 
 CW_ROWS = 8  # most penalty steps one lockstep descent runs as rows
+# What every margin bound must clear for C&W to skip its search. A bound
+# holds in exact arithmetic, and float64 adds three errors. A sum of n
+# terms rounds by at most n * 2**-53 times the sum of their absolute
+# values; on the bundled nets n < 1000 along any chain of sums, so:
+#   - the bound's own rounding: absolute sums below 26, error < 3e-12;
+#   - the forward pass that judges a flip: absolute sums below 52, < 6e-12;
+#   - an l2-projected iterate may leave the box by an ulp (<= 2.2e-16) per
+#     pixel, and the |weight| chain's gain is below 610, so < 3e-13.
+# Bounds that certify a state on the attack benchmark start at 1.7e-4.
+BOUND_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -231,6 +248,11 @@ def cw_minimal(net: nn.ParamSet, obs: Array, spec: AttackSpec) -> AttackResult:
     obs = np.asarray(obs, dtype=np.float64)
     x = obs / OBS_SCALE
     a_star = _greedy(net, x)
+    # the box holds every iterate and restart; a net with no rival action
+    # is certified too
+    if (nn.margin_lower_bounds(net, *input_box(x, spec.epsilon), a_star)
+            > BOUND_SLACK).all():
+        return AttackResult(obs.copy(), math.inf, False)
     grads: dict = {}  # (runner, masks) -> margin gradient, for this call only
     # seeded in-ball restarts escape a clean start stalled on a flat hinge
     # (dead relu paths give a zero margin gradient); they only add candidates

@@ -27,6 +27,11 @@ its caller consumes:
   - with wrt="input" it returns the input gradient (shaped like the input)
     and forms no parameter gradient; attacks use this
   - `ibp_backprop_batch` returns parameter gradients only
+  - `margin_lower_bounds` runs CROWN's backward linear relaxation over the
+    pre-activation intervals of the IBP pass (`_interval_walk`, which
+    `ibp_forward_batch` runs too): `_affine_input_grad` with the rival
+    actions as the batch axis. No digest pins its bits: its one caller,
+    C&W, returns the same bytes whether or not a bound certifies a state
 Every backward pass reads its input and activations from the `tape` list the
 matching forward pass (`forward_batch` / `ibp_forward_batch`) filled, so
 each gradient costs one forward pass, and a caller can inspect the outputs
@@ -466,36 +471,100 @@ def rectifier_patterns(tape: list[dict]) -> list[bytes]:
 # Interval bound propagation
 # ---------------------------------------------------------------------------
 
-def ibp_forward_batch(net: ParamSet, lo: Array, hi: Array,
-                      tape: list | None = None) -> tuple[Array, Array]:
-    """Sound elementwise output bounds for every input inside each box
-    [lo, hi] of the batch: the center goes through the linear map, the
-    radius through its elementwise absolute value, and the rectifier
-    applies to both bounds. Bounds of different shapes or with lo > hi
-    anywhere are refused. A `tape` list receives what ibp_backprop_batch
-    needs (see there)."""
+def _interval_walk(net: ParamSet, lo: Array, hi: Array,
+                   visit=None) -> tuple[Array, Array]:
+    """The IBP pass: each layer's input box, as center mu and radius rad,
+    goes through the linear map and |weight|, and the rectifier applies to
+    both pre-activation bounds. visit(lay, mu, rad, pl, pu) sees every
+    layer's pre-activation bounds before the rectifier overwrites them."""
     lo, hi = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
     if lo.shape != hi.shape:
         raise ShapeMismatchError(
             f"box bounds differ in shape: {lo.shape} vs {hi.shape}")
     if np.any(lo > hi):
         raise ValueError("box has lower > upper")
-    entries = []
     for i, lay in enumerate(net.layers):
         _check_layer_input(i, lay, lo)
         mu, rad = (lo + hi) / 2.0, (hi - lo) / 2.0
         pmu = _affine(lay, mu, lay.weight, lay.bias)
         prad = _affine(lay, rad, np.abs(lay.weight), None)
         pl, pu = pmu - prad, pmu + prad
-        if tape is not None:
-            entries.append({"mu": mu, "rad": rad, "in_shape": lo.shape,
-                            "mask_l": _act_mask(pl, lay.activation),
-                            "mask_u": _act_mask(pu, lay.activation),
-                            "out_shape": pl.shape})
+        if visit is not None:
+            visit(lay, mu, rad, pl, pu)
         lo, hi = _act(pl, lay.activation), _act(pu, lay.activation)
+    return lo, hi
+
+
+def ibp_forward_batch(net: ParamSet, lo: Array, hi: Array,
+                      tape: list | None = None) -> tuple[Array, Array]:
+    """Sound elementwise output bounds for every input inside each box
+    [lo, hi] of the batch (see _interval_walk). Bounds of different shapes
+    or with lo > hi anywhere are refused. A `tape` list receives what
+    ibp_backprop_batch needs (see there)."""
+    entries = []
+
+    def record(lay, mu, rad, pl, pu):
+        entries.append({"mu": mu, "rad": rad, "in_shape": mu.shape,
+                        "mask_l": _act_mask(pl, lay.activation),
+                        "mask_u": _act_mask(pu, lay.activation),
+                        "out_shape": pl.shape})
+
+    out = _interval_walk(net, lo, hi, None if tape is None else record)
     if tape is not None:
         tape[:] = entries
-    return lo, hi
+    return out
+
+
+def margin_lower_bounds(net: ParamSet, lo: Array, hi: Array,
+                        a_star: int) -> Array:
+    """Sound lower bounds on out[a_star] - out[a] over the box [lo, hi] (one
+    input, no batch axis), one per rival a != a_star in output order, by
+    CROWN's backward linear relaxation over the IBP pre-activation bounds.
+
+    A rectifier with bounds l < 0 < u lies below the chord u (z - l) / (u - l)
+    and above alpha * z, alpha = 1 where u > -l and 0 elsewhere; a stable
+    one is 0 or z. From the rivals' output coefficients, each layer picks,
+    per coefficient sign, the line that bounds it from below, then carries
+    the coefficients through the linear map with _affine_input_grad, the
+    rivals as its batch axis. At the input, the box's center and radius
+    bound the linear form that is left."""
+    layers = []  # per layer: its input box, its output shape, its lines
+
+    def relax(lay, mu, rad, pl, pu):
+        line = None  # identity: out = z
+        if lay.activation == "relu":
+            on, split = pl >= 0.0, (pl < 0.0) & (pu > 0.0)
+            up = np.where(split, pu / np.where(split, pu - pl, 1.0), on)
+            # lower slope, upper slope, upper intercept
+            line = (np.where(split, pu > -pl, on), up,
+                    np.where(split, -up * pl, 0.0))
+        layers.append((mu, rad, pl.shape, line))
+
+    _interval_walk(net, np.asarray(lo)[None], np.asarray(hi)[None], relax)
+    out_shape = layers[-1][2]
+    rivals = [a for a in range(math.prod(out_shape)) if a != a_star]
+    if not rivals:
+        return np.empty(0)
+    coef = np.zeros((len(rivals), math.prod(out_shape)))
+    coef[:, a_star] = 1.0
+    coef[range(len(rivals)), rivals] = -1.0
+    coef = coef.reshape(len(rivals), *out_shape[1:])
+    const = np.zeros(len(rivals))
+
+    def per_rival(a: Array) -> Array:
+        return a.reshape(len(rivals), -1).sum(axis=1)
+
+    for lay, (mu, _, _, line) in zip(net.layers[::-1], layers[::-1]):
+        if line is not None:
+            low, up, icpt = line
+            neg = np.minimum(coef, 0.0)
+            const += per_rival(neg * icpt)
+            coef = np.maximum(coef, 0.0) * low + neg * up
+        const += per_rival(coef * lay.bias)
+        coef = _affine_input_grad(lay, lay.weight, coef,
+                                 (len(rivals), *mu.shape[1:]))
+    mu, rad = layers[0][:2]   # the input box
+    return const + per_rival(coef * mu - np.abs(coef) * rad)
 
 
 def ibp_backprop_batch(net: ParamSet, glo: Array, ghi: Array,

@@ -199,13 +199,13 @@ def input_box(x: Array, eps_rob: float) -> tuple[Array, Array]:
 
 def certified(net: nn.ParamSet, obs: Array, eps_rob: float) -> bool:
     """True when the greedy action provably survives every perturbation in
-    the eps_rob ball: lower(Q(a*)) > upper(Q(a')) for all other actions."""
+    the eps_rob ball: lower(Q(a*)) > upper(Q(a')) for all other actions,
+    so a net with one action is certified."""
     a_star = greedy_action(net, obs)
     x = np.asarray(obs, dtype=np.float64) / OBS_SCALE
     lo, hi = input_box(x, eps_rob)
     lower, upper = nn.ibp_forward_batch(net, lo[None], hi[None])
-    others = np.delete(upper[0], a_star)
-    return bool(lower[0, a_star] > others.max())
+    return bool((lower[0, a_star] > np.delete(upper[0], a_star)).all())
 
 
 # ---------------------------------------------------------------------------

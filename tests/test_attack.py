@@ -174,14 +174,17 @@ def test_cw_matches_linear_closed_form_linf():
 
 
 def test_cw_cannot_flip_constant_policy():
-    net = nn.ParamSet([nn.DenseLayer(np.zeros((3, 4)),
-                                     np.array([1.0, 0.0, 0.0]),
-                                     activation="identity")])
-    res = atk.cw_minimal(net, np.full(4, 100.0),
-                         atk.AttackSpec(method="cw", epsilon=0.3))
-    assert res.success is False
-    assert res.distance == math.inf
-    assert np.array_equal(res.observation, np.full(4, 100.0))
+    """A constant net keeps its greedy action, and a one-output net has no
+    rival to flip to."""
+    for bias in ([1.0, 0.0, 0.0], [1.0]):
+        net = nn.ParamSet([nn.DenseLayer(np.zeros((len(bias), 4)),
+                                         np.array(bias),
+                                         activation="identity")])
+        res = atk.cw_minimal(net, np.full(4, 100.0),
+                             atk.AttackSpec(method="cw", epsilon=0.3))
+        assert res.success is False
+        assert res.distance == math.inf
+        assert np.array_equal(res.observation, np.full(4, 100.0))
 
 
 def test_cw_respects_ball_and_is_deterministic():
@@ -393,11 +396,21 @@ SEARCHES = [  # p, restarts, iterations, binary steps
 
 @pytest.mark.parametrize("p,restarts,iterations,steps", SEARCHES)
 def test_cw_is_byte_equal_to_the_sequential_search(p, restarts, iterations,
-                                                  steps):
+                                                  steps, monkeypatch):
     """Same view, distance and success bytes as the sequential search, on
     states of the bundled policies and of small dense nets, at radii where
     the search fails, succeeds early and succeeds late; eleven steps take
-    two lockstep descents."""
+    two lockstep descents. Some cases have a margin bound that certifies
+    them, so C&W skips its search there: the sequential search has no such
+    shortcut."""
+    bound, skipped = nn.margin_lower_bounds, []
+
+    def record_skip(*args):
+        bounds = bound(*args)
+        skipped.append(bool((bounds > atk.BOUND_SLACK).all()))
+        return bounds
+
+    monkeypatch.setattr(nn, "margin_lower_bounds", record_skip)
     cases = []
     for name in ("vanilla", "radial"):
         net, states = first_states(DATA_DIR / f"{name}_pixelgrid.txt", 3)
@@ -419,6 +432,13 @@ def test_cw_is_byte_equal_to_the_sequential_search(p, restarts, iterations,
             assert got.success == want.success
             outcomes.add(got.success)
     assert outcomes == {False, True}
+    assert any(skipped)
+
+
+def certify_nothing(monkeypatch):
+    """Force C&W's search: the margin bound certifies no state."""
+    monkeypatch.setattr(nn, "margin_lower_bounds",
+                        lambda net, lo, hi, a_star: np.array([-np.inf]))
 
 
 def record_rows(monkeypatch, record):
@@ -476,14 +496,23 @@ def test_cw_runs_one_forward_per_distinct_consecutive_iterate(
     and C&W reuses that row's forward pass. So each row evaluates its
     iterates (the start, then one per step) with byte-equal neighbours
     merged, after the one clean pass that finds the greedy action. At
-    radius 5e-4 every step fails on radial's first clean state, so its
-    eight steps run as the eight rows of one descent, and they stall
-    often."""
+    radius 5e-4 the margin bound certifies radial's first clean state, so
+    that pass is the only one. With the bound certifying nothing, every
+    step fails there, so its eight steps run as the eight rows of one
+    descent, and they stall often."""
     ck, _ = radial_checkpoint
     obs = harness.probe_episode(ck.params, ck.env_spec, harness.IDENTITY,
                                 0)[3][0][0]
     x = np.asarray(obs, dtype=np.float64) / ql.OBS_SCALE
     spec = atk.AttackSpec(method="cw", epsilon=5e-4)
+    passes = []
+    with monkeypatch.context() as m:
+        record_rows(m, lambda xs, tape, outs: passes.append("forward_rows"))
+        m.setattr(nn, "backprop_batch",
+                  lambda *args: passes.append("backprop_batch"))
+        atk.cw_minimal(ck.params, obs, spec)
+    assert passes == ["forward_rows"]
+    certify_nothing(monkeypatch)
     project, evaluated, steps = atk._project, [], []
 
     def record_step(delta, p, eps):   # the rows' own next iterates
@@ -572,9 +601,11 @@ def test_rows_past_the_first_flipped_row_are_never_evaluated_again(
 
 def test_one_descent_runs_every_failing_step_and_its_restarts(
         radial_checkpoint, monkeypatch):
-    """At radius 5e-4 every step fails on radial's first clean state. With
-    no more steps than CW_ROWS and two restarts, the whole search is one
+    """At radius 5e-4 every step fails on radial's first clean state (the
+    margin bound, which certifies it, is made to certify nothing). With no
+    more steps than CW_ROWS and two restarts, the whole search is one
     descent whose rows are the steps times their three starts."""
+    certify_nothing(monkeypatch)
     ck, _ = radial_checkpoint
     obs = harness.probe_episode(ck.params, ck.env_spec, harness.IDENTITY,
                                 0)[3][0][0]

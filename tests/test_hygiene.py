@@ -2,8 +2,9 @@
 scripts is used, no module reads another package module's private
 names, the on-disk formats live in checkpoint alone, nn imports no
 other package module, attack runs the net only through nn.forward_rows,
-every float a manifest sets is refused when it is not finite, and every
-int, bool and str it sets is refused when it is of another type."""
+nn.backprop_batch and nn.margin_lower_bounds, every float a manifest
+sets is refused when it is not finite, and every int, bool and str it
+sets is refused when it is of another type."""
 import ast
 import dataclasses
 import math
@@ -113,12 +114,16 @@ def test_nn_imports_no_other_package_module():
 
 
 def test_attack_runs_the_net_only_through_forward_rows():
-    """Every attack pass is a stack of batch-1 rows, one row included."""
+    """Every forward pass of an attack is a stack of batch-1 rows, one row
+    included; besides those, it runs the rows' input gradients and the
+    margin bound, and no other pass over the net."""
     tree = ast.parse((SRC / "attack.py").read_text())
     passes = {node.attr for node in ast.walk(tree)
-              if isinstance(node, ast.Attribute) and "forward" in node.attr
+              if isinstance(node, ast.Attribute)
+              and node.attr.startswith(("forward", "backprop", "ibp_",
+                                        "margin_lower_bounds"))
               and isinstance(node.value, ast.Name) and node.value.id == "nn"}
-    assert passes == {"forward_rows"}
+    assert passes == {"forward_rows", "backprop_batch", "margin_lower_bounds"}
 
 
 # Manifest-settable dataclasses, by defining module: a field no expression

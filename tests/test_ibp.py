@@ -1,11 +1,17 @@
 """Interval bound propagation: soundness by Monte-Carlo enclosure, exactness
-at radius zero, monotone nesting, and gradients of bound-built losses."""
+at radius zero, monotone nesting, and gradients of bound-built losses. The
+CROWN margin bounds built on it: exact on linear nets, and below the margin
+at box corners and sampled points of the bundled and small nets."""
+
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from policyprobe import nn
+from policyprobe import qlearning as ql
+from policyprobe.envs import make_env
 from tests.test_nn import dense_net, small_net
 
 
@@ -155,3 +161,82 @@ def test_ibp_backprop_conv_matches_finite_differences(rng):
             flat[k] = old
             fd = (up - down) / (2 * h)
             assert abs(fd - garr.reshape(-1)[k]) < 2e-5, (name, k)
+
+
+# ---------------------------------------------------------------------------
+# CROWN margin bounds
+# ---------------------------------------------------------------------------
+
+def margins(net, xs, a_star):
+    """out[a_star] - out[a] at each row of xs, one column per rival a."""
+    q = nn.forward_batch(net, xs)[-1].reshape(len(xs), -1)
+    return q[:, [a_star]] - np.delete(q, a_star, axis=1)
+
+
+def test_margin_bound_is_the_exact_minimum_on_a_linear_net(rng):
+    """With identity activations the relaxation is exact: each bound is the
+    affine margin's minimum over the box, taken pixel by pixel at lo or hi
+    from the net's Jacobian."""
+    linear = nn.ParamSet([
+        nn.DenseLayer(rng.normal(0, 0.5, (7, 10)), rng.normal(0, 0.2, 7)),
+        nn.DenseLayer(rng.normal(0, 0.5, (4, 7)), rng.normal(0, 0.2, 4))])
+    for net, shape in ((small_net(3, activation="identity"), (9, 9, 1)),
+                       (linear, (10,))):
+        size = int(np.prod(shape))
+        x = rng.uniform(0.2, 0.8, size=shape)
+        lo, hi = x - 0.05, x + 0.05
+        basis = np.concatenate([np.zeros((1, size)), np.eye(size)])
+        q = nn.forward_batch(net, basis.reshape(-1, *shape))[-1]
+        offset, jac = q[0], q[1:] - q[0]   # out = x.flat @ jac + offset
+        for a_star in range(len(offset)):
+            g = jac[:, [a_star]] - np.delete(jac, a_star, axis=1)
+            exact = (offset[a_star] - np.delete(offset, a_star)
+                     + np.minimum(g * lo.reshape(-1, 1),
+                                  g * hi.reshape(-1, 1)).sum(axis=0))
+            np.testing.assert_allclose(
+                nn.margin_lower_bounds(net, lo, hi, a_star), exact,
+                rtol=0, atol=1e-12)
+
+
+def test_margin_bound_holds_at_box_corners_and_random_points(
+        rng, vanilla_checkpoint, radial_checkpoint, sa_checkpoint):
+    """No margin at a box corner or at a seeded uniform point of the box
+    falls below its bound, for every output as a_star: on the first clean
+    states of the bundled policies at the attack radii, on small_net
+    (padding 1, stride 2) and on dense_net, whose 1024 corners are all
+    checked. Some bounds are positive, so the check is not vacuous."""
+    cases = []
+    for ck, _ in (vanilla_checkpoint, radial_checkpoint, sa_checkpoint):
+        env = make_env(ck.env_spec)
+        obs = env.reset(0)
+        for _ in range(3):
+            cases += [(ck.params, *ql.input_box(obs / ql.OBS_SCALE, eps))
+                      for eps in (5e-4, 2 / 255)]
+            obs = env.step(ql.greedy_action(ck.params, obs)).observation
+    for seed in range(3):
+        x = rng.uniform(0.2, 0.8, size=(9, 9, 1))
+        cases.append((small_net(seed), x - 0.02, x + 0.02))
+        x = rng.normal(size=10)
+        cases += [(dense_net(seed), x - eps, x + eps) for eps in (0.01, 0.2)]
+    positive = 0
+    for net, lo, hi in cases:
+        if lo.size == 10:
+            pick = np.array(list(itertools.product((False, True), repeat=10)))
+        else:
+            pick = rng.random((256, *lo.shape)) < 0.5
+        points = np.concatenate([np.where(pick, hi, lo),
+                                 rng.uniform(lo, hi, (256, *lo.shape))])
+        n_out = nn.forward_batch(net, lo[None])[-1].size
+        for a_star in range(n_out):
+            bounds = nn.margin_lower_bounds(net, lo, hi, a_star)
+            assert bounds.shape == (n_out - 1,)
+            # float64 rounding of the sampled margins only
+            assert (margins(net, points, a_star) >= bounds - 1e-12).all()
+            positive += (bounds > 0.0).all()
+    assert positive > 0
+
+
+def test_margin_bound_of_a_one_output_net_has_no_rival():
+    net = nn.ParamSet([nn.DenseLayer(np.ones((1, 3)), np.zeros(1))])
+    bounds = nn.margin_lower_bounds(net, np.zeros(3), np.ones(3), 0)
+    assert bounds.shape == (0,)

@@ -297,6 +297,12 @@ def test_certification_predicate_monotone(vanilla_checkpoint, pixelgrid_spec):
         assert a or not b
 
 
+def test_certified_holds_on_a_one_action_net():
+    """With no rival action there is nothing to flip to."""
+    net = nn.ParamSet([nn.DenseLayer(np.ones((1, 4)), np.zeros(1))])
+    assert ql.certified(net, np.full(4, 100.0), 0.5)
+
+
 # ---------------------------------------------------------------------------
 # Gradient checks away from kinks
 # ---------------------------------------------------------------------------

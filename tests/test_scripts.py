@@ -154,16 +154,20 @@ def test_reference_policy_script_writes_checkpoint_v2(tmp_path, capsys,
 
 STUB_RUN = """import json
 print("stub run")
-print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": {
-    "work_per_s": {"value": 2.0, "unit": "1/s"}}}))
+print(json.dumps({{"correct": True, "attempted": 2, "failed": {failed},
+                  "metrics": {{"work_per_s": {{"value": {work},
+                                              "unit": "1/s"}}}}}}))
 """
 
 
-def stub_checkout(path: Path, workloads: list[str]) -> Path:
+def stub_checkout(path: Path, workloads: list[str], work: float = 2.0,
+                  failed: int = 0) -> Path:
     """A checkout whose benchmark declares `workloads` and whose run
-    prints one JSON result line."""
+    prints one JSON result line: `failed` of 2 operations failed, at
+    `work` operations per second."""
     (path / "perfbench").mkdir(parents=True)
-    (path / "perfbench" / "run.py").write_text(STUB_RUN)
+    (path / "perfbench" / "run.py").write_text(
+        STUB_RUN.format(work=work, failed=failed))
     (path / "BENCHMARK.json").write_text(json.dumps({
         "workloads": [{"name": name} for name in workloads],
         "end_to_end": [{"name": "work_per_s", "better": "higher",
@@ -216,7 +220,8 @@ def test_bench_pairs_summarizes_per_pair_ratios():
               "idle": [1.0, 1.0, 1.0, 1.0]}
 
     def side(values, i):
-        return {"metrics": {name: {"value": v[i], "unit": "u"}
+        return {"attempted": 1, "failed": 0,
+                "metrics": {name: {"value": v[i], "unit": "u"}
                             for name, v in values.items()}}
 
     pairs = [{"parent": side(parent, i), "change": side(change, i)}
@@ -279,3 +284,23 @@ def test_bench_pairs_summarizes_per_pair_ratios():
         == "no gain shown"
     assert bench.gain(base, [0.0, base[1], *up[2:]], "higher") \
         == "no gain shown"
+
+
+def test_bench_pairs_shows_no_gain_when_the_change_fails_more(tmp_path):
+    """A change that runs faster shows a gain, unless a larger share of
+    its operations fails than of the parent's; each side's failed share
+    is stored."""
+    bench = load_script("bench_pairs")
+    parent = stub_checkout(tmp_path / "parent", ["attack"], failed=1)
+    out = tmp_path / "pairs.json"
+    for failed, shown in ((0, "gain shown"), (1, "gain shown"),
+                          (2, "no gain shown")):
+        change = stub_checkout(tmp_path / f"change{failed}", ["attack"],
+                               work=3.0, failed=failed)
+        assert bench.main([str(parent), str(change), "--workload", "attack",
+                           "--seeds", "1-2", "--seconds", "1",
+                           "--out", str(out)]) == 0
+        entry = json.loads(out.read_text())["attack"]
+        assert entry["failed_share"] == {"parent": 0.5,
+                                         "change": failed / 2}
+        assert entry["metrics"]["work_per_s"]["gain"] == shown
