@@ -30,7 +30,8 @@ again. Rows hold batch-1 bits, so outputs equal the sequential search's bytes.
 
 Before any descent, C&W bounds Q(a*) - Q(a) from below for every rival a
 over the box `input_box(x, epsilon)`, which holds every iterate, restart and
-l2 ball the search can reach (`nn.margin_lower_bounds`, a CROWN bound). When
+l2 ball the search can reach (`nn.margin_lower_bounds`: CROWN, which
+back-substitutes the hidden layers' bounds as well as the margins). When
 every bound clears BOUND_SLACK, no point the search can reach flips the
 action, so it returns its failure result at once. Such a search would have
 found no flip and returned that same result, so no output moves.
@@ -53,14 +54,20 @@ Array = np.ndarray
 
 CW_ROWS = 8  # most penalty steps one lockstep descent runs as rows
 # What every margin bound must clear for C&W to skip its search. A bound
-# holds in exact arithmetic, and float64 adds three errors. A sum of n
+# holds in exact arithmetic, and float64 adds four errors. A sum of n
 # terms rounds by at most n * 2**-53 times the sum of their absolute
 # values; on the bundled nets n < 1000 along any chain of sums, so:
-#   - the bound's own rounding: absolute sums below 26, error < 3e-12;
+#   - the margins' back-substitution: absolute sums below 28, < 3.1e-12;
+#   - the hidden layers' back-substituted bounds: absolute sums below 6.6,
+#     each off by < 7.4e-13. They decide which neurons count as stable and
+#     where the others' chords fall: a neuron's bound off by d moves an
+#     upper line by at most d, so the margin bound by d times the
+#     neuron's coefficient magnitude; summed over every neuron, < 4.1e-12;
 #   - the forward pass that judges a flip: absolute sums below 52, < 6e-12;
 #   - an l2-projected iterate may leave the box by an ulp (<= 2.2e-16) per
 #     pixel, and the |weight| chain's gain is below 610, so < 3e-13.
-# Bounds that certify a state on the attack benchmark start at 1.7e-4.
+# Certifying bounds on the 54 PixelGrid states, radii 5e-4 to 3/255,
+# start at 5.6e-5.
 BOUND_SLACK = 1e-9
 
 

@@ -27,10 +27,11 @@ its caller consumes:
   - with wrt="input" it returns the input gradient (shaped like the input)
     and forms no parameter gradient; attacks use this
   - `ibp_backprop_batch` returns parameter gradients only
-  - `margin_lower_bounds` runs CROWN's backward linear relaxation over the
-    pre-activation intervals of the IBP pass (`_interval_walk`, which
-    `ibp_forward_batch` runs too): `_affine_input_grad` with the rival
-    actions as the batch axis. No digest pins its bits: its one caller,
+  - `margin_lower_bounds` is CROWN: one backward linear relaxation,
+    `_backsub` (`_affine_input_grad` with the bounded forms as the batch
+    axis), bounds every rectified hidden layer's unstable neurons during
+    the IBP pass (`_interval_walk`, which `ibp_forward_batch` runs too),
+    and then the rival margins. No digest pins its bits: its one caller,
     C&W, returns the same bytes whether or not a bound certifies a state
 Every backward pass reads its input and activations from the `tape` list the
 matching forward pass (`forward_batch` / `ibp_forward_batch`) filled, so
@@ -515,56 +516,92 @@ def ibp_forward_batch(net: ParamSet, lo: Array, hi: Array,
     return out
 
 
+BACKSUB_ROWS = 32  # most unit rows one hidden-layer back-substitution runs
+
+
+def _backsub(net: ParamSet, k: int, coef: Array, layers: list) -> Array:
+    """Lower bounds on <coef[r], output of layer k> over the input box, one
+    per row r of coef, by back-substitution through layers k, ..., 0.
+    layers[i] holds layer i's input box (center, radius) and its rectifier
+    lines: None for an identity, and for a layer whose pre-activation is
+    being bounded. A rectifier with bounds l < 0 < u lies below the chord
+    u (z - l) / (u - l) and above alpha * z, alpha = 1 where u > -l and 0
+    elsewhere; a stable one is 0 or z. Each layer picks, per coefficient
+    sign, the line that bounds it from below, then carries the
+    coefficients through the linear map with _affine_input_grad, the rows
+    as its batch axis. At the input, the box's center and radius bound the
+    linear form that is left."""
+    n = len(coef)
+    const = np.zeros(n)
+
+    def per_row(a: Array) -> Array:
+        return a.reshape(n, -1).sum(axis=1)
+
+    for lay, (mu, _, line) in zip(net.layers[k::-1], layers[k::-1]):
+        if line is not None:
+            low, up, icpt = line
+            neg = np.minimum(coef, 0.0)
+            const += per_row(neg * icpt)
+            coef = np.maximum(coef, 0.0) * low + neg * up
+        const += per_row(coef * lay.bias)
+        coef = _affine_input_grad(lay, lay.weight, coef, (n, *mu.shape[1:]))
+    mu, rad = layers[0][:2]   # the input box
+    return const + per_row(coef * mu - np.abs(coef) * rad)
+
+
 def margin_lower_bounds(net: ParamSet, lo: Array, hi: Array,
                         a_star: int) -> Array:
     """Sound lower bounds on out[a_star] - out[a] over the box [lo, hi] (one
     input, no batch axis), one per rival a != a_star in output order, by
-    CROWN's backward linear relaxation over the IBP pre-activation bounds.
+    CROWN (Zhang et al. 2018): the backward linear relaxation `_backsub`,
+    run for the hidden layers' bounds as well as for the margins.
 
-    A rectifier with bounds l < 0 < u lies below the chord u (z - l) / (u - l)
-    and above alpha * z, alpha = 1 where u > -l and 0 elsewhere; a stable
-    one is 0 or z. From the rivals' output coefficients, each layer picks,
-    per coefficient sign, the line that bounds it from below, then carries
-    the coefficients through the linear map with _affine_input_grad, the
-    rivals as its batch axis. At the input, the box's center and radius
-    bound the linear form that is left."""
-    layers = []  # per layer: its input box, its output shape, its lines
+    The walk is _interval_walk's. At each rectified layer after the first
+    (whose IBP interval is already exact), the neurons whose IBP interval
+    straddles 0 are bounded by _backsub from that layer, with +-unit
+    coefficients as its rows, BACKSUB_ROWS at a time. The result is
+    intersected with IBP's interval in place, so the walk's next IBP step
+    starts from the tighter box, and the layer's lines are formed from it.
+    The rival margins then run through _backsub from the last layer."""
+    layers = []  # per layer: its input box and its lines
 
     def relax(lay, mu, rad, pl, pu):
-        line = None  # identity: out = z
-        if lay.activation == "relu":
-            on, split = pl >= 0.0, (pl < 0.0) & (pu > 0.0)
-            up = np.where(split, pu / np.where(split, pu - pl, 1.0), on)
-            # lower slope, upper slope, upper intercept
-            line = (np.where(split, pu > -pl, on), up,
-                    np.where(split, -up * pl, 0.0))
-        layers.append((mu, rad, pl.shape, line))
+        k = len(layers)
+        layers.append((mu, rad, None))
+        if lay.activation != "relu":
+            return
+        fl, fu = pl.reshape(-1), pu.reshape(-1)   # views of the walk's bounds
+        unstable = np.flatnonzero((fl < 0.0) & (fu > 0.0))
+        if k and len(unstable):
+            units = np.concatenate([unstable, unstable])
+            sign = np.repeat([1.0, -1.0], len(unstable))
+            got = np.empty(len(units))   # lower bounds on +z, then on -z
+            for s in range(0, len(units), BACKSUB_ROWS):
+                rows = slice(s, s + BACKSUB_ROWS)
+                coef = np.zeros((len(units[rows]), fl.size))
+                coef[range(len(coef)), units[rows]] = sign[rows]
+                got[rows] = _backsub(net, k, coef.reshape(
+                    len(coef), *pl.shape[1:]), layers)
+            n = len(unstable)
+            fl[unstable] = np.maximum(fl[unstable], got[:n])
+            fu[unstable] = np.minimum(fu[unstable], -got[n:])
+        on, split = pl >= 0.0, (pl < 0.0) & (pu > 0.0)
+        up = np.where(split, pu / np.where(split, pu - pl, 1.0), on)
+        # lower slope, upper slope, upper intercept: fresh arrays, never
+        # pl or pu, which the walk rectifies in place once this returns
+        layers[k] = (mu, rad, (np.where(split, pu > -pl, on), up,
+                               np.where(split, -up * pl, 0.0)))
 
-    _interval_walk(net, np.asarray(lo)[None], np.asarray(hi)[None], relax)
-    out_shape = layers[-1][2]
+    out_shape = _interval_walk(net, np.asarray(lo)[None],
+                               np.asarray(hi)[None], relax)[0].shape
     rivals = [a for a in range(math.prod(out_shape)) if a != a_star]
     if not rivals:
         return np.empty(0)
     coef = np.zeros((len(rivals), math.prod(out_shape)))
     coef[:, a_star] = 1.0
     coef[range(len(rivals)), rivals] = -1.0
-    coef = coef.reshape(len(rivals), *out_shape[1:])
-    const = np.zeros(len(rivals))
-
-    def per_rival(a: Array) -> Array:
-        return a.reshape(len(rivals), -1).sum(axis=1)
-
-    for lay, (mu, _, _, line) in zip(net.layers[::-1], layers[::-1]):
-        if line is not None:
-            low, up, icpt = line
-            neg = np.minimum(coef, 0.0)
-            const += per_rival(neg * icpt)
-            coef = np.maximum(coef, 0.0) * low + neg * up
-        const += per_rival(coef * lay.bias)
-        coef = _affine_input_grad(lay, lay.weight, coef,
-                                 (len(rivals), *mu.shape[1:]))
-    mu, rad = layers[0][:2]   # the input box
-    return const + per_rival(coef * mu - np.abs(coef) * rad)
+    return _backsub(net, len(net.layers) - 1,
+                    coef.reshape(len(rivals), *out_shape[1:]), layers)
 
 
 def ibp_backprop_batch(net: ParamSet, glo: Array, ghi: Array,

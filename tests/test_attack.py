@@ -458,13 +458,19 @@ def test_cw_runs_one_backward_per_runner_and_mask_pattern(radial_checkpoint,
     """C&W's margin gradient depends only on the runner-up action and the
     rectifier masks, so one call runs one backward pass per distinct
     (runner, masks) key among the open-margin iterates of its descent
-    rows, and no more."""
+    rows, and no more. The margin bound certifies this state, so the
+    search is forced to run."""
     ck, _ = radial_checkpoint
     env = make_env(ck.env_spec)
     obs = env.reset(0)
     for _ in range(3):
         obs = env.step(ql.greedy_action(ck.params, obs)).observation
     a_star = ql.greedy_action(ck.params, obs)
+    spec = atk.AttackSpec(method="cw", epsilon=2 / 255)
+    box = ql.input_box(obs / ql.OBS_SCALE, spec.epsilon)
+    assert (nn.margin_lower_bounds(ck.params, *box, a_star)
+            > atk.BOUND_SLACK).all()
+    certify_nothing(monkeypatch)
     keys, backwards = set(), [0]
     backprop = nn.backprop_batch
 
@@ -483,7 +489,6 @@ def test_cw_runs_one_backward_per_runner_and_mask_pattern(radial_checkpoint,
 
     record_rows(monkeypatch, record_keys)
     monkeypatch.setattr(nn, "backprop_batch", count_backward)
-    spec = atk.AttackSpec(method="cw", epsilon=2 / 255)
     atk.cw_minimal(ck.params, obs, spec)
     assert len(keys) > 1
     assert backwards[0] == len(keys)

@@ -1,7 +1,9 @@
 """Interval bound propagation: soundness by Monte-Carlo enclosure, exactness
 at radius zero, monotone nesting, and gradients of bound-built losses. The
-CROWN margin bounds built on it: exact on linear nets, and below the margin
-at box corners and sampled points of the bundled and small nets."""
+CROWN margin bounds built on it: exact on linear nets and where only
+back-substituted hidden bounds are exact, below the margin at box corners
+and sampled points of the bundled and small nets and at C&W's flips, and
+their certified counts on every PixelGrid state."""
 
 import itertools
 
@@ -9,9 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from policyprobe import nn
+from policyprobe import attack as atk
+from policyprobe import envs, nn
 from policyprobe import qlearning as ql
 from policyprobe.envs import make_env
+from tests.test_attack import certify_nothing
 from tests.test_nn import dense_net, small_net
 
 
@@ -167,6 +171,17 @@ def test_ibp_backprop_conv_matches_finite_differences(rng):
 # CROWN margin bounds
 # ---------------------------------------------------------------------------
 
+def clean_states(ck, n=3):
+    """The first n states of the policy's clean episode 0 and their greedy
+    actions."""
+    env = make_env(ck.env_spec)
+    obs = env.reset(0)
+    for _ in range(n):
+        a_star = ql.greedy_action(ck.params, obs)
+        yield obs, a_star
+        obs = env.step(a_star).observation
+
+
 def margins(net, xs, a_star):
     """out[a_star] - out[a] at each row of xs, one column per rival a."""
     q = nn.forward_batch(net, xs)[-1].reshape(len(xs), -1)
@@ -198,6 +213,49 @@ def test_margin_bound_is_the_exact_minimum_on_a_linear_net(rng):
                 rtol=0, atol=1e-12)
 
 
+def test_margin_bound_back_substitutes_the_hidden_bounds():
+    """On [0.4, 0.6]^2, h = relu(x1 - x2 + 1), relu(x2 - x1 + 1) and
+    z = relu(h1 + h2 - 1.9) with Q = (0.15, z): h1 + h2 = 2 everywhere, so
+    z = 0.1 and the margin Q0 - Q1 is 0.05 on the whole box. IBP gives z's
+    pre-activation [-0.3, 0.5], whose chord would bound the margin by -0.1;
+    back-substitution bounds it to exactly 0.1, and the bound is exact."""
+    net = nn.ParamSet([
+        nn.DenseLayer([[1.0, -1.0], [-1.0, 1.0]], [1.0, 1.0], "relu"),
+        nn.DenseLayer([[1.0, 1.0]], [-1.9], "relu"),
+        nn.DenseLayer([[0.0], [1.0]], [0.15, 0.0])])
+    lo, hi = np.full(2, 0.4), np.full(2, 0.6)
+    np.testing.assert_allclose(box_bounds(net, lo, hi)[1], [0.15, 0.5])
+    np.testing.assert_allclose(nn.margin_lower_bounds(net, lo, hi, 0),
+                               [0.05], rtol=0, atol=1e-12)
+
+
+def test_margin_bound_holds_at_cw_flips(vanilla_checkpoint,
+                                        radial_checkpoint, sa_checkpoint,
+                                        monkeypatch):
+    """Where C&W flips the action, the point it returns lies in the box, so
+    no bound exceeds the margin there (float64 rounding aside). The search
+    runs on certified states too, to check that no certified box holds a
+    flip."""
+    cases = []
+    for ck, _ in (vanilla_checkpoint, radial_checkpoint, sa_checkpoint):
+        for obs, a_star in clean_states(ck):
+            for eps in (2 / 255, 3 / 255):
+                box = ql.input_box(obs / ql.OBS_SCALE, eps)
+                cases.append((ck.params, obs, eps, a_star,
+                              nn.margin_lower_bounds(ck.params, *box, a_star)))
+    certify_nothing(monkeypatch)
+    flips = 0
+    for net, obs, eps, a_star, bounds in cases:
+        res = atk.cw_minimal(net, obs, atk.AttackSpec(method="cw",
+                                                      epsilon=eps))
+        if res.success:
+            flips += 1
+            point = res.observation[None] / ql.OBS_SCALE
+            assert (margins(net, point, a_star)[0] >= bounds - 1e-12).all()
+    certified = sum((case[-1] > atk.BOUND_SLACK).all() for case in cases)
+    assert flips > 0 and certified > 0
+
+
 def test_margin_bound_holds_at_box_corners_and_random_points(
         rng, vanilla_checkpoint, radial_checkpoint, sa_checkpoint):
     """No margin at a box corner or at a seeded uniform point of the box
@@ -207,12 +265,9 @@ def test_margin_bound_holds_at_box_corners_and_random_points(
     checked. Some bounds are positive, so the check is not vacuous."""
     cases = []
     for ck, _ in (vanilla_checkpoint, radial_checkpoint, sa_checkpoint):
-        env = make_env(ck.env_spec)
-        obs = env.reset(0)
-        for _ in range(3):
+        for obs, _ in clean_states(ck):
             cases += [(ck.params, *ql.input_box(obs / ql.OBS_SCALE, eps))
                       for eps in (5e-4, 2 / 255)]
-            obs = env.step(ql.greedy_action(ck.params, obs)).observation
     for seed in range(3):
         x = rng.uniform(0.2, 0.8, size=(9, 9, 1))
         cases.append((small_net(seed), x - 0.02, x + 0.02))
@@ -234,6 +289,41 @@ def test_margin_bound_holds_at_box_corners_and_random_points(
             assert (margins(net, points, a_star) >= bounds - 1e-12).all()
             positive += (bounds > 0.0).all()
     assert positive > 0
+
+
+def test_margin_bound_does_not_depend_on_the_block_size(
+        vanilla_checkpoint, radial_checkpoint, monkeypatch):
+    """The hidden layers' unit rows run BACKSUB_ROWS at a time; one row per
+    block, a partial last block and one block for all give the same
+    bounds up to float64 rounding."""
+    cases = [(ck.params, *ql.input_box(obs / ql.OBS_SCALE, 2 / 255), a_star)
+             for ck, _ in (vanilla_checkpoint, radial_checkpoint)
+             for obs, a_star in clean_states(ck)]
+    want = [nn.margin_lower_bounds(*case) for case in cases]
+    for rows in (1, 7, 10 ** 4):
+        monkeypatch.setattr(nn, "BACKSUB_ROWS", rows)
+        for case, bounds in zip(cases, want):
+            np.testing.assert_allclose(nn.margin_lower_bounds(*case), bounds,
+                                       rtol=0, atol=1e-12)
+
+
+def test_margin_bound_certifies_pinned_counts_of_pixelgrid_states(
+        vanilla_checkpoint, radial_checkpoint, sa_checkpoint):
+    """Of the 54 PixelGrid states (every floor cell but the goal), the
+    bound certifies these many per bundled policy at 2/255, as C&W counts
+    a certificate. The CROWN-IBP bound, with IBP hidden-layer intervals,
+    certified 18, 13 and 46: a bound that loosens shows here."""
+    layout = envs._grid_layout(vanilla_checkpoint[0].env_spec)
+    frames = [layout.frame(cell) for cell in layout.starts]
+    assert len(frames) == 54
+    counts = []
+    for ck, _ in (vanilla_checkpoint, radial_checkpoint, sa_checkpoint):
+        counts.append(sum(
+            bool((nn.margin_lower_bounds(
+                ck.params, *ql.input_box(obs / ql.OBS_SCALE, 2 / 255),
+                ql.greedy_action(ck.params, obs)) > atk.BOUND_SLACK).all())
+            for obs in frames))
+    assert counts == [26, 32, 54]
 
 
 def test_margin_bound_of_a_one_output_net_has_no_rival():
